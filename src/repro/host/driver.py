@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..hdl.errors import SimulationError
 from ..isa.encoding import Instruction, encode
 from ..messages.types import (
     DataRecord,
@@ -141,51 +140,30 @@ class CoprocessorDriver:
         dead — is raised instead of idling out the full ``max_cycles``
         budget.  None → a link-derived default; ≤0 → disabled.
         """
-        start = self.sim.now
-        idle_streak = 0
-        deadline = self.engine.resolve_deadline(deadline_cycles)
-        signature = self.engine.progress_signature()
-        last_progress = start
-        while idle_streak < self._quiet_streak:
+        # Quiet = seen idle for `_quiet_streak` consecutive cycles.  A chunk
+        # is pure aging, so idleness seen at both of its ends held all
+        # through it, while idleness first seen at its end dates from its
+        # final cycle only.
+        streak_start = self.sim.now
+        was_busy = False
+
+        def quiet() -> bool:
+            nonlocal streak_start, was_busy
             now = self.sim.now
-            if now - start >= max_cycles:
-                raise SimulationError(
-                    f"system did not go quiet within {max_cycles} cycles"
-                )
-            if deadline is not None and now - last_progress >= deadline:
-                raise self.engine.timeout_error(
-                    f"system stayed busy with no progress for {deadline} "
-                    f"cycles ({self.engine.in_flight} in flight, "
-                    f"{self.engine.queued} queued)"
-                )
-            # Chunked pumping.  A chunk only exceeds one cycle when the
-            # kernel certifies pure aging for its whole span, so the `busy`
-            # probe and the progress signature are frozen across its
-            # interior: every interior cycle observes `pre_busy`, and only
-            # the chunk's final (real-edge) cycle can observe something new.
-            # Bounding by the timeout slacks and — once idle — by the
-            # remaining quiet streak makes this loop exit or raise at
-            # exactly the cycle the one-cycle-at-a-time loop would.
-            bound = start + max_cycles - now
-            if deadline is not None:
-                bound = min(bound, last_progress + deadline - now)
-            pre_busy = self.soc.busy or not self.engine.idle
-            if not pre_busy:
-                bound = min(bound, self._quiet_streak - idle_streak)
-            n = self.engine._pump_chunk(max(1, bound))
-            self.engine.flush()
             busy = self.soc.busy or not self.engine.idle
             if busy:
-                idle_streak = 0
-            elif pre_busy:
-                idle_streak = 1  # only the final chunk cycle observed idle
-            else:
-                idle_streak += n
-            current = self.engine.progress_signature()
-            if current != signature:
-                signature = current
-                last_progress = self.sim.now
-        return self.sim.now - start
+                streak_start = now
+            elif was_busy:
+                streak_start = now - 1
+            was_busy = busy
+            return now - streak_start >= self._quiet_streak
+
+        def streak_left() -> Optional[int]:
+            # an idle streak completes on elapsed cycles alone: stop there
+            return None if was_busy else self._quiet_streak - (self.sim.now - streak_start)
+
+        return self.engine.pump_until(quiet, max_cycles, deadline_cycles,
+                                      what="system did not go quiet", cap=streak_left)
 
     def wait_for(self, count: int = 1, max_cycles: int = 1_000_000,
                  deadline_cycles: Optional[int] = None) -> list[Message]:
@@ -197,34 +175,8 @@ class CoprocessorDriver:
         ``deadline_cycles`` pass without observable progress, so a dead
         link fails fast; None → a link-derived default, ≤0 → disabled.
         """
-        start = self.sim.now
-        deadline = self.engine.resolve_deadline(deadline_cycles)
-        signature = self.engine.progress_signature()
-        last_progress = start
-        while len(self.inbox) < count:
-            now = self.sim.now
-            if now - start >= max_cycles:
-                raise SimulationError(
-                    f"expected {count} responses, got {len(self.inbox)} after "
-                    f"{max_cycles} cycles"
-                )
-            if deadline is not None and now - last_progress >= deadline:
-                raise self.engine.timeout_error(
-                    f"expected {count} responses, got {len(self.inbox)} after "
-                    f"{deadline} cycles without progress"
-                )
-            # The inbox only grows when words arrive, and a multi-cycle
-            # chunk certifies none do before its final cycle — so bounding
-            # by the two timeout slacks preserves the exact exit cycle.
-            bound = start + max_cycles - now
-            if deadline is not None:
-                bound = min(bound, last_progress + deadline - now)
-            self.engine._pump_chunk(max(1, bound))
-            self.engine.flush()
-            current = self.engine.progress_signature()
-            if current != signature:
-                signature = current
-                last_progress = self.sim.now
+        self.engine.pump_until(lambda: len(self.inbox) >= count, max_cycles,
+                               deadline_cycles, what=f"expected {count} responses")
         out, self.inbox[:] = self.inbox[:count], self.inbox[count:]
         return out
 
@@ -294,23 +246,3 @@ class CoprocessorDriver:
     def halt_and_wait(self, max_cycles: int = 1_000_000) -> None:
         """Send HALT and wait for the acknowledgement."""
         self.halt_async().result(max_cycles)
-
-    def _expect(self, msg_type: type, max_cycles: int) -> Message:
-        """Pop the oldest inbox message of ``msg_type``, pumping until one
-        arrives.  Responses of other types stay queued (and tag-tracked
-        requests are routed by the engine before ever reaching the inbox),
-        so an interleaved stream cannot be dropped or raise spuriously."""
-        start = self.sim.now
-        while True:
-            for i, msg in enumerate(self.inbox):
-                if isinstance(msg, msg_type):
-                    del self.inbox[i]
-                    return msg
-            if self.sim.now - start >= max_cycles:
-                others = [type(m).__name__ for m in self.inbox]
-                raise SimulationError(
-                    f"expected {msg_type.__name__} within {max_cycles} cycles; "
-                    f"inbox holds {others or 'nothing'}"
-                )
-            self.engine._pump_chunk(max(1, start + max_cycles - self.sim.now))
-            self.engine.flush()

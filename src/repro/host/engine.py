@@ -27,7 +27,7 @@ session layer adds ``compute_async``/``read_async`` and ``pipeline()``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..faults.checkpoint import Checkpoint, restore_state, snapshot_state
@@ -250,33 +250,7 @@ class EngineStats:
     checkpoints: int = 0          # quiescent-point snapshots taken
 
     def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "messages_framed": self.messages_framed,
-            "words_sent": self.words_sent,
-            "batches": self.batches,
-            "window_stalls": self.window_stalls,
-            "tag_stalls": self.tag_stalls,
-            "unmatched_to_inbox": self.unmatched_to_inbox,
-            "in_flight_highwater": self.in_flight_highwater,
-            "queue_highwater": self.queue_highwater,
-            "retransmits": self.retransmits,
-            "retransmitted_words": self.retransmitted_words,
-            "nacks": self.nacks,
-            "deadline_expiries": self.deadline_expiries,
-            "link_down_failures": self.link_down_failures,
-            "stale_responses": self.stale_responses,
-            "response_gaps": self.response_gaps,
-            "rx_resyncs": self.rx_resyncs,
-            "degrade_entries": self.degrade_entries,
-            "replay_truncated": self.replay_truncated,
-            "machine_checks": self.machine_checks,
-            "rollbacks": self.rollbacks,
-            "replayed": self.replayed,
-            "checkpoints": self.checkpoints,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -348,12 +322,7 @@ class HostEngine:
         self.raise_on_exception = raise_on_exception
         cfg = system.config
         self.reliable = cfg.reliable_framing
-        if self.reliable:
-            self.framer: Framer = ReliableFramer(cfg.data_words)
-            self.deframer = ReliableDeframer(cfg.data_words, strict_order=False)
-        else:
-            self.framer = Framer(cfg.data_words)
-            self.deframer = Deframer(cfg.data_words)
+        self._reset_framing()
         self.tags = TagAllocator(tags if tags is not None else TAG_SPACE)
         self.stats = EngineStats()
         #: responses that matched no pending future, oldest first
@@ -494,12 +463,7 @@ class HostEngine:
                             sub.stall_counted = True
                         break
             built = tuple(sub.build(tag))
-            for msg in built:
-                frame = self.framer.frame(msg)
-                if self.reliable:
-                    self._log_frame(self.framer.last_seq, frame)
-                words.extend(frame)
-                framed += 1
+            framed += self._frame(built, words)
             self._queue.popleft()
             if self._protected:
                 # rollback-replay journal: every released submission since
@@ -515,12 +479,36 @@ class HostEngine:
                     )
             else:
                 sub.future._resolve(None)
+        self._send_batch(words, framed)
+        return len(words)
+
+    def _reset_framing(self) -> None:
+        """Start both framing domains afresh (sequence numbers at 0)."""
+        data_words = self.system.config.data_words
+        if self.reliable:
+            self.framer: Framer = ReliableFramer(data_words)
+            self.deframer = ReliableDeframer(data_words, strict_order=False)
+        else:
+            self.framer = Framer(data_words)
+            self.deframer = Deframer(data_words)
+
+    def _frame(self, msgs: Sequence[Message], words: list[int]) -> int:
+        """Append the frames of ``msgs`` to ``words``, logging each for
+        replay in reliable mode; returns the number of messages framed."""
+        for msg in msgs:
+            frame = self.framer.frame(msg)
+            if self.reliable:
+                self._log_frame(self.framer.last_seq, frame)
+            words.extend(frame)
+        return len(msgs)
+
+    def _send_batch(self, words: list[int], framed: int) -> None:
+        """Push one framing batch onto the channel with a single call."""
         if words:
             self.host.send_words(words)
             self.stats.batches += 1
             self.stats.messages_framed += framed
             self.stats.words_sent += len(words)
-        return len(words)
 
     def _register(self, future: HostFuture, route_key: type,
                   tag: Optional[int], owns_tag: bool) -> tuple:
@@ -612,6 +600,17 @@ class HostEngine:
                 return
         self.exceptions.append(report)
         error = CoprocessorError(report)
+        self._fail_outstanding(error, fatal=False)
+        if self.raise_on_exception:
+            raise error
+        self.inbox.append(report)
+
+    def _fail_outstanding(self, error: BaseException, fatal: bool) -> None:
+        """Fail every future released to the wire, releasing its tag.
+
+        ``fatal`` means the engine can deliver nothing more: still-queued
+        submissions fail too and the replay buffer is dropped.
+        """
         pending, self._pending = self._pending, {}
         self._in_flight = 0
         self._records.clear()
@@ -621,9 +620,11 @@ class HostEngine:
                     self.tags.release(future.tag)
                 self.stats.failed += 1
                 future._fail(error)
-        if self.raise_on_exception:
-            raise error
-        self.inbox.append(report)
+        if fatal:
+            self._replay.clear()
+            queue, self._queue = self._queue, deque()
+            for sub in queue:
+                sub.future._fail(error)
 
     # -- state-fault recovery (checkpoint / rollback / replay) --------------------
 
@@ -652,20 +653,8 @@ class HostEngine:
             element=msg.element, address=msg.address, syndrome=msg.syndrome,
         )
         self.fatal_error = error
-        pending, self._pending = self._pending, {}
-        queue, self._queue = self._queue, deque()
-        self._in_flight = 0
-        self._records.clear()
-        self._replay.clear()
         self._journal.clear()
-        for q in pending.values():
-            for future in q:
-                if future._owns_tag and future.tag is not None:
-                    self.tags.release(future.tag)
-                self.stats.failed += 1
-                future._fail(error)
-        for sub in queue:
-            sub.future._fail(error)
+        self._fail_outstanding(error, fatal=True)
         if self.raise_on_exception:
             raise error
         self.inbox.append(msg)
@@ -686,13 +675,7 @@ class HostEngine:
         self._rx_epoch += 1
         self.sim.reset()
         restore_state(self.soc, self._ckpt)
-        cfg = self.system.config
-        if self.reliable:
-            self.framer = ReliableFramer(cfg.data_words)
-            self.deframer = ReliableDeframer(cfg.data_words, strict_order=False)
-        else:
-            self.framer = Framer(cfg.data_words)
-            self.deframer = Deframer(cfg.data_words)
+        self._reset_framing()
         self._replay.clear()
         self._dup_guard.clear()
         self._records.clear()
@@ -703,12 +686,7 @@ class HostEngine:
         framed = 0
         now = self.sim.now
         for built, route_key, tag, future in self._journal:
-            for m in built:
-                frame = self.framer.frame(m)
-                if self.reliable:
-                    self._log_frame(self.framer.last_seq, frame)
-                words.extend(frame)
-                framed += 1
+            framed += self._frame(built, words)
             if route_key is not None:
                 key = (route_key, tag if route_key is not Halted else None)
                 if future.done():
@@ -720,11 +698,7 @@ class HostEngine:
                         deadline_at=now + self.deadline_cycles,
                     )
             self.stats.replayed += 1
-        if words:
-            self.host.send_words(words)
-            self.stats.batches += 1
-            self.stats.messages_framed += framed
-            self.stats.words_sent += len(words)
+        self._send_batch(words, framed)
 
     def _maybe_checkpoint(self) -> None:
         """Snapshot at a quiescent point: engine idle, coprocessor drained,
@@ -826,21 +800,8 @@ class HostEngine:
             f"{self.stats.retransmits} retransmits, "
             f"{self.stats.nacks} NACKs seen)"
         )
-        pending, self._pending = self._pending, {}
-        queue, self._queue = self._queue, deque()
-        self._in_flight = 0
-        self._records.clear()
-        self._replay.clear()
-        for q in pending.values():
-            for future in q:
-                if future._owns_tag and future.tag is not None:
-                    self.tags.release(future.tag)
-                self.stats.failed += 1
-                self.stats.link_down_failures += 1
-                future._fail(error)
-        for sub in queue:
-            self.stats.link_down_failures += 1
-            sub.future._fail(error)
+        self.stats.link_down_failures += outstanding
+        self._fail_outstanding(error, fatal=True)
 
     def _note_timeout(self) -> None:
         self._consec_timeouts += 1
@@ -965,10 +926,10 @@ class HostEngine:
     def progress_signature(self) -> tuple:
         """A cheap tuple that changes whenever the system observably moves.
 
-        Used by the no-progress deadlines in :meth:`wait` and the driver's
-        ``run_until_quiet``/``wait_for``: words moving in either direction,
-        completions, failures, retransmissions or retired instructions all
-        count as progress; a dead or wedged system holds the tuple still.
+        Used by the no-progress deadline of :meth:`pump_until`: words moving
+        in either direction, completions, failures, retransmissions or
+        retired instructions all count as progress; a dead or wedged system
+        holds the tuple still.
         """
         stats = self.stats
         execution = getattr(getattr(self.soc, "rtm", None), "execution", None)
@@ -982,12 +943,6 @@ class HostEngine:
             getattr(execution, "retired", 0),
         )
 
-    def timeout_error(self, message: str) -> HostTimeoutError:
-        """Timeout error of the right flavour for the engine's link state."""
-        if self.link_down:
-            return LinkDownError(f"{message} (link is down)")
-        return HostTimeoutError(message)
-
     def resolve_deadline(self, deadline_cycles: Optional[int]) -> Optional[int]:
         """Normalise a ``deadline_cycles`` argument (None → default, ≤0 → off)."""
         if deadline_cycles is None:
@@ -996,54 +951,72 @@ class HostEngine:
             return None
         return deadline_cycles
 
-    def wait(self, future: HostFuture, max_cycles: int = 1_000_000,
-             deadline_cycles: Optional[int] = None) -> None:
-        """Pump until ``future`` completes.
+    def pump_until(
+        self,
+        done: Callable[[], bool],
+        max_cycles: int = 1_000_000,
+        deadline_cycles: Optional[int] = None,
+        *,
+        what: str = "wait did not finish",
+        cap: Optional[Callable[[], Optional[int]]] = None,
+    ) -> int:
+        """Pump until ``done()`` holds; returns the cycles consumed.
 
-        Raises :class:`SimulationError` after ``max_cycles`` total, and the
-        more descriptive :class:`HostTimeoutError` (or
-        :class:`LinkDownError`) once ``deadline_cycles`` pass with no
-        observable progress anywhere in the system — so a dead link fails
+        Raises :class:`SimulationError` once ``max_cycles`` pass, and the
+        more descriptive :class:`HostTimeoutError` (:class:`LinkDownError`
+        if the link was declared down) once ``deadline_cycles`` pass with no
+        observable progress anywhere in the system, so a dead link fails
         fast instead of idling out the full budget.  ``deadline_cycles``:
         None → a link-derived default, ≤0 → disabled.
+
+        Exit-cycle exactness: a chunk only spans several cycles when the
+        kernel certifies them as pure aging, so no word arrives, no future
+        completes and the progress signature holds still until its final
+        cycle.  Bounding every chunk by the budget and no-progress trigger
+        points therefore makes this loop return or raise on exactly the
+        cycle a one-cycle-at-a-time pump would.  ``done()`` is checked after
+        every chunk; a condition that can turn true on elapsed cycles alone
+        must also pass ``cap()``, the cycles until it could.
         """
-        if future.done():
-            return
-        self.flush()
         start = self.sim.now
         deadline = self.resolve_deadline(deadline_cycles)
         signature = self.progress_signature()
         last_progress = start
-        while not future.done():
+        while not done():
             now = self.sim.now
             if now - start >= max_cycles:
                 raise SimulationError(
-                    f"request did not complete within {max_cycles} cycles "
-                    f"({self._in_flight} in flight, {len(self._queue)} queued)"
-                )
+                    f"{what}: budget of {max_cycles} cycles spent ({self._backlog()})")
             if deadline is not None and now - last_progress >= deadline:
-                raise self.timeout_error(
-                    f"request made no progress for {deadline} cycles "
-                    f"({self._in_flight} in flight, {len(self._queue)} queued, "
-                    f"{self.stats.retransmits} retransmits)"
-                )
-            # Chunked pump: never jump past the budget or no-progress trigger
-            # points, so both raise at exactly the cycle the one-cycle loop
-            # would have raised at.
+                message = f"{what}: no progress for {deadline} cycles ({self._backlog()})"
+                if self.link_down:
+                    raise LinkDownError(f"{message} (link is down)")
+                raise HostTimeoutError(message)
             bound = start + max_cycles - now
             if deadline is not None:
                 bound = min(bound, last_progress + deadline - now)
+            limit = cap() if cap is not None else None
+            if limit is not None:
+                bound = min(bound, limit)
             self._pump_chunk(max(1, bound))
             self.flush()
             current = self.progress_signature()
             if current != signature:
                 signature = current
                 last_progress = self.sim.now
+        return self.sim.now - start
 
-    def wait_all(self, futures: Iterable[HostFuture],
-                 max_cycles: int = 1_000_000) -> list:
-        """Wait for every future; returns their results in order."""
-        return [f.result(max_cycles) for f in futures]
+    def wait(self, future: HostFuture, max_cycles: int = 1_000_000,
+             deadline_cycles: Optional[int] = None) -> None:
+        """Pump until ``future`` completes (timeouts as in :meth:`pump_until`)."""
+        if not future.done():
+            self.flush()
+            self.pump_until(future.done, max_cycles, deadline_cycles,
+                            what="request did not complete")
+
+    def _backlog(self) -> str:
+        return (f"{self._in_flight} in flight, {len(self._queue)} queued, "
+                f"{len(self.inbox)} in inbox, {self.stats.retransmits} retransmits")
 
     # -- state --------------------------------------------------------------------
 

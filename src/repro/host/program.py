@@ -30,7 +30,7 @@ def run_program(
     driver.execute_all(program)
     if expected == 0:
         driver.run_until_quiet(max_cycles)
-        out, driver.inbox = driver.inbox[:], []
+        out, driver.inbox[:] = driver.inbox[:], []
         return out
     return driver.wait_for(expected, max_cycles)
 

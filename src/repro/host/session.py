@@ -134,16 +134,17 @@ class Session:
         return dst
 
     def compute(self, op: ArithOp | LogicOp, x: int, y: int = 0) -> int:
-        """Round-trip helper: load operands, run one op, fetch the result."""
-        ra = self.put(x)
-        rb = self.put(y)
-        if isinstance(op, ArithOp):
-            rd = self.arith(op, ra, rb)
-        else:
-            rd = self.logic(op, ra, rb)
-        value = self.read(rd)
-        self.free(ra, rb, rd)
-        return value
+        """Round-trip helper: load operands, run one op, fetch the result.
+
+        The three registers are freed even when the op raises."""
+        with self.scratch(3) as (ra, rb, rd):
+            self.write(ra, x)
+            self.write(rb, y)
+            if isinstance(op, ArithOp):
+                self.arith(op, ra, rb, dst=rd)
+            else:
+                self.logic(op, ra, rb, dst=rd)
+            return self.read(rd)
 
     def read_carry(self, flag_reg: int) -> int:
         return self.driver.read_flags(flag_reg) & FLAG_CARRY
@@ -160,17 +161,15 @@ class Session:
         Each in-flight ``compute_async`` parks three registers until its
         result streams back, so the register file is a windowed resource
         just like tags: when it runs dry, pump the engine until a
-        completion callback frees one instead of raising.  Raises only
-        when nothing is in flight — a genuinely over-committed file.
+        completion callback frees one instead of raising.  Raises
+        :class:`OutOfRegisters` only when nothing is in flight — a genuinely
+        over-committed file — and otherwise the timeouts of
+        ``HostEngine.pump_until``.
         """
         engine = self.driver.engine
-        while True:
-            try:
-                return self.alloc()
-            except OutOfRegisters:
-                if engine.idle:
-                    raise
-                self.driver.pump()
+        engine.pump_until(lambda: bool(self._free) or engine.idle,
+                          what="no register freed")
+        return self.alloc()
 
     def compute_async(self, op: ArithOp | LogicOp, x: int, y: int = 0) -> HostFuture:
         """`compute` without the wait: operands load, the op issues, and the

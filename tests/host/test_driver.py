@@ -57,11 +57,6 @@ class TestDriver:
         driver.halt_and_wait()
         assert driver.soc.rtm.halted
 
-    def test_expect_type_mismatch(self, driver):
-        driver.execute(ins.halt())
-        with pytest.raises(SimulationError, match="expected DataRecord"):
-            driver._expect(DataRecord, max_cycles=10_000)
-
     def test_inbox_accumulates_unconsumed(self, driver):
         driver.write_reg(1, 3)
         driver.execute(ins.get(1))
@@ -99,3 +94,14 @@ class TestProgramRunner:
 
         msgs = run_program(driver, "halt")
         assert msgs == [Halted()]
+
+    def test_run_program_keeps_driver_inbox_shared(self, driver):
+        """Draining a GET-less program clears the inbox in place, so later
+        raw responses still reach ``wait_for``."""
+        from repro.host import run_program
+
+        run_program(driver, "loadi r1, 5\n")
+        assert driver.inbox is driver.engine.inbox
+        driver.execute(ins.get(1, tag=4))
+        (msg,) = driver.wait_for(1, max_cycles=5000)
+        assert (msg.tag, msg.value) == (4, 5)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import FrameworkConfig
-from repro.host import OutOfRegisters, Session
+from repro.host import LinkDownError, OutOfRegisters, Session
 from repro.isa import ArithOp, LogicOp
+from repro.messages import FAST_BUS, FaultSpec
 from repro.system import build_system
 
 
@@ -69,6 +70,14 @@ class TestScalarOps:
         f = session.alloc_flag()
         session.arith(ArithOp.ADD, a, b, flag_out=f)
         assert session.read_carry(f) == 1
+
+    def test_compute_frees_registers_when_op_raises(self):
+        session = Session(build_system(channel=FAST_BUS, reliable=True,
+                                       faults=FaultSpec(dead_after_words=4)))
+        free_before = len(session._free)
+        with pytest.raises(LinkDownError):
+            session.compute(ArithOp.ADD, 1, 2)
+        assert len(session._free) == free_before == 16
 
 
 class TestMultiWord:

@@ -5,6 +5,7 @@ import pytest
 from repro.config import FrameworkConfig
 from repro.host import Session
 from repro.isa import ArithOp, LogicOp
+from repro.messages import SLOW_PROTOTYPE
 from repro.system import build_system
 
 
@@ -37,6 +38,36 @@ class TestComputeAsync:
         with session.pipeline() as p:
             futures = [p.compute(ArithOp.ADD, i, 50) for i in range(10)]
         assert [f.result() for f in futures] == [50 + i for i in range(10)]
+
+    def test_register_throttled_batches_ride_the_wheel(self):
+        """A batch that runs out of registers waits for a completion in
+        multi-cycle chunks: same cycles and results as a register file that
+        holds the whole batch, and no more host pump iterations."""
+        def run(n_regs):
+            session = Session(build_system(FrameworkConfig(n_regs=n_regs),
+                                           channel=SLOW_PROTOTYPE, window=8))
+            engine = session.driver.engine
+            chunks = 0
+            pump_chunk = engine._pump_chunk
+
+            def counting(bound):
+                nonlocal chunks
+                chunks += 1
+                return pump_chunk(bound)
+
+            engine._pump_chunk = counting
+            results = []
+            for batch in range(2):
+                with session.pipeline() as p:
+                    futures = [p.compute(ArithOp.ADD, batch, i) for i in range(16)]
+                results.append([f.result() for f in futures])
+            return session.driver.cycles, results, chunks
+
+        cycles16, results16, chunks16 = run(16)
+        cycles64, results64, chunks64 = run(64)
+        assert results16 == results64 == [[b + i for i in range(16)] for b in range(2)]
+        assert cycles16 == cycles64
+        assert chunks16 <= 1.1 * chunks64
 
     def test_logic_ops_supported(self, session):
         fut = session.compute_async(LogicOp.AND, 0b1100, 0b1010)
