@@ -30,9 +30,10 @@ import pytest
 from conftest import report
 from repro.analysis import format_table
 from repro.analysis.counters import counters_for
+from repro.fu.registry import default_registry, fp_registry
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
-from repro.system import SystemBuilder
+from repro.system import build_system
 
 #: deep FP pipelines: the latency source that makes issue order matter
 DEPTHS = {"add_depth": 10, "mul_depth": 11, "fma_depth": 12}
@@ -61,12 +62,8 @@ def _program(stream: str, n: int):
 
 
 def _run(stream: str, n: int, ooo: bool, backend_kwargs: dict):
-    builder = SystemBuilder().with_fp_units(**DEPTHS)
-    if ooo:
-        builder.with_ooo()
-    for key, value in backend_kwargs.items():
-        builder = getattr(builder, f"with_{key}")(value)
-    built = builder.with_lint("off").build()
+    built = build_system(registry=fp_registry(default_registry(), **DEPTHS),
+                         ooo=ooo, lint="off", **backend_kwargs)
     drv = CoprocessorDriver(built)
     program = _program(stream, n)
     n_gets = sum(1 for i in program if i.opcode == ins.get(0).opcode)

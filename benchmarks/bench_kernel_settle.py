@@ -58,10 +58,10 @@ DENSE_CELLS = 1024    # dense-logic scaling point (structural array)
 
 #: kernel modes under comparison
 MODES = {
-    "exhaustive": {"scheduler": "exhaustive", "wheel": False},
-    "event": {"scheduler": "event", "wheel": False},
-    "event+wheel": {"scheduler": "event", "wheel": True},
-    "compiled": {"scheduler": "event", "wheel": True, "backend": "compiled"},
+    "exhaustive": {"backend": "exhaustive", "wheel": False},
+    "event": {"backend": "event", "wheel": False},
+    "event+wheel": {"backend": "event", "wheel": True},
+    "compiled": {"backend": "compiled", "wheel": True},
 }
 
 ALL_MODES = tuple(MODES)

@@ -40,9 +40,9 @@ N_CELLS = 256
 #: kernel modes under comparison (the exhaustive oracle is pinned on these
 #: machines by the conformance property suite at smaller sizes)
 MODES = {
-    "event": {"scheduler": "event", "wheel": False},
-    "event+wheel": {"scheduler": "event", "wheel": True},
-    "compiled": {"scheduler": "event", "wheel": True, "backend": "compiled"},
+    "event": {"backend": "event", "wheel": False},
+    "event+wheel": {"backend": "event", "wheel": True},
+    "compiled": {"backend": "compiled", "wheel": True},
 }
 ALL_MODES = tuple(MODES)
 

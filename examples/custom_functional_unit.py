@@ -15,8 +15,9 @@ Run:  python examples/custom_functional_unit.py
 """
 
 import binascii
+import dataclasses
 
-from repro import SystemBuilder
+from repro import SystemSpec
 from repro.fu import AreaOptimizedFU, FuComputation, PipelinedFunctionalUnit
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
@@ -82,13 +83,15 @@ def crc32_on_coprocessor(driver: CoprocessorDriver, data: bytes, unit: int) -> i
     return driver.read_reg(R_CRC) ^ 0xFFFF_FFFF  # CRC-32 final xor
 
 
+#: both CRC units registered on top of the case-study units
+SPEC = SystemSpec(units=(
+    (CRC_AREA, lambda n, w, p: Crc32Unit(n, w, p)),
+    (CRC_PIPE, lambda n, w, p: Crc32PipelinedUnit(n, w, p)),
+))
+
+
 def main() -> None:
-    built = (
-        SystemBuilder()
-        .with_unit(CRC_AREA, lambda n, w, p: Crc32Unit(n, w, p))
-        .with_unit(CRC_PIPE, lambda n, w, p: Crc32PipelinedUnit(n, w, p))
-        .build()
-    )
+    built = SPEC.build()
     driver = CoprocessorDriver(built)
 
     message = b"A framework for FPGA functional units in HPC ... "
@@ -114,13 +117,7 @@ def main() -> None:
 
 def build_for_lint():
     """Design-rule-check target: both custom CRC units on one coprocessor."""
-    return (
-        SystemBuilder()
-        .with_unit(CRC_AREA, lambda n, w, p: Crc32Unit(n, w, p))
-        .with_unit(CRC_PIPE, lambda n, w, p: Crc32PipelinedUnit(n, w, p))
-        .with_lint("off")
-        .build()
-    )
+    return dataclasses.replace(SPEC, lint="off").build()
 
 
 if __name__ == "__main__":

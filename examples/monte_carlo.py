@@ -19,7 +19,9 @@ is designed for.
 Run:  python examples/monte_carlo.py
 """
 
-from repro import SystemBuilder
+import dataclasses
+
+from repro import FrameworkConfig, SystemSpec
 from repro.fu.stateful import (
     HIST_CLEAR,
     HIST_READ,
@@ -36,15 +38,15 @@ PRNG, HIST = 0x31, 0x30
 SAMPLES = 300
 SCALE = 1 << 15                       # coordinates in [0, 2^15)
 
+#: a 16-register file with the histogram and PRNG units added
+SPEC = SystemSpec(FrameworkConfig(n_regs=16), units=(
+    (HIST, histogram_factory(n_bins=2)),
+    (PRNG, prng_factory()),
+))
+
 
 def main() -> None:
-    built = (
-        SystemBuilder()
-        .with_config(n_regs=16)
-        .with_unit(HIST, histogram_factory(n_bins=2))
-        .with_unit(PRNG, prng_factory())
-        .build()
-    )
+    built = SPEC.build()
     d = CoprocessorDriver(built)
 
     R_X, R_Y, R_RR, R_LIMIT, R_BIN = 1, 2, 3, 4, 5
@@ -83,14 +85,7 @@ def main() -> None:
 
 def build_for_lint():
     """Design-rule-check target: the three-unit stateful composition."""
-    return (
-        SystemBuilder()
-        .with_config(n_regs=16)
-        .with_unit(HIST, histogram_factory(n_bins=2))
-        .with_unit(PRNG, prng_factory())
-        .with_lint("off")
-        .build()
-    )
+    return dataclasses.replace(SPEC, lint="off").build()
 
 
 if __name__ == "__main__":

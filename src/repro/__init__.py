@@ -22,7 +22,7 @@ paper-figure reproduction index.
 
 from .config import DEFAULT_CONFIG, FrameworkConfig
 from .host.session import Session
-from .system.builder import SystemBuilder, build_system
+from .system.builder import SystemSpec, build_system
 
 __version__ = "1.0.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "FrameworkConfig",
     "Session",
-    "SystemBuilder",
+    "SystemSpec",
     "build_system",
     "__version__",
 ]

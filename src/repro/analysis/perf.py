@@ -26,9 +26,8 @@ def make_system(
     channel: ChannelSpec = INTEGRATED,
     xisort_cells: int = 0,
     pipelined: bool = False,
-    scheduler: str = "event",
     wheel: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "event",
 ) -> BuiltSystem:
     """Standard benchmark system: case-study units (+ optional ξ-sort)."""
     cfg = config if config is not None else FrameworkConfig(pipelined_units=pipelined)
@@ -36,7 +35,7 @@ def make_system(
     if xisort_cells:
         registry.register(Opcode.XISORT, xisort_factory(n_cells=xisort_cells))
     return build_system(cfg, channel=channel, registry=registry,
-                        scheduler=scheduler, wheel=wheel, backend=backend)
+                        wheel=wheel, backend=backend)
 
 
 @dataclass

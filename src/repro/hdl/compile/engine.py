@@ -91,15 +91,14 @@ class CompiledSimulator(Simulator):
         self,
         top: Component,
         max_settle: int = MAX_SETTLE_ITERATIONS,
-        scheduler: str = "event",
         wheel: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "compiled",  # passed through by Simulator.__new__
     ):
         t0 = time.perf_counter()
         # Elaborate exactly like the event kernel (signals claimed onto our
         # pending list, fanouts cleared); the scheduler machinery it sets up
         # stays unused because every phase entry point is overridden here.
-        super().__init__(top, max_settle=max_settle, scheduler="event", wheel=wheel)
+        super().__init__(top, max_settle=max_settle, wheel=wheel)
         self.backend = "compiled"
         self._needs_discovery = False  # keeps fast_forward_limit() live
         #: the last edge (or reset) may have changed state outside the

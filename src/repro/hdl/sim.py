@@ -20,7 +20,7 @@ Settle scheduling
 
 Two schedulers implement the settle phase:
 
-* ``scheduler="event"`` (the default) — dependency-tracked, event-driven
+* ``backend="event"`` (the default) — dependency-tracked, event-driven
   evaluation.  The first settle after elaboration (and after
   :meth:`Simulator.reset`) is a *discovery* pass: every combinational
   process runs to fixpoint exactly like the exhaustive kernel, but with a
@@ -42,7 +42,7 @@ Two schedulers implement the settle phase:
   invisible to the kernel) and processes registered with
   ``Component.comb(fn, always=True)``.
 
-* ``scheduler="exhaustive"`` — the original reference kernel: every
+* ``backend="exhaustive"`` — the original reference kernel: every
   combinational process runs on every settle iteration until a full pass
   changes nothing.  Retained as the equivalence oracle for property tests
   and as the baseline for the kernel microbenchmark
@@ -241,19 +241,15 @@ class Simulator:
         Root of the component hierarchy.
     max_settle:
         Settle fixpoint iteration bound (loop detector threshold).
-    scheduler:
-        ``"event"`` (default) for the dependency-tracked scheduler or
-        ``"exhaustive"`` for the reference kernel.  Both are cycle-exact
-        and produce identical traces.
     wheel:
         Enable the cycle-skipping time wheel (event mode only; the
         exhaustive kernel always steps every cycle).  ``wheel=False``
         forces edge-by-edge stepping while keeping the armed/dormant
         split — used by the equivalence property suite.
     backend:
-        ``None`` keeps the ``scheduler`` choice.  ``"event"`` and
-        ``"exhaustive"`` are aliases for the corresponding scheduler.
-        ``"compiled"`` selects the codegen backend
+        ``"event"`` (default) for the dependency-tracked scheduler,
+        ``"exhaustive"`` for the reference kernel, or ``"compiled"`` for
+        the codegen backend
         (:mod:`repro.hdl.compile`): the elaborated graph is flattened
         into specialized straight-line Python, with automatic per-process
         fallback to interpreted execution where the compiler front end
@@ -268,9 +264,8 @@ class Simulator:
         cls,
         top: Optional[Component] = None,
         max_settle: int = MAX_SETTLE_ITERATIONS,
-        scheduler: str = "event",
         wheel: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "event",
     ) -> "Simulator":
         if cls is Simulator and backend == "compiled":
             from .compile.engine import CompiledSimulator
@@ -282,30 +277,26 @@ class Simulator:
         self,
         top: Component,
         max_settle: int = MAX_SETTLE_ITERATIONS,
-        scheduler: str = "event",
         wheel: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "event",
     ):
-        if backend is not None:
-            if backend in ("event", "exhaustive"):
-                scheduler = backend
-            elif backend == "compiled":
-                # Only reachable when a subclass bypassed the __new__
-                # dispatch; CompiledSimulator never forwards this value.
-                raise SimulationError(
-                    "backend='compiled' is only available on Simulator itself"
-                )
-            else:
-                raise SimulationError(f"unknown backend {backend!r}")
-        if scheduler not in ("event", "exhaustive"):
-            raise SimulationError(f"unknown scheduler {scheduler!r}")
+        if backend == "compiled":
+            # Only reachable when a subclass bypassed the __new__
+            # dispatch; CompiledSimulator never forwards this value.
+            raise SimulationError(
+                "backend='compiled' is only available on Simulator itself"
+            )
+        if backend not in ("event", "exhaustive"):
+            raise SimulationError(f"unknown backend {backend!r}")
         #: which engine executes this design ("event", "exhaustive" or
-        #: "compiled"); mirrors ``scheduler`` for the interpreted kernels
-        self.backend = scheduler
+        #: "compiled")
+        self.backend = backend
         self.top = top
         self.max_settle = max_settle
-        self.scheduler = scheduler
-        self.wheel = bool(wheel) and scheduler == "event"
+        #: event-driven settle/edge scheduling (the compiled backend
+        #: elaborates as the event kernel, so this stays True there)
+        self._event = backend == "event"
+        self.wheel = bool(wheel) and self._event
         self.now = 0
         self._comb: list[Callable[[], None]] = []
         self._seq: list[Callable[[], None]] = []
@@ -336,7 +327,7 @@ class Simulator:
     # -- elaboration -------------------------------------------------------------
 
     def _elaborate(self) -> None:
-        event = self.scheduler == "event"
+        event = self._event
         for comp in self.top.walk():
             always_fns = set(map(id, comp.always_procs))
             wheeled = bool(comp.wheel_hooks)
@@ -406,7 +397,7 @@ class Simulator:
         since the last settle, so the fixpoint is already in place).
         """
         self.kernel_stats.settle_calls += 1
-        if self.scheduler == "exhaustive":
+        if not self._event:
             return self._settle_exhaustive()
         if self._needs_discovery:
             return self._settle_discovery()
@@ -696,7 +687,7 @@ class Simulator:
     def _edge(self) -> None:
         stats = self.kernel_stats
         stats.edge_calls += 1
-        if self.scheduler == "event":
+        if self._event:
             ran = 0
             tracker = CHANGES
             try:
@@ -895,7 +886,7 @@ class Simulator:
         self._staged_regs.clear()  # reset_state dropped every staged value
         for hook in self._resets:
             hook()
-        if self.scheduler == "event":
+        if self._event:
             self._needs_discovery = True
             self._changed.clear()
         self.settle()

@@ -36,16 +36,16 @@ class Session:
         reg_range: Optional[range] = None,
         flag_range: Optional[range] = None,
         driver: Optional[CoprocessorDriver] = None,
-        **build_kwargs,
     ):
         """Open a session, optionally confined to a register partition.
 
         ``reg_range``/``flag_range`` restrict the allocator to a sub-range
         of the register files — the software convention that lets several
         CPUs (or several libraries on one CPU) share a coprocessor without
-        trampling each other (paper Fig. 1.1).
+        trampling each other (paper Fig. 1.1).  Without ``system`` the
+        session opens on a default :func:`~repro.system.build_system`.
         """
-        self.system = system if system is not None else build_system(**build_kwargs)
+        self.system = system if system is not None else build_system()
         self.driver = driver if driver is not None else CoprocessorDriver(self.system)
         cfg = self.system.config
         regs = reg_range if reg_range is not None else range(cfg.n_regs)

@@ -95,14 +95,12 @@ class DirectMachine:
         n_cells: int,
         word_bits: int = 32,
         array_kind: ArrayKind = "vector",
-        backend: Optional[str] = None,
-        scheduler: str = "event",
+        backend: str = "event",
         wheel: bool = True,
     ):
         self.core = self.core_class(self.core_name, n_cells, word_bits,
                                     array_kind=array_kind)
-        self.sim = Simulator(self.core, scheduler=scheduler, wheel=wheel,
-                             backend=backend)
+        self.sim = Simulator(self.core, wheel=wheel, backend=backend)
         self.sim.reset()
 
     @property

@@ -5,8 +5,8 @@ drives one smart-memory unit through an open :class:`repro.host.Session`
 — RTM dispatches over the message channel, results chained through
 coprocessor registers under the scoreboard, flag reads only where the
 host actually branches.  Build the system with
-``SystemBuilder.with_smem_suite()`` (or register the individual
-factories) before opening the session.
+``build_system(registry=smem_suite_registry())`` (or register the
+individual factories) before opening the session.
 """
 
 from __future__ import annotations

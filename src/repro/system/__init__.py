@@ -6,7 +6,7 @@ units, and wraps it in a :class:`Simulator`.
 """
 
 from ..config import DEFAULT_CONFIG, FrameworkConfig
-from .builder import SystemBuilder, build_system
+from .builder import SystemSpec, build_system
 from .multihost import (
     BuiltMultiHostSystem,
     MultiHostCoprocessorSystem,
@@ -17,7 +17,7 @@ from .soc import CoprocessorSystem
 __all__ = [
     "DEFAULT_CONFIG",
     "FrameworkConfig",
-    "SystemBuilder",
+    "SystemSpec",
     "build_system",
     "BuiltMultiHostSystem",
     "MultiHostCoprocessorSystem",

@@ -53,7 +53,7 @@ class TestCounters:
         # A fast front end cannot hide a 20-cycle unit: the dependent chain
         # must visibly stall the dispatcher.
         from repro.fu import AreaOptimizedFU, FuComputation
-        from repro.system import SystemBuilder
+        from repro.system import SystemSpec
 
         class Slow(AreaOptimizedFU):
             def __init__(self, name, word_bits, parent=None):
@@ -62,7 +62,7 @@ class TestCounters:
             def compute(self, s):
                 return FuComputation(data1=(s.op_a + 1) & 0xFFFF_FFFF, flags=0)
 
-        system = SystemBuilder().with_unit(0x20, lambda n, w, p: Slow(n, w, p)).build()
+        system = SystemSpec(units=((0x20, lambda n, w, p: Slow(n, w, p)),)).build()
         driver = CoprocessorDriver(system)
         driver.write_reg(1, 0)
         for _ in range(4):

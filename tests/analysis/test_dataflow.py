@@ -242,7 +242,7 @@ def test_compiled_backend_elides_and_folds():
 def test_elision_preserves_observable_state():
     def run(backend):
         top = _Narrow()
-        sim = Simulator(top, backend=backend)
+        sim = Simulator(top, backend=backend or "event")
         sim.reset()
         sim.step(40)
         return top.a.value, top.b.value, sim.now

@@ -22,7 +22,7 @@ from repro.analysis.lint.testing import (
 )
 from repro.fu import AreaOptimizedFU, FuComputation
 from repro.messages.channel import PRESETS
-from repro.system import SystemBuilder, build_system
+from repro.system import SystemSpec, build_system
 
 from tests.analysis.lint_fixtures import (
     bad_dataflow,
@@ -228,13 +228,9 @@ class _ContendingUnit(AreaOptimizedFU):
 
 
 def test_build_system_lint_error_rejects_bad_unit():
-    builder = (
-        SystemBuilder()
-        .with_unit(0x20, lambda n, w, p: _ContendingUnit(n, w, p))
-        .with_lint("error")
-    )
+    spec = SystemSpec(units=((0x20, lambda n, w, p: _ContendingUnit(n, w, p)),), lint="error")
     with pytest.raises(LintFailure) as exc:
-        builder.build()
+        spec.build()
     assert any(d.rule_id == "graph.multi-driver"
                for d in exc.value.report.errors)
 
@@ -245,7 +241,7 @@ def test_build_system_lint_error_accepts_clean_design():
 
 def test_with_lint_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        SystemBuilder().with_lint("loud")
+        SystemSpec(lint="loud")
 
 
 # -- engine / catalog ---------------------------------------------------------

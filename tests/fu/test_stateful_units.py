@@ -28,20 +28,18 @@ from repro.fu.stateful import (
 )
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
-from repro.system import SystemBuilder
+from repro.system import SystemSpec
 
 HIST, PRNG, CAM = 0x30, 0x31, 0x32
 
 
 @pytest.fixture
 def driver():
-    built = (
-        SystemBuilder()
-        .with_unit(HIST, histogram_factory(n_bins=16))
-        .with_unit(PRNG, prng_factory())
-        .with_unit(CAM, cam_factory(capacity=4))
-        .build()
-    )
+    built = SystemSpec(units=(
+        (HIST, histogram_factory(n_bins=16)),
+        (PRNG, prng_factory()),
+        (CAM, cam_factory(capacity=4)),
+    )).build()
     return CoprocessorDriver(built)
 
 

@@ -87,7 +87,7 @@ class TestBackendSelection:
 
     def test_aliases_and_unknown_backend(self):
         assert Simulator(AdderChain(), backend="event").backend == "event"
-        assert Simulator(AdderChain(), backend="exhaustive").scheduler == "exhaustive"
+        assert Simulator(AdderChain(), backend="exhaustive").backend == "exhaustive"
         with pytest.raises(SimulationError):
             Simulator(AdderChain(), backend="tpu")
 
@@ -256,7 +256,7 @@ class TestVectorizedCellArrays:
 
         values = [44, 7, 99, 23, 61, 5, 80, 12]
         outcomes = set()
-        for backend in (None, "compiled"):
+        for backend in ("event", "compiled"):
             for kind in ("vector", "structural"):
                 m = DirectXiSortMachine(8, array_kind=kind, backend=backend)
                 outcomes.add((tuple(m.sort(values)), m.cycles))

@@ -288,11 +288,11 @@ class TestObservers:
 class TestSchedulerModes:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SimulationError):
-            Simulator(Quiesces(), scheduler="magic")
+            Simulator(Quiesces(), backend="magic")
 
     def test_exhaustive_reference_mode(self):
         top = Quiesces()
-        sim = Simulator(top, scheduler="exhaustive")
+        sim = Simulator(top, backend="exhaustive")
         sim.step(5)
         assert top.count.value == 3
         assert sim.kernel_stats.exhaustive_passes > 0
@@ -302,11 +302,11 @@ class TestSchedulerModes:
         """Satellite regression: the event kernel must not change the cycles
         run_until consumes (the double settle is now a no-op, not a skip)."""
         results = {}
-        for scheduler in ("event", "exhaustive"):
+        for backend in ("event", "exhaustive"):
             top = Quiesces()
-            sim = Simulator(top, scheduler=scheduler)
+            sim = Simulator(top, backend=backend)
             used = sim.run_until(lambda: top.count.value == 3)
-            results[scheduler] = (used, sim.now, top.count.value)
+            results[backend] = (used, sim.now, top.count.value)
         assert results["event"] == results["exhaustive"]
 
     def test_reset_triggers_rediscovery(self):

@@ -140,6 +140,12 @@ class TestLifecycle:
             s.put(1)
         assert s.system.soc.rtm.halted
 
+    def test_build_keywords_rejected(self):
+        """Regression: build keywords next to a system were silently dropped
+        (the session ran on window 8 and the interpreted kernel)."""
+        with pytest.raises(TypeError):
+            Session(build_system(), window=2, backend="compiled")
+
     def test_drain_returns_cycles(self, session):
         session.put(5)
         assert session.drain() >= 0

@@ -15,7 +15,7 @@ from repro.messages import ChannelSpec, DataRecord
 from repro.system import build_system
 
 from repro.messages import INTEGRATED
-from repro.system import SystemBuilder
+from repro.system import SystemSpec
 
 #: a fast write path with a slow readback path — the asymmetric case where
 #: the outbound (response) direction is the bottleneck
@@ -23,7 +23,7 @@ SLOW_UP = ChannelSpec("slow-up", latency_cycles=4, cycles_per_word=12)
 
 
 def _asym_system(cfg):
-    return SystemBuilder(cfg).with_channel(INTEGRATED, upstream=SLOW_UP).build()
+    return SystemSpec(cfg, channel=INTEGRATED, upstream=SLOW_UP).build()
 
 
 class TestGetFlood:

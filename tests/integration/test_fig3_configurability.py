@@ -16,7 +16,7 @@ from repro.fu import AreaOptimizedFU, FuComputation, MinimalFunctionalUnit
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
 from repro.messages import FAST_BUS, INTEGRATED, SLOW_PROTOTYPE
-from repro.system import SystemBuilder
+from repro.system import SystemSpec
 
 MASK = (1 << 32) - 1
 
@@ -42,14 +42,14 @@ class GcdUnit(AreaOptimizedFU):
 
 class TestUserDefinedUnits:
     def test_popcount_unit(self):
-        built = SystemBuilder().with_unit(0x20, lambda n, w, p: PopcountUnit(n, w, p)).build()
+        built = SystemSpec(units=((0x20, lambda n, w, p: PopcountUnit(n, w, p)),)).build()
         d = CoprocessorDriver(built)
         d.write_reg(1, 0b1011_0111)
         d.execute(ins.dispatch(0x20, 0, dst1=2, src1=1))
         assert d.read_reg(2) == 6
 
     def test_gcd_unit(self):
-        built = SystemBuilder().with_unit(0x21, lambda n, w, p: GcdUnit(n, w, p)).build()
+        built = SystemSpec(units=((0x21, lambda n, w, p: GcdUnit(n, w, p)),)).build()
         d = CoprocessorDriver(built)
         d.write_reg(1, 48)
         d.write_reg(2, 36)
@@ -57,12 +57,10 @@ class TestUserDefinedUnits:
         assert d.read_reg(3) == 12
 
     def test_multiple_user_units_coexist_with_case_study_units(self):
-        built = (
-            SystemBuilder()
-            .with_unit(0x20, lambda n, w, p: PopcountUnit(n, w, p))
-            .with_unit(0x21, lambda n, w, p: GcdUnit(n, w, p))
-            .build()
-        )
+        built = SystemSpec(units=(
+            (0x20, lambda n, w, p: PopcountUnit(n, w, p)),
+            (0x21, lambda n, w, p: GcdUnit(n, w, p)),
+        )).build()
         d = CoprocessorDriver(built)
         d.write_reg(1, 21)
         d.write_reg(2, 14)
@@ -77,7 +75,7 @@ class TestUserDefinedUnits:
 class TestSizeParameters:
     @pytest.mark.parametrize("n_regs", [4, 16, 256])
     def test_register_file_sizes(self, n_regs):
-        built = SystemBuilder().with_config(n_regs=n_regs).build()
+        built = SystemSpec(config=FrameworkConfig(n_regs=n_regs)).build()
         d = CoprocessorDriver(built)
         last = n_regs - 1
         d.write_reg(last, 7)
@@ -85,7 +83,7 @@ class TestSizeParameters:
 
     @pytest.mark.parametrize("word_bits", [32, 96])
     def test_word_sizes(self, word_bits):
-        built = SystemBuilder().with_config(word_bits=word_bits).build()
+        built = SystemSpec(config=FrameworkConfig(word_bits=word_bits)).build()
         d = CoprocessorDriver(built)
         v = (1 << (word_bits - 1)) | 3
         d.write_reg(1, v)
@@ -97,7 +95,7 @@ class TestTransceiverSelection:
                              ids=lambda c: c.name)
     def test_same_program_any_link(self, channel):
         """Functional behaviour is link-independent; only timing changes."""
-        built = SystemBuilder().with_channel(channel).build()
+        built = SystemSpec(channel=channel).build()
         d = CoprocessorDriver(built)
         d.write_reg(1, 20)
         d.write_reg(2, 22)
@@ -107,7 +105,7 @@ class TestTransceiverSelection:
     def test_links_differ_only_in_cycles(self):
         results = {}
         for channel in (INTEGRATED, SLOW_PROTOTYPE):
-            built = SystemBuilder().with_channel(channel).build()
+            built = SystemSpec(channel=channel).build()
             d = CoprocessorDriver(built)
             d.write_reg(1, 9)
             value = d.read_reg(1, max_cycles=5_000_000)

@@ -19,19 +19,19 @@ class TestAsymmetricLink:
         assert link.upstream.spec is SLOW
 
     def test_system_builder_plumbs_upstream(self):
-        from repro.system import SystemBuilder
+        from repro.system import SystemSpec
 
-        built = SystemBuilder().with_channel(INTEGRATED, upstream=SLOW).build()
+        built = SystemSpec(channel=INTEGRATED, upstream=SLOW).build()
         assert built.soc.link.downstream.spec is INTEGRATED
         assert built.soc.link.upstream.spec is SLOW
 
     def test_asymmetric_timing_observable(self):
         """Writes land quickly; readbacks pay the slow direction."""
         from repro.host import CoprocessorDriver
-        from repro.system import SystemBuilder
+        from repro.system import SystemSpec
 
-        sym = SystemBuilder().with_channel(INTEGRATED).build()
-        asym = SystemBuilder().with_channel(INTEGRATED, upstream=SLOW).build()
+        sym = SystemSpec(channel=INTEGRATED).build()
+        asym = SystemSpec(channel=INTEGRATED, upstream=SLOW).build()
         results = {}
         for name, built in (("sym", sym), ("asym", asym)):
             d = CoprocessorDriver(built)

@@ -44,7 +44,7 @@ class MachineSpec:
 
 
 def _make(spec: MachineSpec, *, n_cells=None, array_kind="vector",
-          backend=None, wheel=True) -> DirectMachine:
+          backend="event", wheel=True) -> DirectMachine:
     return spec.make(n_cells or spec.script_cells, array_kind=array_kind,
                      backend=backend, wheel=wheel)
 

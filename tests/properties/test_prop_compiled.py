@@ -19,17 +19,19 @@ on both cell-array kinds.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 
 import pytest
 
+from repro.config import FrameworkConfig
 from repro.hdl.vcd import VcdWriter
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
 from repro.messages import FaultSpec
 from repro.messages.channel import FAST_BUS, INTEGRATED, SLOW_PROTOTYPE
-from repro.system import build_system
+from repro.system import SystemSpec
 
 PRESETS = [
     pytest.param(INTEGRATED, id="integrated"),
@@ -67,16 +69,16 @@ def _random_program(driver, rng):
     return results
 
 
-def _run(channel, backend, seed, *, faults=None, upstream_faults=None,
-         reliable=False, vcd="none"):
-    """One full system run; returns everything the backends must agree on."""
-    system = build_system(
-        channel=channel,
-        backend=backend,
-        faults=faults,
-        upstream_faults=upstream_faults,
-        reliable=reliable,
-    )
+def _spec(channel, *, faults=None, upstream_faults=None, reliable=False):
+    """The one system description every backend's twin is built from."""
+    return SystemSpec(FrameworkConfig(reliable_framing=reliable), channel=channel,
+                      faults=faults, upstream_faults=upstream_faults)
+
+
+def _run(spec, backend, seed, *, vcd="none"):
+    """One full run of ``spec`` on ``backend``; returns everything the
+    backends must agree on."""
+    system = dataclasses.replace(spec, backend=backend).build()
     sim = system.sim
     buf = io.StringIO()
     writer = None
@@ -119,7 +121,8 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("channel", PRESETS)
     @pytest.mark.parametrize("seed", [1, 7])
     def test_results_and_cycle_counts_identical(self, channel, seed):
-        runs = [(b, _run(channel, b, seed)) for b in BACKENDS]
+        spec = _spec(channel)
+        runs = [(b, _run(spec, b, seed)) for b in BACKENDS]
         _assert_agree(runs)
         compiled = runs[-1][1]["stats"]
         # the codegen actually engaged: specialized procs exist, and the
@@ -129,12 +132,14 @@ class TestCompiledEquivalence:
 
     @pytest.mark.parametrize("channel", PRESETS)
     def test_full_vcd_identical_across_backends(self, channel):
-        runs = [(b, _run(channel, b, seed=3, vcd="full")) for b in BACKENDS]
+        spec = _spec(channel)
+        runs = [(b, _run(spec, b, seed=3, vcd="full")) for b in BACKENDS]
         _assert_agree(runs)
 
     @pytest.mark.parametrize("channel", PRESETS)
     def test_compressed_vcd_identical_across_backends(self, channel):
-        runs = [(b, _run(channel, b, seed=5, vcd="ports")) for b in BACKENDS]
+        spec = _spec(channel)
+        runs = [(b, _run(spec, b, seed=5, vcd="ports")) for b in BACKENDS]
         _assert_agree(runs)
 
     @pytest.mark.parametrize("channel", [PRESETS[1], PRESETS[2]])
@@ -145,7 +150,8 @@ class TestCompiledEquivalence:
             upstream_faults=FaultSpec(seed=seed + 1, drop_rate=0.03),
             reliable=True,
         )
-        runs = [(b, _run(channel, b, seed, **faults)) for b in BACKENDS]
+        spec = _spec(channel, **faults)
+        runs = [(b, _run(spec, b, seed)) for b in BACKENDS]
         _assert_agree(runs)
 
 

@@ -43,7 +43,7 @@ PRESETS = [
     pytest.param(SLOW_PROTOTYPE, id="slow-prototype"),
 ]
 
-#: (scheduler, wheel) triples under comparison
+#: (backend, wheel) pairs under comparison
 MODES = (("exhaustive", False), ("event", False), ("event", True))
 
 
@@ -78,12 +78,12 @@ def _random_program(driver, rng):
     return results
 
 
-def _run(channel, scheduler, wheel, seed, *, faults=None, upstream_faults=None,
+def _run(channel, backend, wheel, seed, *, faults=None, upstream_faults=None,
          reliable=False, vcd="none"):
     """One full system run; returns everything the modes must agree on."""
     system = build_system(
         channel=channel,
-        scheduler=scheduler,
+        backend=backend,
         wheel=wheel,
         faults=faults,
         upstream_faults=upstream_faults,

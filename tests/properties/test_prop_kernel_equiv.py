@@ -19,6 +19,7 @@ Coverage:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from repro.hdl import Component, PipeStage, Simulator, SyncFifo
 from repro.hdl.vcd import VcdWriter
 
-SCHEDULERS = ("exhaustive", "event")
+BACKENDS = ("exhaustive", "event")
 
 
 def _dual_trace(build, drive, reset: bool = True):
@@ -38,16 +39,16 @@ def _dual_trace(build, drive, reset: bool = True):
     claimed by its simulator).  ``drive(sim, top)`` applies the stimulus.
     """
     traces = {}
-    for scheduler in SCHEDULERS:
+    for backend in BACKENDS:
         top = build()
-        sim = Simulator(top, scheduler=scheduler)
+        sim = Simulator(top, backend=backend)
         if reset:
             sim.reset()
         buf = io.StringIO()
         writer = VcdWriter(sim, buf)
         drive(sim, top)
         writer.detach()
-        traces[scheduler] = (buf.getvalue(), sim.now)
+        traces[backend] = (buf.getvalue(), sim.now)
     return traces
 
 
@@ -249,13 +250,14 @@ class TestCaseStudyDesigns:
     def test_rtm_system_bit_identical(self):
         """Full fig. 4 system: an instruction burst produces the same
         waveform, cycle for cycle, under both schedulers."""
-        from repro.analysis import make_system
         from repro.host import CoprocessorDriver
         from repro.isa import instructions as ins
+        from repro.system import SystemSpec
 
+        spec = SystemSpec()
         traces = {}
-        for scheduler in SCHEDULERS:
-            system = make_system(scheduler=scheduler)
+        for backend in BACKENDS:
+            system = dataclasses.replace(spec, backend=backend).build()
             sim = system.sim
             buf = io.StringIO()
             writer = VcdWriter(sim, buf)
@@ -267,5 +269,5 @@ class TestCaseStudyDesigns:
             driver.execute(ins.fence())
             driver.run_until_quiet()
             writer.detach()
-            traces[scheduler] = (buf.getvalue(), sim.now)
+            traces[backend] = (buf.getvalue(), sim.now)
         _assert_identical(traces)

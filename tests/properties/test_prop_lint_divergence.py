@@ -22,18 +22,18 @@ from tests.analysis.lint_fixtures import (
     overflow_divergence,
     undeclared_read,
 )
-from tests.properties.test_prop_kernel_equiv import SCHEDULERS, _dual_trace
+from tests.properties.test_prop_kernel_equiv import BACKENDS, _dual_trace
 
 
 def _final_states(build, drive, attr):
-    """Run under each scheduler; return {scheduler: getattr(top, attr)}."""
+    """Run under each kernel; return {backend: getattr(top, attr)}."""
     out = {}
-    for scheduler in SCHEDULERS:
+    for backend in BACKENDS:
         top = build()
-        sim = Simulator(top, scheduler=scheduler)
+        sim = Simulator(top, backend=backend)
         sim.reset()
         drive(sim, top)
-        out[scheduler] = getattr(top, attr)
+        out[backend] = getattr(top, attr)
     return out
 
 
@@ -69,12 +69,12 @@ def test_hidden_comb_read_stale_value():
         sim.step(6)  # past the first mode flip (after edge 4)
 
     finals = {}
-    for scheduler in SCHEDULERS:
+    for backend in BACKENDS:
         top = undeclared_read.build()
-        sim = Simulator(top, scheduler=scheduler)
+        sim = Simulator(top, backend=backend)
         sim.reset()
         drive(sim, top)
-        finals[scheduler] = top.out.value
+        finals[backend] = top.out.value
     assert finals["exhaustive"] == 0xF0   # mode flipped: inverted
     assert finals["event"] == 0x0F        # stale pass-through
 
@@ -90,9 +90,9 @@ def test_impure_pure_seq_loses_hidden_work(wheel):
     """
     n = 20
 
-    def run(scheduler, use_wheel):
+    def run(backend, use_wheel):
         top = impure_pure_seq.build()
-        sim = Simulator(top, scheduler=scheduler, wheel=use_wheel)
+        sim = Simulator(top, backend=backend, wheel=use_wheel)
         sim.reset()
         sim.step(n)
         assert sim.now == n
@@ -119,9 +119,9 @@ def test_width_overflow_breaks_wheel_congruence():
     """
     n = 12
 
-    def run(scheduler: str, wheel: bool) -> int:
+    def run(backend: str, wheel: bool) -> int:
         top = overflow_divergence.build()
-        sim = Simulator(top, scheduler=scheduler, wheel=wheel)
+        sim = Simulator(top, backend=backend, wheel=wheel)
         sim.reset()
         sim.step(n)
         assert sim.now == n
@@ -146,7 +146,7 @@ def test_width_overflow_divergence_also_under_compiled():
 
     def run(backend: str, wheel: bool) -> int:
         top = overflow_divergence.build()
-        sim = Simulator(top, scheduler="event", wheel=wheel, backend=backend)
+        sim = Simulator(top, wheel=wheel, backend=backend)
         sim.reset()
         sim.step(n)
         return top.age.value

@@ -31,7 +31,8 @@ from repro.fu.stateful import (
 )
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
-from repro.system import SystemBuilder
+from repro.config import FrameworkConfig
+from repro.system import SystemSpec
 
 HIST, PRNG, CAM = 0x30, 0x31, 0x32
 N_BINS, CAPACITY = 8, 4
@@ -83,14 +84,11 @@ class GoldenStateful:
 
 
 def _build():
-    built = (
-        SystemBuilder()
-        .with_config(n_regs=16)
-        .with_unit(HIST, histogram_factory(n_bins=N_BINS))
-        .with_unit(PRNG, prng_factory())
-        .with_unit(CAM, cam_factory(capacity=CAPACITY))
-        .build()
-    )
+    built = SystemSpec(FrameworkConfig(n_regs=16), units=(
+        (HIST, histogram_factory(n_bins=N_BINS)),
+        (PRNG, prng_factory()),
+        (CAM, cam_factory(capacity=CAPACITY)),
+    )).build()
     return CoprocessorDriver(built)
 
 

@@ -13,7 +13,8 @@ import pytest
 from repro.fu import AreaOptimizedFU, FuComputation
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
-from repro.system import SystemBuilder
+from repro.config import FrameworkConfig
+from repro.system import SystemSpec
 
 SLOW_CODE, FAST_CODE, OTHER_CODE = 0x20, 0x21, 0x22
 MASK = 0xFFFF_FFFF
@@ -64,15 +65,11 @@ def _arch_writes(built, probe, arch_regs):
 
 
 def _build(ooo: bool):
-    builder = (
-        SystemBuilder()
-        .with_unit(SLOW_CODE, lambda n, w, p: SlowUnit(n, w, p))
-        .with_unit(FAST_CODE, lambda n, w, p: FastUnit(n, w, p))
-        .with_unit(OTHER_CODE, lambda n, w, p: FastUnit(n, w, p))
-    )
-    if ooo:
-        builder.with_ooo()
-    return builder.build()
+    return SystemSpec(FrameworkConfig(ooo=ooo), units=(
+        (SLOW_CODE, lambda n, w, p: SlowUnit(n, w, p)),
+        (FAST_CODE, lambda n, w, p: FastUnit(n, w, p)),
+        (OTHER_CODE, lambda n, w, p: FastUnit(n, w, p)),
+    )).build()
 
 
 @pytest.fixture(params=[False, True], ids=["in-order", "ooo"])

@@ -14,7 +14,7 @@ import pytest
 from repro.fu import AreaOptimizedFU, FuComputation
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
-from repro.system import SystemBuilder
+from repro.system import SystemSpec
 
 SLOW_CODE, FAST_CODE = 0x20, 0x21
 
@@ -52,12 +52,10 @@ class WritebackProbe:
 
 @pytest.fixture
 def system():
-    return (
-        SystemBuilder()
-        .with_unit(SLOW_CODE, lambda n, w, p: SlowUnit(n, w, p))
-        .with_unit(FAST_CODE, lambda n, w, p: FastUnit(n, w, p))
-        .build()
-    )
+    return SystemSpec(units=(
+        (SLOW_CODE, lambda n, w, p: SlowUnit(n, w, p)),
+        (FAST_CODE, lambda n, w, p: FastUnit(n, w, p)),
+    )).build()
 
 
 class TestOutOfOrderCompletion:

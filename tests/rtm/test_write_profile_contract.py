@@ -11,7 +11,7 @@ import pytest
 from repro.fu import FuComputation, MinimalFunctionalUnit, PipelinedFunctionalUnit
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
-from repro.system import SystemBuilder
+from repro.system import SystemSpec
 
 
 class DataOnlyMinimal(MinimalFunctionalUnit):
@@ -34,7 +34,7 @@ class MismatchedPipelined(PipelinedFunctionalUnit):
 
 
 def _system(code, factory):
-    return SystemBuilder().with_unit(code, factory).build()
+    return SystemSpec(units=((code, factory),)).build()
 
 
 class TestProfilesMatchCompute:

@@ -19,7 +19,7 @@ from repro.smem import (
     MatchAccelerator,
     ScanAccelerator,
 )
-from repro.system.builder import SystemBuilder, build_system
+from repro.system.builder import SystemSpec, build_system
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestSuiteAssembly:
                                     Opcode.SCAN, Opcode.HISTO, Opcode.MATCH}
 
     def test_builder_preset_wires_the_suite(self):
-        built = SystemBuilder().with_smem_suite(n_cells=8).build()
+        built = SystemSpec(registry=smem_suite_registry(n_cells=8)).build()
         table = built.soc.rtm.futable
         for code in (Opcode.XISORT, Opcode.SCAN, Opcode.HISTO, Opcode.MATCH):
             assert code in table
