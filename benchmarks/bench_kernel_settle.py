@@ -17,6 +17,10 @@ designs the paper actually exercises:
   (bursts of work followed by host think-time);
 * the A2 ξ-sort cell-scaling design (structural array, event-tracked
   cells);
+* the out-of-order issue engine on a 32-op FP burst (full rename window,
+  pipelined FP units, busy write arbiter) — the scenario where the
+  compiled backend's read-tracked slot for the unprovable issue process
+  must keep its activations equal to the event kernel's;
 * a dense-logic scaling point: a fully structural 1024-cell ξ-sort array
   driven directly (no RTM), where every cycle touches every cell — the
   regular SIMD structure the compiled backend's vectorized executors
@@ -41,6 +45,7 @@ stable timings.
 
 from __future__ import annotations
 
+import struct
 import time
 
 import pytest
@@ -50,11 +55,13 @@ from repro.analysis import counters_for, format_table, make_system
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
 from repro.messages.channel import INTEGRATED, SLOW_PROTOTYPE
+from repro.system import build_system
 
 BURST = 48            # instructions per offload burst
 THINK_CYCLES = 3000   # host-side gap between bursts (offload scenario)
 SERIAL_THINK = 30000  # host think-time on the serial prototype (idle scenario)
 DENSE_CELLS = 1024    # dense-logic scaling point (structural array)
+FP_BURST = 32         # FP instructions per out-of-order burst
 
 #: kernel modes under comparison
 MODES = {
@@ -109,6 +116,29 @@ def _serial_idle_workload(mode: dict):
     return system.sim.now - start, elapsed, system.sim
 
 
+def _ooo_fp_workload(mode: dict, burst: int = FP_BURST):
+    """One burst of FP ops on the out-of-order issue engine.
+
+    Four source registers feed ``burst`` fadd/fmul/fmadd ops rotating over
+    eight destinations, so the rename window fills and the pipelined FP
+    units and write arbiter stay busy.
+    """
+    system = build_system(ooo=True, fp_units=True, lint="off", **mode)
+    driver = CoprocessorDriver(system)
+    for reg, x in zip((1, 2, 3, 4), (0.5, 1.25, -2.0, 3.0)):
+        driver.write_reg(reg, struct.unpack("<I", struct.pack("<f", x))[0])
+    driver.run_until_quiet()
+    make = (ins.fadd, ins.fmul, ins.fmadd)
+    start = system.sim.now
+    t0 = time.perf_counter()
+    for i in range(burst):
+        driver.execute(make[i % 3](8 + i % 8, 1 + i % 4, 1 + (3 * i) % 4))
+    driver.execute(ins.fence())
+    driver.run_until_quiet()
+    elapsed = time.perf_counter() - t0
+    return system.sim.now - start, elapsed, system.sim
+
+
 def _xisort_workload(mode: dict, n_cells: int = 16):
     """A2 cell-scaling: sort through the full framework; (cycles, seconds)."""
     import random
@@ -155,6 +185,7 @@ SCENARIOS = {
     "rtm serial prototype idle": (_serial_idle_workload, ALL_MODES),
     "rtm offload duty cycle":
         (lambda m: _rtm_workload(m, INTEGRATED, THINK_CYCLES), ALL_MODES),
+    "rtm ooo fp burst": (_ooo_fp_workload, ALL_MODES),
     "a2 xisort cells": (_xisort_workload, ALL_MODES),
     "xisort cells 1k+ (dense)": (_xisort_dense_workload, DENSE_MODES),
 }
@@ -228,6 +259,7 @@ def test_kernel_settle_report(benchmark, rounds):
     ]
     dense = results["xisort cells 1k+ (dense)"]
     k = dense["kernel"]
+    ooo = results["rtm ooo fp burst"]
     report(
         "K: settle scheduling + time-wheel + compiled backend vs exhaustive kernel",
         format_table(
@@ -243,6 +275,12 @@ def test_kernel_settle_report(benchmark, rounds):
         + format_table(
             ["kernel counter (dense, compiled)", "value"],
             [[key.replace("_", " "), value] for key, value in k.items()],
+        )
+        + "\n"
+        + format_table(
+            ["kernel counter (ooo fp burst)", "event+wheel", "compiled"],
+            [[key.replace("_", " "), ooo["wheel_kernel"][key], value]
+             for key, value in ooo["kernel"].items()],
         ),
     )
     # Acceptance (event scheduler): ≥ 3× on the representative offload

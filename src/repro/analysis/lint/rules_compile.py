@@ -3,9 +3,10 @@
 The compiled backend (:mod:`repro.hdl.compile`) shares its front end with
 this lint package: a process is specialized (translated or value-guarded)
 exactly when :func:`~repro.analysis.lint.astpass.closure_of` proves its
-dependence closure.  Anything unproven falls back to interpreted,
-run-every-sweep execution — always correct, but it erodes the backend's
-speedup one process at a time.  This rule family makes those fallbacks
+dependence closure.  Anything unproven falls back to interpreted
+execution — a read-tracked wake slot for a combinational process, every
+edge for an impure sequential one — always correct, but it erodes the
+backend's speedup one process at a time.  This rule family makes those fallbacks
 visible at elaboration time instead of leaving them buried in
 ``KernelStats.fallback_procs``.
 
@@ -43,14 +44,17 @@ def _fallback_reason(rec: ProcRecord) -> str:
 
 @register_rule
 class CompiledFallbackRule(Rule):
-    """A process the compiled backend must run unguarded on every sweep.
+    """A process the compiled backend runs interpreted instead of guarded.
 
-    Combinational processes declared ``always=True`` — or whose read
-    closure the shared front end cannot prove — execute on every compiled
-    settle sweep, exactly like under the event kernel's exhaustive
-    fallback.  Impure sequential processes without a provable closure run
-    on every edge.  Each one caps the compiled backend's advantage on the
-    designs it appears in.
+    Combinational processes declared ``always=True`` execute on every
+    compiled settle sweep, like the event kernel's exhaustive fallback.
+    Those whose read closure the shared front end cannot prove run
+    interpreted from a read-tracked wake slot: woken by changes to the
+    signals their runs read, exactly like under the event kernel, but
+    with the tracking and call overhead the specialized tiers avoid.
+    Impure sequential processes without a provable closure run on every
+    edge.  Each one caps the compiled backend's advantage on the designs
+    it appears in.
     """
 
     id = "compile.fallback"
@@ -73,8 +77,9 @@ class CompiledFallbackRule(Rule):
             if reason:
                 yield self.diag(
                     rec.comp.path,
-                    f"{rec.label} cannot be value-guarded: {reason} — it "
-                    "runs on every compiled settle sweep",
+                    f"{rec.label} cannot be value-guarded: {reason} — the "
+                    "compiled backend runs it interpreted, under read "
+                    "tracking, whenever a signal it read changes",
                     hint="keep process bodies to tracked Signal reads and "
                          "immutable hidden attributes",
                 )

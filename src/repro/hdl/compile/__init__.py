@@ -6,8 +6,8 @@ evaluation with per-process value guards, a fused sequential/commit edge
 phase, and numpy-vectorized executors for SIMD-regular structures — then
 ``exec``-compiles it once per system.  Processes whose dependence closure
 the compiler front end (:func:`repro.analysis.lint.astpass.closure_of`)
-cannot prove fall back to interpreted execution automatically, so the
-backend is always safe to select.
+cannot prove fall back to interpreted, read-tracked execution
+automatically, so the backend is always safe to select.
 
 Modules
 -------

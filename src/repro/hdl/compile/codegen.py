@@ -5,13 +5,19 @@ module containing three functions:
 
 * ``_sweep()`` — one rank-ordered, wake-driven pass over every
   combinational process.  Changed signals are drained from the pending
-  list into per-guard wake flags through a static fanout map (``_FAN`` →
-  ``_W``); a flagged guard is polled inline (a tuple of hoisted
-  ``._value`` loads compared against the last-run tuple) and only
-  executed on a mismatch; translated bodies run as specialized ``_pN``
-  functions; unguarded fallbacks run unconditionally at the end of the
-  sweep, like ``always`` processes under the event kernel.  Returns the
-  number of process executions.
+  list into per-slot wake flags through a fanout map (``_FAN`` → ``_W``);
+  a flagged guard is polled inline (a tuple of hoisted ``._value`` loads
+  compared against the last-run tuple) and only executed on a mismatch;
+  translated bodies run as specialized ``_pN`` functions.  Processes
+  without a provable closure follow the ranked section in *read-tracked
+  slots*: a flagged slot runs its engine helper (``_tkN``), which records
+  the signals the run read and adds them to ``_FAN``.  ``always=True``
+  processes (and runtime demotions, appended to ``_ALW`` by the engine)
+  run unconditionally at the end.  A final drain follows, and the sweep
+  returns ``(runs, more)`` where ``more`` says a drain raised a flag the
+  sweep had already passed: the settle loop's "queue not empty" test.
+  ``_drain()`` is the same drain on its own, run at settle entry: a
+  settle whose pending changes wake no slot is quiescent.
 * ``_edge()`` — the fused sequential/commit phase: guarded sequential
   processes with event-kernel dormancy semantics (run iff the last run
   staged something or a polled read changed), dynamic pure processes via
@@ -32,8 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
-
-from ..signal import Signal
 
 __all__ = ["CombPlan", "SeqPlan", "Hoister", "GeneratedModule", "generate"]
 
@@ -65,11 +69,10 @@ class CombPlan:
 
     fn: Callable[[], None]
     index: int
-    #: "translated" | "guarded" | "unguarded"
+    #: "translated" | "guarded" | "tracked" (no provable closure: a
+    #: read-tracked wake slot) | "always" (declared ``always=True``)
     kind: str
     wheeled: bool
-    #: declared ``always=True`` (vs merely unprovable) — wheel coverage
-    always: bool = False
     guard_sigs: list = field(default_factory=list)
     guard_hidden: list = field(default_factory=list)  # (owner, attr, mode)
     #: signals read inside property getters on the navigation path: part
@@ -77,6 +80,8 @@ class CombPlan:
     wake_sigs: list = field(default_factory=list)
     body: Optional[list] = None  # translated lines
     rank: int = 0
+    #: position in the wake-flag list (assigned by :func:`generate`)
+    slot: int = -1
 
 
 @dataclass
@@ -98,11 +103,14 @@ class GeneratedModule:
     """The exec-compiled module plus the state the engine must manage."""
 
     source: str
-    sweep: Callable[[], int]
+    sweep: Callable[[], tuple]
+    drain: Callable[[], bool]
     edge: Callable[[], tuple]
     scan_seq: Callable[[], bool]
     guards: list  # guard state lists, reset to re-run everything
-    wake: list  # per-ranked-plan wake flags; set all True to force re-polls
+    wake: list  # per-slot wake flags; set all True to force re-polls
+    fanout: dict  # signal -> wake slots; read-tracked slots grow it
+    every: list  # functions run on every sweep (``_ALW``)
 
 
 def _guard_tuple(plan: Any, hoist: Hoister) -> str:
@@ -123,13 +131,15 @@ def generate(
     namespace: dict,
     dynamic_runs: dict,
     dynamic_scans: dict,
+    tracked_runs: dict,
 ) -> GeneratedModule:
     """Emit, compile and wire the specialized module.
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL`` and
     ``_CHG``; hoisted objects, guard lists, fallbacks, executor methods
-    and the dynamic-process helpers (``dynamic_runs``/``dynamic_scans``,
-    keyed by seq plan index) are installed here.
+    and the engine helpers (``dynamic_runs``/``dynamic_scans`` keyed by
+    seq plan index, ``tracked_runs`` by comb plan index) are installed
+    here.
     """
     out: list[str] = []
     emit = out.append
@@ -152,37 +162,54 @@ def generate(
     # -- settle sweep ---------------------------------------------------------
     # The sweep is wake-driven, mirroring the event kernel's notification
     # queue with static dispatch: every signal in a guard's wake set maps
-    # (via _FAN) to the guard's slot in the _W flag list, _drain converts
-    # the pending changed-signal list into raised flags, and only flagged
-    # guards are polled.  Draining again at each rank boundary lets a
-    # whole forward cascade complete in a single sweep, like the polled
-    # ordering did.
+    # (via _FAN) to the guard's slot in the _W flag list, the drains
+    # convert the pending changed-signal list into raised flags, and only
+    # flagged slots run.  Draining again at each rank boundary lets a
+    # whole forward cascade complete in a single sweep.  A flag raised for
+    # a slot the sweep has already passed sets _more: the queue is not
+    # empty, so the settle loop sweeps again.
     ordered = sorted(
-        (p for p in comb if p.kind != "unguarded"),
+        (p for p in comb if p.kind in ("translated", "guarded")),
         key=lambda p: (p.rank, p.index),
     )
-    wake: list = [True] * len(ordered)
+    tracked = [p for p in comb if p.kind == "tracked"]
+    n_slots = len(ordered) + len(tracked)
+    wake: list = [True] * n_slots
     fanout: dict = {}
+    every: list = [p.fn for p in comb if p.kind == "always"]
     namespace["_W"] = wake
     namespace["_FAN"] = fanout
-    def emit_drain() -> None:
-        # inlined at each rank boundary: the truthiness test keeps an
-        # empty drain at one bytecode op instead of a function call
+    namespace["_ALW"] = every
+
+    def emit_drain(passed: int) -> None:
+        # inlined at each slot-group boundary: the truthiness test keeps
+        # an empty drain at one bytecode op instead of a function call;
+        # ``passed`` is the number of slots the sweep has gone by
+        if passed >= n_slots:
+            behind = "_more = True"
+        elif passed:
+            behind = f"if _k < {passed}: _more = True"
+        else:
+            behind = ""
         emit("    if _CHG:")
         emit("        for _s in _CHG:")
         emit("            _f = _FAN.get(_s)")
         emit("            if _f is not None:")
         emit("                for _k in _f:")
         emit("                    _W[_k] = True")
+        if behind:
+            emit("                    " + behind)
         emit("        del _CHG[:]")
 
     emit("def _sweep():")
     emit("    _ran = 0")
+    emit("    _more = False")
     for k, _ex in enumerate(executors):
         emit(f"    if _x{k}_settle():")
         emit("        _ran += 1")
     last_rank: Optional[int] = None
     for pos, p in enumerate(ordered):
+        p.slot = pos
         g = f"_g{p.index}"
         state: list = [_NEVER]
         guards.append(state)
@@ -191,7 +218,7 @@ def generate(
         if p.kind == "guarded":
             namespace[f"_f{p.index}"] = p.fn
         if p.rank != last_rank:
-            emit_drain()
+            emit_drain(pos)
             last_rank = p.rank
         wake_set = set(p.guard_sigs) | set(p.wake_sigs)
         if wake_set:
@@ -202,21 +229,34 @@ def generate(
             ind = "    "
         else:
             # no signal can wake this guard (hidden-only inputs): poll
-            # unconditionally, the way the event kernel would always-run
-            # a process it discovered no reads for
+            # it on every sweep, and clear the flag a forced re-poll
+            # raised so it never reads as pending work
+            emit(f"    _W[{pos}] = False")
             ind = ""
         emit(f"    {ind}_t = {_guard_tuple(p, hoist)}")
         emit(f"    {ind}if _t != {g}[0]:")
         emit(f"        {ind}{g}[0] = _t")
         emit(f"        {ind}{call}")
         emit(f"        {ind}_ran += 1")
-    unguarded = [p for p in comb if p.kind == "unguarded"]
-    for p in unguarded:
-        namespace[f"_f{p.index}"] = p.fn
-        emit(f"    _f{p.index}()")
-    if unguarded:
-        emit(f"    _ran += {len(unguarded)}")
-    emit("    return _ran")
+    for pos, p in enumerate(tracked, start=len(ordered)):
+        p.slot = pos
+        namespace[f"_tk{p.index}"] = tracked_runs[p.index]
+        emit_drain(pos)
+        emit(f"    if _W[{pos}]:")
+        emit(f"        _W[{pos}] = False")
+        emit(f"        _ran += _tk{p.index}()")
+    emit("    if _ALW:")
+    emit("        for _a in _ALW:")
+    emit("            _a()")
+    emit("        _ran += len(_ALW)")
+    emit_drain(n_slots)
+    emit("    return _ran, _more")
+    emit("")
+    # the settle entry drain: True when a pending change woke any slot
+    emit("def _drain():")
+    emit("    _more = False")
+    emit_drain(n_slots)
+    emit("    return _more")
     emit("")
 
     # -- edge phase -----------------------------------------------------------
@@ -295,10 +335,13 @@ def generate(
     return GeneratedModule(
         source=source,
         sweep=namespace["_sweep"],
+        drain=namespace["_drain"],
         edge=namespace["_edge"],
         scan_seq=namespace["_scan_seq"],
         guards=guards,
         wake=wake,
+        fanout=fanout,
+        every=every,
     )
 
 
@@ -309,10 +352,3 @@ def reset_guards(guards: list) -> None:
         if len(state) > 1:
             state[1] = True
 
-
-def guard_signals(plans: list) -> set[Signal]:
-    """Union of all polled signals (introspection/debug helper)."""
-    acc: set[Signal] = set()
-    for p in plans:
-        acc.update(p.guard_sigs)
-    return acc

@@ -6,19 +6,25 @@ elaboration (process/register/hook collection, signal claiming) and the
 public stepping API unchanged, and replaces the settle and edge phases
 with calls into the module generated by :mod:`.codegen`:
 
-* **settle** is a guarded polling sweep run to fixpoint.  The quiescent
-  fast path skips the sweep entirely when nothing changed since the last
-  settle (no pending change notifications, no edge work, and no
-  unguarded fallback process that must run regardless).
+* **settle** is the wake-driven sweep run until no wake flag is left
+  raised — the event kernel's "queue empty" rule.  Only while an
+  every-sweep process exists (``always=True`` or a runtime demotion) does
+  a sweep that changed any signal also force another, as the event
+  kernel does for its ``_always`` list.  The quiescent fast path skips
+  the sweep entirely when the pending changes wake no slot, no edge work
+  moved state behind the pending list, and no every-sweep process
+  exists.
 * **edge** is the generated fused sequential/commit phase.
 * the **time wheel** is inherited; only the jump-precondition scan is
   replaced (generated per-process would-run checks plus the vectorized
   executors' horizons).
 
-Every guard compares by value, so the backend needs no fanout maps and
-no read tracking on the hot path — external pokes are observed through
-the ordinary pending-list notification that :meth:`Signal.set` and
-:meth:`Signal.force` already perform.
+Guards compare by value and wake through a static fanout map; external
+pokes are observed through the ordinary pending-list notification that
+:meth:`Signal.set` and :meth:`Signal.force` already perform.  The only
+read tracking on the hot path belongs to combinational processes the
+front end cannot prove (:class:`_TrackedComb`), which discover their
+sensitivity one run at a time, exactly like the event kernel.
 """
 
 from __future__ import annotations
@@ -84,6 +90,45 @@ class _DynamicSeq:
         self.staged = True
 
 
+class _TrackedComb:
+    """Read-tracked wake slot for a comb process with no provable closure.
+
+    The event kernel's scheme, run from a generated slot: each run records
+    the signals it read, and any new ones are added to the module's fanout
+    map so their next change raises this slot's wake flag.  A run leaving
+    the read set empty (hidden inputs only), or reading a signal whose
+    changes never reach this simulator's pending list, demotes the process
+    to the every-sweep tier — the event kernel's ``_finish_discovery``
+    rules.
+    """
+
+    __slots__ = ("fn", "wheeled", "reads", "slot", "demoted", "grew")
+
+    def __init__(self, fn: Callable[[], None], wheeled: bool,
+                 grew: Callable[["_TrackedComb"], None]) -> None:
+        self.fn = fn
+        self.wheeled = wheeled
+        self.reads: set = set()
+        self.slot = -1  # wake-flag position, assigned by codegen
+        self.demoted = False
+        self.grew = grew
+
+    def run(self) -> int:
+        if self.demoted:
+            return 0  # a forced re-poll of a slot that now runs every sweep
+        reads = self.reads
+        before = len(reads)
+        _signal_mod._READS = reads
+        try:
+            self.fn()
+        finally:
+            _signal_mod._READS = None
+        if len(reads) == before and reads:
+            return 1
+        self.grew(self)
+        return 1
+
+
 class CompiledSimulator(Simulator):
     """Graph-specialized codegen backend (see :mod:`repro.hdl.compile`)."""
 
@@ -105,6 +150,8 @@ class CompiledSimulator(Simulator):
         #: pending list — vectorized executors, power-on values
         self._edge_dirty = True
         self._dyn: list[_DynamicSeq] = []
+        #: read-tracked slot helpers, keyed by comb process index
+        self._tracked: dict[int, _TrackedComb] = {}
         self._compile()
         self.kernel_stats.compile_ms = (time.perf_counter() - t0) * 1e3
 
@@ -124,11 +171,16 @@ class CompiledSimulator(Simulator):
             if id(p.fn) in absorbed:
                 n_absorbed += 1
                 continue
-            closure = self._closure_or_none(p.fn)
-            if p.always or closure is None or not guard_eligible(closure):
+            if p.always:
                 comb_plans.append(
-                    CombPlan(fn=p.fn, index=i, kind="unguarded",
-                             wheeled=p.wheeled, always=p.always)
+                    CombPlan(fn=p.fn, index=i, kind="always", wheeled=p.wheeled)
+                )
+                continue
+            closure = self._closure_or_none(p.fn)
+            if closure is None or not guard_eligible(closure):
+                self._tracked[i] = _TrackedComb(p.fn, p.wheeled, self._track)
+                comb_plans.append(
+                    CombPlan(fn=p.fn, index=i, kind="tracked", wheeled=p.wheeled)
                 )
                 continue
             sigs, hidden, wake = guard_reads(closure)
@@ -206,38 +258,42 @@ class CompiledSimulator(Simulator):
         module: GeneratedModule = generate(
             comb_plans, seq_plans, executors, hoist, namespace,
             dynamic_runs, dynamic_scans,
+            {i: tc.run for i, tc in self._tracked.items()},
         )
+        for pl in comb_plans:
+            if pl.kind == "tracked":
+                self._tracked[pl.index].slot = pl.slot
         self._module = module
         self._sweep_fn = module.sweep
+        self._drain_fn = module.drain
         self._edge_fn = module.edge
         self._scan_seq_fn = module.scan_seq
         self._guards = module.guards
-        self._comb_plans = comb_plans
-        self._seq_plans = seq_plans
-
-        unguarded = [pl for pl in comb_plans if pl.kind == "unguarded"]
-        self._has_unguarded_comb = bool(unguarded)
+        #: every-sweep comb functions; runtime demotions append here
+        self._every = module.every
+        always = [pl for pl in comb_plans if pl.kind == "always"]
         #: fast-forward soundness mirrors the event kernel's
-        #: ``_always_covered``: every declared ``always=True`` process must
-        #: belong to a wheeled component.  Merely-unprovable fallbacks get
-        #: no veto — the event kernel value-tracks those same processes and
-        #: jumps over them; nothing can mutate their hidden inputs inside a
-        #: jump, because no process (and no host code) runs during one.
-        self._comb_covered = all(pl.wheeled for pl in unguarded if pl.always)
+        #: ``_always_covered``: every every-sweep process must belong to a
+        #: wheeled component.  Read-tracked slots get no veto — the event
+        #: kernel value-tracks those same processes and jumps over them;
+        #: nothing can mutate their hidden inputs inside a jump, because
+        #: no process (and no host code) runs during one.
+        self._comb_covered = all(pl.wheeled for pl in always)
         self._seq_always_unwheeled = any(
             pl.kind == "always" and not pl.wheeled for pl in seq_plans
         )
 
         stats = self.kernel_stats
-        specialized = [pl for pl in comb_plans if pl.kind != "unguarded"]
+        specialized = [pl for pl in comb_plans
+                       if pl.kind in ("translated", "guarded")]
         seq_specialized = [pl for pl in seq_plans if pl.kind in ("translated", "guarded")]
         stats.compiled_procs = len(specialized) + len(seq_specialized) + n_absorbed
-        stats.fallback_procs = len(unguarded) + sum(
+        stats.fallback_procs = len(always) + len(self._tracked) + sum(
             1 for pl in seq_plans if pl.kind in ("dynamic", "always")
         )
         stats.vectorized_cells = sum(ex.n_cells for ex in executors)
-        stats.tracked_procs = len(specialized)
-        stats.always_procs = len(unguarded)
+        stats.tracked_procs = len(specialized) + len(self._tracked)
+        stats.always_procs = len(always)
         stats.masks_elided = tx_stats["masks_elided"]
         stats.branches_folded = tx_stats["branches_folded"]
 
@@ -253,8 +309,8 @@ class CompiledSimulator(Simulator):
 
         Same saturation scheme as the event kernel's ``_rank_procs``:
         ranks are a sweep-ordering hint, correctness comes from running to
-        fixpoint, and cycles simply saturate.  Unguarded plans have no
-        proven closure and run after the ranked section regardless.
+        fixpoint, and cycles simply saturate.  Read-tracked and every-sweep
+        plans have no proven closure and run after the ranked section.
         """
         ranked = [pl for pl in plans if pl.index in closures]
         writers: dict = {}
@@ -280,8 +336,37 @@ class CompiledSimulator(Simulator):
 
     # -- settle phase ----------------------------------------------------------
 
+    def _track(self, tc: _TrackedComb) -> None:
+        """A read-tracked slot read new signals: wake on them, or demote."""
+        changed = self._changed
+        reads = tc.reads
+        if not reads or any(sig._pending is not changed for sig in reads):
+            self._demote(tc)
+            return
+        fanout = self._module.fanout
+        for sig in reads:
+            slots = fanout.setdefault(sig, [])
+            if tc.slot not in slots:
+                slots.append(tc.slot)
+
+    def _demote(self, tc: _TrackedComb) -> None:
+        """Pin a read-tracked process to every sweep (``_make_dynamic``)."""
+        tc.demoted = True
+        fanout = self._module.fanout
+        for sig in tc.reads:
+            slots = fanout.get(sig)
+            if slots and tc.slot in slots:
+                slots.remove(tc.slot)
+        self._every.append(tc.fn)
+        if not tc.wheeled:
+            self._comb_covered = False
+        stats = self.kernel_stats
+        stats.dynamic_fallbacks += 1
+        stats.always_procs += 1
+        stats.tracked_procs -= 1
+
     def _wake_all(self) -> None:
-        """Flag every ranked guard for a re-poll on the next sweep."""
+        """Flag every wake slot for a re-poll on the next sweep."""
         wake = self._module.wake
         for i in range(len(wake)):
             wake[i] = True
@@ -289,18 +374,21 @@ class CompiledSimulator(Simulator):
     def settle(self) -> int:
         stats = self.kernel_stats
         stats.settle_calls += 1
-        quiet_in = not self._changed and not self._edge_dirty
-        if quiet_in and not self._has_unguarded_comb:
-            # Nothing moved since the last fixpoint: every guard would
-            # compare equal, so the sweep is skipped outright.
-            stats.quiescent_settles += 1
-            return 0
+        every = self._every
         if self._edge_dirty:
             # State moved without pending-list notifications (vectorized
             # executors, reset forces): no fanout entry fired, so every
             # guard must re-poll.
             self._wake_all()
             self._edge_dirty = False
+            quiet_in = False
+        else:
+            # the event kernel's entry drain: changes nobody reads wake
+            # nothing, and leave the fixpoint in place
+            quiet_in = not (self._changed and self._drain_fn())
+        if quiet_in and not every:
+            stats.quiescent_settles += 1
+            return 0
         tracker = CHANGES
         sweep = self._sweep_fn
         iterations = 0
@@ -317,13 +405,15 @@ class CompiledSimulator(Simulator):
                 unstable = self._find_unstable()
                 raise CombinationalLoopError(self.now, self.max_settle, unstable)
             tracker.dirty = False
-            stats.activations += sweep()
-            if not tracker.dirty:
+            ran, more = sweep()
+            stats.activations += ran
+            # Stop when no wake flag is left raised; an every-sweep process
+            # may read what any change moved, so it keeps the dirty rule.
+            if not more and not (every and tracker.dirty):
                 break
-        del self._changed[:]
         stats.settle_iterations += iterations
         if quiet_in and iterations == 1:
-            # Only the unguarded fallbacks ran, and they changed nothing:
+            # Only the every-sweep processes ran, and they changed nothing:
             # report quiescence, so the wheel may attempt a jump — the
             # event kernel reaches the same state with an empty queue.
             return 0
@@ -398,9 +488,10 @@ class CompiledSimulator(Simulator):
         return self._module.source
 
     def discovered_dependencies(self) -> dict:
-        """The compiled backend keeps no runtime-discovered read sets.
+        """The compiled backend reports no runtime-discovered read sets.
 
-        Dependence information lives in the front end's static closures;
+        Dependence information lives in the front end's static closures
+        (read-tracked slots discover theirs one run at a time);
         ``discovered: False`` tells lint to rely on its own AST pass.
         """
         return {"comb": [], "seq": [], "discovered": False}

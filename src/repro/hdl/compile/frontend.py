@@ -1,7 +1,7 @@
 """Compiler front end: closure-based classification and the AST translator.
 
-The front end decides, per process, which of three execution strategies
-the generated module uses:
+The front end decides, per process, which execution strategy the
+generated module uses:
 
 * **translated** — the body is rewritten into straight-line Python over
   hoisted signal references (``_h3._value``) with inlined set/stage
@@ -11,9 +11,11 @@ the generated module uses:
   when the value tuple of its *proven* read closure (signals plus benign
   hidden attribute loads) changed since its last run.  Polling replaces
   the event kernel's notification queue.
-* **unguarded** — the closure could not be proven (opaque reads, unknown
-  calls, mutable hidden state): the function runs on every sweep, exactly
-  like an ``always=True`` process under the event kernel.
+* **read-tracked** — the closure could not be proven (opaque reads,
+  unknown calls, mutable hidden state): the function runs interpreted
+  from a wake slot, under read tracking, whenever a signal one of its
+  runs read changes — exactly how the event kernel schedules it.
+  ``always=True`` processes run on every sweep.
 
 The dependence closures come from the lint AST pass
 (:func:`repro.analysis.lint.astpass.closure_of`) — one front end shared by

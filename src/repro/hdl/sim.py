@@ -193,8 +193,9 @@ class KernelStats:
     #: processes the codegen backend translated or value-guarded (compiled
     #: backend only; 0 under the interpreted kernels)
     compiled_procs: int = 0
-    #: processes the compiler front end could not prove a closure for —
-    #: they run unguarded on every compiled settle sweep
+    #: processes the compiled backend runs interpreted: comb processes
+    #: from read-tracked wake slots (no provable closure) or on every sweep
+    #: (``always=True``), and unprovable sequential processes
     fallback_procs: int = 0
     #: SIMD cells absorbed into vectorized executors (compiled backend)
     vectorized_cells: int = 0

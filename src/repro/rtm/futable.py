@@ -52,6 +52,10 @@ class FunctionalUnitTable:
 
     def __init__(self) -> None:
         self._entries: dict[int, UnitEntry] = {}
+        #: units in port order; ports are assigned in registration order,
+        #: so each registration appends (the dispatchers read this on
+        #: every comb run)
+        self._units: tuple[FunctionalUnit, ...] = ()
         #: optional config-bit guard (repro.faults.FutableGuard): every
         #: consultation re-validates the rows against a golden copy first
         self._guard = None
@@ -88,6 +92,7 @@ class FunctionalUnitTable:
                 )
         entry = UnitEntry(code, len(self._entries), unit, write_profile, latency)
         self._entries[code] = entry
+        self._units += (unit,)
         return entry
 
     def lookup(self, code: int) -> Optional[UnitEntry]:
@@ -107,7 +112,7 @@ class FunctionalUnitTable:
         """Units in port order."""
         if self._guard is not None:
             self._guard.on_access()
-        return tuple(e.unit for e in sorted(self._entries.values(), key=lambda e: e.port))
+        return self._units
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,7 +1,7 @@
 """Unit tests for the compiled (codegen) simulation backend.
 
-Covers backend selection/dispatch, the front end's three-way
-classification (translated / guarded / unguarded fallback), guard
+Covers backend selection/dispatch, the front end's classification
+(translated / guarded / read-tracked slot / every-sweep), guard
 dormancy under external forces, sequential dormancy semantics, loop
 diagnostics and recovery, reset, the vectorized cell-array executors,
 and the codegen counters surfaced through ``KernelStats``.
@@ -12,6 +12,7 @@ import pytest
 from repro.hdl import (
     CombinationalLoopError,
     Component,
+    Signal,
     SimulationError,
     Simulator,
 )
@@ -70,6 +71,40 @@ class MutableHidden(Component):
         def _lookup():
             self.out.set(self.table[0])
 
+        self.seq(lambda: None)
+
+
+class EvalMux(Component):
+    """Unprovable (eval'd) mux whose read set grows with its select, plus a
+    provable downstream increment that stays on a ranked wake slot."""
+
+    def __init__(self):
+        super().__init__("emux")
+        self.sel = self.signal("sel", 1, 0)
+        self.a = self.signal("a", 8, 0)
+        self.b = self.signal("b", 8, 0)
+        self.out = self.signal("out", 8, 0)
+        self.inc = self.signal("inc", 8, 0)
+        # eval keeps the body's source out of inspect's reach
+        self.comb(eval(
+            "lambda s: lambda: s.out.set((s.a if s.sel.value else s.b).value)"
+        )(self))
+
+        @self.comb
+        def _inc():
+            self.inc.set(self.out.value + 1)
+
+        self.seq(lambda: None)
+
+
+class UnmanagedRead(Component):
+    """Unprovable comb proc reading a free-standing (unmanaged) Signal."""
+
+    def __init__(self):
+        super().__init__("ext")
+        self.ext = Signal("free", 8, 0)
+        self.out = self.signal("out", 8, 0)
+        self.comb(eval("lambda s: lambda: s.out.set(s.ext.value)")(self))
         self.seq(lambda: None)
 
 
@@ -166,6 +201,55 @@ class TestFallbacks:
         top.table[0] = 42
         sim.step()
         assert top.out.value == 42
+
+    def test_mutable_hidden_matches_event_every_sweep(self):
+        (te, se), (tc, sc) = _pair(MutableHidden)
+        for sim in (se, sc):
+            sim.reset()
+        assert sc.kernel_stats.always_procs == 1
+        quiet = sc.kernel_stats.quiescent_settles
+        for v in (7, 7, 19, 0, 255):
+            for top, sim in ((te, se), (tc, sc)):
+                top.table[0] = v
+                sim.step()
+            assert te.out.value == tc.out.value == v
+        # an every-sweep process keeps the quiescent fast path off
+        assert sc.kernel_stats.quiescent_settles == quiet
+
+    def test_unprovable_comb_gets_read_tracked_slot(self):
+        (te, se), (tc, sc) = _pair(EvalMux)
+        stats = sc.kernel_stats
+        assert stats.fallback_procs == 1 and stats.always_procs == 0
+        for sim in (se, sc):
+            sim.reset()
+        base = (se.kernel_stats.activations, stats.activations)
+        script = [("b", 9), ("sel", 1), ("b", 4), ("a", 33), ("a", 33),
+                  ("sel", 0), ("a", 2), ("b", 200), (None, 0)]
+        for name, v in script:
+            for top, sim in ((te, se), (tc, sc)):
+                if name is not None:
+                    getattr(top, name).set(v)
+                sim.step()
+            assert (te.out.value, te.inc.value) == (tc.out.value, tc.inc.value)
+        # woken exactly when a signal it read changed, as on the event
+        # kernel: the select grew the read set without any demotion
+        assert (se.kernel_stats.activations - base[0]
+                == stats.activations - base[1])
+        assert stats.dynamic_fallbacks == 0
+        assert True not in sc._module.wake
+
+    def test_unmanaged_read_demotes_to_every_sweep(self):
+        (te, se), (tc, sc) = _pair(UnmanagedRead)
+        for sim in (se, sc):
+            sim.reset()
+        stats = sc.kernel_stats
+        assert stats.dynamic_fallbacks == 1
+        assert stats.always_procs == 1
+        for v in (3, 3, 250, 0):
+            for top, sim in ((te, se), (tc, sc)):
+                top.ext.set(v)  # no simulator hears this change
+                sim.step()
+            assert te.out.value == tc.out.value == v
 
     def test_dynamic_pure_seq_matches_event(self):
         class LateBound(Component):
@@ -278,6 +362,39 @@ class TestSystemIntegration:
 
         system = build_system(backend="compiled", lint="off")
         assert system.sim.backend == "compiled"
+
+    def test_ooo_fp_burst_matches_event_activations(self):
+        import struct
+
+        from repro.host import CoprocessorDriver
+        from repro.isa import instructions as ins
+        from repro.system import build_system
+
+        def f32(x):
+            return struct.unpack("<I", struct.pack("<f", x))[0]
+
+        make = (ins.fadd, ins.fmul, ins.fmadd)
+        results = {}
+        for backend in ("event", "compiled"):
+            drv = CoprocessorDriver(build_system(
+                lint="off", ooo=True, fp_units=True, backend=backend))
+            sim = drv.system.sim
+            for reg, x in zip((1, 2, 3, 4), (0.5, 1.25, -2.0, 3.0)):
+                drv.write_reg(reg, f32(x))
+            drv.run_until_quiet()
+            before = sim.kernel_stats.as_dict()
+            for i in range(32):
+                op = make[i % 3] if i >= 8 else make[i % 2]
+                drv.execute(op(8 + i % 8, 1 + i % 4, 1 + (i * 3) % 4))
+            drv.run_until_quiet()
+            after = sim.kernel_stats.as_dict()
+            results[backend] = (
+                sim.now,
+                [drv.read_reg(8 + d) for d in range(8)],
+                {k: after[k] - before[k]
+                 for k in ("activations", "quiescent_settles")},
+            )
+        assert results["compiled"] == results["event"]
 
     def test_counters_for_surfaces_codegen_stats(self):
         from repro.analysis import counters_for
