@@ -85,7 +85,7 @@ class CompiledFallbackRule(Rule):
                 )
         for rec in design.seq:
             if rec.pure:
-                continue  # dynamic runtime tracking still applies
+                continue  # runs from a read-tracked seq wake slot
             reason = _fallback_reason(rec)
             if reason:
                 yield self.diag(

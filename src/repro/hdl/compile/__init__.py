@@ -3,7 +3,8 @@
 ``Simulator(top, backend="compiled")`` flattens the elaborated component
 graph into one specialized Python module — rank-ordered combinational
 evaluation with per-process value guards, a fused sequential/commit edge
-phase, and numpy-vectorized executors for SIMD-regular structures — then
+phase whose processes run from the same wake flags as the guards, and
+numpy-vectorized executors for SIMD-regular structures — then
 ``exec``-compiles it once per system.  Processes whose dependence closure
 the compiler front end (:func:`repro.analysis.lint.astpass.closure_of`)
 cannot prove fall back to interpreted, read-tracked execution

@@ -1,12 +1,15 @@
 """Source emission for the compiled backend.
 
 Given the front end's per-process plans, this module emits one Python
-module containing three functions:
+module built around one wake-flag list ``_W`` and one fanout map
+``_FAN`` (signal → slots).  Every drain turns the simulator's pending
+changed-signal list (``_CHG``) into raised flags, and only flagged slots
+run: the event kernel's notification queue, dispatched statically.
+Comb slots come first; sequential slots follow them in the same list.
+The module contains four functions:
 
-* ``_sweep()`` — one rank-ordered, wake-driven pass over every
-  combinational process.  Changed signals are drained from the pending
-  list into per-slot wake flags through a fanout map (``_FAN`` → ``_W``);
-  a flagged guard is polled inline (a tuple of hoisted ``._value`` loads
+* ``_sweep()`` — one rank-ordered pass over every combinational process.
+  A flagged guard is polled inline (a tuple of hoisted ``._value`` loads
   compared against the last-run tuple) and only executed on a mismatch;
   translated bodies run as specialized ``_pN`` functions.  Processes
   without a provable closure follow the ranked section in *read-tracked
@@ -14,18 +17,24 @@ module containing three functions:
   the signals the run read and adds them to ``_FAN``.  ``always=True``
   processes (and runtime demotions, appended to ``_ALW`` by the engine)
   run unconditionally at the end.  A final drain follows, and the sweep
-  returns ``(runs, more)`` where ``more`` says a drain raised a flag the
-  sweep had already passed: the settle loop's "queue not empty" test.
+  returns ``(runs, more)`` where ``more`` says a drain raised a comb flag
+  the sweep had already passed: the settle loop's "queue not empty" test.
   ``_drain()`` is the same drain on its own, run at settle entry: a
-  settle whose pending changes wake no slot is quiescent.
-* ``_edge()`` — the fused sequential/commit phase: guarded sequential
-  processes with event-kernel dormancy semantics (run iff the last run
-  staged something or a polled read changed), dynamic pure processes via
-  engine helpers, unconditional impure fallbacks, vectorized executors,
-  then an inlined atomic commit of the staged registers.  Returns
-  ``(runs, vector_applied)``.
+  settle whose pending changes wake no comb slot is quiescent.  A raised
+  seq flag is edge work and never makes a settle busy.
+* ``_edge()`` — the fused sequential/commit phase.  A sequential process
+  with signal-only, managed inputs runs from a *wake slot* when its flag
+  is up, and afterwards keeps the flag up only if the run staged
+  something (the event kernel's dormancy rule).  Pure processes with an
+  unprovable closure run from read-tracked seq slots (``_tsN``) under the
+  same rule; one that reads an unmanaged signal stays armed.  Processes
+  with hidden or unmanaged guard inputs keep polling their guard tuple,
+  impure fallbacks run on every edge.  Vectorized executors follow, then
+  an inlined atomic commit of the staged registers.  Returns ``(runs,
+  vector_applied)``; one comment line per process names its tier.
 * ``_scan_seq()`` — True when any *non-wheeled* sequential process would
-  run on the next edge; the engine's time-wheel scan vetoes jumps on it.
+  run on the next edge (a raised seq flag or a mismatching polled guard);
+  the engine's time-wheel scan vetoes jumps on it.
 
 The module is ``exec``-compiled once per system into a namespace holding
 the hoisted objects (``_h<n>`` signals and owners), guard state lists,
@@ -39,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["CombPlan", "SeqPlan", "Hoister", "GeneratedModule", "generate"]
+__all__ = ["Plan", "Hoister", "GeneratedModule", "generate"]
 
 #: guard sentinel: never equal to any value tuple, so the first poll runs
 _NEVER = (object(),)
@@ -64,13 +73,14 @@ class Hoister:
 
 
 @dataclass
-class CombPlan:
-    """Execution plan for one combinational process."""
+class Plan:
+    """Execution plan for one combinational or sequential process."""
 
     fn: Callable[[], None]
     index: int
     #: "translated" | "guarded" | "tracked" (no provable closure: a
-    #: read-tracked wake slot) | "always" (declared ``always=True``)
+    #: read-tracked wake slot) | "always" (comb: declared ``always=True``;
+    #: seq: impure and unprovable, run on every edge)
     kind: str
     wheeled: bool
     guard_sigs: list = field(default_factory=list)
@@ -79,23 +89,14 @@ class CombPlan:
     #: of the wake set, not the poll tuple (see frontend.guard_reads)
     wake_sigs: list = field(default_factory=list)
     body: Optional[list] = None  # translated lines
-    rank: int = 0
+    #: a "tracked" plan's slot runner (the engine's read-tracking helper)
+    run: Optional[Callable[[], Any]] = None
+    #: seq only: a guard input no wake flag can see (a hidden load, a
+    #: signal this simulator does not manage) — poll the tuple every edge
+    polled: bool = False
+    rank: int = 0  # comb only: topological depth
     #: position in the wake-flag list (assigned by :func:`generate`)
     slot: int = -1
-
-
-@dataclass
-class SeqPlan:
-    """Execution plan for one sequential process."""
-
-    fn: Callable[[], None]
-    index: int
-    #: "translated" | "guarded" | "dynamic" | "always"
-    kind: str
-    wheeled: bool
-    guard_sigs: list = field(default_factory=list)
-    guard_hidden: list = field(default_factory=list)
-    body: Optional[list] = None
 
 
 @dataclass
@@ -109,6 +110,7 @@ class GeneratedModule:
     scan_seq: Callable[[], bool]
     guards: list  # guard state lists, reset to re-run everything
     wake: list  # per-slot wake flags; set all True to force re-polls
+    n_comb: int  # comb slots come first in ``wake``; seq slots follow
     fanout: dict  # signal -> wake slots; read-tracked slots grow it
     every: list  # functions run on every sweep (``_ALW``)
 
@@ -124,58 +126,54 @@ def _guard_tuple(plan: Any, hoist: Hoister) -> str:
 
 
 def generate(
-    comb: list[CombPlan],
-    seq: list[SeqPlan],
+    comb: list[Plan],
+    seq: list[Plan],
     executors: list,
     hoist: Hoister,
     namespace: dict,
-    dynamic_runs: dict,
-    dynamic_scans: dict,
-    tracked_runs: dict,
 ) -> GeneratedModule:
     """Emit, compile and wire the specialized module.
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL`` and
     ``_CHG``; hoisted objects, guard lists, fallbacks, executor methods
-    and the engine helpers (``dynamic_runs``/``dynamic_scans`` keyed by
-    seq plan index, ``tracked_runs`` by comb plan index) are installed
-    here.
+    and the tracked plans' slot runners are installed here.
     """
     out: list[str] = []
     emit = out.append
     guards: list = []
 
     # specialized process bodies
-    for p in comb:
-        if p.kind == "translated" and p.body is not None:
-            emit(f"def _p{p.index}():")
-            for line in p.body:
-                emit("    " + line)
-            emit("")
-    for s in seq:
-        if s.kind == "translated" and s.body is not None:
-            emit(f"def _e{s.index}():")
-            for line in s.body:
-                emit("    " + line)
-            emit("")
+    for prefix, plans in (("_p", comb), ("_e", seq)):
+        for p in plans:
+            if p.kind == "translated" and p.body is not None:
+                emit(f"def {prefix}{p.index}():")
+                for line in p.body:
+                    emit("    " + line)
+                emit("")
 
-    # -- settle sweep ---------------------------------------------------------
-    # The sweep is wake-driven, mirroring the event kernel's notification
-    # queue with static dispatch: every signal in a guard's wake set maps
-    # (via _FAN) to the guard's slot in the _W flag list, the drains
+    # -- wake slots -----------------------------------------------------------
+    # The module is wake-driven, mirroring the event kernel's notification
+    # queue with static dispatch: every signal in a slot's wake set maps
+    # (via _FAN) to the slot's position in the _W flag list, the drains
     # convert the pending changed-signal list into raised flags, and only
-    # flagged slots run.  Draining again at each rank boundary lets a
-    # whole forward cascade complete in a single sweep.  A flag raised for
-    # a slot the sweep has already passed sets _more: the queue is not
-    # empty, so the settle loop sweeps again.
+    # flagged slots run.  Comb slots come first (ranked, then tracked);
+    # seq slots follow from position n_slots and are read by the edge.
     ordered = sorted(
         (p for p in comb if p.kind in ("translated", "guarded")),
         key=lambda p: (p.rank, p.index),
     )
     tracked = [p for p in comb if p.kind == "tracked"]
     n_slots = len(ordered) + len(tracked)
-    wake: list = [True] * n_slots
+    seq_slots = [s for s in seq
+                 if s.kind == "tracked" or (s.kind != "always" and not s.polled)]
+    slotted = ordered + tracked + seq_slots
+    for pos, p in enumerate(slotted):
+        p.slot = pos
+    wake: list = [True] * len(slotted)
     fanout: dict = {}
+    for p in slotted:  # tracked plans start empty and grow _FAN as they run
+        for sig in set(p.guard_sigs) | set(p.wake_sigs):
+            fanout.setdefault(sig, []).append(p.slot)
     every: list = [p.fn for p in comb if p.kind == "always"]
     namespace["_W"] = wake
     namespace["_FAN"] = fanout
@@ -184,13 +182,14 @@ def generate(
     def emit_drain(passed: int) -> None:
         # inlined at each slot-group boundary: the truthiness test keeps
         # an empty drain at one bytecode op instead of a function call;
-        # ``passed`` is the number of slots the sweep has gone by
-        if passed >= n_slots:
-            behind = "_more = True"
-        elif passed:
-            behind = f"if _k < {passed}: _more = True"
-        else:
+        # ``passed`` is the number of comb slots the sweep has gone by.
+        # A raised seq slot is edge work, never settle work.
+        if not passed:
             behind = ""
+        elif passed >= len(wake):
+            behind = "_more = True"
+        else:
+            behind = f"if _k < {passed}: _more = True"
         emit("    if _CHG:")
         emit("        for _s in _CHG:")
         emit("            _f = _FAN.get(_s)")
@@ -201,6 +200,11 @@ def generate(
             emit("                    " + behind)
         emit("        del _CHG[:]")
 
+    # -- settle sweep ---------------------------------------------------------
+    # Draining again at each rank boundary lets a whole forward cascade
+    # complete in a single sweep.  A flag raised for a comb slot the sweep
+    # has already passed sets _more: the queue is not empty, so the settle
+    # loop sweeps again.
     emit("def _sweep():")
     emit("    _ran = 0")
     emit("    _more = False")
@@ -209,7 +213,6 @@ def generate(
         emit("        _ran += 1")
     last_rank: Optional[int] = None
     for pos, p in enumerate(ordered):
-        p.slot = pos
         g = f"_g{p.index}"
         state: list = [_NEVER]
         guards.append(state)
@@ -220,10 +223,7 @@ def generate(
         if p.rank != last_rank:
             emit_drain(pos)
             last_rank = p.rank
-        wake_set = set(p.guard_sigs) | set(p.wake_sigs)
-        if wake_set:
-            for sig in wake_set:
-                fanout.setdefault(sig, []).append(pos)
+        if p.guard_sigs or p.wake_sigs:
             emit(f"    if _W[{pos}]:")
             emit(f"        _W[{pos}] = False")
             ind = "    "
@@ -238,12 +238,11 @@ def generate(
         emit(f"        {ind}{g}[0] = _t")
         emit(f"        {ind}{call}")
         emit(f"        {ind}_ran += 1")
-    for pos, p in enumerate(tracked, start=len(ordered)):
-        p.slot = pos
-        namespace[f"_tk{p.index}"] = tracked_runs[p.index]
-        emit_drain(pos)
-        emit(f"    if _W[{pos}]:")
-        emit(f"        _W[{pos}] = False")
+    for p in tracked:
+        namespace[f"_tk{p.index}"] = p.run
+        emit_drain(p.slot)
+        emit(f"    if _W[{p.slot}]:")
+        emit(f"        _W[{p.slot}] = False")
         emit(f"        _ran += _tk{p.index}()")
     emit("    if _ALW:")
     emit("        for _a in _ALW:")
@@ -252,7 +251,7 @@ def generate(
     emit_drain(n_slots)
     emit("    return _ran, _more")
     emit("")
-    # the settle entry drain: True when a pending change woke any slot
+    # the settle entry drain: True when a pending change woke a comb slot
     emit("def _drain():")
     emit("    _more = False")
     emit_drain(n_slots)
@@ -260,17 +259,39 @@ def generate(
     emit("")
 
     # -- edge phase -----------------------------------------------------------
+    # Event-kernel dormancy: a slot runs when its flag is up, and the flag
+    # stays up only when the run staged something (or, for a tracked slot
+    # reading an unmanaged signal, always).
     emit("def _edge():")
     emit("    _ran = 0")
     for s in seq:
-        if s.kind in ("translated", "guarded"):
+        name = getattr(s.fn, "__qualname__", s.fn)
+        call = f"_e{s.index}()" if s.kind == "translated" else f"_q{s.index}()"
+        if s.kind in ("guarded", "always"):
+            namespace[f"_q{s.index}"] = s.fn
+        if s.kind == "always":
+            emit(f"    # {name}: every edge")
+            emit(f"    {call}")
+            emit("    _ran += 1")
+        elif s.kind == "tracked":
+            namespace[f"_ts{s.index}"] = s.run
+            emit(f"    # {name}: tracked slot {s.slot}")
+            emit(f"    if _W[{s.slot}]:")
+            emit(f"        _W[{s.slot}] = _ts{s.index}()")
+            emit("        _ran += 1")
+        elif not s.polled:
+            emit(f"    # {name}: wake slot {s.slot}")
+            emit(f"    if _W[{s.slot}]:")
+            emit("        _n0 = _CH.stages")
+            emit(f"        {call}")
+            emit(f"        _W[{s.slot}] = _n0 != _CH.stages")
+            emit("        _ran += 1")
+        else:
             g = f"_s{s.index}"
             state = [_NEVER, True]
             guards.append(state)
             namespace[g] = state
-            call = f"_e{s.index}()" if s.kind == "translated" else f"_q{s.index}()"
-            if s.kind == "guarded":
-                namespace[f"_q{s.index}"] = s.fn
+            emit(f"    # {name}: polled (hidden/unmanaged)")
             emit(f"    _t = {_guard_tuple(s, hoist)}")
             emit(f"    if {g}[1] or _t != {g}[0]:")
             emit(f"        {g}[0] = _t")
@@ -278,13 +299,6 @@ def generate(
             emit(f"        {call}")
             emit(f"        {g}[1] = _n0 != _CH.stages")
             emit("        _ran += 1")
-        elif s.kind == "dynamic":
-            namespace[f"_d{s.index}"] = dynamic_runs[s.index]
-            emit(f"    _ran += _d{s.index}()")
-        else:  # always
-            namespace[f"_q{s.index}"] = s.fn
-            emit(f"    _q{s.index}()")
-            emit("    _ran += 1")
     emit("    _vec = False")
     for k, _ex in enumerate(executors):
         emit(f"    if _x{k}_edge():")
@@ -303,24 +317,17 @@ def generate(
     emit("")
 
     # -- wheel scan over non-wheeled sequential processes ---------------------
+    # "always" processes veto in the engine before _scan_seq is called
     emit("def _scan_seq():")
-    body_emitted = False
+    flags = [f"_W[{s.slot}]" for s in seq_slots if not s.wheeled]
+    if flags:
+        emit(f"    if {' or '.join(flags)}:")
+        emit("        return True")
     for s in seq:
-        if s.wheeled:
-            continue
-        if s.kind in ("translated", "guarded"):
+        if s.polled and not s.wheeled:
             g = f"_s{s.index}"
             emit(f"    if {g}[1] or {_guard_tuple(s, hoist)} != {g}[0]:")
             emit("        return True")
-            body_emitted = True
-        elif s.kind == "dynamic":
-            namespace[f"_dw{s.index}"] = dynamic_scans[s.index]
-            emit(f"    if _dw{s.index}():")
-            emit("        return True")
-            body_emitted = True
-        # "always" processes veto in the engine before _scan_seq is called
-    if not body_emitted:
-        emit("    pass")
     emit("    return False")
     emit("")
 
@@ -340,13 +347,14 @@ def generate(
         scan_seq=namespace["_scan_seq"],
         guards=guards,
         wake=wake,
+        n_comb=n_slots,
         fanout=fanout,
         every=every,
     )
 
 
 def reset_guards(guards: list) -> None:
-    """Force every guard to mismatch (and every seq process to re-arm)."""
+    """Force every comb guard and polled seq guard to mismatch and re-run."""
     for state in guards:
         state[0] = _NEVER
         if len(state) > 1:

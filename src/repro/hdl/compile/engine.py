@@ -11,20 +11,23 @@ with calls into the module generated by :mod:`.codegen`:
   every-sweep process exists (``always=True`` or a runtime demotion) does
   a sweep that changed any signal also force another, as the event
   kernel does for its ``_always`` list.  The quiescent fast path skips
-  the sweep entirely when the pending changes wake no slot, no edge work
+  the sweep entirely when the pending changes wake no comb slot, no edge work
   moved state behind the pending list, and no every-sweep process
   exists.
-* **edge** is the generated fused sequential/commit phase.
+* **edge** is the generated fused sequential/commit phase: sequential
+  processes run from the same wake flags, with the event kernel's
+  dormancy rule (a run that staged nothing sleeps until a signal it
+  reads changes).
 * the **time wheel** is inherited; only the jump-precondition scan is
-  replaced (generated per-process would-run checks plus the vectorized
-  executors' horizons).
+  replaced (the non-wheeled seq wake flags, the few still-polled seq
+  guards, and the vectorized executors' horizons).
 
 Guards compare by value and wake through a static fanout map; external
 pokes are observed through the ordinary pending-list notification that
 :meth:`Signal.set` and :meth:`Signal.force` already perform.  The only
-read tracking on the hot path belongs to combinational processes the
-front end cannot prove (:class:`_TrackedComb`), which discover their
-sensitivity one run at a time, exactly like the event kernel.
+read tracking on the hot path belongs to processes the front end cannot
+prove (:class:`_Tracked`), which discover their sensitivity one run at a
+time, exactly like the event kernel.
 """
 
 from __future__ import annotations
@@ -37,95 +40,62 @@ from ..component import Component
 from ..errors import CombinationalLoopError
 from ..signal import CHANGES
 from ..sim import MAX_SETTLE_ITERATIONS, Simulator
-from .codegen import CombPlan, GeneratedModule, Hoister, SeqPlan, generate, reset_guards
+from .codegen import GeneratedModule, Hoister, Plan, generate, reset_guards
 from .frontend import Translator, _snap, closure_of, guard_eligible, guard_reads
 from .vector import collect_executors
 
 __all__ = ["CompiledSimulator"]
 
 
-class _DynamicSeq:
-    """Runtime-tracked fallback for pure sequential processes.
-
-    Used when a process is declared ``pure`` but the front end cannot
-    prove its closure statically.  The event kernel's discovery trick is
-    replayed at the edge: run under read tracking, then poll the recorded
-    values.  The process is skipped when its last run staged nothing and
-    no recorded read changed — the same dormancy contract the event
-    kernel applies, except by value polling instead of notifications (so
-    unmanaged reads are handled instead of pinning the process awake).
-    """
-
-    __slots__ = ("fn", "reads", "vals", "staged")
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
-        self.reads: set = set()
-        self.vals: list = []
-        self.staged = True  # first edge always runs
-
-    def would_run(self) -> bool:
-        if self.staged:
-            return True
-        for sig, val in self.vals:
-            if sig._value != val:
-                return True
-        return False
-
-    def run(self) -> int:
-        if not self.would_run():
-            return 0
-        tracker = CHANGES
-        before = tracker.stages
-        _signal_mod._READS = self.reads
-        try:
-            self.fn()
-        finally:
-            _signal_mod._READS = None
-        self.staged = tracker.stages != before
-        self.vals = [(sig, sig._value) for sig in self.reads]
-        return 1
-
-    def reset(self) -> None:
-        self.staged = True
-
-
-class _TrackedComb:
-    """Read-tracked wake slot for a comb process with no provable closure.
+class _Tracked:
+    """Read-tracked wake slot for a process with no provable closure.
 
     The event kernel's scheme, run from a generated slot: each run records
     the signals it read, and any new ones are added to the module's fanout
-    map so their next change raises this slot's wake flag.  A run leaving
-    the read set empty (hidden inputs only), or reading a signal whose
-    changes never reach this simulator's pending list, demotes the process
-    to the every-sweep tier — the event kernel's ``_finish_discovery``
-    rules.
+    map so their next change raises this slot's wake flag.  Two rules for
+    what cannot wake a slot, both the event kernel's: a comb process whose
+    run left the read set empty (hidden inputs only) or read a signal whose
+    changes never reach this simulator's pending list is demoted to the
+    every-sweep tier (``_finish_discovery``); a seq process reading such a
+    signal stays armed on every edge (``_SeqProc.unmanaged``).
     """
 
-    __slots__ = ("fn", "wheeled", "reads", "slot", "demoted", "grew")
+    __slots__ = ("fn", "seq", "wheeled", "reads", "slot", "demoted",
+                 "unmanaged", "grew")
 
-    def __init__(self, fn: Callable[[], None], wheeled: bool,
-                 grew: Callable[["_TrackedComb"], None]) -> None:
+    def __init__(self, fn: Callable[[], None], seq: bool, wheeled: bool,
+                 grew: Callable[["_Tracked"], None]) -> None:
         self.fn = fn
+        self.seq = seq
         self.wheeled = wheeled
         self.reads: set = set()
         self.slot = -1  # wake-flag position, assigned by codegen
         self.demoted = False
+        self.unmanaged = False
         self.grew = grew
 
     def run(self) -> int:
+        """One run under read tracking.
+
+        For a comb slot, returns the run count (0 once demoted: a forced
+        re-poll of a slot that now runs every sweep).  For a seq slot,
+        returns whether the wake flag stays up — the run staged something,
+        or the process reads an unmanaged signal (the dormancy rule).
+        """
         if self.demoted:
-            return 0  # a forced re-poll of a slot that now runs every sweep
+            return 0
         reads = self.reads
         before = len(reads)
+        stages = CHANGES.stages
         _signal_mod._READS = reads
         try:
             self.fn()
         finally:
             _signal_mod._READS = None
-        if len(reads) == before and reads:
-            return 1
-        self.grew(self)
+        if len(reads) != before or not reads:
+            self.grew(self)
+        if self.seq:
+            return self.unmanaged or CHANGES.stages != stages
         return 1
 
 
@@ -149,9 +119,8 @@ class CompiledSimulator(Simulator):
         #: the last edge (or reset) may have changed state outside the
         #: pending list — vectorized executors, power-on values
         self._edge_dirty = True
-        self._dyn: list[_DynamicSeq] = []
-        #: read-tracked slot helpers, keyed by comb process index
-        self._tracked: dict[int, _TrackedComb] = {}
+        #: read-tracked slot helpers (comb and seq)
+        self._tracked: list[_Tracked] = []
         self._compile()
         self.kernel_stats.compile_ms = (time.perf_counter() - t0) * 1e3
 
@@ -165,7 +134,7 @@ class CompiledSimulator(Simulator):
         #: range-informed codegen counters, shared across all Translators
         tx_stats: dict = {"masks_elided": 0, "branches_folded": 0}
 
-        comb_plans: list[CombPlan] = []
+        comb_plans: list[Plan] = []
         n_absorbed = 0
         for i, p in enumerate(self._procs):
             if id(p.fn) in absorbed:
@@ -173,35 +142,19 @@ class CompiledSimulator(Simulator):
                 continue
             if p.always:
                 comb_plans.append(
-                    CombPlan(fn=p.fn, index=i, kind="always", wheeled=p.wheeled)
+                    Plan(fn=p.fn, index=i, kind="always", wheeled=p.wheeled)
                 )
                 continue
             closure = self._closure_or_none(p.fn)
             if closure is None or not guard_eligible(closure):
-                self._tracked[i] = _TrackedComb(p.fn, p.wheeled, self._track)
-                comb_plans.append(
-                    CombPlan(fn=p.fn, index=i, kind="tracked", wheeled=p.wheeled)
-                )
+                comb_plans.append(self._tracked_plan(i, p, seq=False))
                 continue
-            sigs, hidden, wake = guard_reads(closure)
-            body = Translator(p.fn, closure, hoist, stats=tx_stats).translate()
-            plan = CombPlan(
-                fn=p.fn,
-                index=i,
-                kind="translated" if body is not None else "guarded",
-                wheeled=p.wheeled,
-                guard_sigs=sigs,
-                guard_hidden=hidden,
-                wake_sigs=wake,
-                body=body,
-            )
             closures[i] = closure
-            comb_plans.append(plan)
+            comb_plans.append(self._guard_plan(i, p, closure, hoist, tx_stats))
         self._rank_plans(comb_plans, closures)
 
-        seq_plans: list[SeqPlan] = []
-        dynamic_runs: dict = {}
-        dynamic_scans: dict = {}
+        seq_plans: list[Plan] = []
+        changed = self._changed
         for j, sp in enumerate(self._seqprocs):
             if id(sp.fn) in absorbed:
                 n_absorbed += 1
@@ -221,31 +174,18 @@ class CompiledSimulator(Simulator):
                 and (sp.pure or not closure.writes)
             )
             if guardable:
-                sigs, hidden, _wake = guard_reads(closure)
-                body = Translator(sp.fn, closure, hoist,
-                                  stats=tx_stats).translate()
-                seq_plans.append(
-                    SeqPlan(
-                        fn=sp.fn,
-                        index=j,
-                        kind="translated" if body is not None else "guarded",
-                        wheeled=sp.wheeled,
-                        guard_sigs=sigs,
-                        guard_hidden=hidden,
-                        body=body,
-                    )
+                plan = self._guard_plan(j, sp, closure, hoist, tx_stats)
+                # only signals this simulator manages can raise a wake flag
+                plan.polled = bool(plan.guard_hidden) or any(
+                    sig._pending is not changed
+                    for sig in plan.guard_sigs + plan.wake_sigs
                 )
+                seq_plans.append(plan)
             elif sp.pure:
-                helper = _DynamicSeq(sp.fn)
-                self._dyn.append(helper)
-                dynamic_runs[j] = helper.run
-                dynamic_scans[j] = helper.would_run
-                seq_plans.append(
-                    SeqPlan(fn=sp.fn, index=j, kind="dynamic", wheeled=sp.wheeled)
-                )
+                seq_plans.append(self._tracked_plan(j, sp, seq=True))
             else:
                 seq_plans.append(
-                    SeqPlan(fn=sp.fn, index=j, kind="always", wheeled=sp.wheeled)
+                    Plan(fn=sp.fn, index=j, kind="always", wheeled=sp.wheeled)
                 )
 
         namespace: dict = {
@@ -256,13 +196,10 @@ class CompiledSimulator(Simulator):
             "_snap": _snap,
         }
         module: GeneratedModule = generate(
-            comb_plans, seq_plans, executors, hoist, namespace,
-            dynamic_runs, dynamic_scans,
-            {i: tc.run for i, tc in self._tracked.items()},
-        )
-        for pl in comb_plans:
-            if pl.kind == "tracked":
-                self._tracked[pl.index].slot = pl.slot
+            comb_plans, seq_plans, executors, hoist, namespace)
+        tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
+        for tc, pl in zip(self._tracked, tracked):
+            tc.slot = pl.slot
         self._module = module
         self._sweep_fn = module.sweep
         self._drain_fn = module.drain
@@ -284,18 +221,35 @@ class CompiledSimulator(Simulator):
         )
 
         stats = self.kernel_stats
-        specialized = [pl for pl in comb_plans
-                       if pl.kind in ("translated", "guarded")]
-        seq_specialized = [pl for pl in seq_plans if pl.kind in ("translated", "guarded")]
-        stats.compiled_procs = len(specialized) + len(seq_specialized) + n_absorbed
-        stats.fallback_procs = len(always) + len(self._tracked) + sum(
-            1 for pl in seq_plans if pl.kind in ("dynamic", "always")
-        )
+        plans = comb_plans + seq_plans
+        n_fallback = sum(1 for pl in plans if pl.kind in ("tracked", "always"))
+        n_comb_slots = sum(1 for pl in comb_plans if pl.kind != "always")
+        stats.compiled_procs = len(plans) - n_fallback + n_absorbed
+        stats.fallback_procs = n_fallback
         stats.vectorized_cells = sum(ex.n_cells for ex in executors)
-        stats.tracked_procs = len(specialized) + len(self._tracked)
+        stats.tracked_procs = n_comb_slots
         stats.always_procs = len(always)
         stats.masks_elided = tx_stats["masks_elided"]
         stats.branches_folded = tx_stats["branches_folded"]
+
+    @staticmethod
+    def _guard_plan(index: int, proc: Any, closure: Any, hoist: Hoister,
+                    tx_stats: dict) -> Plan:
+        """A translated plan over a proven closure (guarded when the body
+        leaves the translatable subset)."""
+        sigs, hidden, wake = guard_reads(closure)
+        body = Translator(proc.fn, closure, hoist, stats=tx_stats).translate()
+        return Plan(fn=proc.fn, index=index,
+                    kind="translated" if body is not None else "guarded",
+                    wheeled=proc.wheeled, guard_sigs=sigs, guard_hidden=hidden,
+                    wake_sigs=wake, body=body)
+
+    def _tracked_plan(self, index: int, proc: Any, seq: bool) -> Plan:
+        """A read-tracked slot plan plus its engine helper."""
+        tc = _Tracked(proc.fn, seq, proc.wheeled, self._track)
+        self._tracked.append(tc)
+        return Plan(fn=proc.fn, index=index, kind="tracked",
+                    wheeled=proc.wheeled, run=tc.run)
 
     @staticmethod
     def _closure_or_none(fn: Callable[[], None]) -> Optional[Any]:
@@ -336,20 +290,25 @@ class CompiledSimulator(Simulator):
 
     # -- settle phase ----------------------------------------------------------
 
-    def _track(self, tc: _TrackedComb) -> None:
+    def _track(self, tc: _Tracked) -> None:
         """A read-tracked slot read new signals: wake on them, or demote."""
         changed = self._changed
         reads = tc.reads
-        if not reads or any(sig._pending is not changed for sig in reads):
+        if not tc.seq and (
+            not reads or any(sig._pending is not changed for sig in reads)
+        ):
             self._demote(tc)
             return
         fanout = self._module.fanout
         for sig in reads:
+            if sig._pending is not changed:
+                tc.unmanaged = True  # its change would never wake the slot
+                continue
             slots = fanout.setdefault(sig, [])
             if tc.slot not in slots:
                 slots.append(tc.slot)
 
-    def _demote(self, tc: _TrackedComb) -> None:
+    def _demote(self, tc: _Tracked) -> None:
         """Pin a read-tracked process to every sweep (``_make_dynamic``)."""
         tc.demoted = True
         fanout = self._module.fanout
@@ -365,10 +324,10 @@ class CompiledSimulator(Simulator):
         stats.always_procs += 1
         stats.tracked_procs -= 1
 
-    def _wake_all(self) -> None:
-        """Flag every wake slot for a re-poll on the next sweep."""
+    def _wake(self, n: int) -> None:
+        """Raise the first ``n`` wake flags (comb slots come first)."""
         wake = self._module.wake
-        for i in range(len(wake)):
+        for i in range(n):
             wake[i] = True
 
     def settle(self) -> int:
@@ -378,8 +337,10 @@ class CompiledSimulator(Simulator):
         if self._edge_dirty:
             # State moved without pending-list notifications (vectorized
             # executors, reset forces): no fanout entry fired, so every
-            # guard must re-poll.
-            self._wake_all()
+            # comb guard must re-poll.  Seq slots need no wake-up here:
+            # executors publish to signals through notifying set(), and
+            # reset wakes every slot itself.
+            self._wake(self._module.n_comb)
             self._edge_dirty = False
             quiet_in = False
         else:
@@ -398,9 +359,7 @@ class CompiledSimulator(Simulator):
                 # Leave a recoverable engine behind the diagnostic: force
                 # every guard to re-run and mark state suspect.
                 reset_guards(self._guards)
-                self._wake_all()
-                for dyn in self._dyn:
-                    dyn.reset()
+                self._wake(len(self._module.wake))
                 self._edge_dirty = True
                 unstable = self._find_unstable()
                 raise CombinationalLoopError(self.now, self.max_settle, unstable)
@@ -473,9 +432,7 @@ class CompiledSimulator(Simulator):
         for ex in self._executors:
             ex.on_reset()
         reset_guards(self._guards)
-        self._wake_all()
-        for dyn in self._dyn:
-            dyn.reset()
+        self._wake(len(self._module.wake))
         self._changed.clear()
         self._edge_dirty = True
         self.settle()

@@ -9,13 +9,20 @@ generated module uses:
   tracking.  Only a restricted statement/expression subset qualifies.
 * **guarded fallback** — the original function object is called, but only
   when the value tuple of its *proven* read closure (signals plus benign
-  hidden attribute loads) changed since its last run.  Polling replaces
-  the event kernel's notification queue.
+  hidden attribute loads) changed since its last run.
 * **read-tracked** — the closure could not be proven (opaque reads,
   unknown calls, mutable hidden state): the function runs interpreted
   from a wake slot, under read tracking, whenever a signal one of its
-  runs read changes — exactly how the event kernel schedules it.
-  ``always=True`` processes run on every sweep.
+  runs read changes — exactly how the event kernel schedules it (for
+  sequential processes: pure ones only).  ``always=True`` processes run
+  on every sweep, impure unprovable sequential processes on every edge.
+
+Translated and guarded processes are scheduled from wake slots too: a
+change to a signal in the proven closure raises the slot's flag, as the
+event kernel's notification queue would.  A comb process polls its value
+tuple behind the flag; a sequential process polls it, on every edge,
+only when some input cannot raise a flag (hidden attribute loads,
+signals another simulator manages).
 
 The dependence closures come from the lint AST pass
 (:func:`repro.analysis.lint.astpass.closure_of`) — one front end shared by

@@ -2,9 +2,10 @@
 
 Covers backend selection/dispatch, the front end's classification
 (translated / guarded / read-tracked slot / every-sweep), guard
-dormancy under external forces, sequential dormancy semantics, loop
-diagnostics and recovery, reset, the vectorized cell-array executors,
-and the codegen counters surfaced through ``KernelStats``.
+dormancy under external forces, sequential dormancy semantics and seq
+wake slots against the event kernel, loop diagnostics and recovery,
+reset, the vectorized cell-array executors, and the codegen counters
+surfaced through ``KernelStats``.
 """
 
 import pytest
@@ -106,6 +107,77 @@ class UnmanagedRead(Component):
         self.out = self.signal("out", 8, 0)
         self.comb(eval("lambda s: lambda: s.out.set(s.ext.value)")(self))
         self.seq(lambda: None)
+
+
+class FreeSeqRead(Component):
+    """Unprovable pure seq proc reading a free-standing (unmanaged) Signal;
+    it stages only while its register lags the input."""
+
+    def __init__(self, wheeled=False):
+        super().__init__("fseq")
+        self.ext = Signal("free", 8, 0)
+        self.out = self.reg("out", 8, 0)
+        self.seq(eval(
+            "lambda s: lambda: s.ext.value != s.out.value"
+            " and s.out.stage(s.ext.value)"
+        )(self), pure=True)
+        if wheeled:
+            self.wheel(lambda: None, lambda n: None)
+
+
+class SeqFeed(Component):
+    """A provable pure seq proc fed by a seq-only input ``x`` and by a comb
+    output ``s`` nothing else reads; it stages only on a new sum."""
+
+    def __init__(self):
+        super().__init__("feed")
+        self.x = self.signal("x", 8, 0)
+        self.a = self.signal("a", 8, 0)
+        self.s = self.signal("s", 8, 0)
+        self.q = self.reg("q", 8, 0)
+
+        @self.comb
+        def _inc():
+            self.s.set(self.a.value + 1)
+
+        @self.seq(pure=True)
+        def _follow():
+            v = (self.x.value + self.s.value) & 0xFF
+            if v != self.q.value:
+                self.q.nxt = v
+
+
+class DormantSeqs(Component):
+    """An oscillator (while ``en``) next to three dormant seq procs, one per
+    tier: a wake slot, a read-tracked slot and a polled guard."""
+
+    def __init__(self):
+        super().__init__("dorm")
+        self.en = self.signal("en", 1, 0)
+        self.x = self.signal("x", 1, 0)
+        self.free = Signal("free", 1, 0)
+        self.q1 = self.reg("q1", 1, 0)
+        self.q2 = self.reg("q2", 1, 0)
+        self.q3 = self.reg("q3", 1, 0)
+
+        @self.comb
+        def _not():
+            if self.en.value:
+                self.x.set(0 if self.x.value else 1)
+
+        @self.seq(pure=True)
+        def _wake():
+            if self.x.value != self.q1.value:
+                self.q1.nxt = self.x.value
+
+        self.seq(eval(
+            "lambda s: lambda: s.x.value != s.q2.value and s.q2.stage(s.x.value)"
+        )(self), pure=True)
+
+        @self.seq(pure=True)
+        def _polled():
+            if self.free.value != self.q3.value:
+                self.q3.nxt = self.free.value
 
 
 def _pair(make):
@@ -314,6 +386,119 @@ class TestLoopsAndReset:
         sim.reset()
         assert top.acc.value == 0
         assert top.s1.value == 0
+
+
+class TestSeqWakeSlots:
+    """Sequential processes run from wake slots with the event kernel's
+    dormancy rule, cycle by cycle and counter by counter."""
+
+    @staticmethod
+    def _stats(sim, keys):
+        d = sim.kernel_stats.as_dict()
+        return [d[k] for k in keys]
+
+    @pytest.mark.parametrize("wheeled", [False, True])
+    def test_unmanaged_seq_read_never_sleeps(self, wheeled):
+        (te, se), (tc, sc) = _pair(lambda: FreeSeqRead(wheeled))
+        for sim in (se, sc):
+            sim.reset()
+        base = (se.kernel_stats.seq_runs, sc.kernel_stats.seq_runs)
+        for v in (3, 3, 250, 0, 0):
+            for top, sim in ((te, se), (tc, sc)):
+                top.ext.set(v)  # no simulator hears this change
+                sim.step()
+            assert te.out.value == tc.out.value == v
+            # an armed unwheeled seq proc vetoes every wheel jump
+            limits = (se.fast_forward_limit(50), sc.fast_forward_limit(50))
+            assert limits == ((50, 50) if wheeled else (0, 0))
+        assert "tracked slot" in sc.generated_source
+        assert (se.kernel_stats.seq_runs - base[0]
+                == sc.kernel_stats.seq_runs - base[1] == 5)
+
+    def test_poke_and_restore_between_edges_runs_seq(self):
+        (te, se), (tc, sc) = _pair(SeqFeed)
+        for sim in (se, sc):
+            sim.reset()
+            sim.step(2)
+        base = (se.kernel_stats.seq_runs, sc.kernel_stats.seq_runs)
+        for top, sim in ((te, se), (tc, sc)):
+            top.x.set(5)
+            top.x.set(0)  # back to the old value before the edge
+            sim.step()
+        # the change notification wakes it, whatever the value came back to
+        assert (se.kernel_stats.seq_runs - base[0]
+                == sc.kernel_stats.seq_runs - base[1] == 1)
+        assert "_follow: wake slot" in sc.generated_source
+
+    def test_seq_only_changes_are_not_settle_work(self):
+        (te, se), (tc, sc) = _pair(SeqFeed)
+        keys = ("quiescent_settles", "settle_iterations", "seq_runs")
+        for sim in (se, sc):
+            sim.reset()
+        base = (self._stats(se, keys), self._stats(sc, keys))
+        script = [("x", 4), ("a", 7), (None, 0), ("x", 9), ("a", 2), ("x", 4)]
+        for name, v in script:
+            for top, sim in ((te, se), (tc, sc)):
+                if name is not None:
+                    getattr(top, name).set(v)
+                sim.step()
+            assert te.q.value == tc.q.value
+        deltas = [[b - a for a, b in zip(base[i], self._stats(sim, keys))]
+                  for i, sim in enumerate((se, sc))]
+        assert deltas[0] == deltas[1]
+        assert True not in sc._module.wake[:sc._module.n_comb]
+
+    def test_vector_edge_wakes_only_comb_slots(self):
+        top = SeqFeed()
+        sim = Simulator(top, backend="compiled")
+        sim.reset()
+        sim.step(2)
+        # what a vectorized executor's edge leaves behind: comb guards must
+        # re-poll, but seq inputs only move through notifying Signal.set
+        sim._edge_dirty = True
+        before = sim.kernel_stats.seq_runs
+        sim.step()
+        assert sim.kernel_stats.seq_runs == before
+
+    def test_recovery_and_reset_rerun_every_seq_proc(self):
+        (te, se), (tc, sc) = _pair(DormantSeqs)
+        src = sc.generated_source
+        for tier in ("_wake: wake slot", "tracked slot", "_polled: polled"):
+            assert tier in src
+
+        def next_edge_runs(sim):
+            before = sim.kernel_stats.seq_runs
+            sim.step()
+            return sim.kernel_stats.seq_runs - before
+
+        for sim in (se, sc):
+            sim.reset()
+            sim.step(3)
+        assert next_edge_runs(sc) == 0  # every proc is dormant
+        for top, sim in ((te, se), (tc, sc)):
+            top.en.force(1)
+            with pytest.raises(CombinationalLoopError):
+                sim.settle()
+            top.en.force(0)
+            assert next_edge_runs(sim) == 3
+            sim.step(3)
+            sim.reset()
+            assert next_edge_runs(sim) == 3
+        assert (te.q1.value, te.q2.value) == (tc.q1.value, tc.q2.value)
+
+    def test_slow_prototype_seq_procs_are_all_woken(self):
+        from repro.messages import SLOW_PROTOTYPE
+        from repro.system import build_system
+
+        sim = build_system(channel=SLOW_PROTOTYPE, backend="compiled",
+                           lint="off").sim
+        src = sim.generated_source
+        edge = src[src.index("def _edge"):src.index("def _scan_seq")]
+        tiers = [line.split(": ", 1)[1] for line in edge.splitlines()
+                 if line.startswith("    # ")]
+        assert len(tiers) == len(sim._seqprocs)
+        assert not [t for t in tiers if t.startswith("polled")]
+        assert "_t = (" not in edge  # no per-edge guard tuple
 
 
 class TestVectorizedCellArrays:
