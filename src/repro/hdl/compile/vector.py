@@ -18,8 +18,8 @@ set of interpreted processes and replaces them with array operations:
   :meth:`CompiledSimulator.reset` after the component reset hooks).
 * ``n_cells`` — element count, reported in ``KernelStats.vectorized_cells``.
 
-The concrete executors live next to the structures they vectorize (the
-ξ-sort arrays implement theirs in :mod:`repro.xisort.cellarray`); this
+The concrete executors live next to the structures they vectorize (every
+smart-memory array publishes the kit's in :mod:`repro.smem.array`); this
 module only defines the discovery walk, keeping the kernel free of any
 dependency on the functional-unit libraries built on top of it.
 """

@@ -7,21 +7,25 @@ dispatch into the core's start interface, wait for the completion strobe,
 buffer the staged outputs, and hand them to the write arbiter as
 transfers shaped by the unit's static *write profile*.
 
-A concrete unit subclasses :class:`SmartMemoryUnit`, sets ``core_class``
-to its :class:`~repro.smem.core.SmartMemoryCore` subclass and
-``write_profile`` to its variety → (dst1, dst2, flags) table — the same
-table the decoder consults for its lock sets, which is what keeps the
-adapter's transfers and the dispatcher's locks in exact agreement.
+A concrete unit is derived from a :class:`~repro.smem.spec.UnitSpec`
+(``spec.unit``), which binds the spec's core and its *write profile*:
+the variety → (dst1, dst2, flags) table read off the ROM's ``emit``
+targets — the same table the decoder consults for its lock sets, which is
+what keeps the adapter's transfers and the dispatcher's locks in exact
+agreement.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..fu.base import FunctionalUnit
 from ..fu.protocol import Transfer
 from ..hdl import Component
+
+if TYPE_CHECKING:
+    from .spec import UnitSpec
 
 
 class AdapterState(IntEnum):
@@ -34,10 +38,10 @@ class AdapterState(IntEnum):
 class SmartMemoryUnit(FunctionalUnit):
     """A smart-memory core wrapped in the framework's unit protocol."""
 
-    #: the SmartMemoryCore subclass this unit instantiates
-    core_class: Optional[type] = None
-    #: consulted by the functional unit table (decoder lock sets);
-    #: subclasses assign ``staticmethod(<their write_profile>)``
+    #: the UnitSpec whose core this unit instantiates
+    spec: Optional[UnitSpec] = None
+    #: consulted by the functional unit table (decoder lock sets); derived
+    #: units assign ``staticmethod(spec.write_profile)``
     write_profile = None
 
     def __init__(
@@ -111,11 +115,10 @@ class SmartMemoryUnit(FunctionalUnit):
         )
 
     def _make_core(self):
-        cls = self.core_class
-        if cls is None:
-            raise NotImplementedError(f"{type(self).__name__} sets no core_class")
-        return cls("core", self._n_cells, self.word_bits,
-                   array_kind=self._array_kind, parent=self)
+        if self.spec is None:
+            raise NotImplementedError(f"{type(self).__name__} binds no unit spec")
+        return self.spec.core("core", self._n_cells, self.word_bits,
+                              array_kind=self._array_kind, parent=self)
 
     def _build_transfers(self) -> tuple[Transfer, ...]:
         """Map the buffered core outputs onto write-arbiter transfers.

@@ -9,25 +9,26 @@ of *what* the cells store.  This module carries that construction once;
 The cell contract
 -----------------
 
-An array implementer subclasses :class:`VectorSmartArray` (NumPy state,
-one process for the whole column — the production model) and/or
-:class:`StructuralSmartArray` (one :class:`SmartCell` component per
-element — the synthesis-faithful oracle) and provides:
+A unit does not subclass anything here: it declares a
+:class:`~repro.smem.spec.UnitSpec`, and the spec derives one
+:class:`VectorSmartArray` (NumPy state, one process for the whole column —
+the production model) and one :class:`StructuralSmartArray` (one
+:class:`SmartCell` component per element — the synthesis-faithful oracle)
+from it.  The bases read every unit-specific piece off ``self.spec``:
 
-* **per-cell state + step function** — a frozen state dataclass plus a
-  pure transition: vectorised over the whole column
-  (:meth:`VectorSmartArray._apply_ports`) and scalar per cell
-  (:meth:`SmartCell._next_state`).  The scalar step must return the *same
-  object* when nothing changes, so idle columns go dormant under the event
-  kernel;
-* **array-level broadcast/collect** — command ports (``cmd`` plus whatever
-  broadcast/load buses the command set needs, declared in
-  :meth:`_declare_ports`) and the class attribute ``NOP_CMD`` (must encode
-  as 0) marking the do-nothing command;
-* **fold-tree reduction** — output ports driven combinationally from the
-  cell state (:meth:`VectorSmartArray._fold_vector` /
-  :meth:`StructuralSmartArray._fold_cells`), matching the associative-fold
-  semantics of :mod:`repro.smem.tree`;
+* **per-cell state + step function** — the frozen state dataclass, laid
+  out as one NumPy lane per field (:class:`StateVectors`), plus a pure
+  transition: vectorised over the whole column (``spec.step``) and scalar
+  per cell (``spec.cell_step``).  The kit filters NOP before either step
+  runs and the scalar step must return the *same object* when nothing
+  changes, so idle columns go dormant under the event kernel;
+* **array-level broadcast/collect** — the ``cmd`` port plus the spec's
+  command buses (``spec.buses``), with ``NOP_CMD`` (0) marking the
+  do-nothing command;
+* **fold-tree reduction** — the spec's output ports driven
+  combinationally from the cell state (``spec.fold`` /
+  ``spec.cell_fold``), matching the associative-fold semantics of
+  :mod:`repro.smem.tree`;
 * **wheel-hook obligation** — satisfied here: a NOP edge provably leaves
   the state untouched, so the base classes register a wheel hook that
   certifies idle cycles as skippable and vetoes (horizon 0) whenever a
@@ -38,20 +39,32 @@ element — the synthesis-faithful oracle) and provides:
   interpreted processes into per-cycle array operations under the compiled
   backend (:mod:`repro.hdl.compile.vector`), including seeding from and
   redirecting the live per-cell registers of a structural array.
-
-The vector-state object returned by :meth:`_make_vectors` must expose
-``n``, ``clear()`` and ``state_of(i)`` (see ξ-sort's ``CellVectors`` for
-the canonical shape).
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-from typing import Optional
+from dataclasses import fields
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
-from ..hdl import Component
+from ..hdl import Component, Signal
+from .tree import TreeNetwork
+
+if TYPE_CHECKING:
+    from .spec import UnitSpec
+
+#: widest data word a NumPy lane holds; wider units are rejected at build
+LANE_LIMIT_BITS = 64
+
+#: port width marker: as wide as the unit's data word
+WORD = "word"
+
+#: bus readers of the one command-apply implementation: tracked ``.value``
+#: reads in the interpreted seq process, settled ``._value`` in the executor
+_TRACKED = attrgetter("value")
+_RAW = attrgetter("_value")
 
 
 def lane_dtype(word_bits: int) -> np.dtype:
@@ -62,38 +75,96 @@ def lane_dtype(word_bits: int) -> np.dtype:
     ``(x mod 2**lane) mod 2**w == x mod 2**w`` for ``w <= lane``, so
     add/multiply/bitwise arithmetic carried in the narrow lane wraps to the
     same masked words and comparisons see identical values.  Words wider
-    than 64 bits clamp to the uint64 lane (the explicit word mask keeps
-    them exact, exactly as before narrowing).
+    than :data:`LANE_LIMIT_BITS` clamp to the uint64 lane, which cannot
+    hold them: such a column would truncate, so the kit arrays reject them
+    at construction (:class:`SmartArray`).
     """
     # lazy: repro.analysis imports system/xisort modules built on this kit
     from ..analysis.dataflow.domain import vector_width_bits
 
-    return np.dtype(f"uint{vector_width_bits(min(word_bits, 64))}")
+    return np.dtype(f"uint{vector_width_bits(min(word_bits, LANE_LIMIT_BITS))}")
+
+
+class StateVectors:
+    """The parallel state arrays of an n-cell column, one lane per field.
+
+    Laid out from the spec's frozen cell-state dataclass: a field whose
+    default is a bool gets a bool lane, a :func:`~repro.smem.spec.lane`
+    field its fixed width, every other field a data-word lane.  Each lane
+    is an attribute named after its field; ``mask`` is the word mask and
+    ``pos`` the cell indices.
+    """
+
+    def __init__(self, state_cls: Any, n: int, word_bits: int):
+        self.n = n
+        self.state_cls = state_cls
+        self.mask = (1 << word_bits) - 1
+        self.dtype = lane_dtype(word_bits)
+        self.pos = np.arange(n, dtype=np.uint32)
+        #: (field name, lane dtype, reset value, Python type of a cell's value)
+        self._lanes: list[tuple[str, np.dtype, Any, Callable[[Any], Any]]] = []
+        for f in fields(state_cls):
+            bits = f.metadata.get("lane_bits")
+            if isinstance(f.default, bool):
+                self._lanes.append((f.name, np.dtype(bool), f.default, bool))
+            else:
+                dtype = self.dtype if bits is None else lane_dtype(bits)
+                self._lanes.append((f.name, dtype, f.default, int))
+        self.clear()
+
+    if TYPE_CHECKING:
+        def __getattr__(self, lane: str) -> np.ndarray: ...  # one per state field
+
+    def clear(self) -> None:
+        """Every cell back to the default (reset) state."""
+        for name, dtype, default, _conv in self._lanes:
+            setattr(self, name, np.full(self.n, default, dtype=dtype))
+
+    def at(self, index: int) -> np.ndarray:
+        """The cells at position ``index``: none when it is out of range.
+
+        Compares against the Python int, so an index wider than the
+        position lane selects nothing instead of overflowing a cast.
+        """
+        if index >= self.n:
+            return np.zeros(self.n, dtype=bool)
+        return self.pos == index
+
+    def state_of(self, i: int) -> object:
+        return self.state_cls(**{
+            name: conv(getattr(self, name)[i])
+            for name, _dtype, _default, conv in self._lanes
+        })
+
+    def load(self, states: list) -> None:
+        """Overwrite every lane from per-cell state objects."""
+        for name, dtype, _default, _conv in self._lanes:
+            setattr(self, name,
+                    np.array([getattr(s, name) for s in states], dtype=dtype))
 
 
 class SmartCell(Component):
     """One cell of a structural smart-memory column.
 
-    Subclasses implement :meth:`_reset_state` and :meth:`_next_state`.
-    The owning array wires the shared command buses onto instance
-    attributes (``CELL_WIRES``) and sets ``prev_cell`` / ``is_first`` /
-    ``index`` / ``array`` — a cell may read its left neighbour's committed
-    state (systolic shifts) or fold over the whole column through
-    ``self.array`` (global SIMD semantics such as occupancy counts).
+    The owning array (``parent``, also ``array``) wires its ``cmd`` port
+    and command buses onto same-named instance attributes and sets
+    ``prev_cell`` / ``is_first`` / ``index`` — the spec's scalar step may read
+    the left neighbour's committed state (systolic shifts) or fold over the
+    whole column through ``cell.array`` (global SIMD semantics such as
+    occupancy counts).
     """
 
-    def __init__(self, name: str, word_bits: int, parent: Optional[Component] = None):
+    cmd: Signal
+
+    def __init__(self, name: str, word_bits: int, parent: "SmartArray"):
         super().__init__(name, parent)
         self.word_bits = word_bits
-        self._state = self.reg("state", None, reset=self._reset_state())
+        self.array = parent
+        self.spec = parent.spec
+        self._state = self.reg("state", None, reset=self.spec.state())
         self.prev_cell: Optional["SmartCell"] = None
         self.is_first = False
         self.index = 0
-        self.array: Optional[Component] = None
-        #: set by a SmartArrayExecutor to ``(executor, index)`` when the
-        #: compiled backend absorbs this cell into a vectorized column; the
-        #: per-cell register then goes stale and reads are redirected
-        self._vec = None
 
         @self.seq(pure=True)
         def _tick() -> None:
@@ -105,18 +176,20 @@ class SmartCell(Component):
 
         self._tick_fn = _tick
 
-    def _reset_state(self):
-        raise NotImplementedError
-
     def _next_state(self):
-        raise NotImplementedError
+        st = self._state.value
+        cmd = self.cmd.value
+        if cmd == SmartArray.NOP_CMD:
+            return st
+        return self.spec.cell_step(self, st, cmd)
 
     @property
-    def state(self):
-        if self._vec is not None:
-            executor, index = self._vec
-            return executor.state_of(index)
-        return self._state.value
+    def state(self) -> object:
+        """Committed state; read through the executor once vectorized."""
+        return self.array.state_at(self.index)
+
+    if TYPE_CHECKING:
+        def __getattr__(self, bus: str) -> Signal: ...  # the wired command buses
 
 
 class SmartArrayExecutor:
@@ -128,23 +201,19 @@ class SmartArrayExecutor:
     real command (or after reset), so the repeated sweeps of one settle
     and the long NOP stretches between operations cost nothing.
 
-    For a structural array the constructor seeds the vectors from the
-    live per-cell register states (via the owner's ``_seed_vectors``) and
-    redirects every :attr:`SmartCell.state` read through :meth:`state_of`,
-    keeping inspection exact while the per-cell registers go stale.
+    For a structural array the owner seeds fresh vectors from the live
+    per-cell register states, and every :attr:`SmartCell.state` read goes
+    through them, keeping inspection exact while the per-cell registers go
+    stale.
     """
 
-    def __init__(self, owner, vec, absorbed, cells: Optional[list] = None):
+    def __init__(self, owner: "SmartArray", absorbed):
         self.owner = owner
-        self.vec = vec
+        self.vec = owner.vec
         self._absorbed = list(absorbed)
-        self.n_cells = vec.n
+        self.n_cells = owner.n_cells
         self._dirty = True
         owner._vec_executor = self
-        if cells is not None:
-            owner._seed_vectors(vec, cells)
-            for i, cell in enumerate(cells):
-                cell._vec = (self, i)
 
     @property
     def absorbed(self):
@@ -154,19 +223,18 @@ class SmartArrayExecutor:
         if not self._dirty:
             return False
         self._dirty = False
-        guard = self.owner._guard
-        if guard is not None:
-            guard.pre_fold()
-        self.owner._fold_vector(self.vec)
+        o = self.owner
+        if o._guard is not None:
+            o._guard.pre_fold()
+        o.spec.fold(o, self.vec)
         return True
 
     def edge(self) -> bool:
         o = self.owner
-        if o.cmd._value == o.NOP_CMD:
+        cmd = o.cmd._value
+        if cmd == o.NOP_CMD:
             return False
-        o._apply_raw(self.vec)
-        if o._guard is not None:
-            o._guard.after_apply()
+        o._apply_command(cmd, _RAW)
         self._dirty = True
         return True
 
@@ -176,9 +244,6 @@ class SmartArrayExecutor:
     def on_reset(self) -> None:
         self.vec.clear()
         self._dirty = True
-
-    def state_of(self, i: int) -> object:
-        return self.vec.state_of(i)
 
 
 def _suppress_guard_lint(array: Component) -> None:
@@ -205,45 +270,137 @@ def _suppress_guard_lint(array: Component) -> None:
     )
 
 
-class VectorSmartArray(Component):
-    """All n cells as NumPy arrays; one seq process applies the command.
+class SmartArray(Component):
+    """What both array shapes share: ports, size checks, guard, inspection.
 
-    Subclasses provide ``NOP_CMD``, :meth:`_declare_ports`,
-    :meth:`_make_vectors`, :meth:`_fold_vector`, :meth:`_apply_ports` (the
-    interpreted step, reading command ports via ``.value``) and
-    :meth:`_apply_raw` (the executor step, reading settled ``._value``).
+    A concrete array class binds ``spec`` (a
+    :class:`~repro.smem.spec.UnitSpec`); :class:`VectorSmartArray` and
+    :class:`StructuralSmartArray` add the column itself.
     """
 
     NOP_CMD: int = 0
+    spec: UnitSpec
+    #: the per-cell components (structural arrays only)
+    cells: list[SmartCell]
 
     def __init__(self, name: str, n_cells: int, word_bits: int = 32,
                  parent: Optional[Component] = None):
         super().__init__(name, parent)
         if n_cells < 1:
             raise ValueError("cell array needs at least one cell")
-        self._validate(n_cells)
+        if word_bits > LANE_LIMIT_BITS:
+            raise ValueError(
+                f"{self.path}: word_bits={word_bits} exceeds the "
+                f"{LANE_LIMIT_BITS}-bit lane limit of smart-memory arrays"
+            )
+        if self.spec.check_size is not None:
+            self.spec.check_size(n_cells)
         self.n_cells = n_cells
         self.word_bits = word_bits
+        self.mask = (1 << word_bits) - 1
         #: optional repro.faults.ArrayGuard (see attach_guard)
         self._guard = None
         self._guard_procs: list = []
         #: set by SmartArrayExecutor when the compiled backend owns the column
-        self._vec_executor: Optional["SmartArrayExecutor"] = None
-        self._declare_ports()
-        self.vec = self._make_vectors(n_cells)
+        self._vec_executor: Optional[SmartArrayExecutor] = None
+        #: the NumPy column (a structural array gets one once vectorized)
+        self.vec: Optional[StateVectors] = None
+        self.tree = TreeNetwork(n_cells)
+        # command side (driven by the controller), then the fold outputs
+        self.cmd = self.signal("cmd", 8, self.spec.cmd(self.NOP_CMD))
+        for port, width in self.spec.buses + self.spec.outputs:
+            setattr(self, port, self.signal(
+                port, word_bits if width == WORD else width, 0))
+        self._buses = tuple(getattr(self, port) for port, _ in self.spec.buses)
+
+    def _make_vectors(self) -> StateVectors:
+        return StateVectors(self.spec.state, self.n_cells, self.word_bits)
+
+    def _apply_command(self, cmd: int, read: Callable[[Signal], Any]) -> None:
+        """Apply one real command to ``vec``, reading the buses via ``read``."""
+        self.spec.step(self.vec, cmd, *map(read, self._buses))
+        if self._guard is not None:
+            self._guard.after_apply()
+
+    # -- state-fault guard hookup ---------------------------------------------------
+
+    def attach_guard(self, guard: Any) -> None:
+        """Wire a :class:`repro.faults.ArrayGuard` onto this column.
+
+        The guard's injection (``after_apply``) rides the command apply;
+        its detection (``pre_fold``) gets a dedicated comb process woken by
+        the guard's event register, so deferred upsets apply even when the
+        triggering command changed no other signal.  Both hooks are
+        absorbed by the compiled executor, which calls them directly.
+        """
+        if self._guard is not None:
+            raise RuntimeError(f"{self.path} already has a state guard")
+        self._guard = guard
+        guard.bind_evt(self.reg("guard_evt", 1, 0))
+
+        @self.comb
+        def _guard_fold() -> None:
+            guard.pre_fold()
+
+        self._guard_procs.append(_guard_fold)
+        _suppress_guard_lint(self)
+
+    # -- inspection / checkpointing -------------------------------------------------
+
+    def state_at(self, i: int) -> object:
+        """One cell's committed state (the executor shares ``self.vec``)."""
+        if self.vec is not None:
+            return self.vec.state_of(i)
+        return self.cells[i]._state.value
+
+    def states(self) -> list:
+        """Snapshot as per-cell state objects (equivalence tests)."""
+        return [self.state_at(i) for i in range(self.n_cells)]
+
+    def load_states(self, states: list) -> None:
+        """Overwrite the whole column's state (checkpoint restore)."""
+        if len(states) != self.n_cells:
+            raise ValueError(
+                f"expected {self.n_cells} states, got {len(states)}"
+            )
+        if self.vec is None:
+            for cell, s in zip(self.cells, states):
+                cell._state.force(s)
+            return
+        self.vec.load(states)
+        if self._vec_executor is not None:
+            self._vec_executor._dirty = True
+
+    def poke_state(self, i: int, state: object) -> None:
+        """Replace one cell's state in place (uncorrectable-upset payload)."""
+        states = self.states()
+        states[i] = state
+        self.load_states(states)
+
+    if TYPE_CHECKING:
+        def __getattr__(self, port: str) -> Signal: ...  # the spec's ports
+
+
+class VectorSmartArray(SmartArray):
+    """All n cells as NumPy arrays; one seq process applies the command."""
+
+    def __init__(self, name: str, n_cells: int, word_bits: int = 32,
+                 parent: Optional[Component] = None):
+        super().__init__(name, n_cells, word_bits, parent)
+        self.vec = self._make_vectors()
 
         # always=True: this process reads the NumPy cell-state arrays, which
         # the scheduler's Signal read-tracking cannot see; it must re-run on
         # every settle iteration (the arrays change at each applied command).
         @self.comb(always=True)
         def _tree_outputs() -> None:
-            self._fold_vector(self.vec)
+            self.spec.fold(self, self.vec)
 
         @self.seq
         def _apply() -> None:
-            self._apply_ports(self.vec)
-            if self._guard is not None and self.cmd.value != self.NOP_CMD:
-                self._guard.after_apply()
+            cmd = self.cmd.value
+            if cmd != self.NOP_CMD:
+                self._apply_command(cmd, _TRACKED)
 
         self._tree_fn = _tree_outputs
         self._apply_fn = _apply
@@ -262,88 +419,12 @@ class VectorSmartArray(Component):
             self.vec.clear()
 
     def __compile_vector__(self) -> SmartArrayExecutor:
-        return self._make_executor()
-
-    # -- subclass obligations -------------------------------------------------------
-
-    def _validate(self, n_cells: int) -> None:
-        """Extra size constraints (e.g. ξ-sort's sentinel bound)."""
-
-    def _declare_ports(self) -> None:
-        raise NotImplementedError
-
-    def _make_vectors(self, n_cells: int) -> object:
-        raise NotImplementedError
-
-    def _fold_vector(self, vec) -> None:
-        raise NotImplementedError
-
-    def _apply_ports(self, vec) -> None:
-        raise NotImplementedError
-
-    def _apply_raw(self, vec) -> None:
-        raise NotImplementedError
-
-    def _make_executor(self) -> SmartArrayExecutor:
         return SmartArrayExecutor(
-            self, self.vec, [self._tree_fn, self._apply_fn] + self._guard_procs
+            self, [self._tree_fn, self._apply_fn] + self._guard_procs
         )
 
-    def _seed_vectors(self, vec, cells) -> None:
-        raise NotImplementedError
 
-    # -- state-fault guard hookup ---------------------------------------------------
-
-    def attach_guard(self, guard) -> None:
-        """Wire a :class:`repro.faults.ArrayGuard` onto this column.
-
-        The guard's injection (``after_apply``) rides the existing apply
-        process; its detection (``pre_fold``) gets a dedicated comb process
-        woken by the guard's event register, so deferred upsets apply even
-        when the triggering command changed no other signal.  Both hooks are
-        absorbed by the compiled executor, which calls them directly.
-        """
-        if self._guard is not None:
-            raise RuntimeError(f"{self.path} already has a state guard")
-        self._guard = guard
-        guard.bind_evt(self.reg("guard_evt", 1, 0))
-
-        @self.comb
-        def _guard_fold() -> None:
-            guard.pre_fold()
-
-        self._guard_procs.append(_guard_fold)
-        _suppress_guard_lint(self)
-
-    # -- inspection / checkpointing -------------------------------------------------
-
-    def states(self) -> list:
-        """Snapshot as per-cell state objects (equivalence tests)."""
-        return self.vec.states()
-
-    def state_at(self, i: int):
-        """One cell's committed state (the executor shares ``self.vec``)."""
-        return self.vec.state_of(i)
-
-    def load_states(self, states: list) -> None:
-        """Overwrite the whole column's state (checkpoint restore)."""
-        if len(states) != self.n_cells:
-            raise ValueError(
-                f"expected {self.n_cells} states, got {len(states)}"
-            )
-        fakes = [SimpleNamespace(_state=SimpleNamespace(value=s)) for s in states]
-        self._seed_vectors(self.vec, fakes)
-        if self._vec_executor is not None:
-            self._vec_executor._dirty = True
-
-    def poke_state(self, i: int, state) -> None:
-        """Replace one cell's state in place (uncorrectable-upset payload)."""
-        states = self.states()
-        states[i] = state
-        self.load_states(states)
-
-
-class StructuralSmartArray(Component):
+class StructuralSmartArray(SmartArray):
     """One :class:`SmartCell` component per element plus a structural fold.
 
     Cycle-for-cycle equivalent to the matching :class:`VectorSmartArray`;
@@ -351,84 +432,53 @@ class StructuralSmartArray(Component):
     simulations.  Under the compiled backend the whole column collapses
     into a :class:`SmartArrayExecutor` — same observable behaviour,
     array-speed execution.
-
-    Subclasses provide ``NOP_CMD``, ``CELL_CLASS``, ``CELL_WIRES`` (the
-    command-bus attribute names wired onto every cell),
-    :meth:`_declare_ports`, :meth:`_fold_cells` plus the vector-side
-    methods the executor needs (``_make_vectors``, ``_fold_vector``,
-    ``_apply_raw``, ``_seed_vectors``).
     """
-
-    NOP_CMD: int = 0
-    CELL_CLASS: type = SmartCell
-    CELL_WIRES: tuple[str, ...] = ("cmd", "broadcast")
 
     def __init__(self, name: str, n_cells: int, word_bits: int = 32,
                  parent: Optional[Component] = None):
-        super().__init__(name, parent)
-        if n_cells < 1:
-            raise ValueError("cell array needs at least one cell")
-        self._validate(n_cells)
-        self.n_cells = n_cells
-        self.word_bits = word_bits
-        #: optional repro.faults.ArrayGuard (see attach_guard)
-        self._guard = None
-        self._guard_procs: list = []
-        #: set by SmartArrayExecutor when the compiled backend owns the column
-        self._vec_executor: Optional["SmartArrayExecutor"] = None
-        self._declare_ports()
+        super().__init__(name, n_cells, word_bits, parent)
         self.cells: list[SmartCell] = self._make_cells()
 
         @self.comb
         def _tree_outputs() -> None:
-            self._fold_cells(self.cells)
+            self.spec.cell_fold(self, self.states())
 
         self._tree_fn = _tree_outputs
 
     def _make_cells(self) -> list[SmartCell]:
+        wires = ("cmd",) + tuple(port for port, _ in self.spec.buses)
         cells: list[SmartCell] = []
         prev: Optional[SmartCell] = None
         for i in range(self.n_cells):
-            cell = self.CELL_CLASS(f"cell{i}", self.word_bits, parent=self)
-            for wire in self.CELL_WIRES:
+            cell = SmartCell(f"cell{i}", self.word_bits, parent=self)
+            for wire in wires:
                 setattr(cell, wire, getattr(self, wire))
             cell.prev_cell = prev
             cell.is_first = i == 0
             cell.index = i
-            cell.array = self
             cells.append(cell)
             prev = cell
         return cells
 
     def __compile_vector__(self) -> SmartArrayExecutor:
-        return self._make_executor()
-
-    def _make_executor(self) -> SmartArrayExecutor:
+        # seed from the live per-cell registers, then redirect every read
+        vec = self._make_vectors()
+        vec.load([c._state.value for c in self.cells])
+        self.vec = vec
         absorbed = (
             [self._tree_fn] + [c._tick_fn for c in self.cells] + self._guard_procs
         )
-        return SmartArrayExecutor(
-            self, self._make_vectors(self.n_cells), absorbed, cells=self.cells
-        )
+        return SmartArrayExecutor(self, absorbed)
 
-    # -- state-fault guard hookup ---------------------------------------------------
-
-    def attach_guard(self, guard) -> None:
-        """Wire a :class:`repro.faults.ArrayGuard` onto this column.
+    def attach_guard(self, guard: Any) -> None:
+        """Wire a guard; see :meth:`SmartArray.attach_guard`.
 
         The structural base has no array-level apply process, so the guard
-        gets its own seq process counting applied commands, plus the comb
-        detection process and a wheel veto mirroring the vector base's hook
-        (skipped stretches are all-NOP, where neither process does work).
+        also gets its own seq process counting applied commands, plus a
+        wheel veto mirroring the vector base's hook (skipped stretches are
+        all-NOP, where neither process does work).
         """
-        if self._guard is not None:
-            raise RuntimeError(f"{self.path} already has a state guard")
-        self._guard = guard
-        guard.bind_evt(self.reg("guard_evt", 1, 0))
-
-        @self.comb
-        def _guard_fold() -> None:
-            guard.pre_fold()
+        super().attach_guard(guard)
 
         @self.seq
         def _guard_apply() -> None:
@@ -439,56 +489,4 @@ class StructuralSmartArray(Component):
             lambda: 0 if self.cmd.value != self.NOP_CMD else None,
             lambda n: None,
         )
-        self._guard_procs.extend([_guard_fold, _guard_apply])
-        _suppress_guard_lint(self)
-
-    # -- subclass obligations -------------------------------------------------------
-
-    def _validate(self, n_cells: int) -> None:
-        """Extra size constraints (none by default)."""
-
-    def _declare_ports(self) -> None:
-        raise NotImplementedError
-
-    def _fold_cells(self, cells) -> None:
-        raise NotImplementedError
-
-    def _make_vectors(self, n_cells: int) -> object:
-        raise NotImplementedError
-
-    def _fold_vector(self, vec) -> None:
-        raise NotImplementedError
-
-    def _apply_raw(self, vec) -> None:
-        raise NotImplementedError
-
-    def _seed_vectors(self, vec, cells) -> None:
-        raise NotImplementedError
-
-    def states(self) -> list:
-        return [c.state for c in self.cells]
-
-    def state_at(self, i: int):
-        return self.cells[i].state
-
-    def load_states(self, states: list) -> None:
-        """Overwrite the whole column's state (checkpoint restore)."""
-        if len(states) != self.n_cells:
-            raise ValueError(
-                f"expected {self.n_cells} states, got {len(states)}"
-            )
-        if self._vec_executor is not None:
-            fakes = [
-                SimpleNamespace(_state=SimpleNamespace(value=s)) for s in states
-            ]
-            self._seed_vectors(self._vec_executor.vec, fakes)
-            self._vec_executor._dirty = True
-        else:
-            for cell, s in zip(self.cells, states):
-                cell._state.force(s)
-
-    def poke_state(self, i: int, state) -> None:
-        """Replace one cell's state in place (uncorrectable-upset payload)."""
-        states = self.states()
-        states[i] = state
-        self.load_states(states)
+        self._guard_procs.append(_guard_apply)

@@ -8,20 +8,17 @@ ALU and the output staging registers — and returns to Idle on the
 program's ``done`` word, asserting ``completed`` for the adapter.
 
 The FSM, the ROM flattening, the ALU and the controller-local atoms are
-machine-independent; a concrete smart-memory unit subclasses
-:class:`MicroController` with its microcode dict and (optionally)
-overrides:
+machine-independent, and so is the array side: the controller drives the
+``cmd`` port plus every command bus the array's spec declares — each bus
+from the :class:`~repro.smem.microcode.MicroInstr` field of the same name
+— and reads fold-output atoms through one dict of port signals built from
+the spec's atom table.
 
-* :meth:`_read_port_atom` — map array-specific atoms onto the fold-tree
-  output ports (the default knows none);
-* :meth:`_drive_command` / :meth:`_drive_idle` — drive extra command
-  buses beyond ``cmd``/``broadcast`` (e.g. ξ-sort's load buses).
-
-Overrides must stay within the closure rules of
-:mod:`repro.analysis.lint.astpass` (tracked Signal reads, resolvable
-bound-method calls) so the compiled backend can value-guard the two
-controller processes — the kit's cores compile with zero interpreted
-fallbacks, and the conformance suite holds implementers to that.
+That dict (and the bus dict) keep both controller processes within the
+closure rules of :mod:`repro.analysis.lint.astpass` — a dynamic subscript
+over a dict of signals resolves to every signal in it — so the compiled
+backend can value-guard them: the kit's cores compile with zero
+interpreted fallbacks, and the conformance suite holds every unit to that.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ class MicroController(Component):
     def __init__(
         self,
         name: str,
-        array,  # a VectorSmartArray | StructuralSmartArray implementer
+        array,  # a spec-derived VectorSmartArray | StructuralSmartArray
         microcode: dict[int, tuple[MicroInstr, ...]],
         word_bits: int = 32,
         parent: Optional[Component] = None,
@@ -58,6 +55,16 @@ class MicroController(Component):
         self.array = array
         self.word_bits = word_bits
         self._mask = (1 << word_bits) - 1
+        spec = array.spec
+        #: MicroInstr field name → the command bus it drives
+        self._buses = {port: getattr(array, port) for port, _ in spec.buses}
+        #: atom kind → fold-output port, and → (hi, lo) ports read packed
+        self._atom_ports = {kind: getattr(array, port)
+                            for kind, port in spec.atoms.items()
+                            if isinstance(port, str)}
+        self._atom_pairs = {kind: (getattr(array, port[0]), getattr(array, port[1]))
+                            for kind, port in spec.atoms.items()
+                            if not isinstance(port, str)}
 
         # flatten the microcode ROM: variety → (base, length)
         image: list[MicroInstr] = []
@@ -94,13 +101,20 @@ class MicroController(Component):
 
         @self.comb
         def _drive() -> None:
+            # Run drives the word's command and bus atoms; Idle parks the
+            # array on NOP with zeroed buses — the same ports either way
             done = 0
             if self.running.value:
                 uinstr: MicroInstr = self.rom.read(self._pc.value)
-                self._drive_command(uinstr)
+                self.array.cmd.set(int(uinstr.cell_cmd))
+                for field_name, bus in self._buses.items():
+                    atom = getattr(uinstr, field_name)
+                    bus.set(0 if atom is None else self._read_atom(atom))
                 done = 1 if uinstr.done else 0
             else:
-                self._drive_idle()
+                self.array.cmd.set(int(self.array.NOP_CMD))
+                for bus in self._buses.values():
+                    bus.set(0)
             self._done_now.set(done)
             self.completed.set(done)
 
@@ -154,26 +168,6 @@ class MicroController(Component):
         spans.append((-1, self._invalid_entry, (self.rom.read(self._invalid_entry),)))
         return spans
 
-    # -- array bus driving --------------------------------------------------------
-
-    def _drive_command(self, uinstr: MicroInstr) -> None:
-        """Drive the array buses for one Run-state word.
-
-        The default drives ``cmd`` and ``broadcast``; arrays with more
-        command buses override (and :meth:`_drive_idle` with it — both
-        must set the same port set every evaluation).
-        """
-        self.array.cmd.set(int(uinstr.cell_cmd))
-        broadcast = 0
-        if uinstr.broadcast is not None:
-            broadcast = self._read_atom(uinstr.broadcast)
-        self.array.broadcast.set(broadcast)
-
-    def _drive_idle(self) -> None:
-        """Park the array buses while Idle (NOP, zeroed broadcasts)."""
-        self.array.cmd.set(int(self.array.NOP_CMD))
-        self.array.broadcast.set(0)
-
     # -- atom / ALU evaluation ---------------------------------------------------------
 
     def _read_atom(self, atom: Atom) -> int:
@@ -186,11 +180,18 @@ class MicroController(Component):
             return self._temps[atom[1]].value
         if kind == "imm":
             return atom[1]
-        return self._read_port_atom(atom)
-
-    def _read_port_atom(self, atom: Atom) -> int:
-        """Array-defined atoms (fold-tree outputs); the kit knows none."""
-        raise ValueError(f"unknown atom {atom!r}")
+        # only subscripted `.value` reads of the dicts: a membership test or
+        # a bound local would load a dict as a hidden guard input, polled on
+        # every compiled edge
+        try:
+            return self._atom_ports[kind].value
+        except KeyError:
+            pass
+        try:
+            return pack_halves(self._atom_pairs[kind][0].value,
+                               self._atom_pairs[kind][1].value)
+        except KeyError:
+            raise ValueError(f"unknown atom {atom!r}") from None
 
     def _alu(self, op: str, x_atom: Atom, y_atom: Atom) -> int:
         x = self._read_atom(x_atom)

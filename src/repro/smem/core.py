@@ -14,9 +14,13 @@ benchmarks measure each machine in isolation.
 
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Literal, Optional
 
 from ..hdl import Component, Simulator
+from .controller import MicroController
+
+if TYPE_CHECKING:
+    from .spec import UnitSpec
 
 ArrayKind = Literal["vector", "structural"]
 
@@ -24,14 +28,13 @@ ArrayKind = Literal["vector", "structural"]
 class SmartMemoryCore(Component):
     """Controller + cell array, ready to adapt into the framework.
 
-    Subclasses set ``vector_array_class``, ``structural_array_class`` and
-    ``controller_class`` (a :class:`~repro.smem.controller.MicroController`
-    subclass taking ``(name, array, word_bits, parent)``).
+    A concrete core binds ``spec`` (a :class:`~repro.smem.spec.UnitSpec`,
+    which derives one as ``spec.core``): the array is the spec's vector or
+    structural class, the controller a
+    :class:`~repro.smem.controller.MicroController` over the spec's ROM.
     """
 
-    vector_array_class: Optional[type] = None
-    structural_array_class: Optional[type] = None
-    controller_class: Optional[type] = None
+    spec: UnitSpec
 
     def __init__(
         self,
@@ -45,12 +48,15 @@ class SmartMemoryCore(Component):
         self.n_cells = n_cells
         self.word_bits = word_bits
         if array_kind == "vector":
-            self.array = self.vector_array_class("cells", n_cells, word_bits, parent=self)
+            array_class = self.spec.vector_array
         elif array_kind == "structural":
-            self.array = self.structural_array_class("cells", n_cells, word_bits, parent=self)
+            array_class = self.spec.structural_array
         else:
             raise ValueError(f"unknown array kind {array_kind!r}")
-        self.controller = self.controller_class("ctrl", self.array, word_bits, parent=self)
+        self.array = array_class("cells", n_cells, word_bits, parent=self)
+        self.controller = MicroController(
+            "ctrl", self.array, self.spec.rom(n_cells), word_bits, parent=self
+        )
 
     # convenient aliases to the controller interface
     @property
@@ -83,11 +89,11 @@ class DirectMachine:
 
     Used by unit tests and by the benchmarks that isolate a machine's
     fixed-cycle behaviour from message/pipeline overhead.  Subclasses set
-    ``core_class``/``core_name`` and layer their high-level operations on
+    ``spec``/``core_name`` and layer their high-level operations on
     :meth:`op`.
     """
 
-    core_class: Optional[type] = None
+    spec: Optional[UnitSpec] = None
     core_name: str = "smemcore"
 
     def __init__(
@@ -98,8 +104,10 @@ class DirectMachine:
         backend: str = "event",
         wheel: bool = True,
     ):
-        self.core = self.core_class(self.core_name, n_cells, word_bits,
-                                    array_kind=array_kind)
+        if self.spec is None:
+            raise TypeError(f"{type(self).__name__} binds no unit spec")
+        self.core = self.spec.core(self.core_name, n_cells, word_bits,
+                                   array_kind=array_kind)
         self.sim = Simulator(self.core, wheel=wheel, backend=backend)
         self.sim.reset()
 

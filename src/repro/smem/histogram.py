@@ -13,23 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..hdl import Component
-from .adapter import SmartMemoryUnit
-from .array import SmartCell, StructuralSmartArray, VectorSmartArray, lane_dtype
-from .controller import MicroController
-from .core import ArrayKind, DirectMachine, SmartMemoryCore
+from .array import SmartArray, SmartCell, StateVectors
+from .core import DirectMachine
 from .microcode import OP_A, AluOp, MicroInstr, imm, t_
-from .tree import TreeNetwork
+from .spec import WORD, UnitSpec
 
 __all__ = [
-    "HistCmd", "HistCellState", "HistVectors", "HistCell",
-    "VectorHistArray", "StructuralHistArray", "HistController",
+    "HistCmd", "HistCellState", "HIST",
+    "VectorHistArray", "StructuralHistArray",
     "HistCore", "DirectHistMachine", "HistUnit", "hist_factory",
-    "build_hist_microcode", "hist_write_profile",
+    "build_hist_microcode",
     "H_RESET", "H_INC", "H_SAMPLE", "H_READ", "H_TOTAL", "H_PEAK", "H_NNZ",
     "H_FLAG_VALID",
 ]
@@ -52,148 +49,62 @@ class HistCellState:
     selected: bool = False
 
 
-class HistVectors:
-    """The parallel state arrays of an n-bin histogram column."""
-
-    __slots__ = ("n", "dtype", "count", "sel", "pos")
-
-    def __init__(self, n: int, word_bits: int = 64):
-        self.n = n
-        self.dtype = lane_dtype(word_bits)
-        self.pos = np.arange(n, dtype=np.uint32)
-        self.clear()
-
-    def clear(self) -> None:
-        self.count = np.zeros(self.n, dtype=self.dtype)
-        self.sel = np.zeros(self.n, dtype=bool)
-
-    def state_of(self, i: int) -> HistCellState:
-        return HistCellState(count=int(self.count[i]), selected=bool(self.sel[i]))
-
-    def states(self) -> list[HistCellState]:
-        return [self.state_of(i) for i in range(self.n)]
-
-
-def apply_hist_command(vec: HistVectors, cmd: HistCmd, broadcast: int,
-                       mask: int) -> None:
+def _step(vec: StateVectors, cmd: int, broadcast: int) -> None:
     """One broadcast command applied to all bins (vectorised cell step)."""
-    if cmd == HistCmd.NOP:
-        return
     if cmd == HistCmd.CLEAR:
         vec.clear()
     elif cmd == HistCmd.INC_AT:
-        hit = vec.pos == np.uint32(broadcast)
-        vec.count = np.where(hit, (vec.count + 1) & mask, vec.count)
+        vec.count = np.where(vec.at(broadcast), (vec.count + 1) & vec.mask,
+                             vec.count)
     elif cmd == HistCmd.SELECT_INDEX:
-        vec.sel = vec.pos == np.uint32(broadcast)
-    else:  # pragma: no cover - enum exhaustive
+        vec.selected = vec.at(broadcast)
+    else:
         raise ValueError(f"unknown hist command {cmd!r}")
 
 
-class HistCell(SmartCell):
-    """Structural bin cell: the per-cell view of :func:`apply_hist_command`."""
-
-    def _reset_state(self) -> HistCellState:
-        return HistCellState()
-
-    def _next_state(self) -> HistCellState:
-        st = self._state.value
-        cmd = HistCmd(self.cmd.value)
-        if cmd == HistCmd.NOP:
+def _cell_step(cell: SmartCell, st: HistCellState, cmd: int) -> HistCellState:
+    """Structural bin cell: the per-cell view of :func:`_step`."""
+    b = cell.broadcast.value
+    if cmd == HistCmd.CLEAR:
+        return HistCellState() if st != HistCellState() else st
+    if cmd == HistCmd.INC_AT:
+        if cell.index != b:
             return st
-        b = self.broadcast.value
-        if cmd == HistCmd.CLEAR:
-            return HistCellState() if st != HistCellState() else st
-        if cmd == HistCmd.INC_AT:
-            if self.index != b:
-                return st
-            mask = (1 << self.word_bits) - 1
-            return replace(st, count=(st.count + 1) & mask)
-        if cmd == HistCmd.SELECT_INDEX:
-            sel = self.index == b
-            return replace(st, selected=sel) if sel != st.selected else st
-        raise ValueError(f"unknown hist command {cmd!r}")
+        return replace(st, count=(st.count + 1) & cell.array.mask)
+    if cmd == HistCmd.SELECT_INDEX:
+        sel = cell.index == b
+        return replace(st, selected=sel) if sel != st.selected else st
+    raise ValueError(f"unknown hist command {cmd!r}")
 
 
-class _HistArrayMixin:
-    """The histogram-specific kit hooks, shared by both array shapes."""
-
-    NOP_CMD = int(HistCmd.NOP)
-
-    def _declare_ports(self) -> None:
-        self.tree = TreeNetwork(self.n_cells)
-        self._mask = (1 << self.word_bits) - 1
-        # command side (driven by the controller)
-        self.cmd = self.signal("cmd", 8, HistCmd.NOP)
-        self.broadcast = self.signal("broadcast", self.word_bits, 0)
-        # fold-tree outputs
-        self.total = self.signal("total", self.word_bits, 0)
-        self.peak_index = self.signal("peak_index", 32, 0)
-        self.peak_count = self.signal("peak_count", self.word_bits, 0)
-        self.nonzero = self.signal("nonzero", 32, 0)
-        self.nonempty = self.signal("nonempty", 1, 0)
-        self.sel_found = self.signal("sel_found", 1, 0)
-        self.sel_value = self.signal("sel_value", self.word_bits, 0)
-
-    def _make_vectors(self, n_cells: int) -> HistVectors:
-        return HistVectors(n_cells, self.word_bits)
-
-    def _fold_vector(self, vec: HistVectors) -> None:
-        counts = vec.count
-        total = int(np.sum(counts, dtype=np.uint64)) & self._mask
-        self.total.set(total)
-        # np.argmax is the leftmost maximum — the tree's tie-break order
-        peak = int(np.argmax(counts))
-        self.peak_index.set(peak)
-        self.peak_count.set(int(counts[peak]))
-        self.nonzero.set(int(np.count_nonzero(counts)))
-        self.nonempty.set(1 if total else 0)
-        left = self.tree.leftmost(vec.sel)
-        self.sel_found.set(1 if left is not None else 0)
-        self.sel_value.set(int(counts[left]) if left is not None else 0)
-
-    def _apply_raw(self, vec: HistVectors) -> None:
-        apply_hist_command(
-            vec, HistCmd(self.cmd._value), self.broadcast._value, self._mask
-        )
-
-    def _seed_vectors(self, vec: HistVectors, cells: list) -> None:
-        for i, cell in enumerate(cells):
-            st = cell._state.value
-            vec.count[i] = st.count
-            vec.sel[i] = st.selected
+def _fold(arr: SmartArray, vec: StateVectors) -> None:
+    counts = vec.count
+    total = int(np.sum(counts, dtype=np.uint64)) & vec.mask
+    arr.total.set(total)
+    # np.argmax is the leftmost maximum — the tree's tie-break order
+    peak = int(np.argmax(counts))
+    arr.peak_index.set(peak)
+    arr.peak_count.set(int(counts[peak]))
+    arr.nonzero.set(int(np.count_nonzero(counts)))
+    arr.nonempty.set(1 if total else 0)
+    left = arr.tree.leftmost(vec.selected)
+    arr.sel_found.set(1 if left is not None else 0)
+    arr.sel_value.set(int(counts[left]) if left is not None else 0)
 
 
-class VectorHistArray(_HistArrayMixin, VectorSmartArray):
-    """All n bins as NumPy arrays; one seq process per command."""
-
-    def _apply_ports(self, vec: HistVectors) -> None:
-        apply_hist_command(
-            vec, HistCmd(self.cmd.value), self.broadcast.value, self._mask
-        )
-
-
-class StructuralHistArray(_HistArrayMixin, StructuralSmartArray):
-    """One :class:`HistCell` per bin — the equivalence oracle."""
-
-    CELL_CLASS = HistCell
-    CELL_WIRES = ("cmd", "broadcast")
-
-    def _fold_cells(self, cells: list[HistCell]) -> None:
-        states = [c.state for c in cells]
-        counts = [s.count for s in states]
-        mask = (1 << self.word_bits) - 1
-        total = sum(counts) & mask
-        self.total.set(total)
-        peak_count = max(counts)
-        peak = counts.index(peak_count)
-        self.peak_index.set(peak)
-        self.peak_count.set(peak_count)
-        self.nonzero.set(sum(1 for c in counts if c))
-        self.nonempty.set(1 if total else 0)
-        left = next((i for i, s in enumerate(states) if s.selected), None)
-        self.sel_found.set(1 if left is not None else 0)
-        self.sel_value.set(states[left].count if left is not None else 0)
+def _cell_fold(arr: SmartArray, states: list[HistCellState]) -> None:
+    counts = [s.count for s in states]
+    total = sum(counts) & arr.mask
+    arr.total.set(total)
+    peak_count = max(counts)
+    peak = counts.index(peak_count)
+    arr.peak_index.set(peak)
+    arr.peak_count.set(peak_count)
+    arr.nonzero.set(sum(1 for c in counts if c))
+    arr.nonempty.set(1 if total else 0)
+    left = next((i for i, s in enumerate(states) if s.selected), None)
+    arr.sel_found.set(1 if left is not None else 0)
+    arr.sel_value.set(states[left].count if left is not None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,58 +166,35 @@ def build_hist_microcode(n_bins: int) -> dict[int, tuple[MicroInstr, ...]]:
     }
 
 
-def hist_write_profile(variety: int) -> tuple[bool, bool, bool]:
-    """Which destinations each histogram instruction writes (decoder table)."""
-    if variety == H_PEAK:
-        return True, True, True
-    if variety in (H_READ, H_TOTAL):
-        return True, False, True
-    if variety == H_NNZ:
-        return True, False, False
-    return False, False, False
+HIST = UnitSpec(
+    name="Hist",
+    cmd=HistCmd,
+    state=HistCellState,
+    buses=(("broadcast", WORD),),
+    outputs=(("total", WORD), ("peak_index", 32), ("peak_count", WORD),
+             ("nonzero", 32), ("nonempty", 1), ("sel_found", 1),
+             ("sel_value", WORD)),
+    atoms={name: name for name in ("total", "peak_index", "peak_count",
+                                   "nonzero", "nonempty", "sel_found",
+                                   "sel_value")},
+    microcode=build_hist_microcode,
+    step=_step,
+    fold=_fold,
+    cell_step=_cell_step,
+    cell_fold=_cell_fold,
+)
 
-
-class HistController(MicroController):
-    """The kit FSM bound to the per-size histogram ROM and fold atoms."""
-
-    def __init__(self, name: str, array, word_bits: int = 32,
-                 parent: Optional[Component] = None):
-        super().__init__(name, array, build_hist_microcode(array.n_cells),
-                         word_bits, parent)
-
-    def _read_port_atom(self, atom) -> int:
-        kind = atom[0]
-        if kind == "total":
-            return self.array.total.value
-        if kind == "peak_index":
-            return self.array.peak_index.value
-        if kind == "peak_count":
-            return self.array.peak_count.value
-        if kind == "nonzero":
-            return self.array.nonzero.value
-        if kind == "nonempty":
-            return self.array.nonempty.value
-        if kind == "sel_found":
-            return self.array.sel_found.value
-        if kind == "sel_value":
-            return self.array.sel_value.value
-        # no super() here: the astpass inliner cannot resolve super() calls,
-        # and this method is process-reachable via _read_atom.
-        raise ValueError(f"unknown atom {atom!r}")
-
-
-class HistCore(SmartMemoryCore):
-    """Histogram controller + bin array."""
-
-    vector_array_class = VectorHistArray
-    structural_array_class = StructuralHistArray
-    controller_class = HistController
+VectorHistArray = HIST.vector_array
+StructuralHistArray = HIST.structural_array
+HistCore = HIST.core
+HistUnit = HIST.unit
+hist_factory = HIST.factory
 
 
 class DirectHistMachine(DirectMachine):
     """Drives a bare histogram core cycle-accurately, without the RTM."""
 
-    core_class = HistCore
+    spec = HIST
     core_name = "histcore"
 
     def reset_bins(self) -> int:
@@ -337,21 +225,3 @@ class DirectHistMachine(DirectMachine):
 
     def nonzero_bins(self) -> int:
         return self.op(H_NNZ)["data1"]
-
-
-class HistUnit(SmartMemoryUnit):
-    """Histogram core wrapped in the framework's unit protocol."""
-
-    core_class = HistCore
-    write_profile = staticmethod(hist_write_profile)
-
-
-def hist_factory(
-    n_cells: int = 64, array_kind: ArrayKind = "vector"
-) -> Callable[..., HistUnit]:
-    """Unit-registry factory for a histogram unit of a given size."""
-
-    def make(name: str, word_bits: int, parent=None) -> HistUnit:
-        return HistUnit(name, word_bits, parent, n_cells=n_cells, array_kind=array_kind)
-
-    return make

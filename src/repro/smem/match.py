@@ -15,23 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from ..hdl import Component
-from .adapter import SmartMemoryUnit
-from .array import SmartCell, StructuralSmartArray, VectorSmartArray, lane_dtype
-from .controller import MicroController
-from .core import ArrayKind, DirectMachine, SmartMemoryCore
+from .array import SmartArray, SmartCell, StateVectors
+from .core import DirectMachine
 from .microcode import OP_A, MicroInstr
-from .tree import TreeNetwork
+from .spec import WORD, UnitSpec
 
 __all__ = [
-    "MatchCmd", "MatchCellState", "MatchVectors", "MatchCell",
-    "VectorMatchArray", "StructuralMatchArray", "MatchController",
+    "MatchCmd", "MatchCellState", "MATCH",
+    "VectorMatchArray", "StructuralMatchArray",
     "MatchCore", "DirectMatchMachine", "MatchUnit", "match_factory",
-    "MATCH_MICROCODE", "match_write_profile",
+    "MATCH_MICROCODE",
     "M_RESET", "M_PAT", "M_STEP", "M_COUNT", "M_LEN", "M_RESTART", "M_READ",
     "M_FLAG_MATCH", "M_FLAG_VALID",
 ]
@@ -59,194 +56,98 @@ class MatchCellState:
     selected: bool = False
 
 
-class MatchVectors:
-    """The parallel state arrays of an n-cell match column."""
-
-    __slots__ = ("n", "dtype", "pat", "occ", "alive", "hits", "sel", "pos")
-
-    def __init__(self, n: int, word_bits: int = 64):
-        self.n = n
-        self.dtype = lane_dtype(word_bits)
-        self.pos = np.arange(n, dtype=np.uint32)
-        self.clear()
-
-    def clear(self) -> None:
-        n = self.n
-        self.pat = np.zeros(n, dtype=self.dtype)
-        self.occ = np.zeros(n, dtype=bool)
-        self.alive = np.zeros(n, dtype=bool)
-        self.hits = np.zeros(n, dtype=self.dtype)
-        self.sel = np.zeros(n, dtype=bool)
-
-    def state_of(self, i: int) -> MatchCellState:
-        return MatchCellState(
-            pat=int(self.pat[i]),
-            occupied=bool(self.occ[i]),
-            alive=bool(self.alive[i]),
-            hits=int(self.hits[i]),
-            selected=bool(self.sel[i]),
-        )
-
-    def states(self) -> list[MatchCellState]:
-        return [self.state_of(i) for i in range(self.n)]
-
-
-def apply_match_command(vec: MatchVectors, cmd: MatchCmd, broadcast: int,
-                        mask: int) -> None:
+def _step(vec: StateVectors, cmd: int, broadcast: int) -> None:
     """One broadcast command applied to all cells (vectorised cell step)."""
-    if cmd == MatchCmd.NOP:
-        return
-    b = broadcast & mask
+    b = broadcast & vec.mask
     if cmd == MatchCmd.CLEAR:
         vec.clear()
     elif cmd == MatchCmd.APPEND_PAT:
-        k = int(np.count_nonzero(vec.occ))
+        k = int(np.count_nonzero(vec.occupied))
         if k < vec.n:
             vec.pat[k] = b
-            vec.occ[k] = True
+            vec.occupied[k] = True
         # the pattern changed: any in-flight partial match is void
         vec.alive = np.zeros(vec.n, dtype=bool)
     elif cmd == MatchCmd.STEP:
-        k = int(np.count_nonzero(vec.occ))
+        k = int(np.count_nonzero(vec.occupied))
         shifted = np.roll(vec.alive, 1)
         shifted[0] = True  # a match may start at this character
-        alive = vec.occ & (vec.pat == b) & shifted
+        alive = vec.occupied & (vec.pat == b) & shifted
         vec.alive = alive
         if k:
             # the last pattern cell counts completed matches
-            last = alive & (vec.pos == np.uint32(k - 1))
-            vec.hits = np.where(last, (vec.hits + 1) & mask, vec.hits)
+            last = alive & vec.at(k - 1)
+            vec.hits = np.where(last, (vec.hits + 1) & vec.mask, vec.hits)
     elif cmd == MatchCmd.RESTART:
         vec.alive = np.zeros(vec.n, dtype=bool)
         vec.hits = np.zeros(vec.n, dtype=vec.dtype)
-        vec.sel = np.zeros(vec.n, dtype=bool)
+        vec.selected = np.zeros(vec.n, dtype=bool)
     elif cmd == MatchCmd.SELECT_INDEX:
-        vec.sel = vec.occ & (vec.pos == np.uint32(b))
-    else:  # pragma: no cover - enum exhaustive
+        vec.selected = vec.occupied & vec.at(b)
+    else:
         raise ValueError(f"unknown match command {cmd!r}")
 
 
-class MatchCell(SmartCell):
-    """Structural match cell: the systolic view of :func:`apply_match_command`.
+def _cell_step(cell: SmartCell, st: MatchCellState, cmd: int) -> MatchCellState:
+    """Structural match cell: the systolic view of :func:`_step`.
 
     ``STEP`` reads the left neighbour's *committed* ``alive`` — exactly
     the one-register-deep systolic pipe the vector model expresses with
     ``np.roll`` — and the committed column occupancy for the last-cell
     hit counter.
     """
-
-    def _reset_state(self) -> MatchCellState:
-        return MatchCellState()
-
-    def _next_state(self) -> MatchCellState:
-        st = self._state.value
-        cmd = MatchCmd(self.cmd.value)
-        if cmd == MatchCmd.NOP:
-            return st
-        mask = (1 << self.word_bits) - 1
-        b = self.broadcast.value & mask
-        if cmd == MatchCmd.CLEAR:
-            return MatchCellState() if st != MatchCellState() else st
-        if cmd == MatchCmd.APPEND_PAT:
-            k = sum(1 for c in self.array.cells if c._state.value.occupied)
-            if self.index == k:
-                return replace(st, pat=b, occupied=True, alive=False)
-            if st.alive:
-                return replace(st, alive=False)
-            return st
-        if cmd == MatchCmd.STEP:
-            prev_alive = (
-                True if self.is_first
-                else self.prev_cell._state.value.alive
-            )
-            alive = st.occupied and st.pat == b and prev_alive
-            k = sum(1 for c in self.array.cells if c._state.value.occupied)
-            hits = st.hits
-            if alive and self.index == k - 1:
-                hits = (hits + 1) & mask
-            if alive == st.alive and hits == st.hits:
-                return st
-            return replace(st, alive=alive, hits=hits)
-        if cmd == MatchCmd.RESTART:
-            if not (st.alive or st.hits or st.selected):
-                return st
-            return replace(st, alive=False, hits=0, selected=False)
-        if cmd == MatchCmd.SELECT_INDEX:
-            sel = st.occupied and self.index == b
-            return replace(st, selected=sel) if sel != st.selected else st
-        raise ValueError(f"unknown match command {cmd!r}")
-
-
-class _MatchArrayMixin:
-    """The match-specific kit hooks, shared by both array shapes."""
-
-    NOP_CMD = int(MatchCmd.NOP)
-
-    def _declare_ports(self) -> None:
-        self.tree = TreeNetwork(self.n_cells)
-        self._mask = (1 << self.word_bits) - 1
-        # command side (driven by the controller)
-        self.cmd = self.signal("cmd", 8, MatchCmd.NOP)
-        self.broadcast = self.signal("broadcast", self.word_bits, 0)
-        # fold-tree outputs
-        self.pat_len = self.signal("pat_len", 32, 0)
-        self.match_now = self.signal("match_now", 1, 0)
-        self.hits_total = self.signal("hits_total", self.word_bits, 0)
-        self.sel_found = self.signal("sel_found", 1, 0)
-        self.sel_value = self.signal("sel_value", self.word_bits, 0)
-
-    def _make_vectors(self, n_cells: int) -> MatchVectors:
-        return MatchVectors(n_cells, self.word_bits)
-
-    def _fold_vector(self, vec: MatchVectors) -> None:
-        k = int(np.count_nonzero(vec.occ))
-        self.pat_len.set(k)
-        self.match_now.set(1 if k and bool(vec.alive[k - 1]) else 0)
-        self.hits_total.set(int(np.sum(vec.hits, dtype=np.uint64)) & self._mask)
-        left = self.tree.leftmost(vec.sel)
-        self.sel_found.set(1 if left is not None else 0)
-        self.sel_value.set(int(vec.pat[left]) if left is not None else 0)
-
-    def _apply_raw(self, vec: MatchVectors) -> None:
-        apply_match_command(
-            vec, MatchCmd(self.cmd._value), self.broadcast._value, self._mask
+    mask = cell.array.mask
+    b = cell.broadcast.value & mask
+    if cmd == MatchCmd.CLEAR:
+        return MatchCellState() if st != MatchCellState() else st
+    if cmd == MatchCmd.APPEND_PAT:
+        k = sum(1 for c in cell.array.cells if c._state.value.occupied)
+        if cell.index == k:
+            return replace(st, pat=b, occupied=True, alive=False)
+        if st.alive:
+            return replace(st, alive=False)
+        return st
+    if cmd == MatchCmd.STEP:
+        prev_alive = (
+            True if cell.is_first
+            else cell.prev_cell._state.value.alive
         )
-
-    def _seed_vectors(self, vec: MatchVectors, cells: list) -> None:
-        for i, cell in enumerate(cells):
-            st = cell._state.value
-            vec.pat[i] = st.pat
-            vec.occ[i] = st.occupied
-            vec.alive[i] = st.alive
-            vec.hits[i] = st.hits
-            vec.sel[i] = st.selected
-
-
-class VectorMatchArray(_MatchArrayMixin, VectorSmartArray):
-    """All n match cells as NumPy arrays; one seq process per command."""
-
-    def _apply_ports(self, vec: MatchVectors) -> None:
-        apply_match_command(
-            vec, MatchCmd(self.cmd.value), self.broadcast.value, self._mask
-        )
+        alive = st.occupied and st.pat == b and prev_alive
+        k = sum(1 for c in cell.array.cells if c._state.value.occupied)
+        hits = st.hits
+        if alive and cell.index == k - 1:
+            hits = (hits + 1) & mask
+        if alive == st.alive and hits == st.hits:
+            return st
+        return replace(st, alive=alive, hits=hits)
+    if cmd == MatchCmd.RESTART:
+        if not (st.alive or st.hits or st.selected):
+            return st
+        return replace(st, alive=False, hits=0, selected=False)
+    if cmd == MatchCmd.SELECT_INDEX:
+        sel = st.occupied and cell.index == b
+        return replace(st, selected=sel) if sel != st.selected else st
+    raise ValueError(f"unknown match command {cmd!r}")
 
 
-class StructuralMatchArray(_MatchArrayMixin, StructuralSmartArray):
-    """One :class:`MatchCell` per element — the equivalence oracle."""
+def _fold(arr: SmartArray, vec: StateVectors) -> None:
+    k = int(np.count_nonzero(vec.occupied))
+    arr.pat_len.set(k)
+    arr.match_now.set(1 if k and bool(vec.alive[k - 1]) else 0)
+    arr.hits_total.set(int(np.sum(vec.hits, dtype=np.uint64)) & vec.mask)
+    left = arr.tree.leftmost(vec.selected)
+    arr.sel_found.set(1 if left is not None else 0)
+    arr.sel_value.set(int(vec.pat[left]) if left is not None else 0)
 
-    CELL_CLASS = MatchCell
-    CELL_WIRES = ("cmd", "broadcast")
 
-    def _fold_cells(self, cells: list[MatchCell]) -> None:
-        states = [c.state for c in cells]
-        k = sum(1 for s in states if s.occupied)
-        self.pat_len.set(k)
-        self.match_now.set(1 if k and states[k - 1].alive else 0)
-        mask = (1 << self.word_bits) - 1
-        self.hits_total.set(sum(s.hits for s in states) & mask)
-        left = next((i for i, s in enumerate(states) if s.selected), None)
-        self.sel_found.set(1 if left is not None else 0)
-        self.sel_value.set(states[left].pat if left is not None else 0)
+def _cell_fold(arr: SmartArray, states: list[MatchCellState]) -> None:
+    k = sum(1 for s in states if s.occupied)
+    arr.pat_len.set(k)
+    arr.match_now.set(1 if k and states[k - 1].alive else 0)
+    arr.hits_total.set(sum(s.hits for s in states) & arr.mask)
+    left = next((i for i, s in enumerate(states) if s.selected), None)
+    arr.sel_found.set(1 if left is not None else 0)
+    arr.sel_value.set(states[left].pat if left is not None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,51 +194,33 @@ MATCH_MICROCODE: dict[int, tuple[MicroInstr, ...]] = {
 }
 
 
-def match_write_profile(variety: int) -> tuple[bool, bool, bool]:
-    """Which destinations each match instruction writes (decoder table)."""
-    if variety in (M_STEP, M_READ):
-        return True, False, True
-    if variety in (M_COUNT, M_LEN):
-        return True, False, False
-    return False, False, False
+MATCH = UnitSpec(
+    name="Match",
+    cmd=MatchCmd,
+    state=MatchCellState,
+    buses=(("broadcast", WORD),),
+    outputs=(("pat_len", 32), ("match_now", 1), ("hits_total", WORD),
+             ("sel_found", 1), ("sel_value", WORD)),
+    atoms={name: name for name in ("pat_len", "match_now", "hits_total",
+                                   "sel_found", "sel_value")},
+    microcode=MATCH_MICROCODE,
+    step=_step,
+    fold=_fold,
+    cell_step=_cell_step,
+    cell_fold=_cell_fold,
+)
 
-
-class MatchController(MicroController):
-    """The kit FSM bound to the match ROM and the match fold atoms."""
-
-    def __init__(self, name: str, array, word_bits: int = 32,
-                 parent: Optional[Component] = None):
-        super().__init__(name, array, MATCH_MICROCODE, word_bits, parent)
-
-    def _read_port_atom(self, atom) -> int:
-        kind = atom[0]
-        if kind == "pat_len":
-            return self.array.pat_len.value
-        if kind == "match_now":
-            return self.array.match_now.value
-        if kind == "hits_total":
-            return self.array.hits_total.value
-        if kind == "sel_found":
-            return self.array.sel_found.value
-        if kind == "sel_value":
-            return self.array.sel_value.value
-        # no super() here: the astpass inliner cannot resolve super() calls,
-        # and this method is process-reachable via _read_atom.
-        raise ValueError(f"unknown atom {atom!r}")
-
-
-class MatchCore(SmartMemoryCore):
-    """Match controller + pattern cell array."""
-
-    vector_array_class = VectorMatchArray
-    structural_array_class = StructuralMatchArray
-    controller_class = MatchController
+VectorMatchArray = MATCH.vector_array
+StructuralMatchArray = MATCH.structural_array
+MatchCore = MATCH.core
+MatchUnit = MATCH.unit
+match_factory = MATCH.factory
 
 
 class DirectMatchMachine(DirectMachine):
     """Drives a bare match core cycle-accurately, without the RTM."""
 
-    core_class = MatchCore
+    spec = MATCH
     core_name = "matchcore"
 
     def reset_machine(self) -> int:
@@ -375,21 +258,3 @@ class DirectMatchMachine(DirectMachine):
     def read_pattern_at(self, index: int) -> Optional[int]:
         out = self.op(M_READ, index)
         return out["data1"] if out["flags"] & M_FLAG_VALID else None
-
-
-class MatchUnit(SmartMemoryUnit):
-    """Match core wrapped in the framework's unit protocol."""
-
-    core_class = MatchCore
-    write_profile = staticmethod(match_write_profile)
-
-
-def match_factory(
-    n_cells: int = 64, array_kind: ArrayKind = "vector"
-) -> Callable[..., MatchUnit]:
-    """Unit-registry factory for a match unit of a given size."""
-
-    def make(name: str, word_bits: int, parent=None) -> MatchUnit:
-        return MatchUnit(name, word_bits, parent, n_cells=n_cells, array_kind=array_kind)
-
-    return make

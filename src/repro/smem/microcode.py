@@ -11,8 +11,8 @@ of the number of cells.
 
 Operand *atoms* are the sources for broadcasts, ALU inputs and staged
 outputs.  The kit defines the controller-local kinds; each array
-contributes its own fold-output kinds via
-:meth:`~repro.smem.controller.MicroController._read_port_atom`:
+contributes its own fold-output kinds through its unit spec's atom table
+(:attr:`repro.smem.spec.UnitSpec.atoms`):
 
 ========================  =====================================================
 atom                      meaning
@@ -28,7 +28,7 @@ atom                      meaning
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 Atom = tuple
 
@@ -82,6 +82,31 @@ class MicroInstr:
     emit: tuple[tuple[str, Atom], ...] = ()
     #: last word of the program
     done: bool = False
+
+
+Microcode = dict[int, tuple[MicroInstr, ...]]
+WriteProfile = Callable[[int], tuple[bool, bool, bool]]
+
+
+def rom_write_profile(microcode: Microcode) -> WriteProfile:
+    """The decoder's write profile, read off a microcode ROM.
+
+    A variety writes exactly the destinations its program emits into;
+    unknown varieties run the one-word invalid handler and claim nothing.
+    """
+
+    def emits(program: tuple[MicroInstr, ...], dst: str) -> bool:
+        return any(target == dst for u in program for target, _ in u.emit)
+
+    table = {
+        variety: (emits(p, "data1"), emits(p, "data2"), emits(p, "flags"))
+        for variety, p in microcode.items()
+    }
+
+    def write_profile(variety: int) -> tuple[bool, bool, bool]:
+        return table.get(variety, (False, False, False))
+
+    return write_profile
 
 
 def t_(i: int) -> Atom:

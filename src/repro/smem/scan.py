@@ -16,23 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..hdl import Component
-from .adapter import SmartMemoryUnit
-from .array import SmartCell, StructuralSmartArray, VectorSmartArray, lane_dtype
-from .controller import MicroController
-from .core import ArrayKind, DirectMachine, SmartMemoryCore
+from .array import SmartArray, SmartCell, StateVectors
+from .core import DirectMachine
 from .microcode import OP_A, MicroInstr
-from .tree import TreeNetwork
+from .spec import WORD, UnitSpec
 
 __all__ = [
-    "ScanCmd", "ScanCellState", "ScanVectors", "ScanCell",
-    "VectorScanArray", "StructuralScanArray", "ScanController",
+    "ScanCmd", "ScanCellState", "SCAN",
+    "VectorScanArray", "StructuralScanArray",
     "ScanCore", "DirectScanMachine", "ScanUnit", "scan_factory",
-    "SCAN_MICROCODE", "scan_write_profile",
+    "SCAN_MICROCODE",
     "SC_RESET", "SC_PUSH", "SC_SCAN", "SC_TOTAL", "SC_MIN", "SC_MAX",
     "SC_COUNT", "SC_READ_AT", "SC_ADD", "SC_FLAG_VALID",
 ]
@@ -58,192 +55,100 @@ class ScanCellState:
     selected: bool = False
 
 
-class ScanVectors:
-    """The parallel state arrays of an n-cell scan column."""
-
-    __slots__ = ("n", "dtype", "value", "occ", "sel", "pos")
-
-    def __init__(self, n: int, word_bits: int = 64):
-        self.n = n
-        self.dtype = lane_dtype(word_bits)
-        self.pos = np.arange(n, dtype=np.uint32)
-        self.clear()
-
-    def clear(self) -> None:
-        n = self.n
-        self.value = np.zeros(n, dtype=self.dtype)
-        self.occ = np.zeros(n, dtype=bool)
-        self.sel = np.zeros(n, dtype=bool)
-
-    def state_of(self, i: int) -> ScanCellState:
-        return ScanCellState(
-            value=int(self.value[i]),
-            occupied=bool(self.occ[i]),
-            selected=bool(self.sel[i]),
-        )
-
-    def states(self) -> list[ScanCellState]:
-        return [self.state_of(i) for i in range(self.n)]
-
-
-def apply_scan_command(vec: ScanVectors, cmd: ScanCmd, broadcast: int,
-                       mask: int) -> None:
+def _step(vec: StateVectors, cmd: int, broadcast: int) -> None:
     """One broadcast command applied to all cells (vectorised cell step)."""
-    if cmd == ScanCmd.NOP:
-        return
-    b = broadcast & mask
+    b = broadcast & vec.mask
     if cmd == ScanCmd.CLEAR:
         vec.clear()
     elif cmd == ScanCmd.APPEND:
-        k = int(np.count_nonzero(vec.occ))
+        k = int(np.count_nonzero(vec.occupied))
         if k < vec.n:
             vec.value[k] = b
-            vec.occ[k] = True
-        vec.sel = np.zeros(vec.n, dtype=bool)
+            vec.occupied[k] = True
+        vec.selected = np.zeros(vec.n, dtype=bool)
     elif cmd == ScanCmd.PREFIX_SUM:
         # Unoccupied cells hold 0, so the raw cumulative sum is exact for
         # the occupied prefix; uint64 wraps mod 2^64 and (S mod 2^64) mod
         # 2^w == S mod 2^w for w ≤ 64, so the word mask stays exact too.
         # The masked result fits the (possibly narrower) value lane again.
         prefix = (
-            np.cumsum(vec.value, dtype=np.uint64) & np.uint64(mask)
+            np.cumsum(vec.value, dtype=np.uint64) & np.uint64(vec.mask)
         ).astype(vec.dtype, copy=False)
-        vec.value = np.where(vec.occ, prefix, vec.value)
+        vec.value = np.where(vec.occupied, prefix, vec.value)
     elif cmd == ScanCmd.ADD_ALL:
-        vec.value = np.where(vec.occ, (vec.value + b) & mask, vec.value)
+        vec.value = np.where(vec.occupied, (vec.value + b) & vec.mask, vec.value)
     elif cmd == ScanCmd.SELECT_INDEX:
-        vec.sel = vec.occ & (vec.pos == np.uint32(b))
-    else:  # pragma: no cover - enum exhaustive
+        vec.selected = vec.occupied & vec.at(b)
+    else:
         raise ValueError(f"unknown scan command {cmd!r}")
 
 
-class ScanCell(SmartCell):
-    """Structural scan cell: the per-cell view of :func:`apply_scan_command`.
+def _cell_step(cell: SmartCell, st: ScanCellState, cmd: int) -> ScanCellState:
+    """Structural scan cell: the per-cell view of :func:`_step`.
 
     ``APPEND``'s target index and ``PREFIX_SUM``'s partial sum both need
     column-global information; a structural cell reads it by folding over
-    its neighbours' *committed* registers (``self.array.cells``), exactly
+    its neighbours' *committed* registers (``cell.array.cells``), exactly
     what a hardware cell would receive from the tree network.
     """
-
-    def _reset_state(self) -> ScanCellState:
-        return ScanCellState()
-
-    def _next_state(self) -> ScanCellState:
-        st = self._state.value
-        cmd = ScanCmd(self.cmd.value)
-        if cmd == ScanCmd.NOP:
+    mask = cell.array.mask
+    b = cell.broadcast.value & mask
+    if cmd == ScanCmd.CLEAR:
+        return ScanCellState() if st != ScanCellState() else st
+    if cmd == ScanCmd.APPEND:
+        k = sum(1 for c in cell.array.cells if c._state.value.occupied)
+        if cell.index == k:
+            return ScanCellState(value=b, occupied=True, selected=False)
+        if st.selected:
+            return replace(st, selected=False)
+        return st
+    if cmd == ScanCmd.PREFIX_SUM:
+        if not st.occupied:
             return st
-        mask = (1 << self.word_bits) - 1
-        b = self.broadcast.value & mask
-        if cmd == ScanCmd.CLEAR:
-            return ScanCellState() if st != ScanCellState() else st
-        if cmd == ScanCmd.APPEND:
-            k = sum(1 for c in self.array.cells if c._state.value.occupied)
-            if self.index == k:
-                return ScanCellState(value=b, occupied=True, selected=False)
-            if st.selected:
-                return replace(st, selected=False)
+        total = 0
+        for c in cell.array.cells[: cell.index + 1]:
+            total += c._state.value.value
+        return replace(st, value=total & mask)
+    if cmd == ScanCmd.ADD_ALL:
+        if not st.occupied:
             return st
-        if cmd == ScanCmd.PREFIX_SUM:
-            if not st.occupied:
-                return st
-            total = 0
-            for c in self.array.cells[: self.index + 1]:
-                total += c._state.value.value
-            return replace(st, value=total & mask)
-        if cmd == ScanCmd.ADD_ALL:
-            if not st.occupied:
-                return st
-            return replace(st, value=(st.value + b) & mask)
-        if cmd == ScanCmd.SELECT_INDEX:
-            sel = st.occupied and self.index == b
-            return replace(st, selected=sel) if sel != st.selected else st
-        raise ValueError(f"unknown scan command {cmd!r}")
+        return replace(st, value=(st.value + b) & mask)
+    if cmd == ScanCmd.SELECT_INDEX:
+        sel = st.occupied and cell.index == b
+        return replace(st, selected=sel) if sel != st.selected else st
+    raise ValueError(f"unknown scan command {cmd!r}")
 
 
-class _ScanArrayMixin:
-    """The scan-specific kit hooks, shared by both array shapes."""
-
-    NOP_CMD = int(ScanCmd.NOP)
-
-    def _declare_ports(self) -> None:
-        self.tree = TreeNetwork(self.n_cells)
-        self._mask = (1 << self.word_bits) - 1
-        # command side (driven by the controller)
-        self.cmd = self.signal("cmd", 8, ScanCmd.NOP)
-        self.broadcast = self.signal("broadcast", self.word_bits, 0)
-        # fold-tree outputs
-        self.count = self.signal("count", 32, 0)
-        self.total = self.signal("total", self.word_bits, 0)
-        self.vmin = self.signal("vmin", self.word_bits, 0)
-        self.vmax = self.signal("vmax", self.word_bits, 0)
-        self.nonempty = self.signal("nonempty", 1, 0)
-        self.sel_found = self.signal("sel_found", 1, 0)
-        self.sel_value = self.signal("sel_value", self.word_bits, 0)
-
-    def _make_vectors(self, n_cells: int) -> ScanVectors:
-        return ScanVectors(n_cells, self.word_bits)
-
-    def _fold_vector(self, vec: ScanVectors) -> None:
-        occ = vec.occ
-        count = int(np.count_nonzero(occ))
-        self.count.set(count)
-        self.nonempty.set(1 if count else 0)
-        if count:
-            occupied = vec.value[occ]
-            self.total.set(int(np.sum(occupied, dtype=np.uint64)) & self._mask)
-            self.vmin.set(int(occupied.min()))
-            self.vmax.set(int(occupied.max()))
-        else:
-            self.total.set(0)
-            self.vmin.set(0)
-            self.vmax.set(0)
-        left = self.tree.leftmost(vec.sel)
-        self.sel_found.set(1 if left is not None else 0)
-        self.sel_value.set(int(vec.value[left]) if left is not None else 0)
-
-    def _apply_raw(self, vec: ScanVectors) -> None:
-        apply_scan_command(
-            vec, ScanCmd(self.cmd._value), self.broadcast._value, self._mask
-        )
-
-    def _seed_vectors(self, vec: ScanVectors, cells: list) -> None:
-        for i, cell in enumerate(cells):
-            st = cell._state.value
-            vec.value[i] = st.value
-            vec.occ[i] = st.occupied
-            vec.sel[i] = st.selected
+def _fold(arr: SmartArray, vec: StateVectors) -> None:
+    occ = vec.occupied
+    count = int(np.count_nonzero(occ))
+    arr.count.set(count)
+    arr.nonempty.set(1 if count else 0)
+    if count:
+        occupied = vec.value[occ]
+        arr.total.set(int(np.sum(occupied, dtype=np.uint64)) & vec.mask)
+        arr.vmin.set(int(occupied.min()))
+        arr.vmax.set(int(occupied.max()))
+    else:
+        arr.total.set(0)
+        arr.vmin.set(0)
+        arr.vmax.set(0)
+    left = arr.tree.leftmost(vec.selected)
+    arr.sel_found.set(1 if left is not None else 0)
+    arr.sel_value.set(int(vec.value[left]) if left is not None else 0)
 
 
-class VectorScanArray(_ScanArrayMixin, VectorSmartArray):
-    """All n scan cells as NumPy arrays; one seq process per command."""
-
-    def _apply_ports(self, vec: ScanVectors) -> None:
-        apply_scan_command(
-            vec, ScanCmd(self.cmd.value), self.broadcast.value, self._mask
-        )
-
-
-class StructuralScanArray(_ScanArrayMixin, StructuralSmartArray):
-    """One :class:`ScanCell` per element — the equivalence oracle."""
-
-    CELL_CLASS = ScanCell
-    CELL_WIRES = ("cmd", "broadcast")
-
-    def _fold_cells(self, cells: list[ScanCell]) -> None:
-        states = [c.state for c in cells]
-        occupied = [s.value for s in states if s.occupied]
-        count = len(occupied)
-        self.count.set(count)
-        self.nonempty.set(1 if count else 0)
-        mask = (1 << self.word_bits) - 1
-        self.total.set(sum(occupied) & mask if occupied else 0)
-        self.vmin.set(min(occupied) if occupied else 0)
-        self.vmax.set(max(occupied) if occupied else 0)
-        left = next((i for i, s in enumerate(states) if s.selected), None)
-        self.sel_found.set(1 if left is not None else 0)
-        self.sel_value.set(states[left].value if left is not None else 0)
+def _cell_fold(arr: SmartArray, states: list[ScanCellState]) -> None:
+    occupied = [s.value for s in states if s.occupied]
+    count = len(occupied)
+    arr.count.set(count)
+    arr.nonempty.set(1 if count else 0)
+    arr.total.set(sum(occupied) & arr.mask if occupied else 0)
+    arr.vmin.set(min(occupied) if occupied else 0)
+    arr.vmax.set(max(occupied) if occupied else 0)
+    left = next((i for i, s in enumerate(states) if s.selected), None)
+    arr.sel_found.set(1 if left is not None else 0)
+    arr.sel_value.set(states[left].value if left is not None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,55 +200,33 @@ SCAN_MICROCODE: dict[int, tuple[MicroInstr, ...]] = {
 }
 
 
-def scan_write_profile(variety: int) -> tuple[bool, bool, bool]:
-    """Which destinations each scan instruction writes (decoder table)."""
-    if variety in (SC_TOTAL, SC_MIN, SC_MAX, SC_READ_AT):
-        return True, False, True
-    if variety in (SC_SCAN, SC_COUNT):
-        return True, False, False
-    return False, False, False
+SCAN = UnitSpec(
+    name="Scan",
+    cmd=ScanCmd,
+    state=ScanCellState,
+    buses=(("broadcast", WORD),),
+    outputs=(("count", 32), ("total", WORD), ("vmin", WORD), ("vmax", WORD),
+             ("nonempty", 1), ("sel_found", 1), ("sel_value", WORD)),
+    atoms={name: name for name in ("count", "total", "vmin", "vmax", "nonempty",
+                                   "sel_found", "sel_value")},
+    microcode=SCAN_MICROCODE,
+    step=_step,
+    fold=_fold,
+    cell_step=_cell_step,
+    cell_fold=_cell_fold,
+)
 
-
-class ScanController(MicroController):
-    """The kit FSM bound to the scan ROM and the scan fold atoms."""
-
-    def __init__(self, name: str, array, word_bits: int = 32,
-                 parent: Optional[Component] = None):
-        super().__init__(name, array, SCAN_MICROCODE, word_bits, parent)
-
-    def _read_port_atom(self, atom) -> int:
-        kind = atom[0]
-        if kind == "count":
-            return self.array.count.value
-        if kind == "total":
-            return self.array.total.value
-        if kind == "vmin":
-            return self.array.vmin.value
-        if kind == "vmax":
-            return self.array.vmax.value
-        if kind == "nonempty":
-            return self.array.nonempty.value
-        if kind == "sel_found":
-            return self.array.sel_found.value
-        if kind == "sel_value":
-            return self.array.sel_value.value
-        # no super() here: the astpass inliner cannot resolve super() calls,
-        # and this method is process-reachable via _read_atom.
-        raise ValueError(f"unknown atom {atom!r}")
-
-
-class ScanCore(SmartMemoryCore):
-    """Scan controller + scan cell array."""
-
-    vector_array_class = VectorScanArray
-    structural_array_class = StructuralScanArray
-    controller_class = ScanController
+VectorScanArray = SCAN.vector_array
+StructuralScanArray = SCAN.structural_array
+ScanCore = SCAN.core
+ScanUnit = SCAN.unit
+scan_factory = SCAN.factory
 
 
 class DirectScanMachine(DirectMachine):
     """Drives a bare scan core cycle-accurately, without the RTM."""
 
-    core_class = ScanCore
+    spec = SCAN
     core_name = "scancore"
 
     def reset_column(self) -> int:
@@ -380,21 +263,3 @@ class DirectScanMachine(DirectMachine):
 
     def add_all(self, addend: int) -> int:
         return self.op(SC_ADD, addend)["cycles"]
-
-
-class ScanUnit(SmartMemoryUnit):
-    """Scan core wrapped in the framework's unit protocol."""
-
-    core_class = ScanCore
-    write_profile = staticmethod(scan_write_profile)
-
-
-def scan_factory(
-    n_cells: int = 64, array_kind: ArrayKind = "vector"
-) -> Callable[..., ScanUnit]:
-    """Unit-registry factory for a scan unit of a given size."""
-
-    def make(name: str, word_bits: int, parent=None) -> ScanUnit:
-        return ScanUnit(name, word_bits, parent, n_cells=n_cells, array_kind=array_kind)
-
-    return make

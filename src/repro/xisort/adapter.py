@@ -9,31 +9,17 @@ interface logic required by the framework."
 The interface logic itself — the Fig. 3.14 FSM, the output buffering, the
 write-profile-shaped transfers — is machine-independent and lives in the
 smart-memory kit's :class:`~repro.smem.adapter.SmartMemoryUnit`;
-:class:`XiSortUnit` is that adapter bound to the ξ-sort core and write
-profile.
+:data:`XiSortUnit` is that adapter derived from the ξ-sort unit spec,
+bound to the ξ-sort core and the write profile of its ROM.
 """
 
 from __future__ import annotations
 
-from ..smem.adapter import AdapterState, SmartMemoryUnit
-from .core import ArrayKind, XiSortCore
-from .microcode import write_profile as xi_write_profile
+from ..smem.adapter import AdapterState
+from .cellarray import XISORT
 
 __all__ = ["AdapterState", "XiSortUnit", "xisort_factory"]
 
-
-class XiSortUnit(SmartMemoryUnit):
-    """ξ-sort core wrapped in the framework's unit protocol."""
-
-    core_class = XiSortCore
-    #: consulted by the functional unit table (decoder lock sets)
-    write_profile = staticmethod(xi_write_profile)
-
-
-def xisort_factory(n_cells: int = 64, array_kind: ArrayKind = "vector"):
-    """Unit-registry factory for a ξ-sort unit of a given size."""
-
-    def make(name: str, word_bits: int, parent=None) -> XiSortUnit:
-        return XiSortUnit(name, word_bits, parent, n_cells=n_cells, array_kind=array_kind)
-
-    return make
+XiSortUnit = XISORT.unit
+#: unit-registry factory for a ξ-sort unit of a given size
+xisort_factory = XISORT.factory

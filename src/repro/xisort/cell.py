@@ -5,14 +5,13 @@ computational hardware as well as storage."  Each cell holds a data element,
 its index interval ⟨lower, upper⟩, a selection flag and a saved flag, plus
 the comparator/mux cloud that executes one broadcast command per cycle.
 
-Three implementations share the same semantics:
+Two implementations share the same semantics:
 
 * :func:`cell_step` — the pure transition function (the oracle used by
-  property tests);
-* :class:`Cell` — a structural component with the figure's register set,
-  riding the smart-memory kit's :class:`repro.smem.array.SmartCell`;
-* :class:`repro.xisort.cellarray.VectorCellArray` — the vectorised NumPy
-  model used at scale (the HPC-Python hot path).
+  property tests), which every structural :class:`Cell` — the kit's
+  :class:`repro.smem.array.SmartCell` under the ξ-sort spec — runs;
+* the vectorised NumPy step of :mod:`repro.xisort.cellarray`, used at
+  scale (the HPC-Python hot path).
 
 Empty cells are reset to the *sentinel* interval ⟨0xFFFF, 0xFFFF⟩: a
 precise interval beyond any valid index, so unoccupied cells are never
@@ -25,8 +24,8 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Optional
 
-from ..hdl import Component
 from ..smem.array import SmartCell
+from ..smem.spec import lane
 
 #: Width of an index-interval bound; also sets the sentinel.
 INTERVAL_BITS = 16
@@ -63,8 +62,8 @@ class CellState:
     """The persistent state of one cell."""
 
     data: int = 0
-    lower: int = SENTINEL
-    upper: int = SENTINEL
+    lower: int = lane(INTERVAL_BITS, SENTINEL)
+    upper: int = lane(INTERVAL_BITS, SENTINEL)
     selected: bool = False
     saved: bool = False
 
@@ -139,37 +138,5 @@ def cell_step(
     raise ValueError(f"unknown cell command {cmd!r}")
 
 
-class Cell(SmartCell):
-    """Structural single cell: the Fig. 3.12 register set behind `cell_step`.
-
-    Command/broadcast signals are shared across the array (SIMD); each cell
-    owns only its state registers.  Used by
-    :class:`repro.xisort.cellarray.StructuralCellArray` for the
-    structural-vs-vectorised equivalence tests.
-    """
-
-    def __init__(self, name: str, word_bits: int, parent: Optional[Component] = None):
-        super().__init__(name, word_bits, parent)
-        # Inputs are wired (assigned) by the owning array.
-        self.cmd = None
-        self.broadcast = None
-        self.load_data = None
-        self.load_lower = None
-        self.load_upper = None
-
-    def _reset_state(self) -> CellState:
-        return CellState()
-
-    def _next_state(self) -> CellState:
-        cmd = CellCmd(self.cmd.value)
-        shift_in = self.prev_cell._state.value if self.prev_cell is not None else None
-        return cell_step(
-            self._state.value,
-            cmd,
-            broadcast=self.broadcast.value,
-            shift_in=shift_in,
-            load_data=self.load_data.value,
-            load_lower=self.load_lower.value,
-            load_upper=self.load_upper.value,
-            is_first=self.is_first,
-        )
+#: the structural cell: the kit's SmartCell, stepping via :func:`cell_step`
+Cell = SmartCell

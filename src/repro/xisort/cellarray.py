@@ -1,11 +1,13 @@
-"""ξ-sort cell arrays: vectorised (NumPy) and structural implementations.
+"""ξ-sort cell arrays: the unit spec and its vectorised (NumPy) semantics.
 
-Both ride the smart-memory kit (:mod:`repro.smem.array`): the kit carries
-the SIMD column machinery — the one-process vector model, the per-cell
-structural oracle, the NOP wheel hook and the compiled-backend
-``__compile_vector__`` executor — while this module contributes what is
-ξ-sort-specific: the five state vectors, the command transition, the fold
-outputs and the port set.
+Both array shapes ride the smart-memory kit (:mod:`repro.smem`): the kit
+carries the SIMD column machinery — the one-process vector model, the
+per-cell structural oracle, the NOP wheel hook and the compiled-backend
+``__compile_vector__`` executor — and derives both classes from
+:data:`XISORT`, the ξ-sort unit spec this module declares: the command
+set and cell state of :mod:`repro.xisort.cell`, the port set, the
+microcode of :mod:`repro.xisort.microcode` and the command/fold
+semantics.
 
 Both arrays expose the same port set:
 
@@ -15,78 +17,31 @@ Both arrays expose the same port set:
   ``leftmost_data``, ``leftmost_lower``, ``leftmost_upper``,
   ``selected_value``, ``selected_unique``.
 
-The SIMD state and per-command transition live in :class:`CellVectors` /
-:func:`apply_vector_command`, shared by three drivers: the interpreted
-``VectorCellArray`` process, and — under the compiled backend
-(:mod:`repro.hdl.compile`) — the :class:`CellArrayExecutor` published by
-*both* array implementations through ``__compile_vector__``.  For the
-structural array this replaces n per-cell interpreted processes with one
-array operation per cycle, which is what lets 10k+-cell structural arrays
-run at vector speed.
+Under the compiled backend (:mod:`repro.hdl.compile`) *both* array
+implementations publish the kit's executor through
+``__compile_vector__``.  For the structural array this replaces n
+per-cell interpreted processes with one array operation per cycle, which
+is what lets 10k+-cell structural arrays run at vector speed.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..hdl import Component
-from ..smem.array import (
-    SmartArrayExecutor,
-    StructuralSmartArray,
-    VectorSmartArray,
-    lane_dtype,
-)
-from ..smem.tree import TreeNetwork, fold_reduce
-from .cell import INTERVAL_BITS, SENTINEL, Cell, CellCmd, CellState
+from ..smem.array import SmartArray, SmartCell, StateVectors
+from ..smem.spec import WORD, UnitSpec
+from ..smem.tree import fold_reduce
+from .cell import INTERVAL_BITS, INTERVAL_MASK, SENTINEL, CellCmd, CellState, cell_step
+from .microcode import MICROCODE
+
+__all__ = ["XISORT", "VectorCellArray", "StructuralCellArray"]
 
 
-class CellVectors:
-    """The five parallel state arrays of an n-cell SIMD column."""
-
-    __slots__ = ("n", "dtype", "data", "lower", "upper", "sel", "saved")
-
-    def __init__(self, n: int, word_bits: int = 64):
-        self.n = n
-        self.dtype = lane_dtype(word_bits)
-        self.clear()
-
-    def clear(self) -> None:
-        """Every cell back to the empty (sentinel-interval) state."""
-        n = self.n
-        self.data = np.zeros(n, dtype=self.dtype)
-        self.lower = np.full(n, SENTINEL, dtype=np.uint32)
-        self.upper = np.full(n, SENTINEL, dtype=np.uint32)
-        self.sel = np.zeros(n, dtype=bool)
-        self.saved = np.zeros(n, dtype=bool)
-
-    def state_of(self, i: int) -> CellState:
-        return CellState(
-            data=int(self.data[i]),
-            lower=int(self.lower[i]),
-            upper=int(self.upper[i]),
-            selected=bool(self.sel[i]),
-            saved=bool(self.saved[i]),
-        )
-
-    def states(self) -> list[CellState]:
-        return [self.state_of(i) for i in range(self.n)]
-
-
-def apply_vector_command(
-    vec: CellVectors,
-    cmd: CellCmd,
-    broadcast: int,
-    load_data: int,
-    load_lower: int,
-    load_upper: int,
-) -> None:
+def _step(vec: StateVectors, cmd: int, broadcast: int, load_data: int,
+          load_lower: int, load_upper: int) -> None:
     """One broadcast command applied to all cells (vectorised ``cell_step``)."""
-    if cmd == CellCmd.NOP:
-        return
     b = broadcast
-    bi = b & ((1 << INTERVAL_BITS) - 1)
+    bi = b & INTERVAL_MASK
     if cmd == CellCmd.LOAD:
         vec.data = np.roll(vec.data, 1)
         vec.lower = np.roll(vec.lower, 1)
@@ -94,196 +49,120 @@ def apply_vector_command(
         vec.data[0] = load_data
         vec.lower[0] = load_lower
         vec.upper[0] = load_upper
-        vec.sel = np.zeros(vec.n, dtype=bool)
+        vec.selected = np.zeros(vec.n, dtype=bool)
         vec.saved = np.zeros(vec.n, dtype=bool)
     elif cmd == CellCmd.CLEAR:
         vec.clear()
     elif cmd == CellCmd.SELECT_ALL:
-        vec.sel = np.ones(vec.n, dtype=bool)
+        vec.selected = np.ones(vec.n, dtype=bool)
     elif cmd == CellCmd.SELECT_IMPRECISE:
-        vec.sel = vec.sel & (vec.lower != vec.upper)
+        vec.selected = vec.selected & (vec.lower != vec.upper)
     elif cmd == CellCmd.MATCH_DATA_LT:
-        vec.sel = vec.sel & (vec.data < b)
+        vec.selected = vec.selected & (vec.data < b)
     elif cmd == CellCmd.MATCH_DATA_EQ:
-        vec.sel = vec.sel & (vec.data == b)
+        vec.selected = vec.selected & (vec.data == b)
     elif cmd == CellCmd.MATCH_DATA_GT:
-        vec.sel = vec.sel & (vec.data > b)
+        vec.selected = vec.selected & (vec.data > b)
     elif cmd == CellCmd.MATCH_LOWER_BOUND:
-        vec.sel = vec.sel & (vec.lower == bi)
+        vec.selected = vec.selected & (vec.lower == bi)
     elif cmd == CellCmd.MATCH_UPPER_BOUND:
-        vec.sel = vec.sel & (vec.upper == bi)
+        vec.selected = vec.selected & (vec.upper == bi)
     elif cmd == CellCmd.MATCH_LOWER_BOUND_I:
-        vec.sel = vec.sel & (vec.lower <= bi)
+        vec.selected = vec.selected & (vec.lower <= bi)
     elif cmd == CellCmd.MATCH_UPPER_BOUND_I:
-        vec.sel = vec.sel & (vec.upper >= bi)
+        vec.selected = vec.selected & (vec.upper >= bi)
     elif cmd == CellCmd.SET_LOWER_BOUND:
-        vec.lower = np.where(vec.sel, np.uint32(bi), vec.lower)
+        vec.lower = np.where(vec.selected, bi, vec.lower)
     elif cmd == CellCmd.SET_UPPER_BOUND:
-        vec.upper = np.where(vec.sel, np.uint32(bi), vec.upper)
+        vec.upper = np.where(vec.selected, bi, vec.upper)
     elif cmd == CellCmd.SET_BOUNDS:
-        vec.lower = np.where(vec.sel, np.uint32(bi), vec.lower)
-        vec.upper = np.where(vec.sel, np.uint32(bi), vec.upper)
+        vec.lower = np.where(vec.selected, bi, vec.lower)
+        vec.upper = np.where(vec.selected, bi, vec.upper)
     elif cmd == CellCmd.LOAD_SELECTED:
-        vec.data = np.where(vec.sel, b, vec.data)
+        vec.data = np.where(vec.selected, b, vec.data)
     elif cmd == CellCmd.SAVE:
-        vec.saved = vec.sel.copy()
+        vec.saved = vec.selected.copy()
     elif cmd == CellCmd.RESTORE:
-        vec.sel = vec.saved.copy()
-    else:  # pragma: no cover - enum exhaustive
+        vec.selected = vec.saved.copy()
+    else:
         raise ValueError(f"unknown cell command {cmd!r}")
 
 
-def fold_tree_outputs(vec: CellVectors, tree: TreeNetwork, ports) -> None:
+def _cell_step(cell: SmartCell, st: CellState, cmd: int) -> CellState:
+    """One structural cell: :func:`cell_step` over the cell's wired buses."""
+    prev = cell.prev_cell
+    return cell_step(
+        st,
+        cmd,
+        broadcast=cell.broadcast.value,
+        shift_in=prev._state.value if prev is not None else None,
+        load_data=cell.load_data.value,
+        load_lower=cell.load_lower.value,
+        load_upper=cell.load_upper.value,
+        is_first=cell.is_first,
+    )
+
+
+def _fold(arr: SmartArray, vec: StateVectors) -> None:
     """Drive the tree-output ports from the vector state (paper Fig. 8)."""
-    sel = vec.sel
-    count = tree.count(sel)
-    ports.count.set(count)
-    left = tree.leftmost(sel)
-    ports.leftmost_found.set(1 if left is not None else 0)
+    sel = vec.selected
+    count = arr.tree.count(sel)
+    arr.count.set(count)
+    left = arr.tree.leftmost(sel)
+    arr.leftmost_found.set(1 if left is not None else 0)
     if left is not None:
-        ports.leftmost_data.set(int(vec.data[left]))
-        ports.leftmost_lower.set(int(vec.lower[left]))
-        ports.leftmost_upper.set(int(vec.upper[left]))
-    ports.selected_unique.set(1 if count == 1 else 0)
-    ports.selected_value.set(tree.selected_value(sel, vec.data))
+        arr.leftmost_data.set(int(vec.data[left]))
+        arr.leftmost_lower.set(int(vec.lower[left]))
+        arr.leftmost_upper.set(int(vec.upper[left]))
+    arr.selected_unique.set(1 if count == 1 else 0)
+    arr.selected_value.set(arr.tree.selected_value(sel, vec.data))
 
 
-class CellArrayPorts:
-    """Shared port declaration for both array implementations."""
-
-    def _make_ports(self, comp: Component, word_bits: int) -> None:
-        # command side (driven by the controller)
-        self.cmd = comp.signal("cmd", 8, CellCmd.NOP)
-        self.broadcast = comp.signal("broadcast", word_bits, 0)
-        self.load_data = comp.signal("load_data", word_bits, 0)
-        self.load_lower = comp.signal("load_lower", INTERVAL_BITS, 0)
-        self.load_upper = comp.signal("load_upper", INTERVAL_BITS, 0)
-        # tree outputs
-        self.count = comp.signal("count", 32, 0)
-        self.leftmost_found = comp.signal("leftmost_found", 1, 0)
-        self.leftmost_data = comp.signal("leftmost_data", word_bits, 0)
-        self.leftmost_lower = comp.signal("leftmost_lower", INTERVAL_BITS, 0)
-        self.leftmost_upper = comp.signal("leftmost_upper", INTERVAL_BITS, 0)
-        self.selected_value = comp.signal("selected_value", word_bits, 0)
-        self.selected_unique = comp.signal("selected_unique", 1, 0)
+def _cell_fold(arr: SmartArray, states: list[CellState]) -> None:
+    folded = fold_reduce([s.selected for s in states], [s.data for s in states])
+    arr.count.set(folded.count)
+    arr.leftmost_found.set(1 if folded.leftmost is not None else 0)
+    if folded.leftmost is not None:
+        s = states[folded.leftmost]
+        arr.leftmost_data.set(s.data)
+        arr.leftmost_lower.set(s.lower)
+        arr.leftmost_upper.set(s.upper)
+    arr.selected_unique.set(1 if folded.count == 1 else 0)
+    arr.selected_value.set(folded.any_value)
 
 
-class CellArrayExecutor(SmartArrayExecutor):
-    """The kit executor, keeping ξ-sort's historical ``tree`` slot/signature."""
-
-    def __init__(self, owner, vec: CellVectors, tree: TreeNetwork,
-                 absorbed, cells: Optional[list] = None):
-        self.tree = tree
-        super().__init__(owner, vec, absorbed, cells=cells)
-
-    def state_of(self, i: int) -> CellState:
-        return self.vec.state_of(i)
+def _check_size(n_cells: int) -> None:
+    if n_cells - 1 >= SENTINEL:
+        raise ValueError(f"n_cells must stay below the sentinel index {SENTINEL:#x}")
 
 
-class _XiArrayMixin(CellArrayPorts):
-    """The ξ-sort-specific kit hooks, shared by both array shapes."""
+XISORT = UnitSpec(
+    name="XiSort",
+    cmd=CellCmd,
+    state=CellState,
+    buses=(("broadcast", WORD), ("load_data", WORD),
+           ("load_lower", INTERVAL_BITS), ("load_upper", INTERVAL_BITS)),
+    outputs=(("count", 32), ("leftmost_found", 1), ("leftmost_data", WORD),
+             ("leftmost_lower", INTERVAL_BITS), ("leftmost_upper", INTERVAL_BITS),
+             ("selected_value", WORD), ("selected_unique", 1)),
+    atoms={
+        "count": "count",
+        "found": "leftmost_found",
+        "left_data": "leftmost_data",
+        "left_interval": ("leftmost_lower", "leftmost_upper"),
+        "sel_value": "selected_value",
+        "sel_unique": "selected_unique",
+    },
+    microcode=MICROCODE,
+    step=_step,
+    fold=_fold,
+    cell_step=_cell_step,
+    cell_fold=_cell_fold,
+    check_size=_check_size,
+)
 
-    NOP_CMD = int(CellCmd.NOP)
-
-    def _declare_ports(self) -> None:
-        self.tree = TreeNetwork(self.n_cells)
-        self._make_ports(self, self.word_bits)
-
-    def _make_vectors(self, n_cells: int) -> CellVectors:
-        return CellVectors(n_cells, self.word_bits)
-
-    def _fold_vector(self, vec: CellVectors) -> None:
-        fold_tree_outputs(vec, self.tree, self)
-
-    def _apply_raw(self, vec: CellVectors) -> None:
-        apply_vector_command(
-            vec,
-            CellCmd(self.cmd._value),
-            self.broadcast._value,
-            self.load_data._value,
-            self.load_lower._value,
-            self.load_upper._value,
-        )
-
-    def _seed_vectors(self, vec: CellVectors, cells: list) -> None:
-        for i, cell in enumerate(cells):
-            st = cell._state.value
-            vec.data[i] = st.data
-            vec.lower[i] = st.lower
-            vec.upper[i] = st.upper
-            vec.sel[i] = st.selected
-            vec.saved[i] = st.saved
-
-
-class VectorCellArray(_XiArrayMixin, VectorSmartArray):
-    """All n cells as NumPy arrays; one seq process applies the command."""
-
-    def _validate(self, n_cells: int) -> None:
-        if n_cells - 1 >= SENTINEL:
-            raise ValueError(f"n_cells must stay below the sentinel index {SENTINEL:#x}")
-
-    def _apply_ports(self, vec: CellVectors) -> None:
-        self._step(CellCmd(self.cmd.value))
-
-    # -- the SIMD step (vectorised cell_step) -------------------------------------
-
-    def _step(self, cmd: CellCmd) -> None:
-        apply_vector_command(
-            self.vec,
-            cmd,
-            self.broadcast.value,
-            self.load_data.value,
-            self.load_lower.value,
-            self.load_upper.value,
-        )
-
-    def _make_executor(self) -> CellArrayExecutor:
-        return CellArrayExecutor(
-            self, self.vec, self.tree, [self._tree_fn, self._apply_fn]
-        )
-
-    # -- inspection ---------------------------------------------------------------
-
-    def states(self) -> list[CellState]:
-        """Snapshot as CellState objects (equivalence tests)."""
-        return self.vec.states()
-
-
-class StructuralCellArray(_XiArrayMixin, StructuralSmartArray):
-    """One :class:`Cell` component per element plus a structural tree fold.
-
-    Cycle-for-cycle equivalent to :class:`VectorCellArray`; used as the
-    oracle in property tests and for small faithful simulations.  Under
-    the compiled backend the whole column collapses into a
-    :class:`CellArrayExecutor` — same observable behaviour, array-speed
-    execution.
-    """
-
-    CELL_CLASS = Cell
-    CELL_WIRES = ("cmd", "broadcast", "load_data", "load_lower", "load_upper")
-
-    def _fold_cells(self, cells: list[Cell]) -> None:
-        states = [c.state for c in cells]
-        folded = fold_reduce([s.selected for s in states], [s.data for s in states])
-        self.count.set(folded.count)
-        self.leftmost_found.set(1 if folded.leftmost is not None else 0)
-        if folded.leftmost is not None:
-            s = states[folded.leftmost]
-            self.leftmost_data.set(s.data)
-            self.leftmost_lower.set(s.lower)
-            self.leftmost_upper.set(s.upper)
-        self.selected_unique.set(1 if folded.count == 1 else 0)
-        self.selected_value.set(folded.any_value)
-
-    def _make_executor(self) -> CellArrayExecutor:
-        absorbed = [self._tree_fn] + [c._tick_fn for c in self.cells]
-        return CellArrayExecutor(
-            self,
-            CellVectors(self.n_cells, self.word_bits),
-            self.tree,
-            absorbed,
-            cells=self.cells,
-        )
-
-    def states(self) -> list[CellState]:
-        return [c.state for c in self.cells]
+#: all n cells as NumPy arrays; one seq process applies the command
+VectorCellArray = XISORT.vector_array
+#: one :class:`~repro.xisort.cell.Cell` per element — cycle-for-cycle
+#: equivalent to :data:`VectorCellArray`, the oracle in property tests
+StructuralCellArray = XISORT.structural_array

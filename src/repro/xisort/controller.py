@@ -1,86 +1,20 @@
-"""The ξ-sort controller — the kit's two-state FSM plus ξ-sort's buses.
+"""The ξ-sort controller — the kit's two-state FSM.
 
 The FSM, ROM flattening, ALU and controller-local atoms all live in
-:class:`repro.smem.controller.MicroController`; this subclass contributes
-what is ξ-sort-specific:
-
-* the three load buses (``load_data``/``load_lower``/``load_upper``) of
-  the shift-load command, driven alongside ``cmd``/``broadcast``;
-* the fold-tree output atoms of the ξ-sort cell array (``count``,
-  ``found``, ``left_data``, ``left_interval``, ``sel_value``,
-  ``sel_unique``).
+:class:`repro.smem.controller.MicroController`.  What is ξ-sort-specific
+— the three load buses of the shift-load command, driven next to
+``cmd``/``broadcast``, and the fold-tree atoms of the ξ-sort cell array —
+is declared in the ξ-sort unit spec (:data:`repro.xisort.cellarray.XISORT`),
+so the kit controller runs ξ-sort as it is.  This module keeps the
+historical import surface.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..hdl import Component
 from ..smem.controller import N_TEMPS, MicroController
-from .cell import CellCmd
-from .microcode import MICROCODE, Atom, MicroInstr, pack_interval
 
 __all__ = ["XiSortController", "N_TEMPS"]
 
-
-class XiSortController(MicroController):
-    """Executes the ξ-sort microprograms against a ξ-sort cell array."""
-
-    def __init__(
-        self,
-        name: str,
-        array,  # VectorCellArray | StructuralCellArray
-        word_bits: int = 32,
-        parent: Optional[Component] = None,
-    ):
-        super().__init__(name, array, MICROCODE, word_bits, parent)
-
-    # -- array bus driving --------------------------------------------------------
-
-    def _drive_command(self, uinstr: MicroInstr) -> None:
-        broadcast = 0
-        load_data = 0
-        load_lower = 0
-        load_upper = 0
-        if uinstr.broadcast is not None:
-            broadcast = self._read_atom(uinstr.broadcast)
-        if uinstr.load_data is not None:
-            load_data = self._read_atom(uinstr.load_data)
-        if uinstr.load_lower is not None:
-            load_lower = self._read_atom(uinstr.load_lower)
-        if uinstr.load_upper is not None:
-            load_upper = self._read_atom(uinstr.load_upper)
-        self.array.cmd.set(int(uinstr.cell_cmd))
-        self.array.broadcast.set(broadcast)
-        self.array.load_data.set(load_data)
-        self.array.load_lower.set(load_lower)
-        self.array.load_upper.set(load_upper)
-
-    def _drive_idle(self) -> None:
-        self.array.cmd.set(int(CellCmd.NOP))
-        self.array.broadcast.set(0)
-        self.array.load_data.set(0)
-        self.array.load_lower.set(0)
-        self.array.load_upper.set(0)
-
-    # -- ξ-sort's fold-output atoms ----------------------------------------------
-
-    def _read_port_atom(self, atom: Atom) -> int:
-        kind = atom[0]
-        if kind == "count":
-            return self.array.count.value
-        if kind == "found":
-            return self.array.leftmost_found.value
-        if kind == "left_data":
-            return self.array.leftmost_data.value
-        if kind == "left_interval":
-            return pack_interval(
-                self.array.leftmost_lower.value, self.array.leftmost_upper.value
-            )
-        if kind == "sel_value":
-            return self.array.selected_value.value
-        if kind == "sel_unique":
-            return self.array.selected_unique.value
-        # no super() here: the astpass inliner cannot resolve super() calls,
-        # and this method is process-reachable via _read_atom.
-        raise ValueError(f"unknown atom {atom!r}")
+#: the controller a ξ-sort core instantiates over
+#: :data:`~repro.xisort.microcode.MICROCODE`
+XiSortController = MicroController

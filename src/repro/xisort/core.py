@@ -2,11 +2,10 @@
 
 Thesis §3.3.3: "The SIMD processor unit consists of a controller unit, a
 ROM storing microcode programs controlling the SIMD cells and an array of
-the actual SIMD cells."  :class:`XiSortCore` is the smart-memory kit's
-:class:`~repro.smem.core.SmartMemoryCore` instantiated with the ξ-sort
-array and controller; it exposes the controller's start/variety/operand
-interface — the boundary the functional-unit adapter (thesis Fig. 3.13)
-attaches to.
+the actual SIMD cells."  :data:`XiSortCore` is the smart-memory kit's
+:class:`~repro.smem.core.SmartMemoryCore` derived from the ξ-sort unit
+spec; it exposes the controller's start/variety/operand interface — the
+boundary the functional-unit adapter (thesis Fig. 3.13) attaches to.
 
 The core can also be driven *directly* (without the coprocessor framework)
 via :class:`DirectXiSortMachine`, which is how the fixed-cycles-per-
@@ -17,9 +16,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..smem.core import ArrayKind, DirectMachine, SmartMemoryCore
-from .cellarray import StructuralCellArray, VectorCellArray
-from .controller import XiSortController
+from ..smem.core import ArrayKind, DirectMachine
+from .cellarray import XISORT
 from .microcode import (
     XI_FIND_PIVOT,
     XI_FIND_PIVOT_AT,
@@ -37,12 +35,8 @@ from .microcode import (
 __all__ = ["ArrayKind", "XiSortCore", "DirectXiSortMachine"]
 
 
-class XiSortCore(SmartMemoryCore):
-    """Controller + cell array, ready to adapt into the framework."""
-
-    vector_array_class = VectorCellArray
-    structural_array_class = StructuralCellArray
-    controller_class = XiSortController
+#: controller + cell array, ready to adapt into the framework
+XiSortCore = XISORT.core
 
 
 class DirectXiSortMachine(DirectMachine):
@@ -52,7 +46,7 @@ class DirectXiSortMachine(DirectMachine):
     machine's fixed-cycle behaviour from message/pipeline overhead.
     """
 
-    core_class = XiSortCore
+    spec = XISORT
     core_name = "xicore"
 
     # -- high-level operations ------------------------------------------------------

@@ -4,7 +4,7 @@
 microcode programs controlling the SIMD cells and an array of the actual
 SIMD cells."  This module defines the ξ-sort microprograms over the kit's
 horizontal microinstruction word (:mod:`repro.smem.microcode`);
-:mod:`repro.xisort.controller` executes them.
+:class:`repro.smem.controller.MicroController` executes them.
 
 The microinstruction is *horizontal*: one word may simultaneously drive a
 cell command, perform one small ALU operation on the controller's
@@ -43,6 +43,7 @@ from ..smem.microcode import (
     format_microinstr,
     imm as _imm,
     pack_halves,
+    rom_write_profile,
     t_ as _t,
     unpack_halves,
 )
@@ -276,21 +277,11 @@ MICROCODE: dict[int, tuple[MicroInstr, ...]] = {
 }
 
 
-def write_profile(variety: int) -> tuple[bool, bool, bool]:
-    """Which destinations each ξ-sort instruction writes (decoder table)."""
-    if variety in (XI_LOAD, XI_RESET):
-        return False, False, False
-    if variety in (XI_FIND_PIVOT, XI_FIND_PIVOT_AT):
-        return True, True, True
-    if variety in (XI_READ_AT,):
-        return True, False, True
-    if variety == XI_WRITE_AT:
-        return False, False, True
-    if variety in (XI_SPLIT, XI_STATUS, XI_RANK, XI_COUNT_EQ):
-        return True, False, False
-    # Unknown varieties claim nothing; the controller treats them as a
-    # 1-cycle no-op so the unit cannot deadlock on a bad variety code.
-    return False, False, False
+#: Which destinations each ξ-sort instruction writes (decoder table): the
+#: union of its program's emit targets.  Unknown varieties claim nothing;
+#: the controller treats them as a 1-cycle no-op so the unit cannot
+#: deadlock on a bad variety code.
+write_profile = rom_write_profile(MICROCODE)
 
 
 def program_length(variety: int) -> int:

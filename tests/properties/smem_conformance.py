@@ -10,17 +10,25 @@ once, as a :class:`MachineSpec` per machine plus check functions that
 :mod:`tests.properties.test_prop_smem_conformance` instantiates over
 every in-tree kit client — a new machine joins the suite by adding one
 spec entry.
+
+The toy "tally" unit below is declared here from a kit
+:class:`~repro.smem.UnitSpec` alone (plus its :class:`DirectMachine`),
+the same unit the tutorial builds: it holds the kit to deriving a
+conforming unit from nothing but the declaration.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from enum import IntEnum
 from typing import Callable
 
+import numpy as np
+
 from repro.hdl.vcd import VcdWriter
-from repro.smem import verify_array_contract
-from repro.smem.core import DirectMachine
+from repro.smem import WORD, DirectMachine, MicroInstr, UnitSpec, verify_array_contract
+from repro.smem.microcode import OP_A
 
 #: exhaustive is the reference oracle; compiled is the backend under test
 BACKENDS = ("exhaustive", "event", "compiled")
@@ -41,6 +49,86 @@ class MachineSpec:
     script: Callable[[DirectMachine], tuple]
     #: cells needed by the script (kept small: exhaustive runs it too)
     script_cells: int = 16
+
+
+# ---------------------------------------------------------------------------
+# the tally unit: every cell holds a word, BUMP adds the broadcast to all of
+# them, the fold reports the column total
+
+
+class TallyCmd(IntEnum):
+    NOP = 0
+    CLEAR = 1  # every cell back to 0
+    BUMP = 2   # every cell: value += broadcast (mod 2**word_bits)
+
+
+@dataclass(frozen=True)
+class TallyState:
+    value: int = 0
+
+
+def tally_step(vec, cmd: int, broadcast: int) -> None:
+    """NumPy step over the whole column (production)."""
+    if cmd == TallyCmd.CLEAR:
+        vec.clear()
+    elif cmd == TallyCmd.BUMP:
+        vec.value = (vec.value + (broadcast & vec.mask)) & vec.mask
+    else:
+        raise ValueError(f"unknown tally command {cmd!r}")
+
+
+def tally_cell_step(cell, st: TallyState, cmd: int) -> TallyState:
+    """Scalar step of one cell (the oracle); unchanged → same object."""
+    mask = cell.array.mask
+    if cmd == TallyCmd.CLEAR:
+        return TallyState() if st.value else st
+    if cmd == TallyCmd.BUMP:
+        b = cell.broadcast.value & mask
+        return TallyState((st.value + b) & mask) if b else st
+    raise ValueError(f"unknown tally command {cmd!r}")
+
+
+def tally_fold(arr, vec) -> None:
+    arr.total.set(int(np.sum(vec.value, dtype=np.uint64)) & vec.mask)
+
+
+def tally_cell_fold(arr, states: list) -> None:
+    arr.total.set(sum(s.value for s in states) & arr.mask)
+
+
+T_RESET, T_BUMP, T_TOTAL = 0x01, 0x02, 0x03
+
+TALLY = UnitSpec(
+    name="Tally",
+    cmd=TallyCmd,
+    state=TallyState,
+    buses=(("broadcast", WORD),),
+    outputs=(("total", WORD),),
+    atoms={"total": "total"},
+    microcode={
+        T_RESET: (MicroInstr(cell_cmd=TallyCmd.CLEAR, done=True),),
+        T_BUMP: (MicroInstr(cell_cmd=TallyCmd.BUMP, broadcast=OP_A, done=True),),
+        T_TOTAL: (MicroInstr(emit=(("data1", ("total",)),), done=True),),
+    },
+    step=tally_step,
+    fold=tally_fold,
+    cell_step=tally_cell_step,
+    cell_fold=tally_cell_fold,
+)
+
+
+class DirectTallyMachine(DirectMachine):
+    spec = TALLY
+    core_name = "tallycore"
+
+    def reset_tally(self) -> int:
+        return self.op(T_RESET)["cycles"]
+
+    def bump(self, amount: int) -> int:
+        return self.op(T_BUMP, amount)["cycles"]
+
+    def total(self) -> int:
+        return self.op(T_TOTAL)["data1"]
 
 
 def _make(spec: MachineSpec, *, n_cells=None, array_kind="vector",
@@ -83,6 +171,15 @@ def _xisort_script(m) -> tuple:
     return out + (m.imprecise_count(), m.cycles)
 
 
+def _tally_script(m) -> tuple:
+    m.reset_tally()
+    m.bump(3)
+    m.bump(4)
+    first = m.total()
+    m.bump((1 << 32) - 1)  # wraps every cell modulo the word
+    return (first, m.total(), m.bump(0), m.total(), m.cycles)
+
+
 def _specs() -> list[MachineSpec]:
     # imported here, not at module top: pulling the machines in at collection
     # time would slow unrelated test files in this directory
@@ -96,6 +193,7 @@ def _specs() -> list[MachineSpec]:
         MachineSpec("histogram", DirectHistMachine, _hist_script),
         MachineSpec("match", DirectMatchMachine, _match_script),
         MachineSpec("xisort", DirectXiSortMachine, _xisort_script),
+        MachineSpec("tally", DirectTallyMachine, _tally_script),
     ]
 
 

@@ -1,7 +1,8 @@
 """Kit-wide ``__compile_vector__`` conformance (see smem_conformance).
 
-Every smart-memory machine — ξ-sort plus the three kit-native machines —
-is held to the same three obligations on both array kinds:
+Every smart-memory machine — ξ-sort, the three kit-native machines and
+the toy tally unit declared from a spec alone — is held to the same
+three obligations on both array kinds:
 
 1. event-kernel parity (observations, cycle counts, VCD bytes identical
    across exhaustive / event / compiled),
