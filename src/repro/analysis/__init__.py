@@ -43,7 +43,6 @@ from .clock import (
 from .perf import (
     IssueRateResult,
     XiStepCosts,
-    make_system,
     measure_end_to_end_sort,
     measure_issue_rate,
     measure_xisort_step_costs,
@@ -95,7 +94,6 @@ __all__ = [
     "LinkModel",
     "IssueRateResult",
     "XiStepCosts",
-    "make_system",
     "measure_end_to_end_sort",
     "measure_issue_rate",
     "measure_xisort_step_costs",

@@ -1,6 +1,6 @@
 """Cycle-accurate performance measurement helpers.
 
-Shared by the benchmark harness: each helper builds (or accepts) a system,
+Shared by the paper-claim tests: each helper builds (or accepts) a system,
 drives a defined workload, and returns cycle counts measured on the
 simulated hardware — the coprocessor-side halves of the paper's
 comparisons.
@@ -9,33 +9,14 @@ comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..config import FrameworkConfig
-from ..fu.registry import default_registry
 from ..isa import instructions as ins
 from ..isa.opcodes import ArithOp, Opcode
 from ..messages.channel import INTEGRATED, ChannelSpec
 from ..host.driver import CoprocessorDriver
-from ..system.builder import BuiltSystem, build_system
+from ..system.builder import BuiltSystem, SystemSpec
 from ..xisort import DirectXiSortMachine, xisort_factory
-
-
-def make_system(
-    config: Optional[FrameworkConfig] = None,
-    channel: ChannelSpec = INTEGRATED,
-    xisort_cells: int = 0,
-    pipelined: bool = False,
-    wheel: bool = True,
-    backend: str = "event",
-) -> BuiltSystem:
-    """Standard benchmark system: case-study units (+ optional ξ-sort)."""
-    cfg = config if config is not None else FrameworkConfig(pipelined_units=pipelined)
-    registry = default_registry(pipelined=cfg.pipelined_units)
-    if xisort_cells:
-        registry.register(Opcode.XISORT, xisort_factory(n_cells=xisort_cells))
-    return build_system(cfg, channel=channel, registry=registry,
-                        wheel=wheel, backend=backend)
 
 
 @dataclass
@@ -133,7 +114,9 @@ def measure_end_to_end_sort(
     from ..host.session import Session
     from ..xisort import XiSortAccelerator
 
-    system = make_system(channel=channel, xisort_cells=n_cells)
+    system = SystemSpec(
+        channel=channel, units=((Opcode.XISORT, xisort_factory(n_cells=n_cells)),)
+    ).build()
     session = Session(system)
     acc = XiSortAccelerator(session)
     values = random.Random(seed).sample(range(1 << 20), n)

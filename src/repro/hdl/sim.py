@@ -45,8 +45,8 @@ Two schedulers implement the settle phase:
 * ``backend="exhaustive"`` — the original reference kernel: every
   combinational process runs on every settle iteration until a full pass
   changes nothing.  Retained as the equivalence oracle for property tests
-  and as the baseline for the kernel microbenchmark
-  (``benchmarks/bench_kernel_settle.py``).
+  and as the baseline of the kernel-mode cycle pins
+  (``tests/paper/test_kernel_modes.py``).
 
 Both schedulers produce bit-identical signal traces and cycle counts; the
 property suite (``tests/properties/test_prop_kernel_equiv.py``) pins this.

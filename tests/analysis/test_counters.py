@@ -94,6 +94,18 @@ class TestKernelCounters:
         assert 0 < k["wheel_jumps"] <= k["skipped_cycles"]
         assert "skipped cycles" in report.kernel_table()
 
+    def test_settle_scheduler_counters_reported(self):
+        system = build_system()
+        driver = CoprocessorDriver(system)
+        driver.write_reg(1, 3)
+        driver.execute(ins.add(3, 1, 1))
+        driver.run_until_quiet()
+        report = counters_for(system)
+        for key in ("settle_calls", "activations", "tracked_procs"):
+            assert report.kernel[key] > 0, key
+        assert report.settle_activations_per_cycle > 0
+        assert "settle scheduler" in report.kernel_table()
+
     def test_wheel_off_executes_every_edge(self):
         from repro.messages.channel import SLOW_PROTOTYPE
 

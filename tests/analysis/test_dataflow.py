@@ -18,7 +18,9 @@ from repro.analysis.dataflow.transfer import eval_expr, expr_signals
 from repro.analysis.lint.model import build_design
 from repro.hdl import Component
 from repro.hdl.sim import Simulator
+from repro.messages.channel import PRESETS
 from repro.smem.array import lane_dtype
+from repro.system import build_system
 
 
 # -- the abstract domain ------------------------------------------------------
@@ -248,3 +250,14 @@ def test_elision_preserves_observable_state():
         return top.a.value, top.b.value, sim.now
 
     assert run(None) == run("compiled")
+
+
+# -- the channel presets ------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_proves_bounds_without_widening(preset):
+    built = build_system(channel=PRESETS[preset], lint="off")
+    res = analyze(built.soc, sim=built.sim)
+    assert len(res.tracked) > 0, f"{preset}: dataflow tracked no signals"
+    assert not res.widened, f"{preset}: widened {sorted(map(str, res.widened))}"

@@ -68,9 +68,10 @@ class TestAreaModel:
         assert area_tree(128, 32) < 2.5 * area_tree(64, 32)
 
     def test_framework_area_grows_with_word_size(self):
-        small = area_framework(FrameworkConfig(word_bits=32)).total
-        large = area_framework(FrameworkConfig(word_bits=128)).total
-        assert large > small
+        les = {bits: area_framework(FrameworkConfig(word_bits=bits)).total
+               for bits in (32, 64, 96, 128)}
+        expected = {32: 2326, 64: 3350, 96: 4374, 128: 5398}
+        assert les == expected, f"A1 framework LEs: expected {expected}, got {les}"
 
     def test_modest_system_fits_small_cyclone(self):
         # the paper ran on a small prototyping Cyclone: a 16-cell system fits
@@ -103,6 +104,11 @@ class TestTimingModel:
         small = estimate_clock(FrameworkConfig(), n_cells=16)
         large = estimate_clock(FrameworkConfig(), n_cells=4096)
         assert large.fmax_mhz < small.fmax_mhz
+        # F8: the log-depth fold costs clock period, never cycles
+        periods = {n: estimate_clock(FrameworkConfig(), n_cells=n).period_ns
+                   for n in (16, 64, 256, 1024, 4096)}
+        expected = {16: 9.5, 64: 10.5, 256: 12.5, 1024: 14.5, 4096: 16.5}
+        assert periods == expected, f"F8 clock period ns: expected {expected}, got {periods}"
 
     def test_ack_forwarding_stretches_path(self):
         """Thesis §2.3.4's warning, quantified (design decision 4)."""
@@ -110,6 +116,9 @@ class TestTimingModel:
         base = estimate_clock(cfg, ack_forwarding=False)
         fwd = estimate_clock(cfg, ack_forwarding=True)
         assert fwd.fmax_mhz < base.fmax_mhz
+        got = [(c.critical.name, c.period_ns) for c in (base, fwd)]
+        expected = [("arith.datapath", 9.5), ("dispatch+ack_forwarding", 10.5)]
+        assert got == expected, f"F5 critical paths: expected {expected}, got {got}"
         assert ack_forwarding_path(cfg, 2).levels > max(p.levels for p in rtm_paths(cfg))
 
     def test_cyclone_class_clock(self):

@@ -60,14 +60,18 @@ class TestMinimal:
         assert not t.has_flags  # minimal units carry no flags
 
     def test_ack_forwarding_gives_one_per_cycle(self):
-        ops = [UnitOp(0, i, dst1=1) for i in range(20)]
-        tb, cycles = run_unit(lambda n, p: Doubler(n, W, p, ack_forwarding=True), ops)
-        assert cycles / 20 <= 1.2
+        for n, expected in ((20, 21), (64, 65)):
+            ops = [UnitOp(0, i, dst1=1) for i in range(n)]
+            _, cycles = run_unit(lambda nm, p: Doubler(nm, W, p, ack_forwarding=True), ops)
+            assert cycles == expected, (
+                f"C2 minimal + ack fwd, {n} ops: expected {expected}, got {cycles}")
 
     def test_without_forwarding_every_second_cycle(self):
-        ops = [UnitOp(0, i, dst1=1) for i in range(20)]
-        tb, cycles = run_unit(lambda n, p: Doubler(n, W, p, ack_forwarding=False), ops)
-        assert cycles / 20 == pytest.approx(2.0, abs=0.2)
+        for n, expected in ((20, 40), (64, 128)):
+            ops = [UnitOp(0, i, dst1=1) for i in range(n)]
+            _, cycles = run_unit(lambda nm, p: Doubler(nm, W, p, ack_forwarding=False), ops)
+            assert cycles == expected, (
+                f"C2 minimal, no fwd, {n} ops: expected {expected}, got {cycles}")
 
     def test_minimal_must_produce_data(self):
         class Broken(MinimalFunctionalUnit):

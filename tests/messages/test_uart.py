@@ -135,6 +135,12 @@ class TestUartLinkInSystem:
         built.sim = sim
         built.config = soc.config
         driver = CoprocessorDriver(built)
+        # C1c: one write+GET round trip over the fastest-clocked 8N1 wire
+        driver.write_reg(1, 42)
+        start = driver.cycles
+        assert driver.read_reg(1, max_cycles=500_000) == 42
+        rt = driver.cycles - start
+        assert rt == 576, f"C1c UART round trip: expected 576, got {rt}"
         driver.write_reg(1, 20)
         driver.write_reg(2, 22)
         driver.execute(ins.add(3, 1, 2, dst_flag=1))

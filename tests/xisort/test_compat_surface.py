@@ -2,7 +2,7 @@
 not move its public import surface.
 
 Everything downstream of the refactor — ``examples/xisort_demo.py``, the
-C3/C4 benchmarks, user code following the tutorial — imports from
+C3/C4 paper tests, user code following the tutorial — imports from
 ``repro.xisort``; these tests freeze that surface so a future kit change
 cannot silently break it.  The module-level re-exports (tree machinery,
 microcode word, interval packing) must keep resolving even though they
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -116,14 +115,3 @@ class TestDownstreamImports:
     def test_xisort_demo_imports(self):
         mod = _load_script(REPO / "examples" / "xisort_demo.py", "xisort_demo")
         assert callable(mod.full_framework_demo)
-
-    @pytest.mark.parametrize("bench", ["bench_c3_xisort_vs_cpu",
-                                       "bench_c4_xisort_end_to_end"])
-    def test_xisort_benchmarks_import(self, bench):
-        # the bench files do `from conftest import report`
-        sys.path.insert(0, str(REPO / "benchmarks"))
-        try:
-            mod = _load_script(REPO / "benchmarks" / f"{bench}.py", bench)
-        finally:
-            sys.path.remove(str(REPO / "benchmarks"))
-        assert mod is not None

@@ -60,7 +60,7 @@ class TestRank:
             before = m.cycles
             m.rank(500)
             costs.add(m.cycles - before)
-        assert len(costs) == 1
+        assert costs == {5}, f"E1 rank: expected 5 cycles at every n, got {costs}"
         assert program_length(XI_RANK) == 4
 
 
