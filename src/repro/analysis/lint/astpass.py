@@ -1382,10 +1382,10 @@ class ProcClosure:
     and the codegen backend (:mod:`repro.hdl.compile`): the set of signals
     a process may read or write, the hidden (non-signal) attributes it
     touches, and — crucially — whether those sets are *complete*.  The
-    code generator may only install a value guard around a process when
+    code generator may only give a process a static wake slot when
     :attr:`read_complete` holds; lint reports processes where it does not
     (rule family ``compile.*``) so closure-coverage regressions surface in
-    CI rather than as silently unguarded sweeps.
+    CI rather than as silently interpreted processes.
     """
 
     fn: Callable[..., Any]

@@ -2,8 +2,8 @@
 
 ``Simulator(top, backend="compiled")`` flattens the elaborated component
 graph into one specialized Python module — rank-ordered combinational
-evaluation with per-process value guards, a fused sequential/commit edge
-phase whose processes run from the same wake flags as the guards, and
+evaluation from per-process wake flags, a fused sequential/commit edge
+phase whose processes run from the same wake flags, and
 numpy-vectorized executors for SIMD-regular structures — then
 ``exec``-compiles it once per system.  Processes whose dependence closure
 the compiler front end (:func:`repro.analysis.lint.astpass.closure_of`)
@@ -13,7 +13,7 @@ automatically, so the backend is always safe to select.
 Modules
 -------
 
-* :mod:`.frontend` — classification (translate / guard / fallback) and the
+* :mod:`.frontend` — wake sets (static slot / read-tracked fallback) and the
   AST-to-source translator for the provable process subset;
 * :mod:`.codegen` — emits the specialized module source (settle sweep,
   edge phase, wheel scan) and manages object hoisting;

@@ -4,43 +4,42 @@ Given the front end's per-process plans, this module emits one Python
 module built around one wake-flag list ``_W`` and one fanout map
 ``_FAN`` (signal → slots).  Every drain turns the simulator's pending
 changed-signal list (``_CHG``) into raised flags, and only flagged slots
-run: the event kernel's notification queue, dispatched statically.
-Comb slots come first; sequential slots follow them in the same list.
-The module contains four functions:
+run: the event kernel's notification queue, dispatched statically.  The
+flag is the only run decision; no slot compares input values.  Comb
+slots come first; sequential slots follow them in the same list.  The
+module contains four functions:
 
-* ``_sweep()`` — one rank-ordered pass over every combinational process.
-  A flagged guard is polled inline (a tuple of hoisted ``._value`` loads
-  compared against the last-run tuple) and only executed on a mismatch;
-  translated bodies run as specialized ``_pN`` functions.  Processes
-  without a provable closure follow the ranked section in *read-tracked
-  slots*: a flagged slot runs its engine helper (``_tkN``), which records
-  the signals the run read and adds them to ``_FAN``.  ``always=True``
-  processes (and runtime demotions, appended to ``_ALW`` by the engine)
-  run unconditionally at the end.  A final drain follows, and the sweep
-  returns ``(runs, more)`` where ``more`` says a drain raised a comb flag
-  the sweep had already passed: the settle loop's "queue not empty" test.
-  ``_drain()`` is the same drain on its own, run at settle entry: a
-  settle whose pending changes wake no comb slot is quiescent.  A raised
-  seq flag is edge work and never makes a settle busy.
+* ``_sweep()`` — one rank-ordered pass over every combinational process
+  with a static wake set: a flagged slot runs its translated body
+  (``_pN``) or calls the original function (``_fN``).  Processes without
+  a provable closure follow the ranked section in *read-tracked slots*: a
+  flagged slot runs its engine helper (``_tkN``), which records the
+  signals the run read and adds them to ``_FAN``.  Every-sweep processes
+  (``_ALW``: ``always=True``, hidden-input-only writers and runtime
+  demotions appended by the engine) run unconditionally at the end.  A
+  final drain follows, and the sweep returns ``(runs, more)`` where
+  ``more`` says a drain raised a comb flag the sweep had already passed:
+  the settle loop's "queue not empty" test.  ``_drain()`` is the same
+  drain on its own, run at settle entry: a settle whose pending changes
+  wake no comb slot is quiescent.  A raised seq flag is edge work and
+  never makes a settle busy.
 * ``_edge()`` — the fused sequential/commit phase.  A sequential process
-  with signal-only, managed inputs runs from a *wake slot* when its flag
+  with a static, managed wake set runs from a *wake slot* when its flag
   is up, and afterwards keeps the flag up only if the run staged
   something (the event kernel's dormancy rule).  Pure processes with an
   unprovable closure run from read-tracked seq slots (``_tsN``) under the
-  same rule; one that reads an unmanaged signal stays armed.  Processes
-  with hidden or unmanaged guard inputs keep polling their guard tuple,
-  impure fallbacks run on every edge.  Vectorized executors follow, then
-  an inlined atomic commit of the staged registers.  Returns ``(runs,
+  same rule; one that reads an unmanaged signal stays armed.  Impure
+  fallbacks run on every edge.  Vectorized executors follow, then an
+  inlined atomic commit of the staged registers.  Returns ``(runs,
   vector_applied)``; one comment line per process names its tier.
-* ``_scan_seq()`` — True when any *non-wheeled* sequential process would
-  run on the next edge (a raised seq flag or a mismatching polled guard);
-  the engine's time-wheel scan vetoes jumps on it.
+* ``_scan_seq()`` — True when any *non-wheeled* sequential slot's flag
+  is up; the engine's time-wheel scan vetoes jumps on it.
 
 The module is ``exec``-compiled once per system into a namespace holding
-the hoisted objects (``_h<n>`` signals and owners), guard state lists,
-fallback functions and a handful of kernel internals (``_CH`` the change
-tracker, ``_U`` the unset sentinel, ``_SL`` the staged-register list,
-``_CHG`` the simulator's pending list).
+the hoisted objects (``_h<n>`` signals and owners), called functions and
+a handful of kernel internals (``_CH`` the change tracker, ``_U`` the
+unset sentinel, ``_SL`` the staged-register list, ``_CHG`` the
+simulator's pending list).
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = ["Plan", "Hoister", "GeneratedModule", "generate"]
-
-#: guard sentinel: never equal to any value tuple, so the first poll runs
-_NEVER = (object(),)
 
 
 class Hoister:
@@ -78,22 +74,16 @@ class Plan:
 
     fn: Callable[[], None]
     index: int
-    #: "translated" | "guarded" | "tracked" (no provable closure: a
-    #: read-tracked wake slot) | "always" (comb: declared ``always=True``;
-    #: seq: impure and unprovable, run on every edge)
+    #: "translated" | "called" (a static wake slot calling ``fn``) |
+    #: "tracked" (no provable closure: a read-tracked wake slot) |
+    #: "always" (comb: every sweep; seq: impure and unprovable, every edge)
     kind: str
     wheeled: bool
-    guard_sigs: list = field(default_factory=list)
-    guard_hidden: list = field(default_factory=list)  # (owner, attr, mode)
-    #: signals read inside property getters on the navigation path: part
-    #: of the wake set, not the poll tuple (see frontend.guard_reads)
-    wake_sigs: list = field(default_factory=list)
+    #: signals whose changes raise this plan's flag (see frontend.slot_reads)
+    wake: list = field(default_factory=list)
     body: Optional[list] = None  # translated lines
     #: a "tracked" plan's slot runner (the engine's read-tracking helper)
     run: Optional[Callable[[], Any]] = None
-    #: seq only: a guard input no wake flag can see (a hidden load, a
-    #: signal this simulator does not manage) — poll the tuple every edge
-    polled: bool = False
     rank: int = 0  # comb only: topological depth
     #: position in the wake-flag list (assigned by :func:`generate`)
     slot: int = -1
@@ -108,21 +98,10 @@ class GeneratedModule:
     drain: Callable[[], bool]
     edge: Callable[[], tuple]
     scan_seq: Callable[[], bool]
-    guards: list  # guard state lists, reset to re-run everything
-    wake: list  # per-slot wake flags; set all True to force re-polls
+    wake: list  # per-slot wake flags; set all True to re-run everything
     n_comb: int  # comb slots come first in ``wake``; seq slots follow
     fanout: dict  # signal -> wake slots; read-tracked slots grow it
     every: list  # functions run on every sweep (``_ALW``)
-
-
-def _guard_tuple(plan: Any, hoist: Hoister) -> str:
-    parts = [f"{hoist(s)}._value" for s in plan.guard_sigs]
-    for owner, attr, mode in plan.guard_hidden:
-        load = f"{hoist(owner)}.{attr}"
-        parts.append(load if mode == "value" else f"_snap({load})")
-    if not parts:
-        return "()"
-    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 def generate(
@@ -135,12 +114,11 @@ def generate(
     """Emit, compile and wire the specialized module.
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL`` and
-    ``_CHG``; hoisted objects, guard lists, fallbacks, executor methods
-    and the tracked plans' slot runners are installed here.
+    ``_CHG``; hoisted objects, called functions, executor methods and the
+    tracked plans' slot runners are installed here.
     """
     out: list[str] = []
     emit = out.append
-    guards: list = []
 
     # specialized process bodies
     for prefix, plans in (("_p", comb), ("_e", seq)):
@@ -159,20 +137,19 @@ def generate(
     # flagged slots run.  Comb slots come first (ranked, then tracked);
     # seq slots follow from position n_slots and are read by the edge.
     ordered = sorted(
-        (p for p in comb if p.kind in ("translated", "guarded")),
+        (p for p in comb if p.kind in ("translated", "called")),
         key=lambda p: (p.rank, p.index),
     )
     tracked = [p for p in comb if p.kind == "tracked"]
     n_slots = len(ordered) + len(tracked)
-    seq_slots = [s for s in seq
-                 if s.kind == "tracked" or (s.kind != "always" and not s.polled)]
+    seq_slots = [s for s in seq if s.kind != "always"]
     slotted = ordered + tracked + seq_slots
     for pos, p in enumerate(slotted):
         p.slot = pos
     wake: list = [True] * len(slotted)
     fanout: dict = {}
     for p in slotted:  # tracked plans start empty and grow _FAN as they run
-        for sig in set(p.guard_sigs) | set(p.wake_sigs):
+        for sig in p.wake:
             fanout.setdefault(sig, []).append(p.slot)
     every: list = [p.fn for p in comb if p.kind == "always"]
     namespace["_W"] = wake
@@ -213,31 +190,16 @@ def generate(
         emit("        _ran += 1")
     last_rank: Optional[int] = None
     for pos, p in enumerate(ordered):
-        g = f"_g{p.index}"
-        state: list = [_NEVER]
-        guards.append(state)
-        namespace[g] = state
         call = f"_p{p.index}()" if p.kind == "translated" else f"_f{p.index}()"
-        if p.kind == "guarded":
+        if p.kind == "called":
             namespace[f"_f{p.index}"] = p.fn
         if p.rank != last_rank:
             emit_drain(pos)
             last_rank = p.rank
-        if p.guard_sigs or p.wake_sigs:
-            emit(f"    if _W[{pos}]:")
-            emit(f"        _W[{pos}] = False")
-            ind = "    "
-        else:
-            # no signal can wake this guard (hidden-only inputs): poll
-            # it on every sweep, and clear the flag a forced re-poll
-            # raised so it never reads as pending work
-            emit(f"    _W[{pos}] = False")
-            ind = ""
-        emit(f"    {ind}_t = {_guard_tuple(p, hoist)}")
-        emit(f"    {ind}if _t != {g}[0]:")
-        emit(f"        {ind}{g}[0] = _t")
-        emit(f"        {ind}{call}")
-        emit(f"        {ind}_ran += 1")
+        emit(f"    if _W[{pos}]:")
+        emit(f"        _W[{pos}] = False")
+        emit(f"        {call}")
+        emit("        _ran += 1")
     for p in tracked:
         namespace[f"_tk{p.index}"] = p.run
         emit_drain(p.slot)
@@ -267,7 +229,7 @@ def generate(
     for s in seq:
         name = getattr(s.fn, "__qualname__", s.fn)
         call = f"_e{s.index}()" if s.kind == "translated" else f"_q{s.index}()"
-        if s.kind in ("guarded", "always"):
+        if s.kind in ("called", "always"):
             namespace[f"_q{s.index}"] = s.fn
         if s.kind == "always":
             emit(f"    # {name}: every edge")
@@ -279,25 +241,12 @@ def generate(
             emit(f"    if _W[{s.slot}]:")
             emit(f"        _W[{s.slot}] = _ts{s.index}()")
             emit("        _ran += 1")
-        elif not s.polled:
+        else:
             emit(f"    # {name}: wake slot {s.slot}")
             emit(f"    if _W[{s.slot}]:")
             emit("        _n0 = _CH.stages")
             emit(f"        {call}")
             emit(f"        _W[{s.slot}] = _n0 != _CH.stages")
-            emit("        _ran += 1")
-        else:
-            g = f"_s{s.index}"
-            state = [_NEVER, True]
-            guards.append(state)
-            namespace[g] = state
-            emit(f"    # {name}: polled (hidden/unmanaged)")
-            emit(f"    _t = {_guard_tuple(s, hoist)}")
-            emit(f"    if {g}[1] or _t != {g}[0]:")
-            emit(f"        {g}[0] = _t")
-            emit("        _n0 = _CH.stages")
-            emit(f"        {call}")
-            emit(f"        {g}[1] = _n0 != _CH.stages")
             emit("        _ran += 1")
     emit("    _vec = False")
     for k, _ex in enumerate(executors):
@@ -323,11 +272,6 @@ def generate(
     if flags:
         emit(f"    if {' or '.join(flags)}:")
         emit("        return True")
-    for s in seq:
-        if s.polled and not s.wheeled:
-            g = f"_s{s.index}"
-            emit(f"    if {g}[1] or {_guard_tuple(s, hoist)} != {g}[0]:")
-            emit("        return True")
     emit("    return False")
     emit("")
 
@@ -345,18 +289,9 @@ def generate(
         drain=namespace["_drain"],
         edge=namespace["_edge"],
         scan_seq=namespace["_scan_seq"],
-        guards=guards,
         wake=wake,
         n_comb=n_slots,
         fanout=fanout,
         every=every,
     )
-
-
-def reset_guards(guards: list) -> None:
-    """Force every comb guard and polled seq guard to mismatch and re-run."""
-    for state in guards:
-        state[0] = _NEVER
-        if len(state) > 1:
-            state[1] = True
 

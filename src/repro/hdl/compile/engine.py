@@ -8,26 +8,28 @@ with calls into the module generated by :mod:`.codegen`:
 
 * **settle** is the wake-driven sweep run until no wake flag is left
   raised — the event kernel's "queue empty" rule.  Only while an
-  every-sweep process exists (``always=True`` or a runtime demotion) does
-  a sweep that changed any signal also force another, as the event
-  kernel does for its ``_always`` list.  The quiescent fast path skips
-  the sweep entirely when the pending changes wake no comb slot, no edge work
-  moved state behind the pending list, and no every-sweep process
-  exists.
+  every-sweep process exists (``always=True``, a writer with hidden inputs
+  only, or a runtime demotion) does a sweep that changed any signal also
+  force another, as the event kernel does for its ``_always`` list.  The
+  quiescent fast path skips the sweep entirely when the pending changes
+  wake no comb slot, no edge work moved state behind the pending list,
+  and no every-sweep process exists.
 * **edge** is the generated fused sequential/commit phase: sequential
   processes run from the same wake flags, with the event kernel's
   dormancy rule (a run that staged nothing sleeps until a signal it
   reads changes).
 * the **time wheel** is inherited; only the jump-precondition scan is
-  replaced (the non-wheeled seq wake flags, the few still-polled seq
-  guards, and the vectorized executors' horizons).
+  replaced (the non-wheeled seq wake flags and the vectorized executors'
+  horizons).
 
-Guards compare by value and wake through a static fanout map; external
-pokes are observed through the ordinary pending-list notification that
-:meth:`Signal.set` and :meth:`Signal.force` already perform.  The only
-read tracking on the hot path belongs to processes the front end cannot
-prove (:class:`_Tracked`), which discover their sensitivity one run at a
-time, exactly like the event kernel.
+Wake flags alone decide which process runs, raised through a static
+fanout map; external pokes are observed through the ordinary
+pending-list notification that :meth:`Signal.set` and
+:meth:`Signal.force` already perform.  The only read tracking on the hot
+path belongs to processes the front end cannot prove, or whose wake set
+holds a signal this simulator does not manage (:class:`_Tracked`); they
+discover their sensitivity one run at a time, exactly like the event
+kernel.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from ..component import Component
 from ..errors import CombinationalLoopError
 from ..signal import CHANGES
 from ..sim import MAX_SETTLE_ITERATIONS, Simulator
-from .codegen import GeneratedModule, Hoister, Plan, generate, reset_guards
-from .frontend import Translator, _snap, closure_of, guard_eligible, guard_reads
+from .codegen import GeneratedModule, Hoister, Plan, generate
+from .frontend import (ProcClosure, Translator, closure_of,
+                       hidden_loads_constant, slot_reads)
 from .vector import collect_executors
 
 __all__ = ["CompiledSimulator"]
@@ -78,7 +81,7 @@ class _Tracked:
         """One run under read tracking.
 
         For a comb slot, returns the run count (0 once demoted: a forced
-        re-poll of a slot that now runs every sweep).  For a seq slot,
+        wake of a slot that now runs every sweep).  For a seq slot,
         returns whether the wake flag stays up — the run staged something,
         or the process reads an unmanaged signal (the dormancy rule).
         """
@@ -146,41 +149,43 @@ class CompiledSimulator(Simulator):
                 )
                 continue
             closure = self._closure_or_none(p.fn)
-            if closure is None or not guard_eligible(closure):
+            wake = self._wake_set(closure)
+            if closure is None or wake is None:
                 comb_plans.append(self._tracked_plan(i, p, seq=False))
-                continue
-            closures[i] = closure
-            comb_plans.append(self._guard_plan(i, p, closure, hoist, tx_stats))
+            elif not wake and closure.writes:
+                # hidden inputs only: the event kernel runs it every sweep
+                comb_plans.append(
+                    Plan(fn=p.fn, index=i, kind="always", wheeled=p.wheeled)
+                )
+            else:
+                closures[i] = closure
+                comb_plans.append(
+                    self._slot_plan(i, p, closure, wake, hoist, tx_stats))
         self._rank_plans(comb_plans, closures)
 
         seq_plans: list[Plan] = []
-        changed = self._changed
         for j, sp in enumerate(self._seqprocs):
             if id(sp.fn) in absorbed:
                 n_absorbed += 1
                 continue
             closure = self._closure_or_none(sp.fn)
-            # Skipping is sound when the closure is fully proven *and* the
-            # process performs no combinational set() writes (re-running a
-            # stage-only process with unchanged inputs restages the same
-            # values).  A declared-pure process keeps the event kernel's
-            # wider dormancy contract even when it does write signals.
-            guardable = (
+            wake = self._wake_set(closure)
+            # Dormancy is sound when the closure is proven and an impure
+            # process has no set() writes and no hidden load that can
+            # change: re-running it on unchanged signals restages the same
+            # values.  A declared-pure process keeps the event kernel's
+            # wider dormancy contract.
+            if (
                 closure is not None
-                and guard_eligible(closure)
+                and wake is not None
                 and closure.write_complete
                 and not closure.hidden_stores
                 and not closure.nonlocal_stores
-                and (sp.pure or not closure.writes)
-            )
-            if guardable:
-                plan = self._guard_plan(j, sp, closure, hoist, tx_stats)
-                # only signals this simulator manages can raise a wake flag
-                plan.polled = bool(plan.guard_hidden) or any(
-                    sig._pending is not changed
-                    for sig in plan.guard_sigs + plan.wake_sigs
-                )
-                seq_plans.append(plan)
+                and (sp.pure or (not closure.writes
+                                 and hidden_loads_constant(closure)))
+            ):
+                seq_plans.append(
+                    self._slot_plan(j, sp, closure, wake, hoist, tx_stats))
             elif sp.pure:
                 seq_plans.append(self._tracked_plan(j, sp, seq=True))
             else:
@@ -193,7 +198,6 @@ class CompiledSimulator(Simulator):
             "_U": _signal_mod._UNSET,
             "_SL": self._staged_regs,
             "_CHG": self._changed,
-            "_snap": _snap,
         }
         module: GeneratedModule = generate(
             comb_plans, seq_plans, executors, hoist, namespace)
@@ -205,7 +209,6 @@ class CompiledSimulator(Simulator):
         self._drain_fn = module.drain
         self._edge_fn = module.edge
         self._scan_seq_fn = module.scan_seq
-        self._guards = module.guards
         #: every-sweep comb functions; runtime demotions append here
         self._every = module.every
         always = [pl for pl in comb_plans if pl.kind == "always"]
@@ -232,17 +235,26 @@ class CompiledSimulator(Simulator):
         stats.masks_elided = tx_stats["masks_elided"]
         stats.branches_folded = tx_stats["branches_folded"]
 
+    def _wake_set(self, closure: Optional[ProcClosure]) -> Optional[list]:
+        """A proven closure's wake set, or ``None`` when a flag cannot
+        carry it: no static wake set, or a signal whose changes never
+        reach this simulator's pending list."""
+        if closure is None:
+            return None
+        wake = slot_reads(closure)
+        if wake is None or any(s._pending is not self._changed for s in wake):
+            return None
+        return wake
+
     @staticmethod
-    def _guard_plan(index: int, proc: Any, closure: Any, hoist: Hoister,
-                    tx_stats: dict) -> Plan:
-        """A translated plan over a proven closure (guarded when the body
-        leaves the translatable subset)."""
-        sigs, hidden, wake = guard_reads(closure)
+    def _slot_plan(index: int, proc: Any, closure: ProcClosure, wake: list,
+                   hoist: Hoister, tx_stats: dict) -> Plan:
+        """A static wake slot: the translated body, or a call of ``fn``
+        when the body leaves the translatable subset."""
         body = Translator(proc.fn, closure, hoist, stats=tx_stats).translate()
         return Plan(fn=proc.fn, index=index,
-                    kind="translated" if body is not None else "guarded",
-                    wheeled=proc.wheeled, guard_sigs=sigs, guard_hidden=hidden,
-                    wake_sigs=wake, body=body)
+                    kind="translated" if body is not None else "called",
+                    wheeled=proc.wheeled, wake=wake, body=body)
 
     def _tracked_plan(self, index: int, proc: Any, seq: bool) -> Plan:
         """A read-tracked slot plan plus its engine helper."""
@@ -252,7 +264,7 @@ class CompiledSimulator(Simulator):
                     wheeled=proc.wheeled, run=tc.run)
 
     @staticmethod
-    def _closure_or_none(fn: Callable[[], None]) -> Optional[Any]:
+    def _closure_or_none(fn: Callable[[], None]) -> Optional[ProcClosure]:
         try:
             return closure_of(fn)
         except Exception:
@@ -324,11 +336,10 @@ class CompiledSimulator(Simulator):
         stats.always_procs += 1
         stats.tracked_procs -= 1
 
-    def _wake(self, n: int) -> None:
-        """Raise the first ``n`` wake flags (comb slots come first)."""
+    def _wake_all(self) -> None:
+        """Raise every wake flag, seq slots included."""
         wake = self._module.wake
-        for i in range(n):
-            wake[i] = True
+        wake[:] = [True] * len(wake)
 
     def settle(self) -> int:
         stats = self.kernel_stats
@@ -336,11 +347,9 @@ class CompiledSimulator(Simulator):
         every = self._every
         if self._edge_dirty:
             # State moved without pending-list notifications (vectorized
-            # executors, reset forces): no fanout entry fired, so every
-            # comb guard must re-poll.  Seq slots need no wake-up here:
-            # executors publish to signals through notifying set(), and
-            # reset wakes every slot itself.
-            self._wake(self._module.n_comb)
+            # executors, reset forces): sweep once so the executors settle
+            # and publish through notifying set().  That wakes exactly
+            # the slots reading what moved; reset wakes every slot itself.
             self._edge_dirty = False
             quiet_in = False
         else:
@@ -356,10 +365,9 @@ class CompiledSimulator(Simulator):
         while True:
             iterations += 1
             if iterations > self.max_settle:
-                # Leave a recoverable engine behind the diagnostic: force
-                # every guard to re-run and mark state suspect.
-                reset_guards(self._guards)
-                self._wake(len(self._module.wake))
+                # Leave a recoverable engine behind the diagnostic: wake
+                # every slot and mark state suspect.
+                self._wake_all()
                 self._edge_dirty = True
                 unstable = self._find_unstable()
                 raise CombinationalLoopError(self.now, self.max_settle, unstable)
@@ -418,8 +426,8 @@ class CompiledSimulator(Simulator):
         """Asynchronous whole-design reset (see :meth:`Simulator.reset`).
 
         Signal values change wholesale without notifications, so every
-        guard is forced to mismatch and the vectorized executors restore
-        their power-on state before the full re-settle.
+        slot is woken and the vectorized executors restore their power-on
+        state before the full re-settle.
         """
         for sig in self.top.all_signals():
             if isinstance(sig, _signal_mod.Reg):
@@ -431,8 +439,7 @@ class CompiledSimulator(Simulator):
             hook()
         for ex in self._executors:
             ex.on_reset()
-        reset_guards(self._guards)
-        self._wake(len(self._module.wake))
+        self._wake_all()
         self._changed.clear()
         self._edge_dirty = True
         self.settle()

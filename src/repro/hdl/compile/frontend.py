@@ -3,26 +3,23 @@
 The front end decides, per process, which execution strategy the
 generated module uses:
 
-* **translated** — the body is rewritten into straight-line Python over
-  hoisted signal references (``_h3._value``) with inlined set/stage
-  semantics: no dict dispatch, no per-signal attribute chasing, no read
-  tracking.  Only a restricted statement/expression subset qualifies.
-* **guarded fallback** — the original function object is called, but only
-  when the value tuple of its *proven* read closure (signals plus benign
-  hidden attribute loads) changed since its last run.
+* **static wake slot** — the read closure is proven: the process runs
+  whenever a signal in its wake set (:func:`slot_reads`) changes, as the
+  event kernel's notification queue would run it.  The slot holds the
+  *translated* body — straight-line Python over hoisted signal references
+  (``_h3._value``) with inlined set/stage semantics, no dict dispatch, no
+  read tracking — when the body stays inside the translator subset, and
+  a plain call of the original function otherwise.
 * **read-tracked** — the closure could not be proven (opaque reads,
-  unknown calls, mutable hidden state): the function runs interpreted
+  unknown calls, late-bound hidden state): the function runs interpreted
   from a wake slot, under read tracking, whenever a signal one of its
   runs read changes — exactly how the event kernel schedules it (for
   sequential processes: pure ones only).  ``always=True`` processes run
   on every sweep, impure unprovable sequential processes on every edge.
 
-Translated and guarded processes are scheduled from wake slots too: a
-change to a signal in the proven closure raises the slot's flag, as the
-event kernel's notification queue would.  A comb process polls its value
-tuple behind the flag; a sequential process polls it, on every edge,
-only when some input cannot raise a flag (hidden attribute loads,
-signals another simulator manages).
+Only the wake flag decides whether a process runs.  Hidden attribute
+loads wake nothing, because the event kernel's dynamic sensitivity
+watches only signals.
 
 The dependence closures come from the lint AST pass
 (:func:`repro.analysis.lint.astpass.closure_of`) — one front end shared by
@@ -47,15 +44,14 @@ from ..signal import tracking as _signal_tracking
 __all__ = [
     "ProcClosure",
     "closure_of",
-    "guard_eligible",
-    "guard_reads",
+    "slot_reads",
+    "hidden_loads_constant",
     "Translator",
     "Untranslatable",
 ]
 
-#: value types a guard tuple may capture by value: comparing the captured
-#: value with ``==`` detects every rebinding, because the object itself
-#: can never mutate in place
+#: value types the translator may load at run time off a hoisted owner:
+#: the loaded object can never mutate in place
 _SCALAR_TYPES = (int, float, str, bool, type(None))
 
 
@@ -66,9 +62,6 @@ def _immutable_value(value: Any) -> bool:
     return params is not None and bool(params.frozen)
 
 
-_MISSING = object()
-
-
 def _constant_load(owner: Any, value: Any) -> bool:
     """True when ``owner.attr`` can never change for the design's lifetime.
 
@@ -76,7 +69,7 @@ def _constant_load(owner: Any, value: Any) -> bool:
     different one — unless the owner forbids rebinding outright: enum
     classes reject member reassignment, frozen dataclasses raise
     ``FrozenInstanceError`` on ``setattr``.  Such loads are compile-time
-    constants and need no guard slot at all.
+    constants the translator may fold.
     """
     if isinstance(owner, type) and issubclass(owner, enum.Enum):
         return True
@@ -84,137 +77,57 @@ def _constant_load(owner: Any, value: Any) -> bool:
     return params is not None and bool(params.frozen)
 
 
-def _snap(x: Any) -> Any:
-    """O(1) rebinding probe for a hidden guard input: value or identity.
+_MISSING = object()
 
-    The reference semantics a guard must reproduce are the *event
-    kernel's*, and its dynamic sensitivity watches only the signals a
-    process actually read on its last run — never the hidden objects it
-    navigated through.  A guarded process additionally has a statically
-    complete read set (``read_complete``), so the only way its polled
-    signal set can go stale is the navigation path itself changing: the
-    attribute being rebound to a different object.  Identity catches
-    exactly that.  Interior mutation of the object is deliberately not
-    polled — the event kernel would not wake the process for it either,
-    and every program where that matters already diverges between the
-    event and exhaustive kernels, outside the framework's contract.
+
+def slot_reads(closure: ProcClosure) -> Optional[list[Signal]]:
+    """The signals whose changes wake this process, or ``None``.
+
+    ``None`` means the process has no static wake set: its closure is not
+    ``read_complete``, or a real owner lacks a hidden attribute the
+    process loads (late-bound state that cannot be sampled yet).
+
+    Otherwise the wake set is ``closure.reads`` plus the signals read by
+    property getters along the navigation path.  The AST pass cannot see
+    through a getter, but the event kernel's read tracking is live while
+    the getter runs inside the process, so it subscribes to them too.
+    Each hidden load is sampled once under read tracking; like the body,
+    a getter is assumed to read a fixed signal set.  A load missing on a
+    probe placeholder (``None`` or a bare ``object``) is skipped: the AST
+    pass resolves locals derived from tracked signal reads onto such
+    placeholders, and those signals are already in ``closure.reads``.
+    Sorted so generated source is stable.
     """
-    return x if isinstance(x, _SCALAR_TYPES) else id(x)
-
-
-def _computed_reads(owner: Any, attr: str) -> Optional[set]:
-    """Signals a computed attribute's getter reads, or None for stored attrs.
-
-    A load that resolves through a descriptor (``@property``) runs code on
-    every access, so polling it costs whatever the getter costs — and a
-    getter deriving purely from Python state (``component.path`` walking
-    the parent chain) can never wake an event-kernel process anyway, since
-    dynamic sensitivity only watches signals.  Sampling the getter once
-    under the read-tracking hook separates the two kinds: an empty set
-    means the load is invisible to the reference kernel and may be dropped
-    from the guard; a non-empty set means the getter derives from signal
-    state and must keep being polled by value.
-    """
-    if not isinstance(inspect.getattr_static(type(owner), attr, None),
-                      property):
+    if not closure.read_complete:
         return None
-    reads: set = set()
-    with _signal_tracking(reads=reads):
-        try:
-            getattr(owner, attr)
-        except Exception:
-            pass
-    return reads
+    wake = set(closure.reads)
+    with _signal_tracking(reads=wake):
+        for (_oid, attr), (_text, owner) in closure.hidden_loads.items():
+            try:
+                value = getattr(owner, attr, _MISSING)
+            except Exception:
+                value = _MISSING
+            if value is _MISSING and not (owner is None
+                                          or type(owner) is object):
+                return None
+    return sorted(wake, key=lambda s: (s.name, id(s)))
 
 
-def _pollable_hidden(
-    closure: ProcClosure,
-) -> Optional[tuple[list[tuple[Any, str, str]], set]]:
-    """The hidden loads a guard must poll, or ``None`` when unguardable.
-
-    Returns ``(polled, wake)``: the (owner, attr, mode) loads the guard
-    tuple samples, plus the *wake signals* — signals read inside property
-    getters along the navigation path.  The AST pass cannot see through a
-    getter, so those signals are absent from ``closure.reads``; the event
-    kernel still subscribes to them (its read tracking is active while
-    the getter runs inside the process), so the wake-driven sweep must
-    treat them as guard inputs too.  The getter is assumed to read a
-    fixed signal set — the same static-closure contract ``read_complete``
-    already places on the process body itself.
-
-    Sieve over the closure's hidden attribute loads:
-
-    * attribute present, immutable, on a rebind-proof owner (see
-      :func:`_constant_load`) → a compile-time constant, dropped;
-    * attribute resolved through a property whose getter reads no signals
-      (see :func:`_computed_reads`) → invisible to the event kernel's
-      dynamic sensitivity, dropped — recomputed paths and unit tables
-      land here;
-    * attribute present and immutable → polled by value (``"value"``);
-    * attribute present and mutable → a stored reference, polled via
-      :func:`_snap` (``"snap"``) — port bundles and arbiter port lists
-      land here;
-    * attribute *missing* on a probe placeholder (``None`` or a bare
-      ``object``) → dropped: the AST pass resolves loads on locals that
-      are derived from tracked signal reads onto such placeholders, and
-      ``read_complete`` already proves their inputs are in the polled
-      signal set;
-    * a real owner whose attribute does not exist yet — late-bound
-      hidden state → ``None``: the load cannot even be sampled at
-      compile time, so the process cannot be value-guarded.
-    """
-    polled: list[tuple[Any, str, str]] = []
-    wake: set = set()
+def hidden_loads_constant(closure: ProcClosure) -> bool:
+    """True when every hidden load is a compile-time constant (see
+    :func:`_constant_load`) or misses on a probe placeholder.  The event
+    kernel runs an impure seq process on every edge, so it sees a rebound
+    attribute at once; a wake slot may stand in for one only then."""
     for (_oid, attr), (_text, owner) in closure.hidden_loads.items():
         try:
             value = getattr(owner, attr, _MISSING)
         except Exception:
-            value = _MISSING
-        if value is _MISSING:
-            if owner is None or type(owner) is object:
-                continue
-            return None
-        getter_reads = _computed_reads(owner, attr)
-        if getter_reads is not None:
-            if not getter_reads:
-                continue
-            wake |= getter_reads
-        if _immutable_value(value):
-            if not _constant_load(owner, value):
-                polled.append((owner, attr, "value"))
-        else:
-            polled.append((owner, attr, "snap"))
-    return polled, wake
-
-
-def guard_eligible(closure: ProcClosure) -> bool:
-    """May the generated code skip this process on an unchanged read tuple?
-
-    Requires a complete read closure, and every hidden (non-signal)
-    attribute load to be pollable (see :func:`_pollable_hidden`) — a
-    deeply mutable hidden input (a dict, a numpy array) can change
-    without any polled snapshot comparing unequal, which would wrongly
-    keep the process asleep.
-    """
-    return closure.read_complete and _pollable_hidden(closure) is not None
-
-
-def guard_reads(
-    closure: ProcClosure,
-) -> tuple[list[Signal], list[tuple[Any, str, str]], list[Signal]]:
-    """The inputs of a guard: (signals, hidden loads, extra wake signals).
-
-    The first two lists form the polled value tuple; the third holds
-    signals read inside property getters on the navigation path (see
-    :func:`_pollable_hidden`) — they join the guard's wake set but not
-    its poll tuple, since the polled property value already reflects
-    them.  Deterministically ordered so generated source is stable.
-    """
-    polled, wake = _pollable_hidden(closure) or ([], set())
-    sigs = sorted(closure.reads, key=lambda s: (s.name, id(s)))
-    hidden = sorted(polled, key=lambda entry: (entry[1], id(entry[0])))
-    extra = sorted(wake - set(closure.reads), key=lambda s: (s.name, id(s)))
-    return sigs, hidden, extra
+            return False
+        if value is _MISSING and (owner is None or type(owner) is object):
+            continue
+        if not (_immutable_value(value) and _constant_load(owner, value)):
+            return False
+    return True
 
 
 # -- the translator -----------------------------------------------------------
@@ -395,8 +308,7 @@ class Translator:
             return self._tx_object(obj, test)
         if _immutable_value(obj) and not isinstance(obj, (Signal, Stream)):
             # a hidden attribute load: emit a runtime load off the hoisted
-            # owner, so rebinding between cycles is observed (the guard
-            # tuple polls the same attribute)
+            # owner, so a run sees the attribute's current binding
             owner = self._resolve(node.value)
             return f"{self.hoist(owner)}.{attr}"
         raise Untranslatable("attribute kind")
@@ -712,7 +624,7 @@ class Translator:
             av = self._abs_eval(stmt.test)
             verdict = av[0].truthiness() if av is not None else None
             if verdict is not None:
-                # the guard is decided by width bounds and rebind-proof
+                # the test is decided by width bounds and rebind-proof
                 # constants alone — fold the dead arm away entirely
                 self.stats["branches_folded"] += 1
                 taken = stmt.body if verdict else stmt.orelse

@@ -84,7 +84,7 @@ only; the exhaustive kernel keeps the reference run-everything loop):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import signal as _signal_mod
@@ -190,8 +190,9 @@ class KernelStats:
     skipped_cycles: int = 0
     #: number of time-wheel jumps taken
     wheel_jumps: int = 0
-    #: processes the codegen backend translated or value-guarded (compiled
-    #: backend only; 0 under the interpreted kernels)
+    #: processes the codegen backend runs from a static wake slot, translated
+    #: or called, plus absorbed ones (compiled backend only; 0 under the
+    #: interpreted kernels)
     compiled_procs: int = 0
     #: processes the compiled backend runs interpreted: comb processes
     #: from read-tracked wake slots (no provable closure) or on every sweep
@@ -208,29 +209,7 @@ class KernelStats:
     branches_folded: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "settle_calls": self.settle_calls,
-            "quiescent_settles": self.quiescent_settles,
-            "settle_iterations": self.settle_iterations,
-            "activations": self.activations,
-            "always_runs": self.always_runs,
-            "discovery_passes": self.discovery_passes,
-            "exhaustive_passes": self.exhaustive_passes,
-            "peak_queue_depth": self.peak_queue_depth,
-            "dynamic_fallbacks": self.dynamic_fallbacks,
-            "tracked_procs": self.tracked_procs,
-            "always_procs": self.always_procs,
-            "edge_calls": self.edge_calls,
-            "seq_runs": self.seq_runs,
-            "skipped_cycles": self.skipped_cycles,
-            "wheel_jumps": self.wheel_jumps,
-            "compiled_procs": self.compiled_procs,
-            "fallback_procs": self.fallback_procs,
-            "vectorized_cells": self.vectorized_cells,
-            "compile_ms": self.compile_ms,
-            "masks_elided": self.masks_elided,
-            "branches_folded": self.branches_folded,
-        }
+        return asdict(self)
 
 
 class Simulator:

@@ -17,7 +17,7 @@ the spec's atom table.
 That dict (and the bus dict) keep both controller processes within the
 closure rules of :mod:`repro.analysis.lint.astpass` — a dynamic subscript
 over a dict of signals resolves to every signal in it — so the compiled
-backend can value-guard them: the kit's cores compile with zero
+backend gives them static wake slots: the kit's cores compile with zero
 interpreted fallbacks, and the conformance suite holds every unit to that.
 """
 
@@ -180,9 +180,8 @@ class MicroController(Component):
             return self._temps[atom[1]].value
         if kind == "imm":
             return atom[1]
-        # only subscripted `.value` reads of the dicts: a membership test or
-        # a bound local would load a dict as a hidden guard input, polled on
-        # every compiled edge
+        # only subscripted `.value` reads of the dicts, which the AST pass
+        # resolves to every signal in them
         try:
             return self._atom_ports[kind].value
         except KeyError:

@@ -101,6 +101,15 @@ class TestKernelCounters:
         driver.execute(ins.add(3, 1, 1))
         driver.run_until_quiet()
         report = counters_for(system)
+        # counters_for tables and the e2e counter snapshot print in this order
+        assert tuple(system.sim.kernel_stats.as_dict()) == (
+            "settle_calls", "quiescent_settles", "settle_iterations",
+            "activations", "always_runs", "discovery_passes",
+            "exhaustive_passes", "peak_queue_depth", "dynamic_fallbacks",
+            "tracked_procs", "always_procs", "edge_calls", "seq_runs",
+            "skipped_cycles", "wheel_jumps", "compiled_procs",
+            "fallback_procs", "vectorized_cells", "compile_ms",
+            "masks_elided", "branches_folded")
         for key in ("settle_calls", "activations", "tracked_procs"):
             assert report.kernel[key] > 0, key
         assert report.settle_activations_per_cycle > 0

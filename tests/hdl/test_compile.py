@@ -1,11 +1,12 @@
 """Unit tests for the compiled (codegen) simulation backend.
 
 Covers backend selection/dispatch, the front end's classification
-(translated / guarded / read-tracked slot / every-sweep), guard
-dormancy under external forces, sequential dormancy semantics and seq
-wake slots against the event kernel, loop diagnostics and recovery,
-reset, the vectorized cell-array executors, and the codegen counters
-surfaced through ``KernelStats``.
+(static wake slot, translated or called / read-tracked slot /
+every-sweep), wake sets from property getters, wake-up under external
+forces, sequential dormancy semantics and seq wake slots against the
+event kernel, loop diagnostics and recovery, reset, the vectorized
+cell-array executors, and the codegen counters surfaced through
+``KernelStats``.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.hdl import (
     SimulationError,
     Simulator,
 )
+from repro.analysis.lint.testing import lint_report
 from repro.hdl.compile.engine import CompiledSimulator
 
 
@@ -45,7 +47,8 @@ class AdderChain(Component):
 
 
 class HiddenCallback(Component):
-    """The comb proc calls an opaque Python callback: unguarded fallback."""
+    """The comb proc calls an opaque Python callback: no provable closure,
+    so it runs from a read-tracked slot."""
 
     def __init__(self, fn):
         super().__init__("cb")
@@ -61,7 +64,8 @@ class HiddenCallback(Component):
 
 
 class MutableHidden(Component):
-    """Comb proc reads a hidden *mutable* attribute: must not be guarded."""
+    """Comb proc reads a hidden *mutable* attribute that no signal change
+    announces: declared ``always=True``, so it runs every sweep."""
 
     def __init__(self):
         super().__init__("mut")
@@ -73,6 +77,59 @@ class MutableHidden(Component):
             self.out.set(self.table[0])
 
         self.seq(lambda: None)
+
+
+class PropertyRead(Component):
+    """A provable comb proc reads ``self.ready``, a property over ``x``: the
+    body never names ``x``, so only the sampled getter puts ``x`` in the
+    static slot's wake set."""
+
+    def __init__(self):
+        super().__init__("prop")
+        self.x = self.signal("x", 1, 0)
+        self.out = self.signal("out", 8, 0)
+
+        @self.comb
+        def _follow():
+            self.out.set(7 if self.ready else 3)
+
+        self.seq(lambda: None)
+
+    @property
+    def ready(self):
+        return self.x.value
+
+
+class HiddenLevel(Component):
+    """A provable comb proc whose only input is a rebindable int attribute:
+    its wake set is empty, so it runs every sweep, as on the event kernel."""
+
+    def __init__(self):
+        super().__init__("lvl")
+        self.out = self.signal("out", 8, 0)
+        self.level = 5
+
+        @self.comb
+        def _drive():
+            self.out.set(self.level)
+
+        self.seq(lambda: None)
+
+
+class HiddenTarget(Component):
+    """An impure stage-only seq proc that compares a register against a
+    rebindable int attribute: the event kernel runs it every edge, so it
+    must not sleep on the compiled backend either."""
+
+    def __init__(self):
+        super().__init__("tgt")
+        self.q = self.reg("q", 8, 0)
+        self.level = 5
+
+        @self.seq
+        def _follow():
+            if self.level != self.q.value:
+                self.q.nxt = self.level
 
 
 class EvalMux(Component):
@@ -148,8 +205,9 @@ class SeqFeed(Component):
 
 
 class DormantSeqs(Component):
-    """An oscillator (while ``en``) next to three dormant seq procs, one per
-    tier: a wake slot, a read-tracked slot and a polled guard."""
+    """An oscillator (while ``en``) next to three seq procs: a dormant wake
+    slot, a dormant read-tracked slot, and a provable pure proc reading an
+    unmanaged signal, which gets a tracked slot that never sleeps."""
 
     def __init__(self):
         super().__init__("dorm")
@@ -268,8 +326,8 @@ class TestFallbacks:
         sim = Simulator(top, backend="compiled")
         sim.reset()
         assert top.out.value == 5
-        # Mutation is invisible to change notification; only an unguarded
-        # fallback (re-run every settle sweep) can observe it.
+        # Mutation is invisible to change notification; only an
+        # every-sweep process can observe it.
         top.table[0] = 42
         sim.step()
         assert top.out.value == 42
@@ -287,6 +345,52 @@ class TestFallbacks:
             assert te.out.value == tc.out.value == v
         # an every-sweep process keeps the quiescent fast path off
         assert sc.kernel_stats.quiescent_settles == quiet
+
+    def test_hidden_only_writer_runs_every_sweep(self):
+        (te, se), (tc, sc) = _pair(HiddenLevel)
+        for sim in (se, sc):
+            sim.reset()
+        assert sc.kernel_stats.always_procs == se.kernel_stats.always_procs == 1
+        for v in (7, 7, 19, 0):
+            for top, sim in ((te, se), (tc, sc)):
+                top.level = v  # no signal announces the rebinding
+                sim.step()
+            assert te.out.value == tc.out.value == v
+
+    def test_hidden_only_writer_is_a_lint_finding(self):
+        report = lint_report(HiddenLevel(), rules=["compile.fallback"])
+        (diag,) = report.diagnostics
+        assert "_drive" in diag.message
+        assert "hidden inputs only" in diag.message
+        assert "every settle sweep" in diag.message
+
+    def test_impure_seq_with_hidden_load_runs_every_edge(self):
+        (te, se), (tc, sc) = _pair(HiddenTarget)
+        assert "_follow: every edge" in sc.generated_source
+        assert sc.kernel_stats.fallback_procs == 1
+        for sim in (se, sc):
+            sim.reset()
+        # q reaches the level, then the host rebinds it behind q's back
+        for v in (5, 5, 5, 9, 9, 9, 2, 2):
+            for top, sim in ((te, se), (tc, sc)):
+                top.level = v
+                sim.step()
+            assert te.q.value == tc.q.value
+        assert tc.q.value == 2
+        (diag,) = lint_report(HiddenTarget(),
+                              rules=["compile.fallback"]).diagnostics
+        assert "loads hidden state that can change" in diag.message
+
+    def test_property_getter_signals_wake_static_slot(self):
+        (te, se), (tc, sc) = _pair(PropertyRead)
+        assert sc.kernel_stats.fallback_procs == 0
+        for sim in (se, sc):
+            sim.reset()
+        for v in (1, 0, 0, 1, 1, 0, 1):
+            for top, sim in ((te, se), (tc, sc)):
+                top.x.set(v)
+                sim.step()
+            assert te.out.value == tc.out.value == (7 if v else 3)
 
     def test_unprovable_comb_gets_read_tracked_slot(self):
         (te, se), (tc, sc) = _pair(EvalMux)
@@ -448,43 +552,52 @@ class TestSeqWakeSlots:
         assert deltas[0] == deltas[1]
         assert True not in sc._module.wake[:sc._module.n_comb]
 
-    def test_vector_edge_wakes_only_comb_slots(self):
+    def test_vector_edge_wakes_no_slot(self):
         top = SeqFeed()
         sim = Simulator(top, backend="compiled")
         sim.reset()
         sim.step(2)
-        # what a vectorized executor's edge leaves behind: comb guards must
-        # re-poll, but seq inputs only move through notifying Signal.set
+        # what a vectorized executor's edge leaves behind: one forced sweep
+        # lets the executors settle, but every input of a slot moves
+        # through notifying Signal.set, so no slot re-runs
         sim._edge_dirty = True
-        before = sim.kernel_stats.seq_runs
+        stats = sim.kernel_stats
+        before = (stats.seq_runs, stats.activations)
         sim.step()
-        assert sim.kernel_stats.seq_runs == before
+        assert (stats.seq_runs, stats.activations) == before
 
     def test_recovery_and_reset_rerun_every_seq_proc(self):
         (te, se), (tc, sc) = _pair(DormantSeqs)
         src = sc.generated_source
-        for tier in ("_wake: wake slot", "tracked slot", "_polled: polled"):
+        for tier in ("_wake: wake slot", "<lambda>: tracked slot",
+                     "_polled: tracked slot"):
             assert tier in src
 
-        def next_edge_runs(sim):
-            before = sim.kernel_stats.seq_runs
-            sim.step()
-            return sim.kernel_stats.seq_runs - before
+        def next_edge_runs():
+            runs = []
+            for sim in (se, sc):
+                before = sim.kernel_stats.seq_runs
+                sim.step()
+                runs.append(sim.kernel_stats.seq_runs - before)
+            return runs
 
         for sim in (se, sc):
             sim.reset()
             sim.step(3)
-        assert next_edge_runs(sc) == 0  # every proc is dormant
+        # two procs are dormant; the unmanaged reader stays armed
+        assert next_edge_runs() == [1, 1]
         for top, sim in ((te, se), (tc, sc)):
             top.en.force(1)
             with pytest.raises(CombinationalLoopError):
                 sim.settle()
             top.en.force(0)
-            assert next_edge_runs(sim) == 3
+        assert next_edge_runs() == [3, 3]
+        for sim in (se, sc):
             sim.step(3)
             sim.reset()
-            assert next_edge_runs(sim) == 3
-        assert (te.q1.value, te.q2.value) == (tc.q1.value, tc.q2.value)
+        assert next_edge_runs() == [3, 3]
+        assert (te.q1.value, te.q2.value, te.q3.value) \
+            == (tc.q1.value, tc.q2.value, tc.q3.value)
 
     def test_slow_prototype_seq_procs_are_all_woken(self):
         from repro.messages import SLOW_PROTOTYPE
@@ -497,8 +610,7 @@ class TestSeqWakeSlots:
         tiers = [line.split(": ", 1)[1] for line in edge.splitlines()
                  if line.startswith("    # ")]
         assert len(tiers) == len(sim._seqprocs)
-        assert not [t for t in tiers if t.startswith("polled")]
-        assert "_t = (" not in edge  # no per-edge guard tuple
+        assert "_t = (" not in src  # no value-guard tuple anywhere
 
 
 class TestVectorizedCellArrays:

@@ -1,7 +1,7 @@
 """Property tests: the compiled backend is observably invisible.
 
 ``backend="compiled"`` changes *how* processes execute — specialized
-straight-line code, value-polled guards, vectorized cell arrays — never
+straight-line code, wake-flag slots, vectorized cell arrays — never
 *what* the design computes.  For randomized host programs across all
 three link presets, a compiled run must produce:
 
@@ -12,9 +12,9 @@ three link presets, a compiled run must produce:
 compared to the interpreted event kernel and to the exhaustive reference
 kernel.  The coprocessor system is deliberately a *fallback-heavy* design
 for the compiled front end (dozens of procs with unprovable closures), so
-these runs exercise the translated, guarded, unguarded and dynamic paths
-together; the ξ-sort tests at the bottom add the vectorized-executor path
-on both cell-array kinds.
+these runs exercise the translated, called, every-sweep and read-tracked
+paths together; the ξ-sort tests at the bottom add the vectorized-executor
+path on both cell-array kinds.
 """
 
 from __future__ import annotations
