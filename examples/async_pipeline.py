@@ -66,7 +66,7 @@ def main() -> None:
 
     # --- the engine's own accounting ------------------------------------------
     print()
-    print(counters_for(s.system, s.driver).engine_table())
+    print(counters_for(s.system, s.driver).table("engine"))
 
 
 def build_for_lint():

@@ -79,9 +79,9 @@ def main() -> None:
     print("order can beat it.")
     print()
     print("in-order counters:")
-    print(ctr_io.issue_table())
+    print(ctr_io.table("issue"))
     print("ooo counters:")
-    print(ctr_oo.issue_table())
+    print(ctr_oo.table("issue"))
 
 
 def build_for_lint():

@@ -58,7 +58,7 @@ def main() -> None:
           f"{stats.retransmits} retransmits, {stats.nacks} NACKs, "
           f"results identical")
     print()
-    print(counters_for(lossy.system, lossy).link_table())
+    print(counters_for(lossy.system, lossy).table("link"))
 
     # --- 3. a link that falls off the bus ------------------------------------
     dying = CoprocessorDriver(build_system(

@@ -21,15 +21,7 @@ from .area import (
     area_tree,
     area_xisort_unit,
 )
-from .counters import (
-    CounterReport,
-    collect_counters,
-    counters_for,
-    engine_counters_for,
-    kernel_counters_for,
-    link_counters_for,
-    state_counters_for,
-)
+from .counters import CounterReport, counters_for
 from .inventory import ComponentStats, inventory, inventory_table, stats_for
 from .clock import (
     DEFAULT_CLOCKS,
@@ -48,7 +40,7 @@ from .perf import (
     measure_xisort_step_costs,
     roundtrip_cycles,
 )
-from .report import format_table, print_table
+from .report import format_table
 from .timing import (
     LEVEL_DELAY_NS,
     REG_OVERHEAD_NS,
@@ -79,12 +71,7 @@ __all__ = [
     "inventory",
     "inventory_table",
     "stats_for",
-    "collect_counters",
     "counters_for",
-    "engine_counters_for",
-    "kernel_counters_for",
-    "link_counters_for",
-    "state_counters_for",
     "DEFAULT_CLOCKS",
     "INTEGRATED_LINK",
     "PCIE_CLASS_LINK",
@@ -99,7 +86,6 @@ __all__ = [
     "measure_xisort_step_costs",
     "roundtrip_cycles",
     "format_table",
-    "print_table",
     "LEVEL_DELAY_NS",
     "REG_OVERHEAD_NS",
     "ClockEstimate",

@@ -32,7 +32,6 @@ from .diagnostics import (
     LintReport,
     Severity,
     Suppression,
-    merge_reports,
 )
 from .engine import RULES, Linter, Rule, all_rules, iter_rule_catalog, lint, register_rule
 from .model import DesignInfo, ProcRecord, build_design
@@ -52,6 +51,5 @@ __all__ = [
     "build_design",
     "iter_rule_catalog",
     "lint",
-    "merge_reports",
     "register_rule",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class Severity(enum.Enum):
@@ -171,17 +171,3 @@ class LintFailure(Exception):
             f"{len(report.errors)} error(s), {len(report.warnings)} warning(s):\n"
             + report.format()
         )
-
-
-def merge_reports(reports: Iterable[LintReport]) -> LintReport:
-    """Fold several per-design reports into one (CLI ``--all`` mode)."""
-    merged = LintReport(design="*")
-    rules: list[str] = []
-    for rep in reports:
-        merged.diagnostics.extend(rep.diagnostics)
-        merged.suppressed.extend(rep.suppressed)
-        for rid in rep.rules_run:
-            if rid not in rules:
-                rules.append(rid)
-    merged.rules_run = tuple(rules)
-    return merged

@@ -1,9 +1,4 @@
-"""Plain-text table rendering for benchmark output.
-
-The benchmark harness prints paper-style series (rows of n vs cycles vs
-baseline ops) through these helpers so every bench emits a uniform,
-greppable report into ``bench_output.txt``.
-"""
+"""Plain-text table rendering for counter, inventory and example output."""
 
 from __future__ import annotations
 
@@ -38,8 +33,3 @@ def _fmt(cell) -> str:
         return f"{cell:.3f}"
     return str(cell)
 
-
-def print_table(headers: Sequence[str], rows: Iterable[Sequence], title: str = "") -> None:
-    print()
-    print(format_table(headers, rows, title))
-    print()

@@ -302,12 +302,21 @@ class RenameGuard:
         self._true = {
             space: rename._map[space].value for space in self._SPACES
         }
+        #: the intended map the committed register holds while an edge has
+        #: a rename staged on top of it (``_true`` is then the staged map)
+        self._committed = dict(self._true)
         self._taint: dict[WriteSpace, int] = {}
 
     # -- update path (edge phase, called from RenameTable.allocate) -----------------
 
     def on_rename(self, space: WriteSpace, arch: int, staged: tuple) -> tuple:
-        self._true[space] = staged
+        if self.rename._map[space]._staged is _UNSET:
+            self._committed[space] = self._true[space]
+        # Only ``arch`` changes intent: an upset staged by an earlier rename
+        # of this edge must not become part of the shadow.
+        intended = list(self._true[space])
+        intended[arch] = staged[arch]
+        self._true[space] = tuple(intended)
         index = self._ops
         self._ops = index + 1
         f = self.plan.fate(self.element_id, index, 8)
@@ -328,7 +337,9 @@ class RenameGuard:
         for addr, space in enumerate(self._SPACES):
             reg = self.rename._map[space]
             value = reg.value
-            true = self._true[space]
+            # A second rename in one edge (data then flag destination) checks
+            # the still-committed map: compare it with the pre-edge intent.
+            true = self._true[space] if reg._staged is _UNSET else self._committed[space]
             if value == true:
                 continue
             self._resolve(addr, space, reg, value, true)

@@ -61,7 +61,7 @@ DEFAULT_WINDOW = 8
 TAG_SPACE = range(256)
 
 #: Retransmission budget before the reliable layer declares the link dead.
-DEFAULT_MAX_RETRIES = 4
+MAX_RETRIES = 4
 
 #: Consecutive request deadline expiries before the engine degrades the
 #: in-flight window to stop-and-wait, and clean (no-retransmit) completions
@@ -73,7 +73,7 @@ RESTORE_AFTER = 8
 #: the retransmission record (counted in ``stats.replay_truncated``) —
 #: recovery of those frames is no longer possible, so workloads should
 #: interleave tracked reads with long write bursts.
-DEFAULT_REPLAY_LIMIT = 4096
+REPLAY_LIMIT = 4096
 
 
 def default_deadline_cycles(link, data_words: int = 1, window: int = DEFAULT_WINDOW) -> int:
@@ -308,9 +308,6 @@ class HostEngine:
         window: int = DEFAULT_WINDOW,
         tags: Optional[Iterable[int]] = None,
         raise_on_exception: bool = True,
-        deadline_cycles: Optional[int] = None,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        replay_limit: int = DEFAULT_REPLAY_LIMIT,
     ):
         if window < 1:
             raise ValueError("in-flight window must be at least 1")
@@ -335,12 +332,8 @@ class HostEngine:
         self._in_flight = 0
         # -- reliable-mode recovery state --
         link = getattr(self.soc, "link", None)
-        if deadline_cycles is None:
-            deadline_cycles = default_deadline_cycles(link, cfg.data_words, window)
         #: base per-request deadline before the first retransmission
-        self.deadline_cycles = deadline_cycles
-        self.max_retries = max_retries
-        self.replay_limit = replay_limit
+        self.deadline_cycles = default_deadline_cycles(link, cfg.data_words, window)
         #: True once the retransmission budget has been exhausted
         self.link_down = False
         #: True while the engine runs stop-and-wait (window of 1)
@@ -721,7 +714,7 @@ class HostEngine:
 
     def _log_frame(self, seq: int, frame: Sequence[int]) -> None:
         self._replay.append((seq, tuple(frame)))
-        while len(self._replay) > self.replay_limit:
+        while len(self._replay) > REPLAY_LIMIT:
             self._replay.popleft()
             self.stats.replay_truncated += 1
 
@@ -782,7 +775,7 @@ class HostEngine:
         due = [r for r in self._records.values() if now >= r.deadline_at]
         if not due:
             return
-        if any(r.attempts >= self.max_retries for r in due):
+        if any(r.attempts >= MAX_RETRIES for r in due):
             self._declare_link_down()
             return
         for record in due:
@@ -795,7 +788,7 @@ class HostEngine:
         self.link_down = True
         outstanding = self._in_flight + len(self._queue)
         error = LinkDownError(
-            f"link declared down: no response after {self.max_retries} "
+            f"link declared down: no response after {MAX_RETRIES} "
             f"retransmissions ({outstanding} requests outstanding, "
             f"{self.stats.retransmits} retransmits, "
             f"{self.stats.nacks} NACKs seen)"

@@ -20,7 +20,7 @@ class LinkDownError(HostTimeoutError):
     """The reliable link layer exhausted its retransmission budget.
 
     Raised (or used to fail outstanding futures) once a request has been
-    retransmitted ``max_retries`` times without any acknowledging response —
+    retransmitted ``MAX_RETRIES`` times without any acknowledging response —
     the protocol's declaration that the physical link is dead.
     """
 

@@ -169,19 +169,6 @@ class ReliabilityStats:
     duplicates: int = 0         # frames arriving behind the expected seq
     forced_drops: int = 0       # head words expired by the idle-flush timer
 
-    def as_dict(self) -> dict:
-        return {
-            "frames_ok": self.frames_ok,
-            "delivered": self.delivered,
-            "crc_failures": self.crc_failures,
-            "header_rejects": self.header_rejects,
-            "words_dropped": self.words_dropped,
-            "resyncs": self.resyncs,
-            "seq_gaps": self.seq_gaps,
-            "duplicates": self.duplicates,
-            "forced_drops": self.forced_drops,
-        }
-
 
 class ReliableDeframer:
     """Scanning receiver for trailer-framed word streams.

@@ -24,6 +24,7 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from ..config import FrameworkConfig
@@ -36,8 +37,29 @@ from .futable import FunctionalUnitTable
 from .lockmgr import LockManager
 from .regfile import FlagRegisterFile, RegisterFile
 
-#: stall causes tallied by both dispatch engines (rename only moves under OoO)
-_STALL_CAUSES = ("raw", "waw", "structural", "fence", "machine_check", "rename")
+
+@dataclass
+class IssueStats:
+    """Issue counters of both dispatch engines (``dispatcher.stats``).
+
+    Every stall cycle is charged to exactly one ``stall_*`` cause except
+    ``stall_rename``: the out-of-order engine counts accept cycles lost to
+    an exhausted physical-register pool, which may overlap an issue stall.
+    """
+
+    mode: str = "in-order"
+    issued_total: int = 0          # unit dispatches + execution-stage ops
+    unit_dispatches: int = 0
+    exec_ops: int = 0
+    stall_cycles: int = 0          # cycles work was held but nothing issued
+    window_depth: int = 1          # issue-queue capacity
+    window_occupancy_max: int = 1  # issue-queue high-water mark
+    stall_raw: int = 0
+    stall_waw: int = 0
+    stall_structural: int = 0
+    stall_fence: int = 0
+    stall_machine_check: int = 0
+    stall_rename: int = 0
 
 
 class Dispatcher(Component):
@@ -75,10 +97,7 @@ class Dispatcher(Component):
         self._advancing = self.signal("advancing", 1, 0)
         #: high while the held op is stalled on a lock (observability/benches)
         self.stalled = self.signal("stalled", 1, 0)
-        self.dispatch_count = 0
-        self.stall_cycles = 0
-        self._exec_count = 0
-        self.stall_causes = {cause: 0 for cause in _STALL_CAUSES}
+        self.stats = IssueStats()
 
         @self.comb
         def _drive() -> None:
@@ -134,18 +153,20 @@ class Dispatcher(Component):
 
         @self.seq
         def _tick() -> None:
+            stats = self.stats
             if self._advancing.value:
                 op: DecodedOp = self._op.value
+                stats.issued_total += 1
                 if op.kind == "unit":
-                    self.dispatch_count += 1
+                    stats.unit_dispatches += 1
                     guard = self.futable._guard
                     if guard is not None:
                         guard.on_dispatch()
                 else:
-                    self._exec_count += 1
+                    stats.exec_ops += 1
                 self.lockmgr.lock_set(op.write_set)
             elif self.stalled.value:
-                self.stall_cycles += 1
+                stats.stall_cycles += 1
                 self._classify_stall(self._op.value)
             if self.inp.fires():
                 self._op.nxt = self.inp.payload.value
@@ -190,34 +211,20 @@ class Dispatcher(Component):
         """Work in flight in this stage (quiescence probe)."""
         return bool(self._full.value)
 
-    def issue_stats(self) -> dict:
-        stats = {
-            "mode": "in-order",
-            "issued_total": self.dispatch_count + self._exec_count,
-            "unit_dispatches": self.dispatch_count,
-            "exec_ops": self._exec_count,
-            "stall_cycles": self.stall_cycles,
-            "window_depth": 1,
-            "window_occupancy_max": 1,
-        }
-        for cause in _STALL_CAUSES:
-            stats[f"stall_{cause}"] = self.stall_causes[cause]
-        return stats
-
     def _classify_stall(self, op: DecodedOp) -> None:
         # Counters only: the guard-free peeks keep the classification from
         # adding query-time repair points the functional path never had.
-        causes = self.stall_causes
+        stats = self.stats
         if self.lockmgr.peek_any_locked(op.sources):
-            causes["raw"] += 1
+            stats.stall_raw += 1
         elif self.lockmgr.peek_any_locked(op.write_set):
-            causes["waw"] += 1
+            stats.stall_waw += 1
         elif op.require_all_free and not self.lockmgr.peek_all_free:
-            causes["fence"] += 1
+            stats.stall_fence += 1
         elif self.mcu is not None and self.mcu.pending:
-            causes["machine_check"] += 1
+            stats.stall_machine_check += 1
         else:
-            causes["structural"] += 1
+            stats.stall_structural += 1
 
     # -- unit dispatch ------------------------------------------------------------
 

@@ -35,6 +35,7 @@ coprocessor end of the recovery protocol:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Optional
 
 from ..config import FrameworkConfig
@@ -247,7 +248,7 @@ class MessageBuffer(Component):
         """Receiver-side recovery counters (empty when not in reliable mode)."""
         if not self.reliable:
             return {}
-        stats = self._deframer.stats.as_dict()
+        stats = asdict(self._deframer.stats)
         stats.update(
             nacks_sent=self.nacks_sent,
             duplicates_discarded=self.duplicates_discarded,

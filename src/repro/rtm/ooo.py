@@ -44,7 +44,7 @@ from ..hdl import Component, Stream
 from ..isa.opcodes import Opcode
 from ..messages.types import DataRecord, FlagVector
 from .decoder import DecodedOp, ExecOp, RegSet
-from .dispatcher import _STALL_CAUSES
+from .dispatcher import IssueStats
 from .futable import FunctionalUnitTable
 from .lockmgr import LockManager
 from .regfile import FlagRegisterFile, RegisterFile
@@ -119,11 +119,9 @@ class OoODispatcher(Component):
         self._issue_sel = self.signal("issue_sel", None, -1)
         #: high while the queue holds work but nothing can issue
         self.stalled = self.signal("stalled", 1, 0)
-        self.dispatch_count = 0
-        self.stall_cycles = 0
-        self._exec_count = 0
-        self._occupancy_max = 0
-        self.stall_causes = {cause: 0 for cause in _STALL_CAUSES}
+        self.stats = IssueStats(
+            mode="ooo", window_depth=self.window, window_occupancy_max=0
+        )
 
         @self.comb
         def _drive() -> None:
@@ -159,20 +157,22 @@ class OoODispatcher(Component):
         def _tick() -> None:
             queue: tuple[RenamedOp, ...] = self._queue.value
             sel = self._issue_sel.value
+            stats = self.stats
             new_queue = queue
             if sel >= 0:
                 rop = queue[sel]
+                stats.issued_total += 1
                 if rop.op.kind == "unit":
-                    self.dispatch_count += 1
+                    stats.unit_dispatches += 1
                     guard = self.futable._guard
                     if guard is not None:
                         guard.on_dispatch()
                 else:
-                    self._exec_count += 1
+                    stats.exec_ops += 1
                 self.rename.drop_readers(rop.sources)
                 new_queue = queue[:sel] + queue[sel + 1 :]
             elif queue:
-                self.stall_cycles += 1
+                stats.stall_cycles += 1
                 self._classify_stall(queue)
             if self.inp.fires():
                 new_queue = new_queue + (self._rename(self.inp.payload.value),)
@@ -181,11 +181,11 @@ class OoODispatcher(Component):
                 and len(queue) < self.window
                 and not self.rename.can_accept
             ):
-                self.stall_causes["rename"] += 1
+                stats.stall_rename += 1
             if new_queue is not queue:
                 self._queue.nxt = new_queue
-                if len(new_queue) > self._occupancy_max:
-                    self._occupancy_max = len(new_queue)
+                if len(new_queue) > stats.window_occupancy_max:
+                    stats.window_occupancy_max = len(new_queue)
             self.rename.recycle(self.lockmgr)
 
         # Veto wheel skips while any work is queued, arriving, or awaiting
@@ -213,20 +213,6 @@ class OoODispatcher(Component):
     def busy(self) -> bool:
         """Work in flight in this stage (quiescence probe)."""
         return bool(self._queue.value)
-
-    def issue_stats(self) -> dict:
-        stats = {
-            "mode": "ooo",
-            "issued_total": self.dispatch_count + self._exec_count,
-            "unit_dispatches": self.dispatch_count,
-            "exec_ops": self._exec_count,
-            "stall_cycles": self.stall_cycles,
-            "window_depth": self.window,
-            "window_occupancy_max": self._occupancy_max,
-        }
-        for cause in _STALL_CAUSES:
-            stats[f"stall_{cause}"] = self.stall_causes[cause]
-        return stats
 
     def _wheel_horizon(self) -> Optional[int]:
         if self._queue.value:
@@ -416,14 +402,14 @@ class OoODispatcher(Component):
 
     def _classify_stall(self, queue: tuple[RenamedOp, ...]) -> None:
         head = queue[0]
-        causes = self.stall_causes
+        stats = self.stats
         if self.mcu is not None and self.mcu.pending:
-            causes["machine_check"] += 1
+            stats.stall_machine_check += 1
         elif head.op.require_all_free and not self.lockmgr.peek_all_free_except(
             self._queued_locks(queue)
         ):
-            causes["fence"] += 1
+            stats.stall_fence += 1
         elif self.lockmgr.peek_any_locked(head.sources):
-            causes["raw"] += 1
+            stats.stall_raw += 1
         else:
-            causes["structural"] += 1
+            stats.stall_structural += 1

@@ -1,10 +1,16 @@
 """Unit tests for the performance-counter reporting."""
 
-from repro.analysis import counters_for, link_counters_for
+import dataclasses
+import json
+
+import pytest
+
+from repro.analysis import counters_for
+from repro.fu import AreaOptimizedFU, FuComputation
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
 from repro.messages import FaultSpec
-from repro.system import build_system
+from repro.system import SystemSpec, build_system
 
 
 def _loaded_system():
@@ -16,6 +22,26 @@ def _loaded_system():
     driver.execute(ins.xor(4, 1, 2, dst_flag=2))
     driver.execute(ins.get(3))
     driver.execute(ins.dispatch(0x7F, 0))  # one decode error
+    driver.run_until_quiet()
+    return system, driver
+
+
+class Slow(AreaOptimizedFU):
+    def __init__(self, name, word_bits, parent=None):
+        super().__init__(name, word_bits, parent, execute_cycles=20)
+
+    def compute(self, s):
+        return FuComputation(data1=(s.op_a + 1) & 0xFFFF_FFFF, flags=0)
+
+
+def _slow_chain_system():
+    # A fast front end cannot hide a 20-cycle unit: the dependent chain
+    # must visibly stall the dispatcher.
+    system = SystemSpec(units=((0x20, lambda n, w, p: Slow(n, w, p)),)).build()
+    driver = CoprocessorDriver(system)
+    driver.write_reg(1, 0)
+    for _ in range(4):
+        driver.execute(ins.dispatch(0x20, 0, dst1=1, src1=1, dst_flag=1))
     driver.run_until_quiet()
     return system, driver
 
@@ -50,24 +76,7 @@ class TestCounters:
         assert "arbiter grants, port 0" in text
 
     def test_stall_cycles_counted_under_dependency(self):
-        # A fast front end cannot hide a 20-cycle unit: the dependent chain
-        # must visibly stall the dispatcher.
-        from repro.fu import AreaOptimizedFU, FuComputation
-        from repro.system import SystemSpec
-
-        class Slow(AreaOptimizedFU):
-            def __init__(self, name, word_bits, parent=None):
-                super().__init__(name, word_bits, parent, execute_cycles=20)
-
-            def compute(self, s):
-                return FuComputation(data1=(s.op_a + 1) & 0xFFFF_FFFF, flags=0)
-
-        system = SystemSpec(units=((0x20, lambda n, w, p: Slow(n, w, p)),)).build()
-        driver = CoprocessorDriver(system)
-        driver.write_reg(1, 0)
-        for _ in range(4):
-            driver.execute(ins.dispatch(0x20, 0, dst1=1, src1=1, dst_flag=1))
-        driver.run_until_quiet()
+        system, driver = _slow_chain_system()
         report = counters_for(system)
         assert report.stall_cycles > 0
         assert driver.soc.rtm.register_value(1) == 4
@@ -92,7 +101,7 @@ class TestKernelCounters:
         # must have covered most of the run in a handful of jumps
         assert k["skipped_cycles"] > k["edge_calls"]
         assert 0 < k["wheel_jumps"] <= k["skipped_cycles"]
-        assert "skipped cycles" in report.kernel_table()
+        assert "skipped cycles" in report.table("kernel")
 
     def test_settle_scheduler_counters_reported(self):
         system = build_system()
@@ -113,7 +122,7 @@ class TestKernelCounters:
         for key in ("settle_calls", "activations", "tracked_procs"):
             assert report.kernel[key] > 0, key
         assert report.settle_activations_per_cycle > 0
-        assert "settle scheduler" in report.kernel_table()
+        assert "settle scheduler" in report.table("kernel")
 
     def test_wheel_off_executes_every_edge(self):
         from repro.messages.channel import SLOW_PROTOTYPE
@@ -145,11 +154,11 @@ class TestLinkCounters:
         system, _ = _loaded_system()
         report = counters_for(system)
         assert report.link == {}
-        assert report.link_table() == ""
+        assert report.table("link") == ""
 
     def test_faulty_reliable_system_reports_all_sections(self):
         system, _ = _lossy_system()
-        link = link_counters_for(system)
+        link = counters_for(system).link
         assert set(link) == {"downstream_faults", "upstream_faults",
                              "rtm_receiver"}
         for key in ("words_offered", "words_dropped", "bits_flipped",
@@ -175,7 +184,49 @@ class TestLinkCounters:
     def test_link_table_renders(self):
         system, driver = _lossy_system()
         report = counters_for(system, driver)
-        text = report.link_table()
+        text = report.table("link")
         assert "link integrity" in text
         assert "downstream_faults: words dropped" in text
         assert "rtm_receiver: nacks sent" in text
+
+
+#: ``IssueStats`` field order: the e2e counter snapshot and its level
+#: counters are keyed by these names
+ISSUE_KEYS = (
+    "mode", "issued_total", "unit_dispatches", "exec_ops", "stall_cycles",
+    "window_depth", "window_occupancy_max", "stall_raw", "stall_waw",
+    "stall_structural", "stall_fence", "stall_machine_check", "stall_rename")
+
+
+class TestExportContract:
+    def test_report_exports_as_json(self):
+        system = build_system(reliable=True, state_protection=True,
+                              faults=FaultSpec(seed=13, drop_rate=0.02))
+        driver = CoprocessorDriver(system)
+        for i in range(8):
+            driver.write_reg(1, i)
+            assert driver.read_reg(1) == i
+        driver.run_until_quiet()
+        exported = dataclasses.asdict(counters_for(system, driver))
+        json.dumps(exported)
+        for section in ("kernel", "engine", "link", "state", "issue"):
+            assert exported[section], section
+
+    @pytest.mark.parametrize("ooo", [False, True], ids=["in-order", "ooo"])
+    def test_issue_section_keys(self, ooo):
+        system = build_system(ooo=ooo)
+        driver = CoprocessorDriver(system)
+        driver.write_reg(1, 3)
+        driver.execute(ins.add(3, 1, 1))
+        assert driver.read_reg(3) == 6
+        report = counters_for(system)
+        assert tuple(report.issue) == ISSUE_KEYS
+        assert report.issue["mode"] == ("ooo" if ooo else "in-order")
+
+    def test_in_order_stall_cycles_split_by_cause(self):
+        system, _ = _slow_chain_system()
+        issue = counters_for(system).issue
+        causes = ("raw", "waw", "structural", "fence", "machine_check")
+        assert issue["stall_cycles"] > 0
+        assert issue["stall_cycles"] == sum(issue[f"stall_{c}"] for c in causes)
+        assert issue["stall_rename"] == 0

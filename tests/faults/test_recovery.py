@@ -11,11 +11,13 @@ journal replay), and a second double before re-quiescing fails fast with
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.faults import StateFaultSpec
+from repro.fu import AreaOptimizedFU, FuComputation
 from repro.host import CoprocessorDriver, MachineCheckError
 from repro.isa import instructions as ins
 from repro.messages import FaultSpec
-from repro.system import build_system
+from repro.system import SystemSpec, build_system
 
 BASE = 3333
 
@@ -106,6 +108,82 @@ class TestDoubleFaultRecovery:
         assert drv.engine.fatal_error is not None
         with pytest.raises(MachineCheckError):
             drv.read_reg(1)  # still down — no silent half-alive state
+
+
+class PairUnit(AreaOptimizedFU):
+    """Writes two data results and flags: three renames in one edge."""
+
+    write_profile = staticmethod(lambda variety: (True, True, True))
+
+    def __init__(self, name, word_bits, parent=None):
+        super().__init__(name, word_bits, parent, execute_cycles=1)
+
+    def compute(self, s):
+        return FuComputation(data1=(s.op_a + s.op_b) & 0xFFFF_FFFF,
+                             data2=s.op_a ^ s.op_b, flags=0)
+
+
+class TestOoORenameGuard:
+    """An out-of-order ALU op renames its data and its flag destination in
+    one edge.  The second rename re-checks the map while the first one's
+    update is still staged; that check must compare the committed map with
+    the pre-edge intent, not mistake the staged map for an upset."""
+
+    @pytest.mark.parametrize("backend", ["event", "wheel-off", "compiled"])
+    def test_fault_free_ooo_run_raises_no_machine_check(self, backend):
+        kwargs = {"wheel": False} if backend == "wheel-off" else {"backend": backend}
+        built = build_system(ooo=True, state_protection=True, **kwargs)
+        drv = CoprocessorDriver(built)
+        drv.write_reg(1, 5)
+        drv.write_reg(2, 7)
+        drv.execute(ins.add(3, 1, 2))
+        assert drv.read_reg(3) == 12
+        assert drv.engine.stats.machine_checks == 0
+
+    # Renames 0 and 1 are the host writes; 2 and 3 are the add's data and
+    # flag destinations, staged in the same edge.  An upset at 0 sits in
+    # the committed map when rename 1 checks it.
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    def test_pinned_single_corrected(self, index):
+        out, built, drv = _run(
+            ooo=True,
+            state_faults=StateFaultSpec(
+                seed=9, schedule=(("rtm.rename", index, "flip"),)))
+        assert out == BASE
+        assert built.soc.state_domain.stats.corrected == 1
+        assert drv.engine.stats.machine_checks == 0
+
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    def test_pinned_double_recovers_by_rollback(self, index):
+        out, built, drv = _run(
+            ooo=True,
+            state_faults=StateFaultSpec(
+                seed=9, schedule=(("rtm.rename", index, "double"),)))
+        assert out == BASE
+        assert built.soc.state_domain.stats.uncorrectable == 1
+        assert drv.engine.stats.machine_checks == 1
+        assert drv.engine.stats.rollbacks == 1
+
+    @pytest.mark.parametrize("kind", ["flip", "double"])
+    def test_upset_under_a_same_space_rename_is_not_laundered(self, kind):
+        # A two-result op renames dst1 then dst2 in one edge; the dst2
+        # rename builds on the map the upset at rename 2 corrupted, and the
+        # guard's intent must keep dst1's true mapping, not adopt it.
+        built = SystemSpec(
+            DEFAULT_CONFIG.with_(ooo=True),
+            units=((0x20, lambda n, w, p: PairUnit(n, w, p)),),
+            state_faults=StateFaultSpec(
+                seed=9, schedule=(("rtm.rename", 2, kind),)),
+            lint="off",
+        ).build()
+        drv = CoprocessorDriver(built)
+        drv.write_reg(1, 1111)
+        drv.write_reg(2, 2222)
+        drv.execute(ins.dispatch(0x20, 0, dst1=3, dst2=4, src1=1, src2=2,
+                                 dst_flag=1))
+        assert (drv.read_reg(3), drv.read_reg(4)) == (BASE, 1111 ^ 2222)
+        stats = built.soc.state_domain.stats
+        assert stats.corrected + stats.uncorrectable == 1
 
 
 class TestCombinedFaultDomains:

@@ -700,4 +700,4 @@ class TestSystemIntegration:
         system = build_system(backend="compiled", lint="off")
         report = counters_for(system)
         assert report.kernel["compiled_procs"] > 0
-        assert "compiled procs" in report.kernel_table()
+        assert "compiled procs" in report.table("kernel")

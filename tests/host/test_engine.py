@@ -266,11 +266,11 @@ class TestBatchedFraming:
         assert driver.soc.rtm.register_value(4) == 4
 
     def test_stats_snapshot_keys(self, driver):
-        from repro.analysis import engine_counters_for
+        from repro.analysis import counters_for
 
         driver.write_reg(1, 1)
         driver.read_reg(1)
-        counters = engine_counters_for(driver)
+        counters = counters_for(driver.system, driver).engine
         for key in ("submitted", "completed", "window_stalls", "tag_stalls",
                     "in_flight_highwater", "queue_highwater", "batches"):
             assert key in counters

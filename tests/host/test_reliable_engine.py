@@ -5,6 +5,7 @@ import pytest
 
 from repro.hdl.errors import SimulationError
 from repro.host import CoprocessorDriver, HostTimeoutError, LinkDownError
+from repro.host.engine import MAX_RETRIES
 from repro.isa import instructions as ins
 from repro.messages import FAST_BUS, INTEGRATED, FaultSpec
 from repro.system import build_system
@@ -104,8 +105,8 @@ class TestDeadLink:
     def test_link_down_within_configured_budget(self):
         drv = _driver(faults=FaultSpec(seed=1, dead_after_words=2))
         engine = drv.engine
-        # worst case: max_retries retransmissions with doubling backoff
-        budget = engine.deadline_cycles * (2 ** (engine.max_retries + 2))
+        # worst case: MAX_RETRIES retransmissions with doubling backoff
+        budget = engine.deadline_cycles * (2 ** (MAX_RETRIES + 2))
         with pytest.raises(LinkDownError):
             drv.read_reg(1, max_cycles=budget)
 

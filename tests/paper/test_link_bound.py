@@ -23,7 +23,7 @@ from repro.analysis import (
     INTEGRATED_LINK,
     PCIE_CLASS_LINK,
     SERIAL_PROTOTYPE_LINK,
-    engine_counters_for,
+    counters_for,
     measure_issue_rate,
 )
 from repro.config import FrameworkConfig
@@ -87,7 +87,7 @@ def test_e1_window_sweep(channel, cycles):
             futures = [p.compute(ArithOp.ADD, i, 1000 + i) for i in range(E1_CALLS)]
         got = session.driver.cycles - start
         assert [f.result() for f in futures] == [1000 + 2 * i for i in range(E1_CALLS)]
-        stats = engine_counters_for(session.driver)
+        stats = counters_for(session.system, session.driver).engine
         pin(f"E1 {channel.name} window={window} cycles", expected, got)
         pin(f"E1 {channel.name} window={window} (highwater, stalls)",
             (window, E1_WINDOW_STALLS[window]),

@@ -10,6 +10,7 @@ exact fault-free reference result or raises a ``SimulationError`` subclass
 returns a wrong value is the one outcome that must be impossible.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,26 @@ def _chaos_run(program, **build_kwargs):
             assert drv.read_reg(reg) == model[reg]
     except SimulationError:
         pass  # giving up loudly is always an acceptable outcome
+
+
+class TestZeroRateNeverRaises:
+    """The chaos tests accept any ``SimulationError``, so on their own they
+    cannot see a false detection.  With protection on and nothing injected,
+    every program must complete with the reference result and no machine
+    check."""
+
+    @pytest.mark.parametrize("ooo", [False, True], ids=["in-order", "ooo"])
+    @settings(max_examples=6, deadline=None)
+    @given(program=st.lists(OPS, min_size=1, max_size=6))
+    def test_protected_fault_free_run_completes(self, ooo, program):
+        drv = CoprocessorDriver(
+            build_system(lint="off", state_protection=True, ooo=ooo))
+        model = [0] * N_REGS
+        for op in program:
+            _apply(drv, model, op)
+        for reg in range(N_REGS):
+            assert drv.read_reg(reg) == model[reg]
+        assert drv.engine.stats.machine_checks == 0
 
 
 class TestCorrectOrRaises:

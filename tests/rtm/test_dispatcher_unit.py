@@ -93,7 +93,7 @@ class TestDispatchStrobe:
         harness, sim = h
         harness.regfile.load([0, 3, 4])
         harness.feed(ins.add(3, 1, 2, dst_flag=1))
-        sim.run_until(lambda: harness.dispatcher.dispatch_count == 1, 20)
+        sim.run_until(lambda: harness.dispatcher.stats.unit_dispatches == 1, 20)
         sim.run_until(lambda: harness.regfile.read(3) == 7, 20)
 
     def test_operands_read_in_dispatch_cycle(self, h):
@@ -116,7 +116,7 @@ class TestDispatchStrobe:
         harness, sim = h
         harness.regfile.load([0, 1, 2])
         harness.feed(ins.add(3, 1, 2, dst_flag=1))
-        sim.run_until(lambda: harness.dispatcher.dispatch_count == 1, 20)
+        sim.run_until(lambda: harness.dispatcher.stats.unit_dispatches == 1, 20)
         sim.step()  # lock visible one edge later
         # the unit is still executing; r3 and f1 must be claimed
         assert harness.lockmgr.is_locked(WriteSpace.DATA, 3) or harness.regfile.read(3) == 3
@@ -129,18 +129,18 @@ class TestStallConditions:
         harness.regfile.load([0, 1, 2])
         harness.feed(ins.add(3, 1, 2, dst_flag=1), ins.add(4, 3, 2, dst_flag=1))
         sim.step(30)
-        assert harness.dispatcher.dispatch_count == 1   # second op blocked
+        assert harness.dispatcher.stats.unit_dispatches == 1   # second op blocked
         assert harness.dispatcher.stalled.value
         harness.ack_results = True                       # release
-        sim.run_until(lambda: harness.dispatcher.dispatch_count == 2, 30)
+        sim.run_until(lambda: harness.dispatcher.stats.unit_dispatches == 2, 30)
 
     def test_unit_busy_stall(self, h):
         harness, sim = h
         harness.regfile.load([0, 1, 2])
         # two independent ops contend for the single arithmetic unit
         harness.feed(ins.add(3, 1, 2, dst_flag=1), ins.add(4, 1, 2, dst_flag=2))
-        sim.run_until(lambda: harness.dispatcher.dispatch_count == 2, 40)
-        assert harness.dispatcher.stall_cycles >= 1
+        sim.run_until(lambda: harness.dispatcher.stats.unit_dispatches == 2, 40)
+        assert harness.dispatcher.stats.stall_cycles >= 1
 
     def test_fence_stalls_until_all_free(self, h):
         harness, sim = h

@@ -128,8 +128,8 @@ class TestHazardsBothPaths:
         driver.run_until_quiet()
         writes = _arch_writes(built, probe, (3, 6))
         assert writes == [3, 6], "the fence must drain the slow op first"
-        stats = built.soc.rtm.dispatcher.issue_stats()
-        assert stats["stall_fence"] > 0
+        stats = built.soc.rtm.dispatcher.stats
+        assert stats.stall_fence > 0
 
     def test_get_stream_identical_across_paths(self):
         streams = []
@@ -177,16 +177,16 @@ class TestBypass:
     def test_in_order_path_issues_in_program_order(self):
         built, writes = self._run(ooo=False)
         assert writes == [3, 5, 6]
-        stats = built.soc.rtm.dispatcher.issue_stats()
-        assert stats["mode"] == "in-order"
-        assert stats["stall_raw"] > 0, "op2 must classify as a RAW stall"
+        stats = built.soc.rtm.dispatcher.stats
+        assert stats.mode == "in-order"
+        assert stats.stall_raw > 0, "op2 must classify as a RAW stall"
 
     def test_ooo_path_lets_independent_op_overtake(self):
         built, writes = self._run(ooo=True)
         assert writes == [6, 3, 5], "r6 must retire while the slow op runs"
-        stats = built.soc.rtm.dispatcher.issue_stats()
-        assert stats["mode"] == "ooo"
-        assert stats["window_occupancy_max"] > 1
+        stats = built.soc.rtm.dispatcher.stats
+        assert stats.mode == "ooo"
+        assert stats.window_occupancy_max > 1
 
     def test_structural_stall_is_classified(self):
         # two back-to-back ops on the SAME slow unit: the second is
@@ -200,5 +200,5 @@ class TestBypass:
         driver.run_until_quiet()
         assert driver.read_reg(3) == 1005
         assert driver.read_reg(4) == 1050
-        stats = built.soc.rtm.dispatcher.issue_stats()
-        assert stats["stall_structural"] > 0
+        stats = built.soc.rtm.dispatcher.stats
+        assert stats.stall_structural > 0
