@@ -79,7 +79,9 @@ only; the exhaustive kernel keeps the reference run-everything loop):
   unskipped run.  Any horizon of ``0`` (real work next edge), any armed
   process without a wheel hook, or any plain observer vetoes the jump.
   :meth:`Simulator.fast_forward_limit` exposes the same scan to host-side
-  pump loops so they can bound their stepping chunks.
+  pump loops so they can bound their stepping chunks, and
+  ``step(cycles, stop)`` runs real edges until a caller-side event, ending
+  early wherever that scan would pass.
 """
 
 from __future__ import annotations
@@ -760,9 +762,11 @@ class Simulator:
         Settles the design, then runs the wheel's precondition scan without
         performing a jump.  Returns 0 whenever fast-forward is unavailable
         (wheel disabled, plain observers attached, non-event scheduler, or
-        real work pending on the next edge).  Host pump loops use this to
-        bound the stepping chunks they hand to :meth:`step`, keeping their
-        own per-chunk bookkeeping (deadline checks, drain polls) exact.
+        real work pending on the next edge).  Host pump loops call this at
+        the start of each chunk: above 1 they step a certified jump chunk
+        of at most this many cycles, otherwise they run real edges with
+        ``step(cycles, stop)``, which ends as soon as this scan would pass
+        again.
         """
         if not self.wheel or self._plain_observers:
             return 0
@@ -773,30 +777,41 @@ class Simulator:
 
     # -- public stepping API ---------------------------------------------------
 
-    def step(self, cycles: int = 1) -> None:
-        """Advance the design by ``cycles`` full clock cycles.
+    def step(self, cycles: int = 1, stop: Optional[Callable[[], bool]] = None) -> int:
+        """Advance the design by up to ``cycles`` clock cycles; returns the
+        number of cycles run.
 
         With the time wheel enabled (and no plain observer attached), runs
         of provably idle cycles inside a multi-cycle step are covered by
         O(#hooks) jumps instead of per-cycle edges; the result is
         cycle-exact either way.
+
+        With ``stop``, every cycle is a real edge and the step may end
+        early: ``stop()`` is called after each edge but the last, on the
+        unsettled post-edge state, and a true result ends the step there.
+        The step also ends before an edge whose settled state
+        :meth:`fast_forward_limit` would certify for a jump, so a caller
+        that steps event by event still takes every jump a caller stepping
+        cycle by cycle would.
         """
-        if cycles > 1 and self.wheel and not self._plain_observers:
+        if stop is None and cycles > 1 and self.wheel and not self._plain_observers:
             self._step_wheel(cycles)
-            return
+            return cycles
         observers = self._observers
-        if observers:
-            for _ in range(cycles):
-                self.settle()
-                self._edge()
-                self.now += 1
-                for obs in observers:
-                    obs(self.now)
-        else:
-            for _ in range(cycles):
-                self.settle()
-                self._edge()
-                self.now += 1
+        jumps = stop is not None and self.wheel and not self._plain_observers
+        ran = 0
+        while ran < cycles:
+            self.settle()
+            if ran and jumps and self._skip_scan(2) > 1:
+                break
+            self._edge()
+            self.now += 1
+            ran += 1
+            for obs in observers:
+                obs(self.now)
+            if stop is not None and ran < cycles and stop():
+                break
+        return ran
 
     def _step_wheel(self, cycles: int) -> None:
         """Multi-cycle stepping with time-wheel jumps on quiescent stretches."""

@@ -71,7 +71,8 @@ RESTORE_AFTER = 8
 
 #: Replay-buffer cap, in frames.  Exceeding it drops the oldest frame from
 #: the retransmission record (counted in ``stats.replay_truncated``) —
-#: recovery of those frames is no longer possible, so workloads should
+#: recovery of those frames is no longer possible unless they belong to a
+#: tracked request, which keeps its own frames, so workloads should
 #: interleave tracked reads with long write bursts.
 REPLAY_LIMIT = 4096
 
@@ -262,6 +263,10 @@ class _Record:
     #: acknowledges every frame up to and including this one (in-order wire)
     last_seq: int
     deadline_at: int
+    #: the request's own frames, re-sent once the replay buffer no longer
+    #: holds them: a NACK cursor or a later completion proves the request
+    #: was delivered, not that its response arrived
+    frames: tuple
     #: deadline-driven retransmission rounds — the retry *budget*.  Only
     #: silent expiries count; NACK-driven retransmissions prove the link is
     #: alive and do not burn budget.
@@ -315,6 +320,8 @@ class HostEngine:
         self.sim = system.sim
         self.soc = system.soc
         self.host = host_port
+        #: the RTM execution stage, whose retire count is progress
+        self._execution = getattr(getattr(self.soc, "rtm", None), "execution", None)
         self.window = window
         self.raise_on_exception = raise_on_exception
         cfg = system.config
@@ -373,8 +380,10 @@ class HostEngine:
         #: bumped by every rollback so in-progress rx-event loops abandon
         #: events deframed before the coprocessor was reset
         self._rx_epoch = 0
-        if self._protected:
-            self._maybe_checkpoint()
+        #: stop rule of the edge chunks :meth:`pump` runs (a wait installs
+        #: its own for the duration of :meth:`pump_until`)
+        self._edge_stop: Callable[[], bool] = self._host_event
+        self._maybe_checkpoint()
 
     # -- submission ---------------------------------------------------------------
 
@@ -456,6 +465,7 @@ class HostEngine:
                             sub.stall_counted = True
                         break
             built = tuple(sub.build(tag))
+            first = len(words)
             framed += self._frame(built, words)
             self._queue.popleft()
             if self._protected:
@@ -469,6 +479,7 @@ class HostEngine:
                         key=key,
                         last_seq=self.framer.last_seq,
                         deadline_at=self.sim.now + self.deadline_cycles,
+                        frames=tuple(words[first:]),
                     )
             else:
                 sub.future._resolve(None)
@@ -679,6 +690,7 @@ class HostEngine:
         framed = 0
         now = self.sim.now
         for built, route_key, tag, future in self._journal:
+            first = len(words)
             framed += self._frame(built, words)
             if route_key is not None:
                 key = (route_key, tag if route_key is not Halted else None)
@@ -689,21 +701,26 @@ class HostEngine:
                         key=key,
                         last_seq=self.framer.last_seq,
                         deadline_at=now + self.deadline_cycles,
+                        frames=tuple(words[first:]),
                     )
             self.stats.replayed += 1
         self._send_batch(words, framed)
 
-    def _maybe_checkpoint(self) -> None:
-        """Snapshot at a quiescent point: engine idle, coprocessor drained,
-        no latent taint, no pending check — locks free and pipelines empty,
-        so the architectural state alone captures the machine."""
+    def _checkpoint_due(self) -> bool:
+        """A protected system sits at a quiescent point that needs a new
+        snapshot: engine idle, coprocessor drained, no latent taint, no
+        pending check — locks free and pipelines empty, so the
+        architectural state alone captures the machine."""
         if not self._protected or self.fatal_error is not None:
-            return
+            return False
         if not self.idle or self._ckpt is not None and not self._journal:
-            return
-        domain = self.soc.state_domain
-        mcu = self.soc.mcu
-        if mcu.pending or domain.tainted or self.soc.busy:
+            return False
+        soc = self.soc
+        return not (soc.mcu.pending or soc.state_domain.tainted or soc.busy)
+
+    def _maybe_checkpoint(self) -> None:
+        """Snapshot the architectural state when a checkpoint is due."""
+        if not self._checkpoint_due():
             return
         self._ckpt = snapshot_state(self.soc, cycle=self.sim.now)
         self._journal.clear()
@@ -750,7 +767,15 @@ class HostEngine:
         return max(1, sum(len(f) for _s, f in self._replay) * self._cpw)
 
     def _retransmit(self) -> None:
+        """Re-send the replay buffer, preceded by the frames of every
+        outstanding request the buffer no longer holds (delivered, but its
+        response was lost upstream; the coprocessor re-executes a
+        duplicate GET/GETF/HALT and answers again)."""
         words: list[int] = []
+        replayed = {seq for seq, _frame in self._replay}
+        for record in self._records.values():
+            if record.last_seq not in replayed:
+                words.extend(record.frames)
         for _seq, frame in self._replay:
             words.extend(frame)
         drain = max(1, len(words)) * self._cpw
@@ -843,23 +868,41 @@ class HostEngine:
 
         When the simulator certifies (via :meth:`Simulator.fast_forward_limit`)
         that the next ``limit`` edges are pure aging, the whole stretch is
-        stepped in one call and the wheel compresses it — the host-side
-        drain/deadline work happens once at the end, which is equivalent
-        because nothing observable can move mid-stretch.  With the wheel off
-        (or anything active) this degenerates to the classic one-cycle pump.
+        stepped in one call and the wheel compresses it.  Otherwise the
+        kernel runs real edges back to back (``Simulator.step`` with a stop
+        rule) until the first edge after which the host has something to
+        act on: a word in the host port's rx queue, the wait's ``done()``
+        holding, or a checkpoint coming due on a protected system.  It also
+        stops where the wheel could jump, so the next chunk takes that jump.
+        Both kinds are bounded by ``bound`` and :meth:`_timer_slack`.
+
+        The host-side drain/deadline/checkpoint work runs once, at the end
+        of the chunk.  That is exact: before the chunk's last edge no word
+        arrives, no timer fires and no completion opens the window, so each
+        of those steps would have been a no-op.
         """
         self.flush()
-        n = 1
-        if bound > 1:
-            limit = self.sim.fast_forward_limit(bound)
-            if limit > 1:
-                n = max(1, min(bound, limit, self._timer_slack()))
-        self.sim.step(n)
+        sim = self.sim
+        n = min(bound, self._timer_slack())
+        limit = sim.fast_forward_limit(n) if n > 1 else 0
+        if limit > 1:
+            n = min(n, limit)
+            sim.step(n)
+        else:
+            n = sim.step(n, self._edge_stop)
         self.drain_words()
         self._check_deadlines()
-        if self._protected:
-            self._maybe_checkpoint()
+        self._maybe_checkpoint()
         return n
+
+    def _host_event(self, done: Optional[Callable[[], bool]] = None) -> bool:
+        """True once an edge left the host something to act on (the stop
+        rule of an edge chunk; see :meth:`_pump_chunk`)."""
+        return bool(
+            self.host.rx_available
+            or done is not None and done()
+            or self._checkpoint_due()
+        )
 
     def pump(self, cycles: int = 1) -> None:
         """Advance the simulation, draining responses and refilling the window."""
@@ -925,7 +968,6 @@ class HostEngine:
         holds the tuple still.
         """
         stats = self.stats
-        execution = getattr(getattr(self.soc, "rtm", None), "execution", None)
         return (
             stats.words_sent,
             self._words_received,
@@ -933,7 +975,7 @@ class HostEngine:
             stats.completed,
             stats.failed,
             stats.retransmits,
-            getattr(execution, "retired", 0),
+            getattr(self._execution, "retired", 0),
         )
 
     def resolve_deadline(self, deadline_cycles: Optional[int]) -> Optional[int]:
@@ -962,41 +1004,61 @@ class HostEngine:
         fast instead of idling out the full budget.  ``deadline_cycles``:
         None → a link-derived default, ≤0 → disabled.
 
-        Exit-cycle exactness: a chunk only spans several cycles when the
-        kernel certifies them as pure aging, so no word arrives, no future
-        completes and the progress signature holds still until its final
-        cycle.  Bounding every chunk by the budget and no-progress trigger
-        points therefore makes this loop return or raise on exactly the
-        cycle a one-cycle-at-a-time pump would.  ``done()`` is checked after
-        every chunk; a condition that can turn true on elapsed cycles alone
-        must also pass ``cap()``, the cycles until it could.
+        Exit-cycle exactness: every chunk is bounded by the budget and the
+        no-progress trigger point, and ``done()`` is checked after every
+        edge an edge chunk runs (a jump chunk is pure aging, so nothing it
+        covers can change ``done()`` before its final cycle).  Inside an
+        edge chunk the progress signature still moves — ``host.tx_pending``
+        drops as words leave, instructions retire — so the chunk's stop
+        rule compares it after every edge and dates the last change exactly.
+        This loop therefore returns or raises on exactly the cycle a
+        one-cycle-at-a-time pump would.  A condition that can turn true on
+        elapsed cycles alone must also pass ``cap()``, the cycles until it
+        could, so that no jump chunk steps past it.
         """
         start = self.sim.now
         deadline = self.resolve_deadline(deadline_cycles)
-        signature = self.progress_signature()
+        sim = self.sim
+        progress = self.progress_signature
+        signature = progress()
         last_progress = start
-        while not done():
-            now = self.sim.now
-            if now - start >= max_cycles:
-                raise SimulationError(
-                    f"{what}: budget of {max_cycles} cycles spent ({self._backlog()})")
-            if deadline is not None and now - last_progress >= deadline:
-                message = f"{what}: no progress for {deadline} cycles ({self._backlog()})"
-                if self.link_down:
-                    raise LinkDownError(f"{message} (link is down)")
-                raise HostTimeoutError(message)
-            bound = start + max_cycles - now
-            if deadline is not None:
-                bound = min(bound, last_progress + deadline - now)
-            limit = cap() if cap is not None else None
-            if limit is not None:
-                bound = min(bound, limit)
-            self._pump_chunk(max(1, bound))
-            self.flush()
-            current = self.progress_signature()
+
+        def note_progress() -> None:
+            nonlocal signature, last_progress
+            current = progress()
             if current != signature:
                 signature = current
-                last_progress = self.sim.now
+                last_progress = sim.now
+
+        def stop() -> bool:
+            if self._host_event(done):
+                return True
+            note_progress()
+            return False
+
+        outer_stop, self._edge_stop = self._edge_stop, stop
+        try:
+            while not done():
+                now = self.sim.now
+                if now - start >= max_cycles:
+                    raise SimulationError(
+                        f"{what}: budget of {max_cycles} cycles spent ({self._backlog()})")
+                if deadline is not None and now - last_progress >= deadline:
+                    message = f"{what}: no progress for {deadline} cycles ({self._backlog()})"
+                    if self.link_down:
+                        raise LinkDownError(f"{message} (link is down)")
+                    raise HostTimeoutError(message)
+                bound = start + max_cycles - now
+                if deadline is not None:
+                    bound = min(bound, last_progress + deadline - now)
+                limit = cap() if cap is not None else None
+                if limit is not None:
+                    bound = min(bound, limit)
+                self._pump_chunk(max(1, bound))
+                self.flush()
+                note_progress()
+        finally:
+            self._edge_stop = outer_stop
         return self.sim.now - start
 
     def wait(self, future: HostFuture, max_cycles: int = 1_000_000,

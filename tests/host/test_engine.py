@@ -275,3 +275,34 @@ class TestBatchedFraming:
                     "in_flight_highwater", "queue_highwater", "batches"):
             assert key in counters
         assert counters["completed"] == 1
+
+
+class TestEventChunks:
+    """The host pumps one chunk per host-observable event, not per cycle."""
+
+    @pytest.mark.parametrize("backend", [
+        dict(), dict(wheel=False), dict(backend="compiled"),
+    ], ids=["event", "wheel-off", "compiled"])
+    def test_sync_compute_is_a_few_steps_of_26_edges(self, backend):
+        from repro import Session
+        from repro.isa.opcodes import ArithOp
+
+        system = build_system(lint="off", **backend)
+        session = Session(system)
+        sim = system.sim
+        session.compute(ArithOp.ADD, 1, 2)  # first op pays for discovery
+        steps = 0
+        step = sim.step
+
+        def counting(*args, **kwargs):
+            nonlocal steps
+            steps += 1
+            return step(*args, **kwargs)
+
+        sim.step = counting  # the way the e2e tracer counts pump chunks
+        ops = 20
+        edges = sim.kernel_stats.edge_calls
+        for i in range(ops):
+            assert session.compute(ArithOp.ADD, i, 3 * i) == 4 * i
+        assert sim.kernel_stats.edge_calls - edges == 26 * ops
+        assert steps <= 3 * ops

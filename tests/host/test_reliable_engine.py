@@ -94,6 +94,40 @@ class TestRecoveryFromFaults:
             assert _add_roundtrip(drv, i, 3) == i + 3
 
 
+class TestDuplexFaults:
+    """Faults in both directions must not declare a live link down.
+
+    Reproducer: with these seeds the response to call 91's GET is lost
+    upstream, and a NACK whose cursor is past the GET then pruned it from
+    the replay buffer.  Every later retransmission sent nothing, and the
+    deadline rounds ended in a false ``LinkDownError``.  Outstanding
+    requests now re-send their own frames once the replay buffer no
+    longer holds them.
+    """
+
+    @pytest.mark.parametrize("backend", [
+        dict(), dict(wheel=False), dict(backend="compiled"),
+    ], ids=["event", "wheel-off", "compiled"])
+    def test_lost_response_after_nack_prune_is_recovered(self, backend):
+        import random
+
+        from repro import Session
+        from repro.isa.opcodes import ArithOp
+
+        system = build_system(
+            channel=FAST_BUS, reliable=True, lint="off",
+            faults=FaultSpec(seed=7, drop_rate=0.005, flip_rate=0.005),
+            upstream_faults=FaultSpec(seed=8, drop_rate=0.005, flip_rate=0.005),
+            **backend,
+        )
+        session = Session(system)
+        rng = random.Random(1)
+        for _ in range(120):
+            x, y = rng.getrandbits(32), rng.getrandbits(32)
+            assert session.compute(ArithOp.ADD, x, y) == (x + y) & 0xFFFF_FFFF
+        assert session.driver.engine.stats.retransmits > 0
+
+
 class TestDeadLink:
     def test_read_raises_link_down(self):
         drv = _driver(faults=FaultSpec(seed=1, dead_after_words=4))

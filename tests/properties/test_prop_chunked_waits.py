@@ -1,0 +1,138 @@
+"""Property: event-bounded host chunks are invisible to every wait.
+
+``HostEngine`` pumps the simulation in chunks: a certified wheel jump, or a
+run of real edges that stops at the first edge after which the host has
+something to act on.  The host-side bookkeeping (drain, deadlines,
+checkpoints, the progress signature and ``done()``) therefore runs once per
+chunk instead of once per cycle.  That is an optimisation of host work only.
+For randomized ``Session`` programs (writes, sync and async computes,
+``run_until_quiet``, ``wait_for`` and register-throttled ``pipeline()``
+batches) a normal run must match a reference run whose ``_pump_chunk`` is
+forced to one cycle.  The two runs must agree on:
+
+* the cycle on which every step ends, and every result or raised error;
+* the cycle of the last checkpoint after every step (protected systems);
+* the final ``sim.now``;
+* ``engine.stats.as_dict()``.
+
+The programs run on all three link presets, on reliable links with faults
+in both directions, and on a state-protected system with upsets.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import FrameworkConfig, Session, build_system
+from repro.faults import StateFaultSpec
+from repro.hdl.errors import SimulationError
+from repro.isa import instructions as ins
+from repro.isa.opcodes import ArithOp, LogicOp
+from repro.messages import FAST_BUS, INTEGRATED, SLOW_PROTOTYPE, FaultSpec
+
+OPS = (ArithOp.ADD, ArithOp.SUB, LogicOp.AND, LogicOp.XOR)
+
+#: raw GETs use the last tag; programs stay far below 255 tracked requests,
+#: so the engine's round-robin allocator never hands it out
+RAW_TAG = 255
+
+BACKENDS = {
+    "event": {},
+    "wheel-off": dict(wheel=False),
+    "compiled": dict(backend="compiled"),
+}
+
+
+def _systems(seed):
+    """name → (build_system kwargs, program steps) for each covered system."""
+    lossy = dict(drop_rate=0.01, flip_rate=0.01)
+    return {
+        "integrated": (dict(channel=INTEGRATED), 12),
+        "fast-bus": (dict(channel=FAST_BUS), 12),
+        "slow-prototype": (dict(channel=SLOW_PROTOTYPE), 5),
+        "duplex-faults": (dict(
+            channel=FAST_BUS, reliable=True,
+            faults=FaultSpec(seed=seed, **lossy),
+            upstream_faults=FaultSpec(seed=seed + 1, **lossy),
+        ), 12),
+        "protected": (dict(
+            channel=INTEGRATED, state_protection=True,
+            state_faults=StateFaultSpec(seed=seed, flip_rate=0.2, double_rate=0.03),
+        ), 12),
+    }
+
+
+def _program(session, rng, steps, log):
+    """Run ``steps`` random steps, logging each step's result, end cycle and
+    the cycle of the last checkpoint taken (None on unprotected systems)."""
+    driver = session.driver
+    engine = driver.engine
+    data = session.alloc_many(2)
+    pending = []
+
+    def record(*entry):
+        log.append((*entry, driver.cycles, getattr(engine._ckpt, "cycle", None)))
+
+    def operands():
+        return rng.choice(OPS), rng.getrandbits(32), rng.getrandbits(32)
+
+    def settle_async():
+        while pending:
+            record("async", pending.pop(0).result())
+
+    for _ in range(steps):
+        kind = rng.choice(("write", "compute", "async", "quiet", "wait_for", "pipeline"))
+        if kind == "async":
+            pending.append(session.compute_async(*operands()))
+            record("issue")
+            continue
+        settle_async()
+        if kind == "write":
+            session.write(rng.choice(data), rng.getrandbits(32))
+            record(kind)
+        elif kind == "compute":
+            record(kind, session.compute(*operands()))
+        elif kind == "quiet":
+            record(kind, driver.run_until_quiet())
+        elif kind == "wait_for":
+            driver.execute(ins.get(rng.choice(data), tag=RAW_TAG))
+            (msg,) = driver.wait_for(1)
+            record(kind, msg.tag, msg.value)
+        else:
+            # 6 free registers hold two computes: later ones wait for a
+            # completion to free registers
+            with session.pipeline() as p:
+                futures = [p.compute(*operands()) for _ in range(rng.randrange(3, 6))]
+            record(kind, [f.result() for f in futures])
+    settle_async()
+    record("quiet", driver.run_until_quiet())
+
+
+def _run(system_kwargs, backend, steps, seed, one_cycle):
+    system = build_system(FrameworkConfig(n_regs=8), lint="off",
+                          **system_kwargs, **BACKENDS[backend])
+    session = Session(system)
+    engine = session.driver.engine
+    if one_cycle:
+        pump_chunk = engine._pump_chunk
+        engine._pump_chunk = lambda _bound: pump_chunk(1)
+    log: list = []
+    try:
+        _program(session, random.Random(seed), steps, log)
+    except SimulationError as error:
+        log.append((type(error).__name__, system.sim.now))
+    return log, system.sim.now, engine.stats.as_dict()
+
+
+@pytest.mark.parametrize("name", sorted(_systems(0)))
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16 - 1), backend=st.sampled_from(sorted(BACKENDS)))
+def test_chunked_run_equals_one_cycle_reference(name, seed, backend):
+    system_kwargs, steps = _systems(seed)[name]
+    chunked = _run(system_kwargs, backend, steps, seed, one_cycle=False)
+    reference = _run(system_kwargs, backend, steps, seed, one_cycle=True)
+    assert chunked == reference
