@@ -791,21 +791,59 @@ class _Analyzer:
                    for n in body)
 
 
-# -- summary cache ------------------------------------------------------------
+# -- parse and summary caches --------------------------------------------------
 
+#: code object -> (dedented source, first source line), or None when the
+#: source cannot be read
+_SOURCE_CACHE: dict[types.CodeType, Optional[tuple[str, int]]] = {}
 _SUMMARY_CACHE: dict[types.CodeType, FnSummary] = {}
 
 
 def _find_def(tree: ast.AST, name: str, lineno: int):
-    """Locate the FunctionDef/Lambda a code object came from."""
-    best = None
+    """Locate the FunctionDef/Lambda a code object came from (None when
+    the source holds several lambdas: it cannot tell which one)."""
+    lambdas = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.name == name:
                 return node
         elif isinstance(node, ast.Lambda) and name == "<lambda>":
-            best = node
-    return best
+            lambdas.append(node)
+    return lambdas[0] if len(lambdas) == 1 else None
+
+
+def parsed_def(fn: Callable[..., Any]) -> Optional[tuple[ast.AST, int]]:
+    """The def or lambda node ``fn`` was compiled from, with the file line
+    its extracted source starts on (node line ``k`` is file line
+    ``first + k - 1``).  ``None`` when the source cannot be read or holds
+    no matching def.
+
+    The source is read once per code object and shared by
+    :func:`summarize` and the compiled backend's translator; both cache
+    what they derive from it, so each parses it once.  The returned tree
+    is the caller's own: it is not cached, because holding every parsed
+    def would cost more memory than the rare second parse saves.
+    """
+    code = getattr(fn, "__code__", None)
+    if code is None:
+        return None
+    try:
+        entry = _SOURCE_CACHE[code]
+    except KeyError:
+        try:
+            lines, first = inspect.getsourcelines(fn)
+            entry = (textwrap.dedent("".join(lines)), first)
+        except (OSError, TypeError):
+            entry = None
+        _SOURCE_CACHE[code] = entry
+    if entry is None:
+        return None
+    source, first = entry
+    try:
+        node = _find_def(ast.parse(source), code.co_name, code.co_firstlineno)
+    except (SyntaxError, ValueError):
+        return None
+    return None if node is None else (node, first)
 
 
 def summarize(fn: Callable[..., Any]) -> FnSummary:
@@ -819,18 +857,17 @@ def summarize(fn: Callable[..., Any]) -> FnSummary:
     if cached is not None:
         return cached
     summary = FnSummary()
+    parsed = parsed_def(fn)
     try:
-        src = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(src)
-        node = _find_def(tree, code.co_name, code.co_firstlineno)
-        if node is None:
+        if parsed is None:
             raise SyntaxError(f"no def {code.co_name!r} in extracted source")
+        node = parsed[0]
         analyzer = _Analyzer(summary)
         if isinstance(node, ast.Lambda):
             analyzer.taint_of(node.body)
         else:
             analyzer.visit_body(node.body)
-    except (OSError, SyntaxError, TypeError, ValueError):
+    except (SyntaxError, TypeError, ValueError):
         summary = FnSummary()
         summary.parse_failed = True
     _SUMMARY_CACHE[code] = summary
@@ -1455,6 +1492,7 @@ __all__ = [
     "ResolvedWrite",
     "WriteSite",
     "closure_of",
+    "parsed_def",
     "resolve",
     "summarize",
 ]

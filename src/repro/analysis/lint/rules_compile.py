@@ -1,13 +1,13 @@
 """Compiled-backend coverage rules: which processes defeat the codegen?
 
 The compiled backend (:mod:`repro.hdl.compile`) shares its front end with
-this lint package: a process gets a static wake slot (translated, or a
-plain call of its function) exactly when
+this lint package: a process gets a static wake slot exactly when
 :func:`~repro.analysis.lint.astpass.closure_of` proves its dependence
-closure.  Anything unproven falls back to interpreted
-execution — a read-tracked wake slot for a combinational process, every
-edge for an impure sequential one — always correct, but it erodes the
-backend's speedup one process at a time.  So do a proven comb process with
+closure.  Anything unproven falls back to interpreted scheduling — a
+read-tracked wake slot for a combinational process, every edge for an
+impure sequential one — always correct, but it erodes the backend's
+speedup one process at a time: a read-tracked slot also runs the original
+function, not the specialized body every other process gets.  So do a proven comb process with
 hidden inputs only (every sweep) and an impure stage-only seq process with
 a hidden load that can change (every edge).  This rule family makes those
 fallbacks visible at elaboration time instead of leaving them buried in

@@ -13,10 +13,11 @@ automatically, so the backend is always safe to select.
 Modules
 -------
 
-* :mod:`.frontend` — wake sets (static slot / read-tracked fallback) and the
-  AST-to-source translator for the provable process subset;
-* :mod:`.codegen` — emits the specialized module source (settle sweep,
-  edge phase, wheel scan) and manages object hoisting;
+* :mod:`.frontend` — wake sets (static slot / read-tracked fallback) and
+  residual translation: each process body specialized with its signal
+  accesses inlined, built once per code object;
+* :mod:`.codegen` — emits the dispatching module source (settle sweep,
+  edge phase, wheel scan) around the specialized bodies;
 * :mod:`.vector` — vectorized executors for components publishing the
   ``__compile_vector__`` hook (the ξ-sort cell arrays);
 * :mod:`.engine` — :class:`~repro.hdl.compile.engine.CompiledSimulator`,

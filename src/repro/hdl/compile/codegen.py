@@ -10,8 +10,9 @@ slots come first; sequential slots follow them in the same list.  The
 module contains four functions:
 
 * ``_sweep()`` — one rank-ordered pass over every combinational process
-  with a static wake set: a flagged slot runs its translated body
-  (``_pN``) or calls the original function (``_fN``).  Processes without
+  with a static wake set: a flagged slot runs its specialized body
+  (``_pN``) or, when the body bails out whole, the original function
+  (``_fN``).  Processes without
   a provable closure follow the ranked section in *read-tracked slots*: a
   flagged slot runs its engine helper (``_tkN``), which records the
   signals the run read and adds them to ``_FAN``.  Every-sweep processes
@@ -36,10 +37,13 @@ module contains four functions:
   is up; the engine's time-wheel scan vetoes jumps on it.
 
 The module is ``exec``-compiled once per system into a namespace holding
-the hoisted objects (``_h<n>`` signals and owners), called functions and
-a handful of kernel internals (``_CH`` the change tracker, ``_U`` the
-unset sentinel, ``_SL`` the staged-register list, ``_CHG`` the
-simulator's pending list).
+the specialized bodies (``_pN``, ``_eN`` and the ``_ALW`` entries, built by
+:class:`~.frontend.Specializer`), called functions and a handful of
+kernel internals (``_CH`` the change tracker, ``_U`` the unset sentinel,
+``_SL`` the staged-register list, ``_CHG`` the simulator's pending list).
+The specialized bodies are compiled separately, against each process's
+own globals and closure; the module's ``source`` lists each template once
+after the dispatch functions, with the objects every call site binds.
 """
 
 from __future__ import annotations
@@ -47,25 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["Plan", "Hoister", "GeneratedModule", "generate"]
+from ..components import Stream
+from ..signal import Signal
+from .frontend import Specialized
 
-
-class Hoister:
-    """Allocates stable generated-module names for live Python objects."""
-
-    def __init__(self) -> None:
-        self._names: dict[int, str] = {}
-        self.objects: dict[str, Any] = {}
-        self._n = 0
-
-    def __call__(self, obj: Any) -> str:
-        name = self._names.get(id(obj))
-        if name is None:
-            name = f"_h{self._n}"
-            self._n += 1
-            self._names[id(obj)] = name
-            self.objects[name] = obj
-        return name
+__all__ = ["Plan", "GeneratedModule", "generate"]
 
 
 @dataclass
@@ -74,14 +64,16 @@ class Plan:
 
     fn: Callable[[], None]
     index: int
-    #: "translated" | "called" (a static wake slot calling ``fn``) |
-    #: "tracked" (no provable closure: a read-tracked wake slot) |
-    #: "always" (comb: every sweep; seq: impure and unprovable, every edge)
+    #: "slot" (a static wake slot) | "tracked" (no provable closure: a
+    #: read-tracked wake slot, always running ``fn``) | "always" (comb:
+    #: every sweep; seq: impure and unprovable, every edge).  Every kind
+    #: but "tracked" runs ``spec`` when there is one, else ``fn``.
     kind: str
     wheeled: bool
     #: signals whose changes raise this plan's flag (see frontend.slot_reads)
     wake: list = field(default_factory=list)
-    body: Optional[list] = None  # translated lines
+    #: the specialized body, run instead of ``fn``
+    spec: Optional[Specialized] = None
     #: a "tracked" plan's slot runner (the engine's read-tracking helper)
     run: Optional[Callable[[], Any]] = None
     rank: int = 0  # comb only: topological depth
@@ -104,30 +96,49 @@ class GeneratedModule:
     every: list  # functions run on every sweep (``_ALW``)
 
 
+def _label(obj: Any) -> str:
+    if isinstance(obj, (Signal, Stream)):
+        return obj.name
+    name = getattr(obj, "name", None)
+    if isinstance(name, str):
+        return f"{type(obj).__name__}.{name}"
+    return type(obj).__name__
+
+
+def _listing(calls: list) -> list:
+    """Each specialized body once, then which call runs it with what."""
+    out = ["", "# -- specialized bodies " + "-" * 55]
+    numbers: dict = {}
+    for call, p in calls:
+        template = p.spec.template
+        k = numbers.get(id(template))
+        if k is None:
+            k = numbers[id(template)] = len(numbers)
+            where = f"{p.fn.__module__}:{template.code.co_firstlineno}"
+            out.append(f"# template {k}: {p.fn.__qualname__} ({where})")
+            out.extend(template.source.splitlines())
+        bound = ", ".join(f"_h{j} = {_label(o)}"
+                          for j, o in enumerate(p.spec.objects))
+        out.append(f"# {call} runs template {k}" + (f": {bound}" if bound else ""))
+    return out
+
+
 def generate(
     comb: list[Plan],
     seq: list[Plan],
     executors: list,
-    hoist: Hoister,
     namespace: dict,
 ) -> GeneratedModule:
-    """Emit, compile and wire the specialized module.
+    """Emit, compile and wire the dispatching module.
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL`` and
-    ``_CHG``; hoisted objects, called functions, executor methods and the
-    tracked plans' slot runners are installed here.
+    ``_CHG``; specialized bodies, called functions, executor methods and
+    the tracked plans' slot runners are installed here.
     """
     out: list[str] = []
     emit = out.append
-
-    # specialized process bodies
-    for prefix, plans in (("_p", comb), ("_e", seq)):
-        for p in plans:
-            if p.kind == "translated" and p.body is not None:
-                emit(f"def {prefix}{p.index}():")
-                for line in p.body:
-                    emit("    " + line)
-                emit("")
+    #: (module name, plan) of every plan running a specialized body
+    calls: list = []
 
     # -- wake slots -----------------------------------------------------------
     # The module is wake-driven, mirroring the event kernel's notification
@@ -137,7 +148,7 @@ def generate(
     # flagged slots run.  Comb slots come first (ranked, then tracked);
     # seq slots follow from position n_slots and are read by the edge.
     ordered = sorted(
-        (p for p in comb if p.kind in ("translated", "called")),
+        (p for p in comb if p.kind == "slot"),
         key=lambda p: (p.rank, p.index),
     )
     tracked = [p for p in comb if p.kind == "tracked"]
@@ -151,7 +162,12 @@ def generate(
     for p in slotted:  # tracked plans start empty and grow _FAN as they run
         for sig in p.wake:
             fanout.setdefault(sig, []).append(p.slot)
-    every: list = [p.fn for p in comb if p.kind == "always"]
+    every: list = []
+    for p in comb:
+        if p.kind == "always":
+            every.append(p.spec.fn if p.spec is not None else p.fn)
+            if p.spec is not None:
+                calls.append((f"_ALW[{len(every) - 1}]", p))
     namespace["_W"] = wake
     namespace["_FAN"] = fanout
     namespace["_ALW"] = every
@@ -190,15 +206,19 @@ def generate(
         emit("        _ran += 1")
     last_rank: Optional[int] = None
     for pos, p in enumerate(ordered):
-        call = f"_p{p.index}()" if p.kind == "translated" else f"_f{p.index}()"
-        if p.kind == "called":
-            namespace[f"_f{p.index}"] = p.fn
+        if p.spec is not None:
+            call = f"_p{p.index}"
+            namespace[call] = p.spec.fn
+            calls.append((call, p))
+        else:
+            call = f"_f{p.index}"
+            namespace[call] = p.fn
         if p.rank != last_rank:
             emit_drain(pos)
             last_rank = p.rank
         emit(f"    if _W[{pos}]:")
         emit(f"        _W[{pos}] = False")
-        emit(f"        {call}")
+        emit(f"        {call}()")
         emit("        _ran += 1")
     for p in tracked:
         namespace[f"_tk{p.index}"] = p.run
@@ -228,12 +248,16 @@ def generate(
     emit("    _ran = 0")
     for s in seq:
         name = getattr(s.fn, "__qualname__", s.fn)
-        call = f"_e{s.index}()" if s.kind == "translated" else f"_q{s.index}()"
-        if s.kind in ("called", "always"):
-            namespace[f"_q{s.index}"] = s.fn
+        if s.spec is not None:
+            call = f"_e{s.index}"
+            namespace[call] = s.spec.fn
+            calls.append((call, s))
+        else:
+            call = f"_q{s.index}"
+            namespace[call] = s.fn
         if s.kind == "always":
             emit(f"    # {name}: every edge")
-            emit(f"    {call}")
+            emit(f"    {call}()")
             emit("    _ran += 1")
         elif s.kind == "tracked":
             namespace[f"_ts{s.index}"] = s.run
@@ -245,7 +269,7 @@ def generate(
             emit(f"    # {name}: wake slot {s.slot}")
             emit(f"    if _W[{s.slot}]:")
             emit("        _n0 = _CH.stages")
-            emit(f"        {call}")
+            emit(f"        {call}()")
             emit(f"        _W[{s.slot}] = _n0 != _CH.stages")
             emit("        _ran += 1")
     emit("    _vec = False")
@@ -279,12 +303,11 @@ def generate(
         namespace[f"_x{k}_settle"] = ex.settle
         namespace[f"_x{k}_edge"] = ex.edge
 
-    namespace.update(hoist.objects)
     source = "\n".join(out)
     code = compile(source, "<repro.hdl.compile>", "exec")
     exec(code, namespace)
     return GeneratedModule(
-        source=source,
+        source="\n".join(out + _listing(calls)),
         sweep=namespace["_sweep"],
         drain=namespace["_drain"],
         edge=namespace["_edge"],

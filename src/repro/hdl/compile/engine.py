@@ -42,8 +42,8 @@ from ..component import Component
 from ..errors import CombinationalLoopError
 from ..signal import CHANGES
 from ..sim import MAX_SETTLE_ITERATIONS, Simulator
-from .codegen import GeneratedModule, Hoister, Plan, generate
-from .frontend import (ProcClosure, Translator, closure_of,
+from .codegen import GeneratedModule, Plan, generate
+from .frontend import (ProcClosure, Specializer, closure_of,
                        hidden_loads_constant, slot_reads)
 from .vector import collect_executors
 
@@ -132,10 +132,11 @@ class CompiledSimulator(Simulator):
     def _compile(self) -> None:
         executors, absorbed = collect_executors(self.top)
         self._executors = executors
-        hoist = Hoister()
+        spec = Specializer(
+            self._changed, self._staged_regs,
+            [p.fn for p in (*self._procs, *self._seqprocs)
+             if id(p.fn) not in absorbed])
         closures: dict = {}
-        #: range-informed codegen counters, shared across all Translators
-        tx_stats: dict = {"masks_elided": 0, "branches_folded": 0}
 
         comb_plans: list[Plan] = []
         n_absorbed = 0
@@ -144,9 +145,9 @@ class CompiledSimulator(Simulator):
                 n_absorbed += 1
                 continue
             if p.always:
-                comb_plans.append(
-                    Plan(fn=p.fn, index=i, kind="always", wheeled=p.wheeled)
-                )
+                comb_plans.append(Plan(fn=p.fn, index=i, kind="always",
+                                       wheeled=p.wheeled,
+                                       spec=spec.specialize(p.fn)))
                 continue
             closure = self._closure_or_none(p.fn)
             wake = self._wake_set(closure)
@@ -154,13 +155,12 @@ class CompiledSimulator(Simulator):
                 comb_plans.append(self._tracked_plan(i, p, seq=False))
             elif not wake and closure.writes:
                 # hidden inputs only: the event kernel runs it every sweep
-                comb_plans.append(
-                    Plan(fn=p.fn, index=i, kind="always", wheeled=p.wheeled)
-                )
+                comb_plans.append(Plan(fn=p.fn, index=i, kind="always",
+                                       wheeled=p.wheeled,
+                                       spec=spec.specialize(p.fn)))
             else:
                 closures[i] = closure
-                comb_plans.append(
-                    self._slot_plan(i, p, closure, wake, hoist, tx_stats))
+                comb_plans.append(self._slot_plan(i, p, wake, spec))
         self._rank_plans(comb_plans, closures)
 
         seq_plans: list[Plan] = []
@@ -184,14 +184,13 @@ class CompiledSimulator(Simulator):
                 and (sp.pure or (not closure.writes
                                  and hidden_loads_constant(closure)))
             ):
-                seq_plans.append(
-                    self._slot_plan(j, sp, closure, wake, hoist, tx_stats))
+                seq_plans.append(self._slot_plan(j, sp, wake, spec))
             elif sp.pure:
                 seq_plans.append(self._tracked_plan(j, sp, seq=True))
             else:
-                seq_plans.append(
-                    Plan(fn=sp.fn, index=j, kind="always", wheeled=sp.wheeled)
-                )
+                seq_plans.append(Plan(fn=sp.fn, index=j, kind="always",
+                                      wheeled=sp.wheeled,
+                                      spec=spec.specialize(sp.fn)))
 
         namespace: dict = {
             "_CH": CHANGES,
@@ -200,7 +199,7 @@ class CompiledSimulator(Simulator):
             "_CHG": self._changed,
         }
         module: GeneratedModule = generate(
-            comb_plans, seq_plans, executors, hoist, namespace)
+            comb_plans, seq_plans, executors, namespace)
         tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
         for tc, pl in zip(self._tracked, tracked):
             tc.slot = pl.slot
@@ -229,11 +228,12 @@ class CompiledSimulator(Simulator):
         n_comb_slots = sum(1 for pl in comb_plans if pl.kind != "always")
         stats.compiled_procs = len(plans) - n_fallback + n_absorbed
         stats.fallback_procs = n_fallback
+        stats.translated_procs = sum(1 for pl in plans if pl.spec is not None)
         stats.vectorized_cells = sum(ex.n_cells for ex in executors)
         stats.tracked_procs = n_comb_slots
         stats.always_procs = len(always)
-        stats.masks_elided = tx_stats["masks_elided"]
-        stats.branches_folded = tx_stats["branches_folded"]
+        stats.masks_elided = spec.stats["masks_elided"]
+        stats.branches_folded = spec.stats["branches_folded"]
 
     def _wake_set(self, closure: Optional[ProcClosure]) -> Optional[list]:
         """A proven closure's wake set, or ``None`` when a flag cannot
@@ -247,14 +247,13 @@ class CompiledSimulator(Simulator):
         return wake
 
     @staticmethod
-    def _slot_plan(index: int, proc: Any, closure: ProcClosure, wake: list,
-                   hoist: Hoister, tx_stats: dict) -> Plan:
-        """A static wake slot: the translated body, or a call of ``fn``
-        when the body leaves the translatable subset."""
-        body = Translator(proc.fn, closure, hoist, stats=tx_stats).translate()
-        return Plan(fn=proc.fn, index=index,
-                    kind="translated" if body is not None else "called",
-                    wheeled=proc.wheeled, wake=wake, body=body)
+    def _slot_plan(index: int, proc: Any, wake: list,
+                   spec: Specializer) -> Plan:
+        """A static wake slot: the specialized body, or a call of ``fn``
+        when the body bails out whole."""
+        return Plan(fn=proc.fn, index=index, kind="slot",
+                    wheeled=proc.wheeled, wake=wake,
+                    spec=spec.specialize(proc.fn))
 
     def _tracked_plan(self, index: int, proc: Any, seq: bool) -> Plan:
         """A read-tracked slot plan plus its engine helper."""

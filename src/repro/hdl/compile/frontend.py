@@ -1,15 +1,11 @@
-"""Compiler front end: closure-based classification and the AST translator.
+"""Compiler front end: closure-based classification and residual translation.
 
 The front end decides, per process, which execution strategy the
 generated module uses:
 
 * **static wake slot** — the read closure is proven: the process runs
   whenever a signal in its wake set (:func:`slot_reads`) changes, as the
-  event kernel's notification queue would run it.  The slot holds the
-  *translated* body — straight-line Python over hoisted signal references
-  (``_h3._value``) with inlined set/stage semantics, no dict dispatch, no
-  read tracking — when the body stays inside the translator subset, and
-  a plain call of the original function otherwise.
+  event kernel's notification queue would run it.
 * **read-tracked** — the closure could not be proven (opaque reads,
   unknown calls, late-bound hidden state): the function runs interpreted
   from a wake slot, under read tracking, whenever a signal one of its
@@ -21,24 +17,39 @@ Only the wake flag decides whether a process runs.  Hidden attribute
 loads wake nothing, because the event kernel's dynamic sensitivity
 watches only signals.
 
+Every process outside a read-tracked slot runs its *specialized body*
+(:class:`Specializer`): the :class:`Translator` rewrites the signal
+accesses it can resolve to a structural signal into inline code on
+hoisted objects (``_h3._value``, inline set/stage stores) and keeps every
+other statement verbatim.  The result is a function over the original's
+globals and closure cells, so names behave as in the original.  Bodies
+are built once per code object and classification (:class:`Template`);
+a body that rebinds names through ``nonlocal``/``global``, yields, or
+defines a nested function bails out whole and runs as written.
+
 The dependence closures come from the lint AST pass
-(:func:`repro.analysis.lint.astpass.closure_of`) — one front end shared by
-static analysis and codegen, so a process lint can reason about is also a
-process the compiler can specialize.
+(:func:`repro.analysis.lint.astpass.closure_of`), and each body's source
+from its per-code-object cache (:func:`~repro.analysis.lint.astpass.parsed_def`)
+— one front end shared by static analysis and codegen.
 """
 
 from __future__ import annotations
 
+import __future__
+
 import ast
+import builtins as _builtins
 import enum
-import inspect
-import textwrap
-from typing import Any, Callable, Optional
+import linecache
+import re
+import types
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Optional
 
 from ...analysis.dataflow import domain as _dom
-from ...analysis.lint.astpass import ProcClosure, _find_def, _root_env, closure_of
+from ...analysis.lint.astpass import ProcClosure, closure_of, parsed_def, summarize
 from ..components import Stream
-from ..signal import Reg, Signal
+from ..signal import _UNSET, CHANGES, Reg, Signal
 from ..signal import tracking as _signal_tracking
 
 __all__ = [
@@ -46,6 +57,9 @@ __all__ = [
     "closure_of",
     "slot_reads",
     "hidden_loads_constant",
+    "Specialized",
+    "Specializer",
+    "Template",
     "Translator",
     "Untranslatable",
 ]
@@ -62,19 +76,20 @@ def _immutable_value(value: Any) -> bool:
     return params is not None and bool(params.frozen)
 
 
+def _is_enum_class(obj: Any) -> bool:
+    return isinstance(obj, type) and issubclass(obj, enum.Enum)
+
+
 def _constant_load(owner: Any, value: Any) -> bool:
-    """True when ``owner.attr`` can never change for the design's lifetime.
+    """True when the hidden load ``owner.attr`` can never change.
 
     An immutable *value* still changes if the attribute is rebound to a
     different one — unless the owner forbids rebinding outright: enum
-    classes reject member reassignment, frozen dataclasses raise
-    ``FrozenInstanceError`` on ``setattr``.  Such loads are compile-time
-    constants the translator may fold.
+    classes reject member reassignment.  A frozen dataclass does too, but
+    a closure records only a load's last hop: in ``self.cfg.level`` the
+    host may rebind ``self.cfg`` itself, so a frozen owner proves nothing.
     """
-    if isinstance(owner, type) and issubclass(owner, enum.Enum):
-        return True
-    params = getattr(type(owner), "__dataclass_params__", None)
-    return params is not None and bool(params.frozen)
+    return _immutable_value(value) and _is_enum_class(owner)
 
 
 _MISSING = object()
@@ -125,7 +140,7 @@ def hidden_loads_constant(closure: ProcClosure) -> bool:
             return False
         if value is _MISSING and (owner is None or type(owner) is object):
             continue
-        if not (_immutable_value(value) and _constant_load(owner, value)):
+        if not _constant_load(owner, value):
             return False
     return True
 
@@ -134,221 +149,644 @@ def hidden_loads_constant(closure: ProcClosure) -> bool:
 
 
 class Untranslatable(Exception):
-    """Raised (internally) when a body leaves the translatable subset."""
+    """A body that must run as its original function: its source cannot be
+    parsed or no longer matches its code object, or it rebinds names
+    through ``nonlocal``/``global``, yields, awaits, or defines a nested
+    function, class or lambda."""
+
+
+#: builtins the width-only evaluator models, matched by identity: a module
+#: that rebinds one of these names keeps its own binding
+_MODELED_BUILTINS = (int, bool, abs, len, min, max)
+
+#: kernel internals every specialized body may close over: the change
+#: tracker, the unset sentinel, the staged-register list, the simulator's
+#: pending list and ``int`` (immune to a module rebinding the name)
+KERNEL_NAMES = ("_CH", "_U", "_SL", "_CHG", "_INT")
+
+_RESERVED = re.compile(r"_h\d+|_v|" + "|".join(KERNEL_NAMES))
+
+#: constructs that make a body bail out whole
+_BAIL_NODES = (ast.Nonlocal, ast.Global, ast.Yield, ast.YieldFrom, ast.Await,
+               ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
+               ast.AsyncFor, ast.AsyncWith)
+
+#: every flag a ``from __future__`` import can set: a specialized body is
+#: compiled under the ones its original was
+_FUTURE_FLAGS = 0
+for _feature in __future__.all_feature_names:
+    _FUTURE_FLAGS |= getattr(__future__, _feature).compiler_flag
+
+_SIGNALS = ("sig", "reg")
+
+
+def _builtin_names(fn: Callable[..., Any]) -> dict:
+    b = getattr(fn, "__builtins__", None)
+    if isinstance(b, types.ModuleType):
+        b = vars(b)
+    return b if isinstance(b, dict) else vars(_builtins)
+
+
+def _arg_value(fn: Callable[..., Any], name: str) -> Any:
+    """The value a zero-argument call binds to parameter ``name``: the bound
+    receiver or the default."""
+    code = fn.__code__
+    params = code.co_varnames[:code.co_argcount]
+    bound = getattr(fn, "__self__", None)
+    if bound is not None and params and name == params[0]:
+        return bound
+    if name in params:
+        defaults = fn.__defaults__ or ()
+        k = params.index(name) - (len(params) - len(defaults))
+        return defaults[k] if k >= 0 else _MISSING
+    return (fn.__kwdefaults__ or {}).get(name, _MISSING)
+
+
+#: objects whose attributes are code or namespaces, never structure
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.MethodType)
+
+
+def _step(obj: Any, step: Any, stored: set) -> tuple[Any, bool]:
+    """One step of a structural path: ``(object, rebind-proof constant)``.
+
+    Followed: members of enum classes, fields of frozen dataclasses,
+    constant indexes on lists and tuples, and instance attributes (the
+    object's own ``__dict__``, never a property) of a name no process
+    stores — how components, streams and port bundles hold their signals."""
+    if type(step) is int:
+        if type(obj) in (list, tuple) and -len(obj) <= step < len(obj):
+            return obj[step], False
+        return _MISSING, False
+    if _is_enum_class(obj):
+        member = obj.__members__.get(step, _MISSING)
+        return member, member is not _MISSING
+    params = getattr(type(obj), "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        if step not in type(obj).__dataclass_fields__:
+            return _MISSING, False
+        value = getattr(obj, step, _MISSING)
+        return value, value is not _MISSING and _immutable_value(value)
+    if isinstance(obj, _OPAQUE) or step in stored:
+        return _MISSING, False
+    return getattr(obj, "__dict__", {}).get(step, _MISSING), False
+
+
+@dataclass
+class Template:
+    """A specialized body, shared by every process compiled from one code
+    object whose resolved paths classify the same way."""
+
+    #: the body's code object: original filename and line numbers, free
+    #: variables = the original's plus hoisted ``_h<k>`` and kernel names
+    code: types.CodeType
+    #: every path the translator resolved, and how each classified
+    paths: tuple
+    keys: tuple
+    #: index into ``paths`` of each hoisted object, in ``_h<k>`` order
+    hoisted: tuple
+    source: str
+    masks_elided: int
+    branches_folded: int
+
+
+@dataclass
+class Specialized:
+    """One process's specialized body: a template bound to its objects."""
+
+    fn: Callable[[], Any]
+    template: Template
+    objects: tuple
+
+
+#: code object -> its templates, or None when the body bails out whole
+_TEMPLATES: dict[types.CodeType, Optional[list[Template]]] = {}
+
+
+class Specializer:
+    """Specialized bodies for the processes of one simulator.
+
+    A body is built once per code object and classification (see
+    :class:`Template`), then instantiated with
+    :class:`types.FunctionType` over the original's globals and closure
+    cells, plus fresh cells for its hoisted objects and this simulator's
+    kernel internals.  ``procs`` are the design's process functions: a
+    path through an attribute of a name some process body stores (a signal
+    swapped at run time, say), or through a closure cell some process
+    rebinds, is not structural and stays verbatim.
+    """
+
+    def __init__(self, changed: list, staged: list,
+                 procs: Iterable[Callable[..., Any]] = ()):
+        self.changed = changed
+        self.staged = staged
+        self.stored: set = set()
+        self.rebound_cells: set = set()
+        for fn in procs:
+            summary = summarize(fn)
+            self.stored.update(chain[-1][1] for chain in summary.attr_stores
+                               if chain and chain[-1][0] == "a")
+            code = getattr(fn, "__code__", None)
+            for name in summary.nonlocal_stores:
+                if code is not None and name in code.co_freevars:
+                    cell = fn.__closure__[code.co_freevars.index(name)]
+                    self.rebound_cells.add(id(cell))
+        self.kernel = {
+            "_CH": types.CellType(CHANGES),
+            "_U": types.CellType(_UNSET),
+            "_SL": types.CellType(staged),
+            "_CHG": types.CellType(changed),
+            "_INT": types.CellType(int),
+        }
+        #: range-informed codegen counters, summed over every body
+        self.stats = {"masks_elided": 0, "branches_folded": 0}
+
+    def walk(self, fn: Callable[..., Any], path: tuple) -> tuple[Any, bool]:
+        """Resolve ``path`` (root name, then attribute names and constant
+        indexes) in ``fn``'s scope: ``(object, rebind-proof constant)``.
+        Only closure cells, parameters and, for enum classes and modeled
+        builtins, globals and builtins start a path.
+
+        A path is a constant only when no step of it can be rebound: its
+        root is an enum class, the bound receiver or a parameter default
+        (never a closure cell, which a nested function may rebind), and
+        every step is an enum member or a frozen-dataclass field.  One
+        mutable step anywhere — ``self.cfg`` in ``self.cfg.level`` — and
+        the host can swap what the rest of the path reads."""
+        name = path[0]
+        code = fn.__code__
+        if name in code.co_freevars:
+            cell = fn.__closure__[code.co_freevars.index(name)]
+            if id(cell) in self.rebound_cells:
+                return _MISSING, False
+            try:
+                obj = cell.cell_contents
+            except ValueError:  # empty cell
+                return _MISSING, False
+            const = False
+        elif name in code.co_varnames[:code.co_argcount
+                                      + code.co_kwonlyargcount]:
+            obj = _arg_value(fn, name)
+            const = True
+        else:
+            obj = fn.__globals__.get(name, _MISSING)
+            if obj is _MISSING:
+                obj = _builtin_names(fn).get(name, _MISSING)
+            if not (_is_enum_class(obj)
+                    or any(obj is b for b in _MODELED_BUILTINS)):
+                return _MISSING, False
+            const = _is_enum_class(obj)
+        for step in path[1:]:
+            if obj is _MISSING:
+                break
+            try:
+                obj, fixed = _step(obj, step, self.stored)
+            except Exception:
+                return _MISSING, False
+            const = const and fixed
+        return obj, len(path) > 1 and const and obj is not _MISSING
+
+    def classify(self, obj: Any, const: bool) -> Optional[tuple]:
+        """What the translator may assume about a resolved object."""
+        if obj is _MISSING:
+            return None
+        t = type(obj)
+        if t is Signal:
+            return ("sig", obj._mask, obj._pending is self.changed)
+        if t is Reg:
+            return ("reg", obj._mask, obj._pending is self.changed,
+                    obj._stage_list is self.staged)
+        if t is Stream:
+            return ("stream",)
+        if const and obj == obj:  # a NaN would never match its own key
+            return ("const", t, obj)
+        for b in _MODELED_BUILTINS:
+            if obj is b:
+                return ("builtin", b.__name__)
+        return ("obj",)
+
+    def specialize(self, fn: Callable[..., Any]) -> Optional[Specialized]:
+        """``fn``'s specialized body, or None when it bails out whole."""
+        code = getattr(fn, "__code__", None)
+        if code is None:
+            return None
+        templates = _TEMPLATES.setdefault(code, [])
+        if templates is None:
+            return None
+        for template in templates:
+            objects = self._match(fn, template)
+            if objects is not None:
+                break
+        else:
+            try:
+                template = Translator(fn, self).translate()
+            except Untranslatable:
+                _TEMPLATES[code] = None
+                return None
+            templates.append(template)
+            objects = tuple(self.walk(fn, template.paths[k])[0]
+                            for k in template.hoisted)
+        self.stats["masks_elided"] += template.masks_elided
+        self.stats["branches_folded"] += template.branches_folded
+        return Specialized(self._instantiate(fn, template, objects),
+                           template, objects)
+
+    def _match(self, fn: Callable[..., Any],
+               template: Template) -> Optional[tuple]:
+        resolved = []
+        for path, key in zip(template.paths, template.keys):
+            obj, const = self.walk(fn, path)
+            if self.classify(obj, const) != key:
+                return None
+            resolved.append(obj)
+        return tuple(resolved[k] for k in template.hoisted)
+
+    def _instantiate(self, fn: Callable[..., Any], template: Template,
+                     objects: tuple) -> Callable[[], Any]:
+        code = template.code
+        own = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+        cells = []
+        for name in code.co_freevars:
+            cell = own.get(name)
+            if cell is None:
+                cell = self.kernel.get(name)
+            if cell is None:
+                cell = types.CellType(objects[int(name[2:])])
+            cells.append(cell)
+        body = types.FunctionType(code, fn.__globals__, code.co_name,
+                                  fn.__defaults__, tuple(cells))
+        body.__kwdefaults__ = fn.__kwdefaults__
+        body.__qualname__ = fn.__qualname__
+        body.__module__ = fn.__module__
+        bound = getattr(fn, "__self__", None)
+        return body if bound is None else types.MethodType(body, bound)
+
+
+def _bound_names(node: ast.AST, by_stmt: Optional[dict] = None) -> set:
+    """Every name ``node`` binds or deletes.  With ``by_stmt``, also record
+    the set of each statement inside it, keyed by ``id``."""
+    names = set()
+    if isinstance(node, ast.Name):
+        if not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+    elif isinstance(node, ast.ExceptHandler) and node.name:
+        names.add(node.name)
+    elif isinstance(node, ast.alias):
+        names.add((node.asname or node.name).split(".")[0])
+    elif isinstance(node, (ast.MatchAs, ast.MatchStar)) and node.name:
+        names.add(node.name)
+    elif isinstance(node, ast.MatchMapping) and node.rest:
+        names.add(node.rest)
+    for child in ast.iter_child_nodes(node):
+        names |= _bound_names(child, by_stmt)
+    if by_stmt is not None and isinstance(node, ast.stmt):
+        by_stmt[id(node)] = names
+    return names
+
+
+def _relocate(tree: ast.AST, lines: int, cols: int) -> None:
+    """Shift every position from the dedented snippet to the source file."""
+    for n in ast.walk(tree):
+        if "lineno" in n._attributes and hasattr(n, "lineno"):
+            n.lineno += lines
+            n.col_offset += cols
+            if getattr(n, "end_lineno", None) is not None:
+                n.end_lineno += lines
+            if getattr(n, "end_col_offset", None) is not None:
+                n.end_col_offset += cols
+
+
+def _located(tree: ast.AST, like: ast.AST, **subs: ast.AST) -> ast.AST:
+    """Give every node of a new ``tree`` the position of ``like``, and put
+    each ``subs`` expression in place of the name it is keyed by."""
+    for n in ast.walk(tree):  # queues a node's children before yielding it
+        if "lineno" in n._attributes:
+            ast.copy_location(n, like)
+        if not subs:
+            continue
+        for field, value in ast.iter_fields(n):
+            if isinstance(value, ast.Name) and value.id in subs:
+                setattr(n, field, subs[value.id])
+            elif isinstance(value, list):
+                value[:] = [subs.get(v.id, v) if isinstance(v, ast.Name)
+                            else v for v in value]
+    return tree
+
+
+def _compile_in_scope(inner: ast.stmt, like: ast.AST, cells: Iterable[str],
+                      code: types.CodeType) -> types.CodeType:
+    """The code object of the function ``inner`` defines (a def, or
+    ``return <lambda>``), compiled inside a function binding ``cells`` —
+    so those names are free variables, as in a closure — under ``code``'s
+    filename and future flags."""
+    head = _located(ast.Assign(targets=[ast.Name(c, ast.Store())
+                                        for c in sorted(cells)],
+                               value=ast.Constant(None))
+                    if cells else ast.Pass(), like)
+    outer = ast.copy_location(ast.FunctionDef(
+        name="_specialize",
+        args=ast.arguments(posonlyargs=[], args=[], kwonlyargs=[],
+                           kw_defaults=[], defaults=[]),
+        body=[head, inner], decorator_list=[], returns=None), like)
+    module = ast.Module([outer], [])
+    flags = code.co_flags & _FUTURE_FLAGS
+    try:
+        compiled = compile(module, code.co_filename, "exec", flags=flags,
+                           dont_inherit=True)
+    except (ValueError, TypeError):
+        # a node without a position: give it its parent's and try again
+        try:
+            compiled = compile(ast.fix_missing_locations(module),
+                               code.co_filename, "exec", flags=flags,
+                               dont_inherit=True)
+        except (SyntaxError, ValueError, TypeError) as exc:
+            raise Untranslatable(str(exc)) from None
+    except SyntaxError as exc:
+        raise Untranslatable(str(exc)) from None
+    (scope,) = [c for c in compiled.co_consts if isinstance(c, types.CodeType)]
+    (body,) = [c for c in scope.co_consts if isinstance(c, types.CodeType)]
+    return body
+
+
+def _same_code(a: types.CodeType, b: types.CodeType) -> bool:
+    """Same bytecode, names and constants (line numbers aside)."""
+    def consts(c):
+        return [k for k in c.co_consts if not isinstance(k, types.CodeType)]
+    return (a.co_code == b.co_code and a.co_names == b.co_names
+            and a.co_varnames == b.co_varnames
+            and a.co_freevars == b.co_freevars and consts(a) == consts(b))
 
 
 class Translator:
-    """Rewrites one process body into specialized statement lines.
+    """Rewrites one process body into its specialized :class:`Template`.
 
-    ``hoist`` is the codegen namespace allocator: ``hoist(obj)`` returns
-    the stable generated-module name bound to ``obj``.  Resolution of
-    attribute chains happens *now*, against the live elaborated design, so
-    the emitted code references hoisted objects directly.
+    Signal accesses on a structural path (:meth:`Specializer.walk`) become
+    hoisted-slot code: ``.value``, ``.nxt``, ``.bit``, ``.bits`` and
+    ``Stream.fires()`` read ``_h<k>._value`` directly, and ``.set(e)``,
+    ``.stage(e)`` and ``.nxt = e`` statements become inline stores when the
+    target is managed by this simulator.  A bare signal in a truth context
+    reads its value; a rebind-proof constant (a path of enum members and
+    frozen-dataclass fields, see :meth:`Specializer.walk`) is folded.
+    Every other statement and expression is kept
+    verbatim, so names resolve exactly as in the original function.
     """
 
-    def __init__(self, fn: Callable[[], None], closure: ProcClosure,
-                 hoist: Callable[[Any], str],
-                 stats: Optional[dict] = None):
+    def __init__(self, fn: Callable[..., Any], spec: Specializer):
         self.fn = fn
-        self.closure = closure
-        self.hoist = hoist
-        self.env = _root_env(fn)
-        bound = getattr(fn, "__self__", None)
-        if bound is not None:
-            self.env["self"] = bound
-        self.locals: set[str] = set()
+        self.spec = spec
+        #: path -> classification, in resolution order (the template key)
+        self.paths: dict[tuple, Optional[tuple]] = {}
+        self._objects: dict[tuple, Any] = {}
+        #: path -> hoisted name
+        self.hoisted: dict[tuple, str] = {}
+        self.locals: set = set()
         #: width-only abstract value per local: (AbstractValue, is_int) or
-        #: None once a conditional rebind makes the flow-insensitive value
-        #: stale.  Feeds mask elision and branch folding; see _abs_eval.
+        #: None once a conditional or verbatim rebind makes it unknown.
+        #: Feeds mask elision and branch folding; see _abs_eval.
         self._abs_locals: dict[str, Optional[tuple]] = {}
+        #: names each statement of the body binds, by id
+        self._binds: dict[int, set] = {}
         self._depth = 0
-        self.stats = stats if stats is not None else {}
-        self.stats.setdefault("masks_elided", 0)
-        self.stats.setdefault("branches_folded", 0)
+        self.stats = {"masks_elided": 0, "branches_folded": 0}
 
-    def translate(self) -> Optional[list[str]]:
-        """Translated body lines (unindented), or None when out of subset."""
-        c = self.closure
-        if not (c.read_complete and c.write_complete):
-            return None
-        if c.hidden_stores or c.nonlocal_stores:
-            return None
-        code = getattr(self.fn, "__code__", None)
-        if code is None or code.co_argcount:
-            return None
-        snapshot = dict(self.stats)  # discarded bodies must not count
-        try:
-            src = textwrap.dedent(inspect.getsource(self.fn))
-            tree = ast.parse(src)
-            node = _find_def(tree, code.co_name, code.co_firstlineno)
-            if node is None or isinstance(node, ast.Lambda):
-                return None
-            lines: list[str] = []
-            for stmt in node.body:
-                lines.extend(self._tx_stmt(stmt))
-            return lines or ["pass"]
-        except Untranslatable:
-            self.stats.update(snapshot)
-            return None
-        except (OSError, SyntaxError, TypeError, ValueError):
-            self.stats.update(snapshot)
-            return None
+    def translate(self) -> Template:
+        """The specialized template; raises :class:`Untranslatable`."""
+        fn = self.fn
+        code = fn.__code__
+        parsed = parsed_def(fn)
+        if parsed is None or isinstance(parsed[0], ast.AsyncFunctionDef):
+            raise Untranslatable("source unavailable")
+        node, first = parsed
+        line = linecache.getline(code.co_filename, first)
+        _relocate(node, first - 1, len(line) - len(line.lstrip()))
+        body = ([ast.Expr(node.body)] if isinstance(node, ast.Lambda)
+                else node.body)
+        if isinstance(node, ast.Lambda):
+            ast.copy_location(body[0], node.body)
+        if isinstance(node, ast.Lambda):
+            probe: ast.stmt = ast.Return(node)
+        else:
+            probe = ast.FunctionDef(name=node.name, args=node.args,
+                                    body=node.body, decorator_list=[],
+                                    returns=node.returns)
+        ast.copy_location(probe, node)
+        if not _same_code(_compile_in_scope(probe, node, code.co_freevars,
+                                            code), code):
+            # the file changed since the function was compiled
+            raise Untranslatable("source does not match the code object")
+        params = node.args
+        params_all = params.posonlyargs + params.args + params.kwonlyargs
+        names = {a.arg for a in params_all} | set(code.co_freevars)
+        for stmt in body:
+            for n in ast.walk(stmt):
+                if isinstance(n, _BAIL_NODES):
+                    raise Untranslatable(type(n).__name__)
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+        if any(_RESERVED.fullmatch(n) for n in names):
+            raise Untranslatable("reserved name")
+        stored = set().union(*(_bound_names(s, self._binds) for s in body))
+        self.locals = set(code.co_varnames) | set(code.co_cellvars)
+        self.locals -= {a.arg for a in params_all} - stored
+
+        stmts = self._block(body) or [_located(ast.Pass(), body[0])]
+        name = code.co_name if code.co_name.isidentifier() else "_lambda"
+        params.defaults = []
+        params.kw_defaults = [None] * len(params.kwonlyargs)
+        for a in params_all + [params.vararg, params.kwarg]:
+            if a is not None:
+                a.annotation = None
+        inner = ast.FunctionDef(name=name, args=params, body=stmts,
+                                decorator_list=[], returns=None)
+        ast.copy_location(inner, node)
+        cells = set(code.co_freevars) | set(self.hoisted.values())
+        names = {"co_name": code.co_name}
+        if hasattr(code, "co_qualname"):  # Python 3.11+
+            names["co_qualname"] = code.co_qualname
+        body_code = _compile_in_scope(
+            inner, node, cells | set(KERNEL_NAMES), code).replace(**names)
+        paths = tuple(self.paths)
+        return Template(
+            code=body_code,
+            paths=paths,
+            keys=tuple(self.paths.values()),
+            hoisted=tuple(paths.index(p) for p in self.hoisted),
+            source=ast.unparse(inner),
+            masks_elided=self.stats["masks_elided"],
+            branches_folded=self.stats["branches_folded"],
+        )
 
     # -- compile-time object resolution --------------------------------------
 
-    def _resolve(self, node: ast.AST) -> Any:
-        """Resolve a pure Name/Attribute/const-Subscript chain to an object."""
-        if isinstance(node, ast.Name):
-            if node.id in self.locals:
-                raise Untranslatable(node.id)
-            if node.id not in self.env:
-                raise Untranslatable(node.id)
-            return self.env[node.id]
-        if isinstance(node, ast.Attribute):
-            base = self._resolve(node.value)
-            try:
-                return getattr(base, node.attr)
-            except Exception as exc:
-                raise Untranslatable(str(exc)) from None
-        if isinstance(node, ast.Subscript):
-            sl = node.slice
-            if isinstance(sl, ast.Constant) and isinstance(sl.value, int):
-                base = self._resolve(node.value)
-                try:
-                    return base[sl.value]
-                except Exception as exc:
-                    raise Untranslatable(str(exc)) from None
-        raise Untranslatable(ast.dump(node))
+    def _path(self, node: ast.AST) -> Optional[tuple]:
+        """A Name/Attribute/constant-Subscript chain rooted at a non-local."""
+        steps: list = []
+        while True:
+            if isinstance(node, ast.Attribute):
+                steps.append(node.attr)
+                node = node.value
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.slice, ast.Constant)
+                  and type(node.slice.value) is int):
+                steps.append(node.slice.value)
+                node = node.value
+            elif isinstance(node, ast.Name) and node.id not in self.locals:
+                steps.append(node.id)
+                return tuple(reversed(steps))
+            else:
+                return None
 
-    def _const_int(self, node: ast.AST) -> int:
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return int(node.value)
-        raise Untranslatable("non-constant index")
+    def _lookup(self, node: ast.AST) -> tuple:
+        """``(path, object, classification)``; the classification is None
+        when ``node`` is not a resolvable path."""
+        path = self._path(node)
+        if path is None:
+            return None, _MISSING, None
+        return self._resolve(path)
+
+    def _resolve(self, path: tuple) -> tuple:
+        if path not in self.paths:
+            obj, const = self.spec.walk(self.fn, path)
+            self.paths[path] = self.spec.classify(obj, const)
+            self._objects[path] = obj
+        return path, self._objects[path], self.paths[path]
+
+    def _hoist(self, path: tuple) -> str:
+        name = self.hoisted.get(path)
+        if name is None:
+            name = self.hoisted[path] = f"_h{len(self.hoisted)}"
+        return name
+
+    @staticmethod
+    def _snippet(src: str, like: ast.AST, **subs: ast.AST) -> list:
+        """Statements parsed from ``src``, located at ``like``, with each
+        ``subs`` name replaced by its (already translated) expression."""
+        return _located(ast.parse(src), like, **subs).body
+
+    def _expr(self, src: str, like: ast.AST, **subs: ast.AST) -> ast.expr:
+        return self._snippet(src, like, **subs)[0].value
 
     # -- expressions ----------------------------------------------------------
 
-    def _tx_expr(self, node: ast.AST, test: bool = False) -> str:
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float, str, bool, type(None))):
-                return repr(node.value)
-            raise Untranslatable("constant kind")
-        if isinstance(node, ast.Name):
-            if node.id in self.locals:
-                return f"_L_{node.id}"
-            obj = self._resolve(node)
-            return self._tx_object(obj, test)
-        if isinstance(node, ast.Attribute):
-            return self._tx_attribute(node, test)
-        if isinstance(node, ast.Subscript):
-            obj = self._resolve(node)
-            return self._tx_object(obj, test)
+    def _x(self, node: ast.expr, test: bool = False) -> ast.expr:
+        """Translate an expression: a rewritten node, or ``node`` itself
+        with its children translated.  ``test``: only its truth is used."""
+        new = self._rewrite(node, test)
+        if new is not None:
+            return new
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                             ast.DictComp)):
+            outer = self.locals
+            self.locals = outer | {
+                n.id for g in node.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+            try:
+                self._children(node)
+            finally:
+                self.locals = outer
+        elif isinstance(node, ast.BoolOp):
+            node.values = [self._x(v, test) for v in node.values]
+        elif isinstance(node, ast.UnaryOp):
+            node.operand = self._x(node.operand,
+                                   isinstance(node.op, ast.Not))
+        elif isinstance(node, ast.IfExp):
+            node.test = self._x(node.test, True)
+            node.body = self._x(node.body, test)
+            node.orelse = self._x(node.orelse, test)
+        else:
+            self._children(node)
+        return node
+
+    def _children(self, node: ast.AST) -> ast.AST:
+        """Translate every child of ``node`` in place."""
+        if isinstance(node, ast.pattern):
+            return node  # match patterns hold literal names, not loads
+        if isinstance(node, ast.comprehension):
+            node.target = self._x(node.target)
+            node.iter = self._x(node.iter)
+            node.ifs = [self._x(c, True) for c in node.ifs]
+            return node
+        for field, value in ast.iter_fields(node):
+            if isinstance(value, ast.expr):
+                setattr(node, field,
+                        self._x(value, field == "test" or field == "guard"))
+            elif isinstance(value, list):
+                if value and isinstance(value[0], ast.stmt):
+                    setattr(node, field, self._nested(value))
+                else:
+                    setattr(node, field, [
+                        self._x(v) if isinstance(v, ast.expr)
+                        else self._children(v) if isinstance(v, ast.AST)
+                        else v
+                        for v in value])
+            elif isinstance(value, ast.AST):
+                self._children(value)
+        return node
+
+    def _rewrite(self, node: ast.expr, test: bool) -> Optional[ast.expr]:
         if isinstance(node, ast.Call):
-            return self._tx_call(node, test)
-        if isinstance(node, ast.BinOp):
-            op = _BINOPS.get(type(node.op))
-            if op is None:
-                raise Untranslatable("binop")
-            left = self._tx_expr(node.left)
-            right = self._tx_expr(node.right)
-            return f"({left} {op} {right})"
-        if isinstance(node, ast.UnaryOp):
-            op = _UNARYOPS.get(type(node.op))
-            if op is None:
-                raise Untranslatable("unaryop")
-            operand = self._tx_expr(node.operand, test=isinstance(node.op, ast.Not))
-            return f"({op} {operand})"
-        if isinstance(node, ast.BoolOp):
-            op = " and " if isinstance(node.op, ast.And) else " or "
-            return "(" + op.join(self._tx_expr(v, test) for v in node.values) + ")"
-        if isinstance(node, ast.Compare):
-            parts = [self._tx_expr(node.left)]
-            for cmp_op, comparator in zip(node.ops, node.comparators):
-                op = _CMPOPS.get(type(cmp_op))
-                if op is None:
-                    raise Untranslatable("compare op")
-                parts.append(op)
-                parts.append(self._tx_expr(comparator))
-            return "(" + " ".join(parts) + ")"
-        if isinstance(node, ast.IfExp):
-            t = self._tx_expr(node.test, test=True)
-            a = self._tx_expr(node.body, test)
-            b = self._tx_expr(node.orelse, test)
-            return f"({a} if {t} else {b})"
-        raise Untranslatable(type(node).__name__)
+            return self._call(node, test)
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            return None
+        if isinstance(node, ast.Attribute) and node.attr in ("value", "nxt"):
+            path, _obj, kind = self._lookup(node.value)
+            if kind is None or kind[0] not in _SIGNALS:
+                return None
+            h = self._hoist(path)
+            if node.attr == "value":
+                return self._expr(f"{h}._value", node)
+            if kind[0] == "reg":
+                return self._expr(
+                    f"({h}._value if {h}._staged is _U else {h}._staged)",
+                    node)
+            return None
+        if not isinstance(node, (ast.Attribute, ast.Name, ast.Subscript)):
+            return None
+        path = self._path(node)
+        if path is None or "value" in path[1:] or "nxt" in path[1:]:
+            return None  # translate the parts
+        path, obj, kind = self._resolve(path)
+        if kind is not None and kind[0] in _SIGNALS and test:
+            return self._expr(f"{self._hoist(path)}._value", node)
+        if kind is not None and kind[0] == "const":
+            if type(obj) in _SCALAR_TYPES:
+                return _located(ast.Constant(obj), node)
+            return _located(ast.Name(self._hoist(path), ast.Load()), node)
+        return node  # a plain chain: nothing inside to rewrite
 
-    def _tx_object(self, obj: Any, test: bool) -> str:
-        """Emit a resolved object: scalar constants inline, signals by value."""
-        if isinstance(obj, Signal):
-            if not test:
-                raise Untranslatable("bare signal outside a truth context")
-            return f"{self.hoist(obj)}._value"
-        if isinstance(obj, bool) or obj is None:
-            return repr(obj)
-        if isinstance(obj, int):
-            return repr(int(obj))
-        if isinstance(obj, (float, str)):
-            return repr(obj)
-        raise Untranslatable("unresolvable object kind")
-
-    def _tx_attribute(self, node: ast.Attribute, test: bool) -> str:
-        attr = node.attr
-        if attr == "value":
-            sig = self._resolve(node.value)
-            if not isinstance(sig, Signal):
-                raise Untranslatable(".value on non-signal")
-            return f"{self.hoist(sig)}._value"
-        if attr == "nxt":
-            reg = self._resolve(node.value)
-            if not isinstance(reg, Reg):
-                raise Untranslatable(".nxt on non-reg")
-            h = self.hoist(reg)
-            return f"({h}._value if {h}._staged is _U else {h}._staged)"
-        obj = self._resolve(node)
-        if isinstance(obj, Signal):
-            return self._tx_object(obj, test)
-        if _immutable_value(obj) and not isinstance(obj, (Signal, Stream)):
-            # a hidden attribute load: emit a runtime load off the hoisted
-            # owner, so a run sees the attribute's current binding
-            owner = self._resolve(node.value)
-            return f"{self.hoist(owner)}.{attr}"
-        raise Untranslatable("attribute kind")
-
-    def _tx_call(self, node: ast.Call, test: bool) -> str:
-        if node.keywords:
-            raise Untranslatable("call keywords")
+    def _call(self, node: ast.Call, test: bool) -> Optional[ast.expr]:
         func = node.func
-        if isinstance(func, ast.Name):
-            fn = self._resolve(func)
-            if fn in (int, bool, abs, len, min, max) and len(node.args) >= 1:
-                args = ", ".join(self._tx_expr(a) for a in node.args)
-                return f"{fn.__name__}({args})"
-            raise Untranslatable("free call")
-        if not isinstance(func, ast.Attribute):
-            raise Untranslatable("call shape")
-        name = func.attr
-        if name == "bit" and len(node.args) == 1:
-            sig = self._resolve(func.value)
-            if not isinstance(sig, Signal):
-                raise Untranslatable(".bit on non-signal")
-            idx = self._const_int(node.args[0])
-            return f"(({self.hoist(sig)}._value >> {idx}) & 1)"
-        if name == "bits" and len(node.args) == 2:
-            sig = self._resolve(func.value)
-            if not isinstance(sig, Signal):
-                raise Untranslatable(".bits on non-signal")
-            hi = self._const_int(node.args[0])
-            lo = self._const_int(node.args[1])
+        if (not isinstance(func, ast.Attribute) or node.keywords
+                or any(isinstance(a, ast.Starred) for a in node.args)):
+            return None
+        name, args = func.attr, node.args
+        if name == "fires" and not args:
+            path, _obj, kind = self._lookup(func.value)
+            if kind != ("stream",):
+                return None
+            pv, _v, kv = self._resolve(path + ("valid",))
+            pr, _r, kr = self._resolve(path + ("ready",))
+            if not (kv and kr and kv[0] in _SIGNALS and kr[0] in _SIGNALS):
+                return None
+            both = f"({self._hoist(pv)}._value and {self._hoist(pr)}._value)"
+            return self._expr(both if test else f"(not not {both})", node)
+        if name not in ("bit", "bits"):
+            return None
+        path, _obj, kind = self._lookup(func.value)
+        if kind is None or kind[0] not in _SIGNALS:
+            return None
+        if name == "bit" and len(args) == 1:
+            index = self._x(args[0])
+            return self._expr(f"(({self._hoist(path)}._value >> _E) & 1)",
+                              node, _E=index)
+        if name == "bits" and len(args) == 2:
+            hi, lo = (a.value if isinstance(a, ast.Constant)
+                      and type(a.value) is int else None for a in args)
+            if hi is None or lo is None or hi - lo + 1 < 0:
+                return None
             mask = (1 << (hi - lo + 1)) - 1
-            return f"(({self.hoist(sig)}._value >> {lo}) & {mask})"
-        if name == "fires" and not node.args:
-            stream = self._resolve(func.value)
-            if not isinstance(stream, Stream):
-                raise Untranslatable(".fires on non-stream")
-            v = self.hoist(stream.valid)
-            r = self.hoist(stream.ready)
-            expr = f"({v}._value and {r}._value)"
-            return expr if test else f"bool{expr}"
-        raise Untranslatable(f"method call .{name}")
+            return self._expr(
+                f"(({self._hoist(path)}._value >> {lo}) & {mask})", node)
+        return None
 
     # -- width-only abstract evaluation ---------------------------------------
     #
@@ -359,14 +797,16 @@ class Translator:
     # injection and checkpoint restores cannot violate them — which is
     # what keeps the specialized module cycle- and VCD-identical under
     # fault campaigns that would invalidate the fixpoint's tighter ranges.
+    # The only other facts are rebind-proof constants and the modeled
+    # builtins, both part of the template key.
 
     def _abs_eval(self, node: ast.AST) -> Optional[tuple]:
-        """``(AbstractValue, is_int)`` for a translatable expression.
+        """``(AbstractValue, is_int)`` for an expression, or None.
 
         ``is_int`` asserts the evaluated Python object is an ``int`` (not a
-        ``bool``) — mask elision must not change the stored object, and the
-        event kernel's ``int(value) & mask`` always commits an ``int``.
-        Returns None when no sound claim can be made.
+        ``bool`` or an ``int`` subclass) — mask elision must not change the
+        stored object, and the event kernel's ``int(value) & mask`` always
+        commits an ``int``.  Must run before :meth:`_x` rewrites ``node``.
         """
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool):
@@ -377,13 +817,18 @@ class Translator:
         if isinstance(node, (ast.Name, ast.Subscript)):
             if isinstance(node, ast.Name) and node.id in self.locals:
                 return self._abs_locals.get(node.id)
-            try:
-                obj = self._resolve(node)
-            except Untranslatable:
-                return None
-            return self._abs_object(obj)
+            _path, obj, kind = self._lookup(node)
+            return self._abs_constant(obj, kind)
         if isinstance(node, ast.Attribute):
-            return self._abs_attribute(node)
+            if node.attr in ("value", "nxt"):
+                _path, obj, kind = self._lookup(node.value)
+                if (kind is not None and kind[0] in _SIGNALS
+                        and (node.attr == "value" or kind[0] == "reg")
+                        and obj.width is not None):
+                    return _dom.top(obj.width), True
+                return None
+            _path, obj, kind = self._lookup(node)
+            return self._abs_constant(obj, kind)
         if isinstance(node, ast.Call):
             return self._abs_call(node)
         if isinstance(node, ast.BinOp):
@@ -431,58 +876,40 @@ class Translator:
             return _dom.join(a[0], b[0]), a[1] and b[1]
         return None
 
-    def _abs_object(self, obj: Any) -> Optional[tuple]:
-        if isinstance(obj, Signal):
-            if obj.width is None:
-                return None
-            return _dom.top(obj.width), True
+    @staticmethod
+    def _abs_constant(obj: Any, kind: Optional[tuple]) -> Optional[tuple]:
+        if kind is None or kind[0] != "const" or not isinstance(obj, int):
+            return None
         if isinstance(obj, bool):
             return _dom.const(int(obj)), False
-        if isinstance(obj, int):
-            return _dom.const(obj), True
-        return None
-
-    def _abs_attribute(self, node: ast.Attribute) -> Optional[tuple]:
-        if node.attr in ("value", "nxt"):
-            try:
-                sig = self._resolve(node.value)
-            except Untranslatable:
-                return None
-            if isinstance(sig, Signal) and sig.width is not None:
-                return _dom.top(sig.width), True
-            return None
-        # hidden attribute loads are emitted as *runtime* loads so
-        # rebinding stays observable — only a rebind-proof owner (enum
-        # class, frozen dataclass) makes the compile-time value a fact
-        try:
-            owner = self._resolve(node.value)
-            obj = getattr(owner, node.attr)
-        except Exception:
-            return None
-        if isinstance(obj, (bool, int)) and _constant_load(owner, obj):
-            return _dom.const(int(obj)), not isinstance(obj, bool)
-        return None
+        return _dom.const(int(obj)), type(obj) is int
 
     def _abs_call(self, node: ast.Call) -> Optional[tuple]:
         if node.keywords:
             return None
         func = node.func
         if isinstance(func, ast.Attribute):
+            if func.attr not in ("bit", "bits"):
+                return None
+            _path, _obj, kind = self._lookup(func.value)
+            if kind is None or kind[0] not in _SIGNALS:
+                return None
             if func.attr == "bit" and len(node.args) == 1:
                 return _dom.interval(0, 1), True
             if func.attr == "bits" and len(node.args) == 2:
-                try:
-                    hi = self._const_int(node.args[0])
-                    lo = self._const_int(node.args[1])
-                except Untranslatable:
+                hi, lo = node.args
+                if not all(isinstance(a, ast.Constant)
+                           and type(a.value) is int for a in (hi, lo)):
                     return None
-                return _dom.interval(0, (1 << (hi - lo + 1)) - 1), True
+                if hi.value - lo.value + 1 < 0:
+                    return None
+                return (_dom.interval(0, (1 << (hi.value - lo.value + 1)) - 1),
+                        True)
             return None
         if not isinstance(func, ast.Name):
             return None
-        try:
-            fn = self._resolve(func)
-        except Untranslatable:
+        _path, fn, kind = self._lookup(func)
+        if kind is None or kind[0] != "builtin":
             return None
         args = [self._abs_eval(a) for a in node.args]
         if any(a is None for a in args):
@@ -498,10 +925,7 @@ class Translator:
             return _dom.absolute(args[0][0]), args[0][1]
         if fn in (min, max) and len(args) >= 2:
             combine = _dom.minimum if fn is min else _dom.maximum
-            av = args[0][0]
-            for a in args[1:]:
-                av = combine(av, a[0])
-            return av, all(a[1] for a in args)
+            return combine([a[0] for a in args]), all(a[1] for a in args)
         return None
 
     def _bind_abs(self, name: str, value: Optional[tuple]) -> None:
@@ -509,117 +933,118 @@ class Translator:
         # may not happen, so the local's abstract value becomes unknown
         self._abs_locals[name] = value if self._depth == 0 else None
 
+    def _forget(self, names: Iterable[str]) -> None:
+        for name in names:
+            self._abs_locals[name] = None
+
     # -- statements -----------------------------------------------------------
 
-    def _store_signal(self, sig: Signal, expr: str,
-                      node: Optional[ast.AST] = None) -> list[str]:
-        h = self.hoist(sig)
-        load = f"_v = int({expr}) & {sig._mask}"
+    def _block(self, stmts: list) -> list:
+        out: list = []
+        for stmt in stmts:
+            out.extend(self._stmt(stmt))
+        return out
+
+    def _nested(self, stmts: list) -> list:
+        self._depth += 1
+        try:
+            return self._block(stmts) or [_located(ast.Pass(), stmts[0])]
+        finally:
+            self._depth -= 1
+
+    def _load(self, sig: Signal, value: ast.expr) -> tuple:
+        """``_v = <value>`` source, masked unless the width proves it
+        redundant, and the translated value."""
+        av = self._abs_eval(value)
+        expr = self._x(value)
         if sig._mask is None:
-            load = f"_v = {expr}"
-        elif node is not None:
-            av = self._abs_eval(node)
-            if av is not None and av[1] and av[0].fits(sig._mask):
-                # the committed value is provably the expression itself
-                load = f"_v = {expr}"
-                self.stats["masks_elided"] += 1
-        return [
-            load,
-            f"if _v != {h}._value:",
-            f"    {h}._value = _v",
-            "    _CH.dirty = True",
-            f"    _CHG.append({h})",
-        ]
+            return "_v = _E", expr
+        if av is not None and av[1] and av[0].fits(sig._mask):
+            # the committed value is provably the expression itself
+            self.stats["masks_elided"] += 1
+            return "_v = _E", expr
+        return f"_v = _INT(_E) & {sig._mask}", expr
 
-    def _stage_reg(self, reg: Reg, expr: str,
-                   node: Optional[ast.AST] = None) -> list[str]:
-        h = self.hoist(reg)
-        load = f"_v = int({expr}) & {reg._mask}"
-        if reg._mask is None:
-            load = f"_v = {expr}"
-        elif node is not None:
-            av = self._abs_eval(node)
-            if av is not None and av[1] and av[0].fits(reg._mask):
-                load = f"_v = {expr}"
-                self.stats["masks_elided"] += 1
-        return [
-            load,
-            f"if {h}._staged is _U:",
-            f"    _SL.append({h})",
-            f"{h}._staged = _v",
-            "_CH.stages += 1",
-        ]
+    def _store_signal(self, path: tuple, sig: Signal, value: ast.expr,
+                      like: ast.stmt) -> list:
+        load, expr = self._load(sig, value)
+        h = self._hoist(path)
+        return self._snippet(
+            f"{load}\n"
+            f"if _v != {h}._value:\n"
+            f"    {h}._value = _v\n"
+            f"    _CH.dirty = True\n"
+            f"    _CHG.append({h})\n", like, _E=expr)
 
-    def _tx_stmt(self, stmt: ast.stmt) -> list[str]:
-        if isinstance(stmt, ast.Pass):
-            return ["pass"]
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                raise Untranslatable("return with value")
-            return ["return"]
-        if isinstance(stmt, ast.Expr):
+    def _stage_reg(self, path: tuple, reg: Reg, value: ast.expr,
+                   like: ast.stmt) -> list:
+        load, expr = self._load(reg, value)
+        h = self._hoist(path)
+        return self._snippet(
+            f"{load}\n"
+            f"if {h}._staged is _U:\n"
+            f"    _SL.append({h})\n"
+            f"{h}._staged = _v\n"
+            f"_CH.stages += 1\n", like, _E=expr)
+
+    def _store(self, stmt: ast.stmt) -> Optional[list]:
+        """Inline ``sig.set(e)``, ``reg.stage(e)`` or ``reg.nxt = e`` on a
+        target this simulator manages; None for any other statement."""
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
             call = stmt.value
-            if isinstance(call, ast.Constant):
-                return []  # docstring
-            if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
-                raise Untranslatable("expression statement")
-            name = call.func.attr
-            if name == "set" and len(call.args) == 1 and not call.keywords:
-                sig = self._resolve(call.func.value)
-                if not isinstance(sig, Signal):
-                    raise Untranslatable(".set on non-signal")
-                return self._store_signal(sig, self._tx_expr(call.args[0]),
-                                          call.args[0])
-            if name == "stage" and len(call.args) == 1 and not call.keywords:
-                reg = self._resolve(call.func.value)
-                if not isinstance(reg, Reg):
-                    raise Untranslatable(".stage on non-reg")
-                return self._stage_reg(reg, self._tx_expr(call.args[0]),
-                                       call.args[0])
-            raise Untranslatable(f"statement call .{name}")
-        if isinstance(stmt, ast.Assign):
-            if len(stmt.targets) != 1:
-                raise Untranslatable("chained assignment")
+            func = call.func
+            if (not isinstance(func, ast.Attribute)
+                    or func.attr not in ("set", "stage")
+                    or len(call.args) != 1 or call.keywords
+                    or isinstance(call.args[0], ast.Starred)):
+                return None
+            path, obj, kind = self._lookup(func.value)
+            if kind is None or kind[0] not in _SIGNALS:
+                return None
+            if func.attr == "set" and kind[2]:
+                return self._store_signal(path, obj, call.args[0], stmt)
+            if func.attr == "stage" and kind[0] == "reg" and kind[3]:
+                return self._stage_reg(path, obj, call.args[0], stmt)
+            return None
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Attribute)
+                and stmt.targets[0].attr == "nxt"):
+            path, obj, kind = self._lookup(stmt.targets[0].value)
+            if kind is not None and kind[0] == "reg" and kind[3]:
+                return self._stage_reg(path, obj, stmt.value, stmt)
+        return None
+
+    def _stmt(self, stmt: ast.stmt) -> list:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            return []  # docstring or bare constant
+        store = self._store(stmt)
+        if store is not None:
+            return store
+        bound = self._binds[id(stmt)]
+        target = None
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                abs_val = self._abs_eval(stmt.value)
-                expr = self._tx_expr(stmt.value)
-                self.locals.add(target.id)
-                self._bind_abs(target.id, abs_val)
-                return [f"_L_{target.id} = {expr}"]
-            if isinstance(target, ast.Attribute) and target.attr == "nxt":
-                reg = self._resolve(target.value)
-                if not isinstance(reg, Reg):
-                    raise Untranslatable(".nxt on non-reg")
-                return self._stage_reg(reg, self._tx_expr(stmt.value),
-                                       stmt.value)
-            raise Untranslatable("assignment target")
-        if isinstance(stmt, ast.AnnAssign):
-            if not isinstance(stmt.target, ast.Name) or stmt.value is None:
-                raise Untranslatable("annotated assignment")
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            target = stmt.target
+        if isinstance(target, ast.Name):
             abs_val = self._abs_eval(stmt.value)
-            expr = self._tx_expr(stmt.value)
-            self.locals.add(stmt.target.id)
-            self._bind_abs(stmt.target.id, abs_val)
-            return [f"_L_{stmt.target.id} = {expr}"]
-        if isinstance(stmt, ast.AugAssign):
-            if not isinstance(stmt.target, ast.Name) \
-                    or stmt.target.id not in self.locals:
-                raise Untranslatable("augmented target")
-            op = _BINOPS.get(type(stmt.op))
-            if op is None:
-                raise Untranslatable("augmented op")
+            stmt.value = self._x(stmt.value)
+            self._forget(bound - {target.id})
+            self._bind_abs(target.id, abs_val)
+            return [stmt]
+        if isinstance(stmt, ast.AugAssign) \
+                and isinstance(stmt.target, ast.Name):
             name = stmt.target.id
-            base = self._abs_locals.get(name)
+            base = self._abs_locals.get(name) if name in self.locals else None
             rhs = self._abs_eval(stmt.value)
             fn = _ABS_BINOPS.get(type(stmt.op))
+            stmt.value = self._x(stmt.value)
+            self._forget(bound - {name})
             if base is not None and rhs is not None and fn is not None:
-                self._bind_abs(name, (fn(base[0], rhs[0]),
-                                      base[1] and rhs[1]))
+                self._bind_abs(name, (fn(base[0], rhs[0]), base[1] and rhs[1]))
             else:
                 self._bind_abs(name, None)
-            expr = self._tx_expr(stmt.value)
-            return [f"_L_{name} = _L_{name} {op} ({expr})"]
+            return [stmt]
         if isinstance(stmt, ast.If):
             av = self._abs_eval(stmt.test)
             verdict = av[0].truthiness() if av is not None else None
@@ -627,41 +1052,19 @@ class Translator:
                 # the test is decided by width bounds and rebind-proof
                 # constants alone — fold the dead arm away entirely
                 self.stats["branches_folded"] += 1
-                taken = stmt.body if verdict else stmt.orelse
-                lines = []
-                for s in taken:
-                    lines.extend(self._tx_stmt(s))
-                return lines
-            test = self._tx_expr(stmt.test, test=True)
-            lines = [f"if {test}:"]
-            self._depth += 1
-            try:
-                body = []
-                for s in stmt.body:
-                    body.extend(self._tx_stmt(s))
-                lines.extend("    " + line for line in (body or ["pass"]))
-                if stmt.orelse:
-                    lines.append("else:")
-                    orelse = []
-                    for s in stmt.orelse:
-                        orelse.extend(self._tx_stmt(s))
-                    lines.extend("    " + line
-                                 for line in (orelse or ["pass"]))
-            finally:
-                self._depth -= 1
-            return lines
-        raise Untranslatable(type(stmt).__name__)
+                return self._block(stmt.body if verdict else stmt.orelse)
+            self._forget(_bound_names(stmt.test))
+            stmt.test = self._x(stmt.test, True)
+            stmt.body = self._nested(stmt.body)
+            stmt.orelse = self._nested(stmt.orelse) if stmt.orelse else []
+            return [stmt]
+        if isinstance(stmt, (ast.For, ast.While)):
+            # a loop body may run again after its own rebinds
+            self._forget(bound)
+        self._children(stmt)
+        self._forget(bound)
+        return [stmt]
 
-
-_BINOPS: dict[type, str] = {
-    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
-    ast.Mod: "%", ast.LShift: "<<", ast.RShift: ">>",
-    ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
-}
-
-_UNARYOPS: dict[type, str] = {
-    ast.USub: "-", ast.UAdd: "+", ast.Invert: "~", ast.Not: "not",
-}
 
 _CMPOPS: dict[type, str] = {
     ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
@@ -675,5 +1078,3 @@ _ABS_BINOPS: dict[type, Any] = {
     ast.LShift: _dom.lshift, ast.RShift: _dom.rshift,
     ast.BitAnd: _dom.bitand, ast.BitOr: _dom.bitor, ast.BitXor: _dom.bitxor,
 }
-
-

@@ -200,6 +200,9 @@ class KernelStats:
     #: from read-tracked wake slots (no provable closure) or on every sweep
     #: (``always=True``), and unprovable sequential processes
     fallback_procs: int = 0
+    #: processes the compiled backend runs as specialized code (every
+    #: parseable body outside a read-tracked slot); 0 elsewhere
+    translated_procs: int = 0
     #: SIMD cells absorbed into vectorized executors (compiled backend)
     vectorized_cells: int = 0
     #: one-time codegen + exec cost, in milliseconds (compiled backend)

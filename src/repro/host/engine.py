@@ -716,7 +716,11 @@ class HostEngine:
         if not self.idle or self._ckpt is not None and not self._journal:
             return False
         soc = self.soc
-        return not (soc.mcu.pending or soc.state_domain.tainted or soc.busy)
+        # busy first: its lock query repairs (or reports) a latent upset,
+        # so the answer does not depend on whether a wait's done() already
+        # ran that query after this edge
+        busy = soc.busy
+        return not (busy or soc.mcu.pending or soc.state_domain.tainted)
 
     def _maybe_checkpoint(self) -> None:
         """Snapshot the architectural state when a checkpoint is due."""

@@ -117,7 +117,8 @@ class TestKernelCounters:
             "exhaustive_passes", "peak_queue_depth", "dynamic_fallbacks",
             "tracked_procs", "always_procs", "edge_calls", "seq_runs",
             "skipped_cycles", "wheel_jumps", "compiled_procs",
-            "fallback_procs", "vectorized_cells", "compile_ms",
+            "fallback_procs", "translated_procs", "vectorized_cells",
+            "compile_ms",
             "masks_elided", "branches_folded")
         for key in ("settle_calls", "activations", "tracked_procs"):
             assert report.kernel[key] > 0, key

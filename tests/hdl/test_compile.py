@@ -5,15 +5,22 @@ Covers backend selection/dispatch, the front end's classification
 every-sweep), wake sets from property getters, wake-up under external
 forces, sequential dormancy semantics and seq wake slots against the
 event kernel, loop diagnostics and recovery, reset, the vectorized
-cell-array executors, and the codegen counters surfaced through
-``KernelStats``.
+cell-array executors, the codegen counters surfaced through
+``KernelStats``, and residual translation: builtin resolution, live
+closure cells and attributes, rebind-proof constants, managed stores,
+tracebacks, per-code-object templates and warm builds.
 """
+
+import enum
+import re
+from dataclasses import dataclass
 
 import pytest
 
 from repro.hdl import (
     CombinationalLoopError,
     Component,
+    Reg,
     Signal,
     SimulationError,
     Simulator,
@@ -130,6 +137,43 @@ class HiddenTarget(Component):
         def _follow():
             if self.level != self.q.value:
                 self.q.nxt = self.level
+
+
+@dataclass(frozen=True)
+class Cfg:
+    level: int
+
+
+class HiddenCfgLevel(Component):
+    """HiddenLevel with its level in a frozen dataclass: the ``Cfg`` cannot
+    change, but the host may rebind ``self.cfg``, so ``self.cfg.level`` is
+    no constant."""
+
+    def __init__(self):
+        super().__init__("lvl")
+        self.out = self.signal("out", 8, 0)
+        self.cfg = Cfg(level=5)
+
+        @self.comb
+        def _drive():
+            self.out.set(self.cfg.level)
+
+        self.seq(lambda: None)
+
+
+class HiddenCfgTarget(Component):
+    """HiddenTarget with its level in a frozen dataclass held in a
+    rebindable attribute."""
+
+    def __init__(self):
+        super().__init__("tgt")
+        self.q = self.reg("q", 8, 0)
+        self.cfg = Cfg(level=5)
+
+        @self.seq
+        def _follow():
+            if self.cfg.level != self.q.value:
+                self.q.nxt = self.cfg.level
 
 
 class EvalMux(Component):
@@ -380,6 +424,25 @@ class TestFallbacks:
         (diag,) = lint_report(HiddenTarget(),
                               rules=["compile.fallback"]).diagnostics
         assert "loads hidden state that can change" in diag.message
+
+    @pytest.mark.parametrize("make, probe, proc, plan", [
+        (HiddenCfgLevel, "out", "_drive", "every sweep"),
+        (HiddenCfgTarget, "q", "_follow", "every edge"),
+    ], ids=["comb", "seq"])
+    def test_frozen_field_behind_rebindable_attribute_stays_live(
+            self, make, probe, proc, plan):
+        # the host swaps the whole Cfg; each run must read the new level
+        def poke(top, cyc):
+            top.cfg = Cfg(level=(5, 5, 9, 9, 2, 2, 7)[cyc])
+
+        (te, _se), (tc, sc) = _vcd_run(make, poke, 7)
+        assert getattr(te, probe).value == getattr(tc, probe).value == 7
+        qualname = f"{make.__name__}.__init__.<locals>.{proc}"
+        assert "self.cfg.level" in _body(sc, qualname)  # not folded to 5
+        if plan == "every edge":
+            assert f"{proc}: every edge" in sc.generated_source
+        else:
+            assert sc.kernel_stats.always_procs == 1
 
     def test_property_getter_signals_wake_static_slot(self):
         (te, se), (tc, sc) = _pair(PropertyRead)
@@ -701,3 +764,451 @@ class TestSystemIntegration:
         report = counters_for(system)
         assert report.kernel["compiled_procs"] > 0
         assert "compiled procs" in report.table("kernel")
+
+
+# -- residual translation -----------------------------------------------------
+
+
+class Counted(Component):
+    """One comb body using the builtins ``len``, ``bool`` and ``min``."""
+
+    def __init__(self):
+        super().__init__("counted")
+        self.a = self.signal("a", 4, 0)
+        self.items = self.reg("items", None, reset=())
+        self.n = self.signal("n", 8, 0)
+        self.lo = self.signal("lo", 4, 0)
+        self.nz = self.signal("nz", 1, 0)
+
+        @self.comb
+        def _measure():
+            self.n.set(len(self.items.value))
+            self.lo.set(min(self.a.value, 9))
+            self.nz.set(bool(self.a.value))
+
+        @self.seq(pure=True)
+        def _grow():
+            if self.a.value and len(self.items.value) < 20:
+                self.items.nxt = self.items.value + (self.a.value,)
+
+
+class NonlocalCounter(Component):
+    """A comb proc reads closure variables ``k`` (an int) and ``cur`` (a
+    signal); an impure seq proc rebinds both through ``nonlocal`` on every
+    edge."""
+
+    def __init__(self):
+        super().__init__("nl")
+        a = self.signal("a", 8, 30)
+        b = self.signal("b", 8, 60)
+        self.out = self.signal("out", 8, 0)
+        self.tick = self.reg("tick", 8, 0)
+        k = 0
+        cur = a
+
+        @self.comb
+        def _show():
+            self.out.set(k * 3 + self.tick.value + cur.value)
+
+        @self.seq
+        def _bump():
+            nonlocal k, cur
+            k += 1
+            cur = b if cur is a else a
+            self.tick.nxt = self.tick.value + 1
+
+
+class Raiser(Component):
+    """A comb proc that raises when its input reaches 7."""
+
+    def __init__(self):
+        super().__init__("raiser")
+        self.x = self.signal("x", 8, 0)
+        self.out = self.signal("out", 8, 0)
+
+        @self.comb
+        def _check():
+            if self.x.value == 7:
+                raise ValueError("x reached 7")
+            self.out.set(self.x.value + 1)
+
+        self.seq(lambda: None)
+
+
+class Widthy(Component):
+    """One ``_tick`` code object whose instances classify differently:
+    the register width, and ``peer`` None or a component.  The tick loads
+    the rebindable ``peer``, so it is impure and runs every edge."""
+
+    def __init__(self, name, width, peer=None, parent=None):
+        super().__init__(name, parent)
+        self.a = self.signal("a", 4, 0)
+        self.out = self.reg("out", width, 0)
+        self.peer = peer
+
+        @self.seq
+        def _tick():
+            v = self.a.value + 3
+            if self.peer is not None:
+                v += self.peer.a.value
+            self.out.nxt = v
+
+
+class WidthyTop(Component):
+    def __init__(self):
+        super().__init__("wtop")
+        self.wide = Widthy("wide", 8, parent=self)
+        self.narrow = Widthy("narrow", 4, parent=self)
+        self.paired = Widthy("paired", 8, peer=self.narrow, parent=self)
+
+
+class FreeStage(Component):
+    """A seq proc stages a free-standing register as well as its own: no
+    simulator commits the free one, on any backend."""
+
+    def __init__(self):
+        super().__init__("fst")
+        self.free = Reg("free", 8, 0)
+        self.q = self.reg("q", 8, 0)
+
+        @self.seq
+        def _tick():
+            self.free.nxt = self.q.value + 7
+            self.q.nxt = self.q.value + 1
+
+
+class Rebinding(Component):
+    """A seq proc rebinds which signal ``cur`` names; the comb proc reading
+    ``self.cur.value`` must follow it, so ``cur`` is not structural."""
+
+    def __init__(self):
+        super().__init__("rb")
+        self.a = self.signal("a", 8, 3)
+        self.b = self.signal("b", 8, 9)
+        self.out = self.signal("out", 8, 0)
+        self.t = self.reg("t", 1, 0)
+        self.cur = self.a
+
+        @self.comb
+        def _show():
+            self.out.set(self.cur.value + self.t.value)
+
+        @self.seq
+        def _swap():
+            self.cur = self.b if self.cur is self.a else self.a
+            self.t.nxt = 1 - self.t.value
+
+
+class TwoLambdas(Component):
+    """Two comb lambdas in one source statement: the source cannot tell
+    which is which, so neither is analysed or specialized from it."""
+
+    def __init__(self):
+        super().__init__("two")
+        self.a = self.signal("a", 8, 0)
+        self.b = self.signal("b", 8, 0)
+        self.x = self.signal("x", 8, 0)
+        self.y = self.signal("y", 8, 0)
+        procs = (lambda: self.x.set(self.a.value + 1), lambda: self.y.set(self.b.value + 2))
+        for fn in procs:
+            self.comb(fn)
+        self.seq(lambda: None)
+
+
+class Mode(enum.Enum):
+    FAST = 1
+    SLOW = 2
+
+
+class FoldedCfg(Component):
+    """Rebind-proof constants: an enum member, and a frozen-dataclass field
+    reached from a parameter default."""
+
+    def __init__(self):
+        super().__init__("fold")
+        self.a = self.signal("a", 4, 0)
+        self.out = self.signal("out", 8, 0)
+
+        @self.comb
+        def _drive(cfg=Cfg(level=5), mode=Mode.FAST):
+            if mode is Mode.SLOW:
+                self.out.set(0)
+            else:
+                self.out.set(self.a.value + cfg.level)
+
+        self.seq(lambda: None)
+
+
+def _vcd_run(make, poke, cycles):
+    """Run ``make()`` on the event and compiled backends in lockstep,
+    applying ``poke(top, cycle)`` before each step; returns the two VCD
+    texts, the two (top, sim) pairs and each cycle's observed values."""
+    import io
+
+    from repro.hdl.vcd import VcdWriter
+
+    out = []
+    for backend in ("event", "compiled"):
+        top = make()
+        sim = Simulator(top, backend=backend)
+        buf = io.StringIO()
+        writer = VcdWriter(sim, buf)
+        sim.reset()
+        seen = []
+        for cyc in range(cycles):
+            poke(top, cyc)
+            sim.step()
+            seen.append(tuple(s.value for s in top.all_signals()))
+        writer.detach()
+        out.append((buf.getvalue(), (top, sim), seen))
+    (vcd_e, pair_e, seen_e), (vcd_c, pair_c, seen_c) = out
+    assert seen_c == seen_e
+    assert vcd_c == vcd_e
+    return pair_e, pair_c
+
+
+def _templates(sim, qualname):
+    return [line for line in sim.generated_source.splitlines()
+            if line.startswith("# template ") and f": {qualname} (" in line]
+
+
+def _body(sim, qualname):
+    """The specialized source of the first template for ``qualname``."""
+    lines = sim.generated_source.splitlines()
+    start = lines.index(_templates(sim, qualname)[0]) + 1
+    end = start + 1
+    while not lines[end].startswith("#"):
+        end += 1
+    return "\n".join(lines[start:end])
+
+
+class TestResidualTranslation:
+    def test_builtins_translate_with_masks_elided(self):
+        def poke(top, cyc):
+            top.a.set((cyc * 5) % 16)
+
+        _e, (tc, sc) = _vcd_run(Counted, poke, 12)
+        body = _body(sc, "Counted.__init__.<locals>._measure")
+        # every signal access inlined: no Signal method or property left
+        assert ".value" not in body and ".set(" not in body
+        assert "len(_h0._value)" in body
+        # min(a, 9) is [0, 9] and fits 4 bits: stored without a mask; len
+        # is unbounded and bool is not an int, so both keep theirs
+        assert "_v = min(" in body
+        assert "_INT(len(" in body and "_INT(bool(" in body
+        assert sc.kernel_stats.masks_elided >= 1
+
+    def test_shadowed_builtins_are_not_modeled(self):
+        from .shadowed_builtins import Shadowed
+
+        def poke(top, cyc):
+            top.a.set((cyc * 7) % 16)
+
+        (te, _se), (tc, sc) = _vcd_run(Shadowed, poke, 12)
+        assert te.n.value >= 100  # the module's len ran on both backends
+        body = _body(sc, "Shadowed.__init__.<locals>._measure")
+        assert "_INT(min(" in body  # min is not the builtin: mask kept
+
+    def test_rebind_proof_constants_fold(self):
+        def poke(top, cyc):
+            top.a.set((cyc * 7) % 16)
+
+        (te, _se), (tc, sc) = _vcd_run(FoldedCfg, poke, 6)
+        assert te.out.value == tc.out.value == 35 % 16 + 5
+        body = _body(sc, "FoldedCfg.__init__.<locals>._drive")
+        # Mode.SLOW is hoisted (identity kept), cfg.level becomes 5, and
+        # a + 5 fits 8 bits: the store needs no mask
+        assert "cfg.level" not in body and "Mode.SLOW" not in body
+        assert re.search(r"^ +_v = _h\d+\._value \+ 5$", body, re.M)
+
+    def test_warm_build_reads_no_source(self, monkeypatch):
+        import ast
+        import inspect
+
+        from repro.system import build_system
+
+        first = build_system(backend="compiled").sim
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for mod, name in ((inspect, "getsource"), (inspect, "getsourcelines"),
+                          (ast, "parse")):
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+        second = build_system(backend="compiled").sim
+        assert calls == []
+        assert second.generated_source == first.generated_source
+
+    @pytest.mark.parametrize("kwargs, translated", [
+        ({}, 38),
+        (dict(ooo=True, fp_units=True), 44),
+    ], ids=["default", "ooo-fp"])
+    def test_translated_procs_pinned(self, kwargs, translated):
+        from repro.analysis import counters_for
+        from repro.system import build_system
+
+        system = build_system(backend="compiled", lint="off", **kwargs)
+        stats = system.sim.kernel_stats
+        assert stats.translated_procs == translated
+        assert counters_for(system).kernel["translated_procs"] == translated
+
+    def test_nonlocal_rebinding_is_live(self):
+        (te, _se), (tc, sc) = _vcd_run(NonlocalCounter, lambda t, c: None, 10)
+        # k and cur moved on every edge and the specialized _show saw each
+        # binding: 3 * k + tick + b with k = tick = 9 at the last settle
+        assert te.out.value == tc.out.value == 36 + 60
+        assert "cur.value" in _body(sc, "NonlocalCounter.__init__.<locals>._show")
+        assert _templates(sc, "NonlocalCounter.__init__.<locals>._show")
+        assert not _templates(sc, "NonlocalCounter.__init__.<locals>._bump")
+
+    def test_unmanaged_target_keeps_its_own_store(self):
+        (te, _se), (tc, sc) = _vcd_run(FreeStage, lambda t, c: None, 5)
+        assert (tc.free.value, tc.free.nxt) == (te.free.value, te.free.nxt) \
+            == (0, 11)
+        body = _body(sc, "FreeStage.__init__.<locals>._tick")
+        assert "self.free.nxt = " in body and "_SL.append(_h" in body
+
+    def test_attribute_a_process_stores_stays_live(self):
+        _e, (_tc, sc) = _vcd_run(Rebinding, lambda t, c: None, 6)
+        body = _body(sc, "Rebinding.__init__.<locals>._show")
+        assert "self.cur.value" in body
+
+    def test_lambdas_sharing_a_statement_run_as_written(self):
+        # each lambda must be analysed, and woken, on its own input
+        def poke(top, cyc):
+            (top.a if cyc % 2 else top.b).set(cyc * 3)
+
+        _e, (tc, sc) = _vcd_run(TwoLambdas, poke, 6)
+        assert (tc.x.value, tc.y.value) == (16, 14)
+        assert sc.kernel_stats.translated_procs == 1  # the seq lambda only
+
+    def test_edited_source_is_not_specialized(self, tmp_path, monkeypatch):
+        import importlib
+        import linecache
+        import textwrap
+
+        path = tmp_path / "edited_design.py"
+        path.write_text(textwrap.dedent("""
+            from repro.hdl import Component
+
+            class Edited(Component):
+                def __init__(self):
+                    super().__init__("ed")
+                    self.a = self.signal("a", 8, 0)
+                    self.y = self.signal("y", 8, 0)
+
+                    @self.comb
+                    def _inc():
+                        self.y.set(self.a.value + 1)
+
+                    self.seq(lambda: None)
+        """))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        module = importlib.import_module("edited_design")
+        # the file changes after import: its text no longer matches _inc
+        path.write_text(path.read_text().replace("+ 1", "+ 100"))
+        linecache.checkcache(str(path))
+        for backend in ("event", "compiled"):
+            top = module.Edited()
+            sim = Simulator(top, backend=backend)
+            sim.reset()
+            top.a.set(5)
+            sim.step()
+            assert top.y.value == 6, backend
+        assert not _templates(sim, "Edited.__init__.<locals>._inc")
+
+    def test_traceback_names_original_line(self):
+        import traceback
+
+        def poke(top, cyc):
+            top.x.set(cyc)
+
+        _vcd_run(Raiser, poke, 7)  # x = 0..6: no raise yet
+        with open(__file__) as f:
+            line = next(i for i, text in enumerate(f, 1)
+                        if 'raise ValueError("x reached 7")' in text)
+        for backend in ("event", "compiled"):
+            top = Raiser()
+            sim = Simulator(top, backend=backend)
+            sim.reset()
+            top.x.set(7)
+            with pytest.raises(ValueError, match="x reached 7") as info:
+                sim.settle()
+            frame = traceback.extract_tb(info.value.__traceback__)[-1]
+            assert (frame.filename, frame.lineno, frame.name) \
+                == (__file__, line, "_check"), backend
+        assert _templates(sim, "Raiser.__init__.<locals>._check")
+
+    def test_distinct_templates_per_classification(self):
+        def poke(top, cyc):
+            for w in (top.wide, top.narrow, top.paired):
+                w.a.set((cyc * 3) % 16)
+
+        _e, (tc, sc) = _vcd_run(WidthyTop, poke, 10)
+        assert len(_templates(sc, "Widthy.__init__.<locals>._tick")) == 3
+        # a = 11 on the last edge: 14 fits 4 bits, 25 needs the 8-bit reg
+        assert (tc.wide.out.value, tc.narrow.out.value,
+                tc.paired.out.value) == (14, 14, 25)
+
+    def test_tracked_plan_discovers_reads_run_by_run(self):
+        top = EvalMux()
+        sim = Simulator(top, backend="compiled")
+        sim.reset()
+        (tracked,) = sim._tracked
+
+        def fan():
+            return {sig.name: sorted(slots)
+                    for sig, slots in sim._module.fanout.items()}
+
+        assert {s.name for s in tracked.reads} == {"emux.sel", "emux.b"}
+        assert fan() == {"emux.out": [0], "emux.sel": [1], "emux.b": [1]}
+        top.sel.set(1)
+        sim.step()
+        assert {s.name for s in tracked.reads} == {"emux.sel", "emux.b",
+                                                   "emux.a"}
+        assert fan() == {"emux.out": [0], "emux.sel": [1], "emux.b": [1],
+                         "emux.a": [1]}
+
+    @pytest.mark.parametrize("kwargs, fanout, reads", [
+        ({}, 114, [8, 6, 9, 6, 18]),
+        (dict(ooo=True, fp_units=True), 124, [10, 8, 6, 9, 6, 18]),
+    ], ids=["default", "ooo-fp"])
+    def test_tracked_discovery_on_systems(self, kwargs, fanout, reads):
+        # the fanout map and the tracked read sets after a seeded prefix:
+        # read-tracked plans run their originals and discover reads one run
+        # at a time, so specializing every other body leaves these alone
+        import random
+
+        from repro import Session
+        from repro.isa.opcodes import ArithOp, LogicOp
+        from repro.system import build_system
+
+        system = build_system(backend="compiled", lint="off", **kwargs)
+        session = Session(system)
+        rng = random.Random(3)
+        for _ in range(20):
+            session.compute(rng.choice((ArithOp.ADD, ArithOp.SUB,
+                                        LogicOp.AND, LogicOp.XOR)),
+                            rng.getrandbits(32), rng.getrandbits(32))
+        sim = system.sim
+        assert len(sim._module.fanout) == fanout
+        assert [len(t.reads) for t in sim._tracked] == reads
+
+    @pytest.mark.parametrize("channel", ["INTEGRATED", "FAST_BUS",
+                                         "SLOW_PROTOTYPE"])
+    def test_generated_source_stable_across_builds(self, channel):
+        from repro import messages
+        from repro.hdl.compile import frontend
+        from repro.system import build_system
+
+        spec = getattr(messages, channel)
+        frontend._TEMPLATES.clear()  # the first build translates every body
+        cold = build_system(channel=spec, backend="compiled", lint="off")
+        warm = build_system(channel=spec, backend="compiled", lint="off")
+        assert warm.sim.generated_source == cold.sim.generated_source
+        assert warm.sim.kernel_stats.translated_procs \
+            == cold.sim.kernel_stats.translated_procs > 0

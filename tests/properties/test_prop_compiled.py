@@ -13,25 +13,34 @@ compared to the interpreted event kernel and to the exhaustive reference
 kernel.  The coprocessor system is deliberately a *fallback-heavy* design
 for the compiled front end (dozens of procs with unprovable closures), so
 these runs exercise the translated, called, every-sweep and read-tracked
-paths together; the ξ-sort tests at the bottom add the vectorized-executor
-path on both cell-array kinds.
+paths together; the ξ-sort tests add the vectorized-executor path on both
+cell-array kinds.  ``TestFullSpecialization`` runs every preset and every
+``examples/*.py`` design with each parseable body specialized, and also
+requires the kernel's scheduling counters to be what they are with every
+body run as its original function.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
 import io
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.config import FrameworkConfig
+from repro.hdl import Simulator
+from repro.hdl.compile.frontend import Specializer
 from repro.hdl.vcd import VcdWriter
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
 from repro.messages import FaultSpec
 from repro.messages.channel import FAST_BUS, INTEGRATED, SLOW_PROTOTYPE
 from repro.system import SystemSpec
+from repro.system.builder import BuiltSystem
 
 PRESETS = [
     pytest.param(INTEGRATED, id="integrated"),
@@ -78,7 +87,13 @@ def _spec(channel, *, faults=None, upstream_faults=None, reliable=False):
 def _run(spec, backend, seed, *, vcd="none"):
     """One full run of ``spec`` on ``backend``; returns everything the
     backends must agree on."""
-    system = dataclasses.replace(spec, backend=backend).build()
+    return _observe(dataclasses.replace(spec, backend=backend).build(),
+                    seed, vcd=vcd)
+
+
+def _observe(system, seed, *, vcd="none"):
+    """Drive a built system through one seeded program; returns everything
+    the backends must agree on."""
     sim = system.sim
     buf = io.StringIO()
     writer = None
@@ -183,3 +198,67 @@ class TestCompiledVectorizedEquivalence:
         before = m.sim.kernel_stats.skipped_cycles
         m.sim.step(500)
         assert m.sim.kernel_stats.skipped_cycles > before
+
+
+#: the kernel's scheduling decisions, which the wake slots must reproduce
+SCHEDULING = ("edge_calls", "seq_runs", "quiescent_settles", "wheel_jumps",
+              "skipped_cycles")
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parents[2] / "examples").glob("*.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def _example(path):
+    spec = importlib.util.spec_from_file_location(f"_example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _example_system(path, backend):
+    """A fresh build of the example's design, simulated on ``backend``."""
+    built = _example(path).build_for_lint()
+    top = getattr(built, "soc", built)
+    return BuiltSystem(soc=top, sim=Simulator(top, backend=backend))
+
+
+def _assert_scheduled_alike(runs, monkeypatch):
+    """``runs(backend)`` twice on event and compiled, once more on compiled
+    with every body run as its original function: results, cycles and VCD
+    bytes must agree with the event kernel, and the scheduling counters
+    must not depend on specialization.  Vectorized executors count their
+    absorbed cells' work differently, so only a design without them must
+    also match the event kernel's counters."""
+    event, compiled = runs("event"), runs("compiled")
+    with monkeypatch.context() as m:
+        m.setattr(Specializer, "specialize", lambda self, fn: None)
+        interpreted = runs("compiled")
+    _assert_agree([("event", event), ("compiled", compiled),
+                   ("compiled, interpreted bodies", interpreted)])
+    stats = compiled["stats"]
+    assert stats.translated_procs > 0
+    assert interpreted["stats"].translated_procs == 0
+    for key in SCHEDULING:
+        assert getattr(stats, key) == getattr(interpreted["stats"], key), key
+        if not stats.vectorized_cells:
+            assert getattr(stats, key) == getattr(event["stats"], key), key
+
+
+class TestFullSpecialization:
+    """Every parseable body outside a read-tracked slot runs as specialized
+    code on the compiled backend; nothing observable may change, down to
+    the kernel's scheduling counters."""
+
+    @pytest.mark.parametrize("channel", PRESETS)
+    @pytest.mark.parametrize("seed", [4, 13])
+    def test_presets_identical(self, channel, seed, monkeypatch):
+        spec = _spec(channel)
+        _assert_scheduled_alike(
+            lambda b: _run(spec, b, seed, vcd="full"), monkeypatch)
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+    def test_examples_identical(self, path, monkeypatch):
+        _assert_scheduled_alike(
+            lambda b: _observe(_example_system(path, b), seed=6, vcd="full"),
+            monkeypatch)
