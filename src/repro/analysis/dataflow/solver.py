@@ -121,7 +121,7 @@ def _solve(design) -> DataflowResult:
     sites: dict = {s: [] for s in numeric}
     forced: set = set()
     for rec in design.procs:
-        for site in rec.sites:
+        for site in rec.resolved.writes:
             if site.kind in ("force", "warp"):
                 for t in site.targets:
                     if t in sig_set:
@@ -144,7 +144,7 @@ def _solve(design) -> DataflowResult:
     mutated_keys = set(design.mutated_attrs)
     rebound_globals: set = set()
     for rec in design.procs:
-        rebound_globals.update(rec.nonlocal_stores)
+        rebound_globals.update(rec.resolved.nonlocal_stores)
 
     def attr_ok(owner_id: int, name: str) -> bool:
         if owner_id == 0:
@@ -170,7 +170,7 @@ def _solve(design) -> DataflowResult:
                 modelable = False
                 break
             rec_site_ids = {
-                id(st) for st in rec.sites if s in st.targets
+                id(st) for st in rec.resolved.writes if s in st.targets
             }
             if not rec_site_ids:
                 # probe/kernel saw a write the AST pass didn't attribute
@@ -253,7 +253,7 @@ def _solve(design) -> DataflowResult:
 
     # -- derived facts --------------------------------------------------------
     for rec in design.procs:
-        for site in rec.sites:
+        for site in rec.resolved.writes:
             if site.kind in ("force", "warp"):
                 continue
             pre = eval_expr(site.expr, sig_value, attr_ok)
@@ -268,7 +268,7 @@ def _solve(design) -> DataflowResult:
                 result.site_facts.append(
                     SiteFact(rec=rec, site=site, target=t, pre=pre, post=post)
                 )
-        for line, bexpr in rec.branches:
+        for line, bexpr in rec.resolved.branches:
             av = eval_expr(bexpr, sig_value, attr_ok)
             verdict = av.truthiness() if av is not None else None
             result.branch_facts.append(

@@ -900,7 +900,12 @@ class ResolvedWrite:
 
 @dataclass
 class ResolvedFn:
-    """Concrete (per-instance) view of one process function."""
+    """Concrete (per-instance) view of one process function.
+
+    The lint rules and the compiled backend's placement decision
+    (:func:`repro.hdl.compile.frontend.place`) read the same instance: a
+    build resolves each process once.
+    """
 
     signal_reads: set = field(default_factory=set)  # Signal objects
     writes: list = field(default_factory=list)  # [ResolvedWrite]
@@ -922,6 +927,23 @@ class ResolvedFn:
     @property
     def unresolved_chains(self) -> bool:
         return self.opaque_reads or self.opaque_writes
+
+    @property
+    def read_complete(self) -> bool:
+        """True when ``signal_reads`` ∪ ``hidden_loads`` provably covers
+        every input — the condition for a static wake set."""
+        return not (self.parse_failed or self.unknown_calls or self.opaque_reads)
+
+    @property
+    def write_complete(self) -> bool:
+        """True when the write sites provably cover every output."""
+        return not (self.parse_failed or self.unknown_calls or self.opaque_writes)
+
+    @property
+    def set_targets(self) -> frozenset:
+        """Signals written through ``set``/``force``/``warp``/``drive``."""
+        return frozenset(t for w in self.writes if w.kind != "stage"
+                         for t in w.targets)
 
 
 def _root_env(fn: Callable[..., Any]) -> dict[str, Any]:
@@ -1408,90 +1430,13 @@ def is_reg(sig: Signal) -> bool:
     return isinstance(sig, Reg)
 
 
-# -- compiler front end --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProcClosure:
-    """The proven dependence closure of one process function.
-
-    This is the shared front-end product consumed by both the lint rules
-    and the codegen backend (:mod:`repro.hdl.compile`): the set of signals
-    a process may read or write, the hidden (non-signal) attributes it
-    touches, and — crucially — whether those sets are *complete*.  The
-    code generator may only give a process a static wake slot when
-    :attr:`read_complete` holds; lint reports processes where it does not
-    (rule family ``compile.*``) so closure-coverage regressions surface in
-    CI rather than as silently interpreted processes.
-    """
-
-    fn: Callable[..., Any]
-    #: Signal objects the process may read (under-approximate if not complete)
-    reads: frozenset
-    #: Signal objects written via ``set``/``force``/``drive``
-    writes: frozenset
-    #: Reg objects staged via ``nxt``/``stage``
-    stages: frozenset
-    #: (id(owner), attr) → (source text, owner) non-signal attribute loads
-    hidden_loads: dict
-    #: (id(owner), attr) → owner attribute stores / container mutations
-    hidden_stores: dict
-    #: closure/global names the process rebinds (hidden mutable state)
-    nonlocal_stores: frozenset
-    unknown_calls: bool
-    opaque_reads: bool
-    opaque_writes: bool
-    parse_failed: bool
-
-    @property
-    def read_complete(self) -> bool:
-        """True when ``reads`` ∪ ``hidden_loads`` provably covers every input."""
-        return not (self.parse_failed or self.unknown_calls or self.opaque_reads)
-
-    @property
-    def write_complete(self) -> bool:
-        """True when ``writes`` ∪ ``stages`` provably covers every output."""
-        return not (self.parse_failed or self.unknown_calls or self.opaque_writes)
-
-
-def closure_of(fn: Callable[..., Any]) -> ProcClosure:
-    """Resolve one process function into its :class:`ProcClosure`.
-
-    Thin adapter over :func:`resolve` that splits write sites into nets
-    and registers and folds the confidence flags into completeness
-    properties — the contract the codegen backend keys its translate /
-    guard / fallback decision on.
-    """
-    r = resolve(fn)
-    writes: set = set()
-    stages: set = set()
-    for site in r.writes:
-        bucket = stages if site.kind == "stage" else writes
-        bucket.update(site.targets)
-    return ProcClosure(
-        fn=fn,
-        reads=frozenset(r.signal_reads),
-        writes=frozenset(writes),
-        stages=frozenset(stages),
-        hidden_loads=dict(r.hidden_loads),
-        hidden_stores=dict(r.hidden_stores),
-        nonlocal_stores=frozenset(r.nonlocal_stores),
-        unknown_calls=r.unknown_calls,
-        opaque_reads=r.opaque_reads,
-        opaque_writes=r.opaque_writes,
-        parse_failed=r.parse_failed,
-    )
-
-
 __all__ = [
     "Chain",
     "Expr",
     "FnSummary",
-    "ProcClosure",
     "ResolvedFn",
     "ResolvedWrite",
     "WriteSite",
-    "closure_of",
     "parsed_def",
     "resolve",
     "summarize",

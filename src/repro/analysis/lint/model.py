@@ -30,7 +30,8 @@ from ...hdl import signal as _signal_mod
 from ...hdl.component import Component
 from ...hdl.components import Stream
 from ...hdl.signal import Reg, Signal
-from .astpass import ResolvedWrite, resolve
+from . import astpass
+from .astpass import ResolvedFn, ResolvedWrite
 
 
 @dataclass
@@ -50,21 +51,10 @@ class ProcRecord:
     writes: set = field(default_factory=set)
     #: registers staged (AST; probe write of a Reg also lands here)
     stages: set = field(default_factory=set)
-    #: resolved AST write sites, with per-site dependency signals
-    sites: list = field(default_factory=list)
-    #: (id(owner), attr) → (source text, owner) non-signal attribute loads
-    hidden_loads: dict = field(default_factory=dict)
-    #: (id(owner), attr) → owner attribute stores / container mutations
-    hidden_stores: dict = field(default_factory=dict)
-    nonlocal_stores: set = field(default_factory=set)
-    streams_fired: set = field(default_factory=set)
-    #: (line, resolved test tree) for every modelable ``if`` guard
-    branches: list = field(default_factory=list)
-    #: static analysis confidence flags
-    unknown_calls: bool = False
-    opaque_reads: bool = False
-    opaque_writes: bool = False
-    parse_failed: bool = False
+    #: the AST pass's view — write sites with their dependency signals,
+    #: hidden loads and stores, branches and the confidence flags — shared
+    #: with the compiled backend's placement of this process
+    resolved: ResolvedFn = field(default_factory=ResolvedFn)
     probed: bool = False
     probe_error: Optional[str] = None
 
@@ -76,12 +66,12 @@ class ProcRecord:
     @property
     def read_opaque(self) -> bool:
         """True when this process may read signals the analysis missed."""
-        return self.parse_failed or self.unknown_calls or self.opaque_reads
+        return not self.resolved.read_complete
 
     @property
     def write_opaque(self) -> bool:
         """True when this process may write signals the analysis missed."""
-        return self.parse_failed or self.unknown_calls or self.opaque_writes
+        return not self.resolved.write_complete
 
     @property
     def opaque(self) -> bool:
@@ -187,24 +177,13 @@ def _probe_comb(design: DesignInfo) -> None:
 
 
 def _apply_ast(rec: ProcRecord) -> None:
-    res = resolve(rec.fn)
-    rec.parse_failed = res.parse_failed
-    rec.unknown_calls = res.unknown_calls
-    rec.opaque_reads = res.opaque_reads
-    rec.opaque_writes = res.opaque_writes
+    res = rec.resolved
     rec.reads.update(res.signal_reads)
-    rec.hidden_loads.update(res.hidden_loads)
-    rec.hidden_stores.update(res.hidden_stores)
-    rec.nonlocal_stores.update(res.nonlocal_stores)
-    rec.streams_fired.update(res.streams_fired)
-    rec.branches.extend(res.branches)
     for site in res.writes:
-        rec.sites.append(site)
-        for tgt in site.targets:
-            if site.kind == "set":
-                rec.writes.add(tgt)
-            elif site.kind == "stage":
-                rec.stages.add(tgt)
+        if site.kind == "set":
+            rec.writes.update(site.targets)
+        elif site.kind == "stage":
+            rec.stages.update(site.targets)
 
 
 def build_design(
@@ -215,7 +194,9 @@ def build_design(
     """Elaborate the lint database for ``top``.
 
     ``sim`` may be the live :class:`~repro.hdl.sim.Simulator` driving the
-    design; its discovered dependency sets are merged in when available.
+    design; its discovered dependency sets are merged in when available,
+    and a process it already resolved (the compiled backend resolves every
+    process it places) is not resolved again.
     ``probe=False`` skips process execution entirely (pure-static mode —
     used when linting a design mid-simulation at a non-settled point).
     """
@@ -241,14 +222,18 @@ def build_design(
             )
             index += 1
 
+    info = sim.discovered_dependencies() if sim is not None else {}
+    resolved = info.get("resolved", {})
     for rec in design.procs:
+        res = resolved.get(id(rec.fn))
+        rec.resolved = res if res is not None else astpass.resolve(rec.fn)
         _apply_ast(rec)
 
     if probe:
         _probe_comb(design)
 
-    if sim is not None:
-        _merge_kernel_info(design, sim)
+    if info.get("discovered"):
+        _merge_kernel_info(design, info)
 
     managed = set(design.signals)
     for rec in design.procs:
@@ -261,14 +246,11 @@ def build_design(
         for sig in rec.stages:
             if sig in managed:
                 design.drivers.setdefault(sig, []).append((rec, "stage"))
-        design.mutated_attrs.update(rec.hidden_stores)
+        design.mutated_attrs.update(rec.resolved.hidden_stores)
     return design
 
 
-def _merge_kernel_info(design: DesignInfo, sim: Any) -> None:
-    info = sim.discovered_dependencies()
-    if not info.get("discovered"):
-        return
+def _merge_kernel_info(design: DesignInfo, info: dict) -> None:
     by_fn = {id(rec.fn): rec for rec in design.procs}
     for entry in info["comb"]:
         rec = by_fn.get(id(entry["fn"]))

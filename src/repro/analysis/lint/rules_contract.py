@@ -26,7 +26,7 @@ from .model import DesignInfo, ProcRecord
 def _hidden_reads_of_mutable(rec: ProcRecord, design: DesignInfo) -> list:
     """(source text, attr) for hidden loads of state some process mutates."""
     out = []
-    for key, (text, _owner) in sorted(rec.hidden_loads.items(),
+    for key, (text, _owner) in sorted(rec.resolved.hidden_loads.items(),
                                       key=lambda kv: kv[1][0]):
         if key in design.mutated_attrs:
             out.append((text, key[1]))
@@ -51,7 +51,7 @@ class HiddenCombReadRule(Rule):
 
     def check(self, design: DesignInfo) -> Iterator[Diagnostic]:
         for rec in design.comb:
-            if rec.always or rec.parse_failed:
+            if rec.always or rec.resolved.parse_failed:
                 continue
             hidden = _hidden_reads_of_mutable(rec, design)
             if not hidden:
@@ -84,12 +84,12 @@ class ImpurePureSeqRule(Rule):
 
     def check(self, design: DesignInfo) -> Iterator[Diagnostic]:
         for rec in design.seq:
-            if not rec.pure or rec.parse_failed:
+            if not rec.pure or rec.resolved.parse_failed:
                 continue
-            if rec.hidden_stores or rec.nonlocal_stores:
+            if rec.resolved.hidden_stores or rec.resolved.nonlocal_stores:
                 what = sorted(
-                    {attr for (_oid, attr) in rec.hidden_stores}
-                    | set(rec.nonlocal_stores)
+                    {attr for (_oid, attr) in rec.resolved.hidden_stores}
+                    | set(rec.resolved.nonlocal_stores)
                 )
                 yield self.diag(
                     rec.comp.path,
@@ -130,9 +130,9 @@ class UntrackedReadRule(Rule):
         for rec in design.procs:
             tracked = (rec.kind == "comb" and not rec.always) or \
                       (rec.kind == "seq" and rec.pure)
-            if not tracked or rec.parse_failed:
+            if not tracked or rec.resolved.parse_failed:
                 continue
-            for (oid, attr), (text, owner) in sorted(rec.hidden_loads.items(),
+            for (oid, attr), (text, owner) in sorted(rec.resolved.hidden_loads.items(),
                                                      key=lambda kv: kv[1][0]):
                 if attr in ("_value", "_staged") and isinstance(owner, Signal):
                     yield self.diag(
@@ -198,7 +198,7 @@ class ForceInProcRule(Rule):
 
 def _site_kind_diags(rule, design, kind, want, message, hint):
     for rec in design.procs:
-        for site in rec.sites:
+        for site in rec.resolved.writes:
             if site.kind != kind or not want(rec):
                 continue
             for tgt in site.targets:
@@ -254,7 +254,7 @@ class SetInSeqRule(Rule):
 
     def check(self, design: DesignInfo) -> Iterator[Diagnostic]:
         for rec in design.seq:
-            for site in rec.sites:
+            for site in rec.resolved.writes:
                 if site.kind != "set":
                     continue
                 for tgt in site.targets:

@@ -42,7 +42,7 @@ class CombLoopRule(Rule):
         edges: dict[Signal, set] = {}
         managed = set(design.signals)
         for rec in design.comb:
-            for site in rec.sites:
+            for site in rec.resolved.writes:
                 if site.kind != "set":
                     continue
                 for tgt in site.targets:
@@ -266,7 +266,7 @@ class WidthMismatchRule(Rule):
     def check(self, design: DesignInfo) -> Iterator[Diagnostic]:
         seen: set = set()
         for rec in design.procs:
-            for site in rec.sites:
+            for site in rec.resolved.writes:
                 src = site.src
                 if src is None or src.width is None:
                     continue

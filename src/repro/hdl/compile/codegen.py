@@ -64,10 +64,10 @@ class Plan:
 
     fn: Callable[[], None]
     index: int
-    #: "slot" (a static wake slot) | "tracked" (no provable closure: a
-    #: read-tracked wake slot, always running ``fn``) | "always" (comb:
-    #: every sweep; seq: impure and unprovable, every edge).  Every kind
-    #: but "tracked" runs ``spec`` when there is one, else ``fn``.
+    #: the process's :class:`~.frontend.Placement` kind: "slot" (a static
+    #: wake slot) | "tracked" (a read-tracked wake slot, always running
+    #: ``fn``) | "sweep" (comb, every sweep) | "edge" (seq, every edge).
+    #: Every kind but "tracked" runs ``spec`` when there is one, else ``fn``.
     kind: str
     wheeled: bool
     #: signals whose changes raise this plan's flag (see frontend.slot_reads)
@@ -153,7 +153,7 @@ def generate(
     )
     tracked = [p for p in comb if p.kind == "tracked"]
     n_slots = len(ordered) + len(tracked)
-    seq_slots = [s for s in seq if s.kind != "always"]
+    seq_slots = [s for s in seq if s.kind != "edge"]
     slotted = ordered + tracked + seq_slots
     for pos, p in enumerate(slotted):
         p.slot = pos
@@ -164,7 +164,7 @@ def generate(
             fanout.setdefault(sig, []).append(p.slot)
     every: list = []
     for p in comb:
-        if p.kind == "always":
+        if p.kind == "sweep":
             every.append(p.spec.fn if p.spec is not None else p.fn)
             if p.spec is not None:
                 calls.append((f"_ALW[{len(every) - 1}]", p))
@@ -255,7 +255,7 @@ def generate(
         else:
             call = f"_q{s.index}"
             namespace[call] = s.fn
-        if s.kind == "always":
+        if s.kind == "edge":
             emit(f"    # {name}: every edge")
             emit(f"    {call}()")
             emit("    _ran += 1")
@@ -290,7 +290,7 @@ def generate(
     emit("")
 
     # -- wheel scan over non-wheeled sequential processes ---------------------
-    # "always" processes veto in the engine before _scan_seq is called
+    # every-edge processes veto in the engine before _scan_seq is called
     emit("def _scan_seq():")
     flags = [f"_W[{s.slot}]" for s in seq_slots if not s.wheeled]
     if flags:

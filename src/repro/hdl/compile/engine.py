@@ -35,17 +35,19 @@ kernel.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Any, Callable
 
 from .. import signal as _signal_mod
 from ..component import Component
 from ..errors import CombinationalLoopError
 from ..signal import CHANGES
 from ..sim import MAX_SETTLE_ITERATIONS, Simulator
+from ...analysis.lint import astpass
+from ...analysis.lint.astpass import ResolvedFn
 from .codegen import GeneratedModule, Plan, generate
-from .frontend import (ProcClosure, Specializer, closure_of,
-                       hidden_loads_constant, slot_reads)
-from .vector import collect_executors
+from .frontend import Placement, Specializer, place
+from .vector import absorbed_procs, collect_executors
 
 __all__ = ["CompiledSimulator"]
 
@@ -130,67 +132,29 @@ class CompiledSimulator(Simulator):
     # -- compilation -----------------------------------------------------------
 
     def _compile(self) -> None:
-        executors, absorbed = collect_executors(self.top)
-        self._executors = executors
+        top = self.top
+        self._executors = executors = collect_executors(top)
+        absorbed = absorbed_procs(top)
+        managed = set(top.all_signals())
+        #: id(fn) -> the resolution each process was placed on; lint reads
+        #: these back (``discovered_dependencies``) instead of resolving again
+        self._resolved: dict[int, ResolvedFn] = {}
         spec = Specializer(
             self._changed, self._staged_regs,
             [p.fn for p in (*self._procs, *self._seqprocs)
              if id(p.fn) not in absorbed])
-        closures: dict = {}
 
         comb_plans: list[Plan] = []
-        n_absorbed = 0
         for i, p in enumerate(self._procs):
-            if id(p.fn) in absorbed:
-                n_absorbed += 1
-                continue
-            if p.always:
-                comb_plans.append(Plan(fn=p.fn, index=i, kind="always",
-                                       wheeled=p.wheeled,
-                                       spec=spec.specialize(p.fn)))
-                continue
-            closure = self._closure_or_none(p.fn)
-            wake = self._wake_set(closure)
-            if closure is None or wake is None:
-                comb_plans.append(self._tracked_plan(i, p, seq=False))
-            elif not wake and closure.writes:
-                # hidden inputs only: the event kernel runs it every sweep
-                comb_plans.append(Plan(fn=p.fn, index=i, kind="always",
-                                       wheeled=p.wheeled,
-                                       spec=spec.specialize(p.fn)))
-            else:
-                closures[i] = closure
-                comb_plans.append(self._slot_plan(i, p, wake, spec))
-        self._rank_plans(comb_plans, closures)
-
+            self._plan(comb_plans, i, p, False, spec, place(
+                partial(self._resolve, p.fn), seq=False, always=p.always,
+                absorbed=id(p.fn) in absorbed, managed=managed))
+        self._rank_plans(comb_plans)
         seq_plans: list[Plan] = []
         for j, sp in enumerate(self._seqprocs):
-            if id(sp.fn) in absorbed:
-                n_absorbed += 1
-                continue
-            closure = self._closure_or_none(sp.fn)
-            wake = self._wake_set(closure)
-            # Dormancy is sound when the closure is proven and an impure
-            # process has no set() writes and no hidden load that can
-            # change: re-running it on unchanged signals restages the same
-            # values.  A declared-pure process keeps the event kernel's
-            # wider dormancy contract.
-            if (
-                closure is not None
-                and wake is not None
-                and closure.write_complete
-                and not closure.hidden_stores
-                and not closure.nonlocal_stores
-                and (sp.pure or (not closure.writes
-                                 and hidden_loads_constant(closure)))
-            ):
-                seq_plans.append(self._slot_plan(j, sp, wake, spec))
-            elif sp.pure:
-                seq_plans.append(self._tracked_plan(j, sp, seq=True))
-            else:
-                seq_plans.append(Plan(fn=sp.fn, index=j, kind="always",
-                                      wheeled=sp.wheeled,
-                                      spec=spec.specialize(sp.fn)))
+            self._plan(seq_plans, j, sp, True, spec, place(
+                partial(self._resolve, sp.fn), seq=True, pure=sp.pure,
+                absorbed=id(sp.fn) in absorbed, managed=managed))
 
         namespace: dict = {
             "_CH": CHANGES,
@@ -210,7 +174,7 @@ class CompiledSimulator(Simulator):
         self._scan_seq_fn = module.scan_seq
         #: every-sweep comb functions; runtime demotions append here
         self._every = module.every
-        always = [pl for pl in comb_plans if pl.kind == "always"]
+        always = [pl for pl in comb_plans if pl.kind == "sweep"]
         #: fast-forward soundness mirrors the event kernel's
         #: ``_always_covered``: every every-sweep process must belong to a
         #: wheeled component.  Read-tracked slots get no veto — the event
@@ -219,57 +183,44 @@ class CompiledSimulator(Simulator):
         #: no process (and no host code) runs during one.
         self._comb_covered = all(pl.wheeled for pl in always)
         self._seq_always_unwheeled = any(
-            pl.kind == "always" and not pl.wheeled for pl in seq_plans
+            pl.kind == "edge" and not pl.wheeled for pl in seq_plans
         )
 
         stats = self.kernel_stats
-        plans = comb_plans + seq_plans
-        n_fallback = sum(1 for pl in plans if pl.kind in ("tracked", "always"))
-        n_comb_slots = sum(1 for pl in comb_plans if pl.kind != "always")
-        stats.compiled_procs = len(plans) - n_fallback + n_absorbed
+        #: every non-absorbed process's plan, comb first
+        self._plans = plans = comb_plans + seq_plans
+        n_fallback = sum(1 for pl in plans if pl.kind != "slot")
+        stats.compiled_procs = (len(self._procs) + len(self._seqprocs)
+                                - n_fallback)
         stats.fallback_procs = n_fallback
         stats.translated_procs = sum(1 for pl in plans if pl.spec is not None)
         stats.vectorized_cells = sum(ex.n_cells for ex in executors)
-        stats.tracked_procs = n_comb_slots
+        stats.tracked_procs = len(comb_plans) - len(always)
         stats.always_procs = len(always)
         stats.masks_elided = spec.stats["masks_elided"]
         stats.branches_folded = spec.stats["branches_folded"]
 
-    def _wake_set(self, closure: Optional[ProcClosure]) -> Optional[list]:
-        """A proven closure's wake set, or ``None`` when a flag cannot
-        carry it: no static wake set, or a signal whose changes never
-        reach this simulator's pending list."""
-        if closure is None:
-            return None
-        wake = slot_reads(closure)
-        if wake is None or any(s._pending is not self._changed for s in wake):
-            return None
-        return wake
+    def _resolve(self, fn: Callable[[], None]) -> ResolvedFn:
+        res = self._resolved[id(fn)] = astpass.resolve(fn)
+        return res
 
-    @staticmethod
-    def _slot_plan(index: int, proc: Any, wake: list,
-                   spec: Specializer) -> Plan:
-        """A static wake slot: the specialized body, or a call of ``fn``
-        when the body bails out whole."""
-        return Plan(fn=proc.fn, index=index, kind="slot",
-                    wheeled=proc.wheeled, wake=wake,
-                    spec=spec.specialize(proc.fn))
+    def _plan(self, plans: list, index: int, proc: Any, seq: bool,
+              spec: Specializer, where: Placement) -> None:
+        """Append the plan for ``proc``'s placement; an absorbed process
+        gets none.  A read-tracked slot also gets its engine helper."""
+        if where.kind == "absorbed":
+            return
+        if where.kind == "tracked":
+            tc = _Tracked(proc.fn, seq, proc.wheeled, self._track)
+            self._tracked.append(tc)
+            plans.append(Plan(fn=proc.fn, index=index, kind="tracked",
+                              wheeled=proc.wheeled, run=tc.run))
+            return
+        plans.append(Plan(fn=proc.fn, index=index, kind=where.kind,
+                          wheeled=proc.wheeled, wake=where.wake,
+                          spec=spec.specialize(proc.fn)))
 
-    def _tracked_plan(self, index: int, proc: Any, seq: bool) -> Plan:
-        """A read-tracked slot plan plus its engine helper."""
-        tc = _Tracked(proc.fn, seq, proc.wheeled, self._track)
-        self._tracked.append(tc)
-        return Plan(fn=proc.fn, index=index, kind="tracked",
-                    wheeled=proc.wheeled, run=tc.run)
-
-    @staticmethod
-    def _closure_or_none(fn: Callable[[], None]) -> Optional[ProcClosure]:
-        try:
-            return closure_of(fn)
-        except Exception:
-            return None
-
-    def _rank_plans(self, plans: list, closures: dict) -> None:
+    def _rank_plans(self, plans: list) -> None:
         """Topological depths over the proven writer→reader graph.
 
         Same saturation scheme as the event kernel's ``_rank_procs``:
@@ -277,17 +228,18 @@ class CompiledSimulator(Simulator):
         fixpoint, and cycles simply saturate.  Read-tracked and every-sweep
         plans have no proven closure and run after the ranked section.
         """
-        ranked = [pl for pl in plans if pl.index in closures]
+        ranked = [(pl, self._resolved[id(pl.fn)]) for pl in plans
+                  if pl.kind == "slot"]
         writers: dict = {}
-        for pl in ranked:
-            for sig in closures[pl.index].writes:
+        for pl, res in ranked:
+            for sig in res.set_targets:
                 writers.setdefault(sig, []).append(pl)
         n = len(ranked)
         for _ in range(n):
             moved = False
-            for pl in ranked:
+            for pl, res in ranked:
                 r = 0
-                for sig in closures[pl.index].reads:
+                for sig in res.signal_reads:
                     for w in writers.get(sig, ()):
                         if w is not pl and w.rank >= r:
                             r = w.rank + 1
@@ -453,8 +405,10 @@ class CompiledSimulator(Simulator):
     def discovered_dependencies(self) -> dict:
         """The compiled backend reports no runtime-discovered read sets.
 
-        Dependence information lives in the front end's static closures
+        Dependence information lives in the front end's resolutions
         (read-tracked slots discover theirs one run at a time);
-        ``discovered: False`` tells lint to rely on its own AST pass.
+        ``discovered: False`` tells lint to rely on the AST pass, and
+        ``resolved`` hands it the resolution each process was placed on.
         """
-        return {"comb": [], "seq": [], "discovered": False}
+        return {"comb": [], "seq": [], "discovered": False,
+                "resolved": self._resolved}

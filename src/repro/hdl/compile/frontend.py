@@ -1,18 +1,28 @@
-"""Compiler front end: closure-based classification and residual translation.
+"""Compiler front end: process placement and residual translation.
 
-The front end decides, per process, which execution strategy the
-generated module uses:
+:func:`place` decides where the generated module runs each process.  It
+is the only such decision: :class:`~.engine.CompiledSimulator` plans from
+it, and the ``compile.fallback`` lint rule reports from it, both on the
+same :class:`~repro.analysis.lint.astpass.ResolvedFn`.
 
-* **static wake slot** — the read closure is proven: the process runs
-  whenever a signal in its wake set (:func:`slot_reads`) changes, as the
-  event kernel's notification queue would run it.
+* **absorbed** — the process sits in the subtree of a component that
+  publishes ``__compile_vector__`` (:func:`.vector.absorbed_procs`); a
+  vector executor replaces it.
+* **static slot** — the read closure is proven: the process runs whenever
+  a signal in its wake set (:func:`slot_reads`) changes, as the event
+  kernel's notification queue would run it.
 * **read-tracked** — the closure could not be proven (opaque reads,
-  unknown calls, late-bound hidden state): the function runs interpreted
-  from a wake slot, under read tracking, whenever a signal one of its
-  runs read changes — exactly how the event kernel schedules it (for
-  sequential processes: pure ones only).  ``always=True`` processes run
-  on every sweep, impure unprovable sequential processes on every edge.
+  unknown calls, late-bound hidden state, an unmanaged signal; for a pure
+  sequential process also hidden stores): the function runs interpreted
+  from a wake slot, under read tracking, whenever a signal one of its runs
+  read changes — exactly how the event kernel schedules it.
+* **every sweep** — a comb process declared ``always=True``, or a proven
+  writer whose inputs are all hidden.
+* **every edge** — an impure sequential process that may not sleep in a
+  slot: unprovable, storing hidden state, writing with ``set()`` or
+  loading hidden state that can change.
 
+Every placement outside a static slot or absorption carries its reason.
 Only the wake flag decides whether a process runs.  Hidden attribute
 loads wake nothing, because the event kernel's dynamic sensitivity
 watches only signals.
@@ -25,12 +35,9 @@ other statement verbatim.  The result is a function over the original's
 globals and closure cells, so names behave as in the original.  Bodies
 are built once per code object and classification (:class:`Template`);
 a body that rebinds names through ``nonlocal``/``global``, yields, or
-defines a nested function bails out whole and runs as written.
-
-The dependence closures come from the lint AST pass
-(:func:`repro.analysis.lint.astpass.closure_of`), and each body's source
-from its per-code-object cache (:func:`~repro.analysis.lint.astpass.parsed_def`)
-— one front end shared by static analysis and codegen.
+defines a nested function bails out whole and runs as written.  Each
+body's source comes from the AST pass's per-code-object cache
+(:func:`~repro.analysis.lint.astpass.parsed_def`).
 """
 
 from __future__ import annotations
@@ -43,18 +50,18 @@ import enum
 import linecache
 import re
 import types
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Container, Iterable, Optional
 
 from ...analysis.dataflow import domain as _dom
-from ...analysis.lint.astpass import ProcClosure, closure_of, parsed_def, summarize
+from ...analysis.lint.astpass import ResolvedFn, parsed_def, summarize
 from ..components import Stream
 from ..signal import _UNSET, CHANGES, Reg, Signal
 from ..signal import tracking as _signal_tracking
 
 __all__ = [
-    "ProcClosure",
-    "closure_of",
+    "Placement",
+    "place",
     "slot_reads",
     "hidden_loads_constant",
     "Specialized",
@@ -95,14 +102,14 @@ def _constant_load(owner: Any, value: Any) -> bool:
 _MISSING = object()
 
 
-def slot_reads(closure: ProcClosure) -> Optional[list[Signal]]:
+def slot_reads(res: ResolvedFn) -> Optional[list[Signal]]:
     """The signals whose changes wake this process, or ``None``.
 
-    ``None`` means the process has no static wake set: its closure is not
-    ``read_complete``, or a real owner lacks a hidden attribute the
+    ``None`` means the process has no static wake set: its resolution is
+    not ``read_complete``, or a real owner lacks a hidden attribute the
     process loads (late-bound state that cannot be sampled yet).
 
-    Otherwise the wake set is ``closure.reads`` plus the signals read by
+    Otherwise the wake set is ``res.signal_reads`` plus the signals read by
     property getters along the navigation path.  The AST pass cannot see
     through a getter, but the event kernel's read tracking is live while
     the getter runs inside the process, so it subscribes to them too.
@@ -110,14 +117,14 @@ def slot_reads(closure: ProcClosure) -> Optional[list[Signal]]:
     a getter is assumed to read a fixed signal set.  A load missing on a
     probe placeholder (``None`` or a bare ``object``) is skipped: the AST
     pass resolves locals derived from tracked signal reads onto such
-    placeholders, and those signals are already in ``closure.reads``.
+    placeholders, and those signals are already in ``res.signal_reads``.
     Sorted so generated source is stable.
     """
-    if not closure.read_complete:
+    if not res.read_complete:
         return None
-    wake = set(closure.reads)
+    wake = set(res.signal_reads)
     with _signal_tracking(reads=wake):
-        for (_oid, attr), (_text, owner) in closure.hidden_loads.items():
+        for (_oid, attr), (_text, owner) in res.hidden_loads.items():
             try:
                 value = getattr(owner, attr, _MISSING)
             except Exception:
@@ -128,12 +135,12 @@ def slot_reads(closure: ProcClosure) -> Optional[list[Signal]]:
     return sorted(wake, key=lambda s: (s.name, id(s)))
 
 
-def hidden_loads_constant(closure: ProcClosure) -> bool:
+def hidden_loads_constant(res: ResolvedFn) -> bool:
     """True when every hidden load is a compile-time constant (see
     :func:`_constant_load`) or misses on a probe placeholder.  The event
     kernel runs an impure seq process on every edge, so it sees a rebound
     attribute at once; a wake slot may stand in for one only then."""
-    for (_oid, attr), (_text, owner) in closure.hidden_loads.items():
+    for (_oid, attr), (_text, owner) in res.hidden_loads.items():
         try:
             value = getattr(owner, attr, _MISSING)
         except Exception:
@@ -143,6 +150,92 @@ def hidden_loads_constant(closure: ProcClosure) -> bool:
         if not _constant_load(owner, value):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where the compiled backend runs one process (see :func:`place`)."""
+
+    #: "absorbed" | "slot" | "tracked" | "sweep" | "edge"
+    kind: str
+    #: a static slot's wake set
+    wake: list = field(default_factory=list)
+    #: why the process has no static slot ("" for a slot or absorbed)
+    reason: str = ""
+
+
+def _unprovable(res: ResolvedFn) -> str:
+    """Why ``res`` has no static wake set (:func:`slot_reads` is None)."""
+    if res.parse_failed:
+        return "source unavailable to the AST pass"
+    if res.unknown_calls:
+        return "calls the front end cannot see through"
+    if res.opaque_reads:
+        return "reads the front end cannot enumerate"
+    return "hidden inputs are late-bound, unset at elaboration"
+
+
+def _dormancy_blocker(res: ResolvedFn, pure: bool) -> str:
+    """Why a proven seq process may not sleep in a wake slot, or "".
+
+    Dormancy is sound when re-running the process on unchanged signals
+    restages the same values: every write is known and no hidden state is
+    stored.  An impure process must also write no signal with ``set()``
+    and load only hidden state that cannot change; a declared-pure one
+    keeps the event kernel's wider dormancy contract.
+    """
+    if not res.write_complete:
+        return "writes the front end cannot enumerate"
+    if res.hidden_stores:
+        stored = sorted({f"{type(owner).__name__}.{attr}"
+                         for (_oid, attr), owner in res.hidden_stores.items()})
+        return f"stores hidden state {', '.join(stored)}"
+    if res.nonlocal_stores:
+        return f"rebinds {', '.join(sorted(res.nonlocal_stores))}"
+    if pure:
+        return ""
+    if res.set_targets:
+        return "writes signals with set()"
+    if not hidden_loads_constant(res):
+        return "loads hidden state that can change"
+    return ""
+
+
+def place(resolve: Callable[[], ResolvedFn], *, seq: bool,
+          managed: Container[Signal], always: bool = False,
+          pure: bool = False, absorbed: bool = False) -> Placement:
+    """Where the compiled backend runs one process, and why.
+
+    ``resolve`` yields the process's :class:`ResolvedFn`.  It is called
+    only when the decision needs it — never for an absorbed or
+    ``always=True`` process — and an exception from it counts as an
+    unprovable closure.  ``managed`` holds the signals whose changes reach
+    the simulator's pending list; a flag cannot carry a wake set holding
+    any other signal.
+    """
+    if absorbed:
+        return Placement("absorbed")
+    if always:
+        return Placement("sweep", reason="declared always=True")
+    fallback = "edge" if seq and not pure else "tracked"
+    try:
+        res = resolve()
+    except Exception:
+        return Placement(fallback, reason="closure resolution failed")
+    wake = slot_reads(res)
+    if wake is None:
+        return Placement(fallback, reason=_unprovable(res))
+    if any(sig not in managed for sig in wake):
+        return Placement(fallback,
+                         reason="reads signals this simulator does not manage")
+    reason = _dormancy_blocker(res, pure) if seq else ""
+    if reason:
+        return Placement(fallback, reason=reason)
+    if not seq and not wake and res.set_targets:
+        # the event kernel runs a writer with no tracked read every sweep
+        return Placement("sweep",
+                         reason="writes signals but reads hidden inputs only")
+    return Placement("slot", wake)
 
 
 # -- the translator -----------------------------------------------------------

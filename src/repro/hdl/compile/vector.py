@@ -1,12 +1,11 @@
 """Vectorized-executor discovery for the compiled backend.
 
 A component opts its SIMD-regular substructure into the numpy path by
-publishing a ``__compile_vector__()`` method.  Called once at compile
-time, it returns an *executor* (or ``None`` to decline) that absorbs a
-set of interpreted processes and replaces them with array operations:
+publishing a ``__compile_vector__()`` method.  Every process in that
+component's subtree is *absorbed* (:func:`absorbed_procs`): the code
+generator drops it from the sweep/edge plans, and the executor the hook
+returns, called once at compile time, replaces it with array operations:
 
-* ``absorbed`` — iterable of the process functions the executor replaces;
-  the code generator drops them from the sweep/edge plans entirely.
 * ``settle()`` — recompute the combinational outputs derived from the
   vector state, returning True when work was done.  Implementations
   epoch-guard this so repeated sweeps of one settle cost nothing.
@@ -17,6 +16,11 @@ set of interpreted processes and replaces them with array operations:
 * ``on_reset()`` — restore power-on state (called from
   :meth:`CompiledSimulator.reset` after the component reset hooks).
 * ``n_cells`` — element count, reported in ``KernelStats.vectorized_cells``.
+
+Absorption is decided from the component tree alone, so the
+``compile.fallback`` lint rule shares it without calling a hook (a hook
+may redirect live state: a structural smart array's reads go through its
+executor's vectors from then on).
 
 The concrete executors live next to the structures they vectorize (every
 smart-memory array publishes the kit's in :mod:`repro.smem.array`); this
@@ -30,7 +34,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from ..component import Component
 
-__all__ = ["VectorExecutor", "collect_executors"]
+__all__ = ["VectorExecutor", "absorbed_procs", "collect_executors"]
 
 
 @runtime_checkable
@@ -38,9 +42,6 @@ class VectorExecutor(Protocol):
     """Structural contract for compiled-backend vector executors."""
 
     n_cells: int
-
-    @property
-    def absorbed(self) -> Any: ...
 
     def settle(self) -> bool: ...
 
@@ -51,22 +52,19 @@ class VectorExecutor(Protocol):
     def on_reset(self) -> None: ...
 
 
-def collect_executors(top: Component) -> tuple[list, set]:
-    """Walk the hierarchy, instantiate executors, collect absorbed procs.
+def _vector_roots(top: Component) -> list[Component]:
+    """The components under ``top`` publishing ``__compile_vector__``."""
+    return [comp for comp in top.walk()
+            if getattr(comp, "__compile_vector__", None) is not None]
 
-    Returns ``(executors, absorbed_fn_ids)``; a component without the
-    hook — or whose hook declines by returning ``None`` — stays on the
-    interpreted/specialized scalar path.
-    """
-    executors: list = []
-    absorbed: set = set()
-    for comp in top.walk():
-        hook = getattr(comp, "__compile_vector__", None)
-        if hook is None:
-            continue
-        ex = hook()
-        if ex is None:
-            continue
-        executors.append(ex)
-        absorbed.update(id(fn) for fn in ex.absorbed)
-    return executors, absorbed
+
+def absorbed_procs(top: Component) -> set[int]:
+    """``id`` of every process a vector executor replaces: all processes in
+    the subtree of a component publishing ``__compile_vector__``."""
+    return {id(fn) for root in _vector_roots(top) for comp in root.walk()
+            for fn in (*comp.comb_procs, *comp.seq_procs)}
+
+
+def collect_executors(top: Component) -> list:
+    """Instantiate the executor of every component publishing the hook."""
+    return [getattr(root, "__compile_vector__")() for root in _vector_roots(top)]

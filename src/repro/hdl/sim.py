@@ -192,13 +192,16 @@ class KernelStats:
     skipped_cycles: int = 0
     #: number of time-wheel jumps taken
     wheel_jumps: int = 0
-    #: processes the codegen backend runs from a static wake slot, translated
-    #: or called, plus absorbed ones (compiled backend only; 0 under the
-    #: interpreted kernels)
+    #: processes the codegen backend runs from a static wake slot, plus
+    #: the ones vectorized executors absorb (compiled backend only; 0
+    #: under the interpreted kernels)
     compiled_procs: int = 0
-    #: processes the compiled backend runs interpreted: comb processes
-    #: from read-tracked wake slots (no provable closure) or on every sweep
-    #: (``always=True``), and unprovable sequential processes
+    #: processes the compiled backend places outside a static slot (see
+    #: ``frontend.place``): read-tracked slots, every sweep (``always=True``
+    #: or hidden inputs only) and every edge (impure sequential processes
+    #: that are unprovable, store hidden state, write with ``set()`` or
+    #: load hidden state that can change) — one ``compile.fallback``
+    #: finding each
     fallback_procs: int = 0
     #: processes the compiled backend runs as specialized code (every
     #: parseable body outside a read-tracked slot); 0 elsewhere

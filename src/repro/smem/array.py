@@ -35,10 +35,11 @@ from it.  The bases read every unit-specific piece off ``self.spec``:
   real command is on the bus.  Implementers whose NOP is not state-free
   must not use this kit;
 * **__compile_vector__ obligation** — satisfied here: both base classes
-  publish a :class:`SmartArrayExecutor` that absorbs the column's
-  interpreted processes into per-cycle array operations under the compiled
-  backend (:mod:`repro.hdl.compile.vector`), including seeding from and
-  redirecting the live per-cell registers of a structural array.
+  publish a :class:`SmartArrayExecutor` that replaces every process in the
+  array's subtree (the column's interpreted processes, which the compiled
+  backend absorbs, :mod:`repro.hdl.compile.vector`) with per-cycle array
+  operations, including seeding from and redirecting the live per-cell
+  registers of a structural array.
 """
 
 from __future__ import annotations
@@ -174,8 +175,6 @@ class SmartCell(Component):
             if ns is not self._state.value:
                 self._state.nxt = ns
 
-        self._tick_fn = _tick
-
     def _next_state(self):
         st = self._state.value
         cmd = self.cmd.value
@@ -207,17 +206,12 @@ class SmartArrayExecutor:
     stale.
     """
 
-    def __init__(self, owner: "SmartArray", absorbed):
+    def __init__(self, owner: "SmartArray"):
         self.owner = owner
         self.vec = owner.vec
-        self._absorbed = list(absorbed)
         self.n_cells = owner.n_cells
         self._dirty = True
         owner._vec_executor = self
-
-    @property
-    def absorbed(self):
-        return self._absorbed
 
     def settle(self) -> bool:
         if not self._dirty:
@@ -300,7 +294,6 @@ class SmartArray(Component):
         self.mask = (1 << word_bits) - 1
         #: optional repro.faults.ArrayGuard (see attach_guard)
         self._guard = None
-        self._guard_procs: list = []
         #: set by SmartArrayExecutor when the compiled backend owns the column
         self._vec_executor: Optional[SmartArrayExecutor] = None
         #: the NumPy column (a structural array gets one once vectorized)
@@ -342,7 +335,6 @@ class SmartArray(Component):
         def _guard_fold() -> None:
             guard.pre_fold()
 
-        self._guard_procs.append(_guard_fold)
         _suppress_guard_lint(self)
 
     # -- inspection / checkpointing -------------------------------------------------
@@ -402,9 +394,6 @@ class VectorSmartArray(SmartArray):
             if cmd != self.NOP_CMD:
                 self._apply_command(cmd, _TRACKED)
 
-        self._tree_fn = _tree_outputs
-        self._apply_fn = _apply
-
         # A NOP edge leaves the NumPy state untouched, so idle cycles are
         # freely skippable; any real command vetoes.  This hook also keeps
         # the always=True tree fold covered on the fast-forward path: the
@@ -419,9 +408,7 @@ class VectorSmartArray(SmartArray):
             self.vec.clear()
 
     def __compile_vector__(self) -> SmartArrayExecutor:
-        return SmartArrayExecutor(
-            self, [self._tree_fn, self._apply_fn] + self._guard_procs
-        )
+        return SmartArrayExecutor(self)
 
 
 class StructuralSmartArray(SmartArray):
@@ -443,8 +430,6 @@ class StructuralSmartArray(SmartArray):
         def _tree_outputs() -> None:
             self.spec.cell_fold(self, self.states())
 
-        self._tree_fn = _tree_outputs
-
     def _make_cells(self) -> list[SmartCell]:
         wires = ("cmd",) + tuple(port for port, _ in self.spec.buses)
         cells: list[SmartCell] = []
@@ -465,10 +450,7 @@ class StructuralSmartArray(SmartArray):
         vec = self._make_vectors()
         vec.load([c._state.value for c in self.cells])
         self.vec = vec
-        absorbed = (
-            [self._tree_fn] + [c._tick_fn for c in self.cells] + self._guard_procs
-        )
-        return SmartArrayExecutor(self, absorbed)
+        return SmartArrayExecutor(self)
 
     def attach_guard(self, guard: Any) -> None:
         """Wire a guard; see :meth:`SmartArray.attach_guard`.
@@ -489,4 +471,3 @@ class StructuralSmartArray(SmartArray):
             lambda: 0 if self.cmd.value != self.NOP_CMD else None,
             lambda n: None,
         )
-        self._guard_procs.append(_guard_apply)

@@ -39,9 +39,11 @@ The obligations
 
 5. **``__compile_vector__``.**  Both array shapes publish a
    :class:`~repro.smem.array.SmartArrayExecutor` satisfying
-   :class:`repro.hdl.compile.vector.VectorExecutor`, absorbing the
-   column's interpreted processes so the compiled backend runs the whole
-   array as a handful of NumPy operations per cycle — with zero
+   :class:`repro.hdl.compile.vector.VectorExecutor`.  The compiled backend
+   absorbs every process in the array's subtree
+   (:func:`repro.hdl.compile.vector.absorbed_procs`) — the column's
+   interpreted processes, which the executor replaces — so it runs the
+   whole array as a handful of NumPy operations per cycle, with zero
    interpreted fallbacks on a bare core (controller included).
 
 6. **Width.**  Data words are at most 64 bits wide, the widest NumPy
@@ -66,7 +68,7 @@ def verify_array_contract(array) -> list[str]:
     # Imported here, not at module top: repro.hdl.compile transitively
     # imports repro.analysis (and through it repro.xisort), which itself
     # loads this package — a cycle at import time, fine at call time.
-    from ..hdl.compile.vector import VectorExecutor
+    from ..hdl.compile.vector import VectorExecutor, absorbed_procs
 
     problems: list[str] = []
     if not isinstance(array, (VectorSmartArray, StructuralSmartArray)):
@@ -115,8 +117,8 @@ def verify_array_contract(array) -> list[str]:
         problems.append(
             f"executor covers {executor.n_cells} cells, array has {array.n_cells}"
         )
-    if not executor.absorbed:
-        problems.append("executor absorbs no processes")
+    if not absorbed_procs(array):
+        problems.append("the array's subtree holds no process to absorb")
 
     # obligation 1/3: vector state exposes the required inspection surface
     vec = executor.vec
