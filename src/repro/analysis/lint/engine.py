@@ -11,8 +11,10 @@ the findings through the per-component suppressions declared with
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
+from ...hdl import buildcache
 from ...hdl.component import Component
 from .diagnostics import Diagnostic, LintReport, Severity, Suppression
 from .model import DesignInfo, build_design
@@ -168,10 +170,21 @@ class Linter:
         :class:`~repro.hdl.sim.Simulator` (lints its top, merging discovered
         dependencies), or any object exposing ``.soc``/``.sim`` the way the
         system builder's products do.
+
+        A design is analysed once per process: the report is kept in the
+        build cache (:mod:`repro.hdl.buildcache`), keyed on the design, the
+        simulator's view of it, the rule selection and ``probe``.  Each
+        call returns its own copy.
         """
         top, sim = _resolve_target(target, sim)
-        design = build_design(top, sim=sim, probe=self.probe)
-        return self.lint_design(design)
+        key = buildcache.design_key(top, _kernel_view(sim), self.rules, self.probe)
+        report = buildcache.cached(
+            "lint", key,
+            lambda: self.lint_design(build_design(top, sim=sim, probe=self.probe)),
+            sim)
+        # the stored report is shared by every hit: hand out fresh lists
+        return replace(report, diagnostics=list(report.diagnostics),
+                       suppressed=list(report.suppressed))
 
     def lint_design(self, design: DesignInfo) -> LintReport:
         report = LintReport(design=design.top.path,
@@ -188,6 +201,15 @@ class Linter:
             key=lambda d: (-d.severity.rank, d.rule_id, d.component, d.signal or "")
         )
         return report
+
+
+def _kernel_view(sim: Optional[Any]) -> Optional[tuple]:
+    """What a report may take from ``sim`` besides the design: its class,
+    wheel setting and the dependency sets its scheduler discovered."""
+    if sim is None:
+        return None
+    info = sim.discovered_dependencies()
+    return (type(sim), sim.wheel, info["discovered"], info["comb"], info["seq"])
 
 
 def _resolve_target(target: Any, sim: Optional[Any]) -> tuple[Component, Any]:

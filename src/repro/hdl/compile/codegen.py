@@ -36,8 +36,9 @@ module contains four functions:
 * ``_scan_seq()`` — True when any *non-wheeled* sequential slot's flag
   is up; the engine's time-wheel scan vetoes jumps on it.
 
-The module is ``exec``-compiled once per system into a namespace holding
-the specialized bodies (``_pN``, ``_eN`` and the ``_ALW`` entries, built by
+The module is compiled once per design (the build cache keeps its code
+object) and ``exec``'d once per system into a namespace holding the
+specialized bodies (``_pN``, ``_eN`` and the ``_ALW`` entries, built by
 :class:`~.frontend.Specializer`), called functions and a handful of
 kernel internals (``_CH`` the change tracker, ``_U`` the unset sentinel,
 ``_SL`` the staged-register list, ``_CHG`` the simulator's pending list).
@@ -128,12 +129,15 @@ def generate(
     seq: list[Plan],
     executors: list,
     namespace: dict,
+    code: dict,
 ) -> GeneratedModule:
     """Emit, compile and wire the dispatching module.
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL`` and
     ``_CHG``; specialized bodies, called functions, executor methods and
-    the tracked plans' slot runners are installed here.
+    the tracked plans' slot runners are installed here.  ``code`` maps a
+    dispatch source to its code object: a source compiled before is
+    exec'd again without compiling, and the dict keeps only the last one.
     """
     out: list[str] = []
     emit = out.append
@@ -304,8 +308,10 @@ def generate(
         namespace[f"_x{k}_edge"] = ex.edge
 
     source = "\n".join(out)
-    code = compile(source, "<repro.hdl.compile>", "exec")
-    exec(code, namespace)
+    if source not in code:
+        code.clear()
+        code[source] = compile(source, "<repro.hdl.compile>", "exec")
+    exec(code[source], namespace)
     return GeneratedModule(
         source="\n".join(out + _listing(calls)),
         sweep=namespace["_sweep"],

@@ -35,13 +35,15 @@ kernel.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
+from .. import buildcache
 from .. import signal as _signal_mod
 from ..component import Component
 from ..errors import CombinationalLoopError
-from ..signal import CHANGES
+from ..signal import CHANGES, Signal
 from ..sim import MAX_SETTLE_ITERATIONS, Simulator
 from ...analysis.lint import astpass
 from ...analysis.lint.astpass import ResolvedFn
@@ -104,6 +106,20 @@ class _Tracked:
         return 1
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What the build cache keeps of one design for the compiled backend:
+    every signal is an index into the design's ``all_signals()``."""
+
+    #: per comb process, then per seq process: (placement kind, wake set)
+    comb: tuple
+    seq: tuple
+    #: per comb process: its topological depth (see ``_ranks``)
+    ranks: tuple
+    #: dispatch source → its code object (see :func:`.codegen.generate`)
+    code: dict
+
+
 class CompiledSimulator(Simulator):
     """Graph-specialized codegen backend (see :mod:`repro.hdl.compile`)."""
 
@@ -133,12 +149,18 @@ class CompiledSimulator(Simulator):
 
     def _compile(self) -> None:
         top = self.top
+        # the key reduces the design as elaborated, before an executor
+        # hook may redirect live state
+        key = buildcache.design_key(top, type(self), self.wheel)
         self._executors = executors = collect_executors(top)
         absorbed = absorbed_procs(top)
-        managed = set(top.all_signals())
+        signals = list(dict.fromkeys(top.all_signals()))
         #: id(fn) -> the resolution each process was placed on; lint reads
-        #: these back (``discovered_dependencies``) instead of resolving again
+        #: these back (``discovered_dependencies``) instead of resolving
+        #: again.  Empty when the layout came from the build cache.
         self._resolved: dict[int, ResolvedFn] = {}
+        layout = buildcache.cached(
+            "compile", key, partial(self._layout, signals, absorbed), self)
         spec = Specializer(
             self._changed, self._staged_regs,
             [p.fn for p in (*self._procs, *self._seqprocs)
@@ -146,15 +168,12 @@ class CompiledSimulator(Simulator):
 
         comb_plans: list[Plan] = []
         for i, p in enumerate(self._procs):
-            self._plan(comb_plans, i, p, False, spec, place(
-                partial(self._resolve, p.fn), seq=False, always=p.always,
-                absorbed=id(p.fn) in absorbed, managed=managed))
-        self._rank_plans(comb_plans)
+            self._plan(comb_plans, i, p, False, spec, layout.comb[i], signals)
+        for pl in comb_plans:
+            pl.rank = layout.ranks[pl.index]
         seq_plans: list[Plan] = []
         for j, sp in enumerate(self._seqprocs):
-            self._plan(seq_plans, j, sp, True, spec, place(
-                partial(self._resolve, sp.fn), seq=True, pure=sp.pure,
-                absorbed=id(sp.fn) in absorbed, managed=managed))
+            self._plan(seq_plans, j, sp, True, spec, layout.seq[j], signals)
 
         namespace: dict = {
             "_CH": CHANGES,
@@ -163,7 +182,7 @@ class CompiledSimulator(Simulator):
             "_CHG": self._changed,
         }
         module: GeneratedModule = generate(
-            comb_plans, seq_plans, executors, namespace)
+            comb_plans, seq_plans, executors, namespace, layout.code)
         tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
         for tc, pl in zip(self._tracked, tracked):
             tc.slot = pl.slot
@@ -200,56 +219,80 @@ class CompiledSimulator(Simulator):
         stats.masks_elided = spec.stats["masks_elided"]
         stats.branches_folded = spec.stats["branches_folded"]
 
+    def _layout(self, signals: list[Signal], absorbed: set[int]) -> _Layout:
+        """Place every process and rank the comb slots: what a build-cache
+        miss computes (see :mod:`repro.hdl.buildcache`)."""
+        index = {sig: k for k, sig in enumerate(signals)}
+        comb = [place(partial(self._resolve, p.fn), seq=False, always=p.always,
+                      absorbed=id(p.fn) in absorbed, managed=index)
+                for p in self._procs]
+        seq = [place(partial(self._resolve, sp.fn), seq=True, pure=sp.pure,
+                     absorbed=id(sp.fn) in absorbed, managed=index)
+               for sp in self._seqprocs]
+
+        def site(where: Placement) -> tuple[str, tuple[int, ...]]:
+            return where.kind, tuple(index[sig] for sig in where.wake)
+
+        return _Layout(comb=tuple(map(site, comb)), seq=tuple(map(site, seq)),
+                       ranks=self._ranks(comb), code={})
+
     def _resolve(self, fn: Callable[[], None]) -> ResolvedFn:
         res = self._resolved[id(fn)] = astpass.resolve(fn)
         return res
 
     def _plan(self, plans: list, index: int, proc: Any, seq: bool,
-              spec: Specializer, where: Placement) -> None:
-        """Append the plan for ``proc``'s placement; an absorbed process
-        gets none.  A read-tracked slot also gets its engine helper."""
-        if where.kind == "absorbed":
+              spec: Specializer, site: tuple[str, tuple[int, ...]],
+              signals: list[Signal]) -> None:
+        """Append the plan for ``proc``'s placement, its wake set bound to
+        this design's ``signals``; an absorbed process gets none.  A
+        read-tracked slot also gets its engine helper."""
+        kind, wake = site
+        if kind == "absorbed":
             return
-        if where.kind == "tracked":
+        if kind == "tracked":
             tc = _Tracked(proc.fn, seq, proc.wheeled, self._track)
             self._tracked.append(tc)
             plans.append(Plan(fn=proc.fn, index=index, kind="tracked",
                               wheeled=proc.wheeled, run=tc.run))
             return
-        plans.append(Plan(fn=proc.fn, index=index, kind=where.kind,
-                          wheeled=proc.wheeled, wake=where.wake,
+        plans.append(Plan(fn=proc.fn, index=index, kind=kind,
+                          wheeled=proc.wheeled,
+                          wake=[signals[k] for k in wake],
                           spec=spec.specialize(proc.fn)))
 
-    def _rank_plans(self, plans: list) -> None:
-        """Topological depths over the proven writer→reader graph.
+    def _ranks(self, comb: list[Placement]) -> tuple[int, ...]:
+        """Topological depth of each comb process over the proven
+        writer→reader graph (0 outside a static slot).
 
         Same saturation scheme as the event kernel's ``_rank_procs``:
         ranks are a sweep-ordering hint, correctness comes from running to
         fixpoint, and cycles simply saturate.  Read-tracked and every-sweep
         plans have no proven closure and run after the ranked section.
         """
-        ranked = [(pl, self._resolved[id(pl.fn)]) for pl in plans
-                  if pl.kind == "slot"]
+        ranked = [(i, self._resolved[id(self._procs[i].fn)])
+                  for i, where in enumerate(comb) if where.kind == "slot"]
         writers: dict = {}
-        for pl, res in ranked:
+        for i, res in ranked:
             for sig in res.set_targets:
-                writers.setdefault(sig, []).append(pl)
+                writers.setdefault(sig, []).append(i)
+        rank = [0] * len(comb)
         n = len(ranked)
         for _ in range(n):
             moved = False
-            for pl, res in ranked:
+            for i, res in ranked:
                 r = 0
                 for sig in res.signal_reads:
                     for w in writers.get(sig, ()):
-                        if w is not pl and w.rank >= r:
-                            r = w.rank + 1
+                        if w != i and rank[w] >= r:
+                            r = rank[w] + 1
                 if r > n:
                     r = n
-                if r != pl.rank:
-                    pl.rank = r
+                if r != rank[i]:
+                    rank[i] = r
                     moved = True
             if not moved:
                 break
+        return tuple(rank)
 
     # -- settle phase ----------------------------------------------------------
 
@@ -408,7 +451,8 @@ class CompiledSimulator(Simulator):
         Dependence information lives in the front end's resolutions
         (read-tracked slots discover theirs one run at a time);
         ``discovered: False`` tells lint to rely on the AST pass, and
-        ``resolved`` hands it the resolution each process was placed on.
+        ``resolved`` hands it the resolution each process was placed on
+        (none when the layout came from the build cache).
         """
         return {"comb": [], "seq": [], "discovered": False,
                 "resolved": self._resolved}

@@ -310,6 +310,10 @@ class Simulator:
         self._staged_regs: list[Reg] = []
         self._needs_discovery = True
         self.kernel_stats = KernelStats()
+        #: what the build cache did for this design, by consumer
+        #: ("compile", "lint") → "hit" | "miss" | "uncacheable"
+        #: (see :mod:`repro.hdl.buildcache`)
+        self.build_cache: dict[str, str] = {}
         self._elaborate()
 
     # -- elaboration -------------------------------------------------------------

@@ -8,7 +8,7 @@ system and every shipped example:
 * each ``compile.fallback`` finding names a process the compiled backend
   runs outside a static slot, with the same plan, and the finding count
   equals ``KernelStats.fallback_procs``;
-* a build resolves each process at most once, lint included;
+* a cold build resolves each process at most once, lint included;
 * the lint report of a compiled build, which reuses the backend's
   resolutions, equals the report of the event build of the same design.
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import Linter, astpass
-from repro.hdl import Simulator
+from repro.hdl import Simulator, buildcache
 from repro.messages.channel import PRESETS
 from repro.system import build_system
 
@@ -107,6 +107,7 @@ def test_fallback_findings_are_the_compiled_fallbacks(build):
 @pytest.mark.parametrize("backend", ["event", "compiled"])
 def test_each_process_resolved_once_per_build(backend, monkeypatch):
     build_system(backend=backend)  # warm: templates and summaries cached
+    buildcache.clear()  # but the design's analysis is not: a cold build
     calls: Counter = Counter()
     resolve = astpass.resolve
 
