@@ -126,6 +126,8 @@ class FnSummary:
     """Symbolic summary of one process function body (per code object)."""
 
     reads: set = field(default_factory=set)  # chains read via .value/.bit/.bits
+    #: chains read through ``Reg.nxt``, which read tracking never sees
+    staged_reads: set = field(default_factory=set)
     uses: set = field(default_factory=set)  # bare chains (signal iff resolves to one)
     calls: set = field(default_factory=set)  # (chain, args_taint, arg_aliases)
     writes: list = field(default_factory=list)  # [WriteSite]
@@ -399,7 +401,7 @@ class _Analyzer:
             if last == ("a", "nxt"):
                 # reading .nxt reads the register's staged/held value
                 prefix = chain2[:-1]
-                self.s.reads.add(prefix)
+                self.s.staged_reads.add(prefix)
                 return frozenset({("sig", prefix)})
             self.s.attr_loads.add(chain2)
             self.s.uses.add(chain2)
@@ -501,7 +503,9 @@ class _Analyzer:
             if chain is not None:
                 if chain[-1] in (("a", "value"), ("a", "nxt")):
                     prefix = chain[:-1]
-                    self.s.reads.add(prefix)  # an actual value, read then compared
+                    # an actual value, read then compared
+                    (self.s.reads if chain[-1][1] == "value"
+                     else self.s.staged_reads).add(prefix)
                     return frozenset({("sig", prefix)})
                 if chain[-1][0] == "a":
                     self.s.attr_loads.add(chain)
@@ -701,7 +705,7 @@ class _Analyzer:
                 chain2 = self._chain_of(target)
                 if chain2 is not None:
                     if chain2[-1] == ("a", "nxt"):
-                        self.s.reads.add(chain2[:-1])
+                        self.s.staged_reads.add(chain2[:-1])
                         self._write("stage", chain2[:-1], taint,
                                     getattr(target, "lineno", 0),
                                     expr=self._aug_expr(
@@ -908,9 +912,16 @@ class ResolvedFn:
     """
 
     signal_reads: set = field(default_factory=set)  # Signal objects
+    #: the part of ``signal_reads`` a run can record under read tracking:
+    #: every signal but those read only through ``Reg.nxt``
+    tracked_reads: set = field(default_factory=set)
     writes: list = field(default_factory=list)  # [ResolvedWrite]
     #: (id(owner), attr) → (dotted source text, owner): hidden-attribute loads
     hidden_loads: dict = field(default_factory=dict)
+    #: keys of the ``hidden_loads`` whose owner is only ever a signal's
+    #: current value, sampled at resolution (a parameter bound to
+    #: ``sig.value``): what it holds at run time is a read of that signal
+    sampled_loads: set = field(default_factory=set)
     #: (id(owner), attr) → owner: attribute stores / container mutations
     hidden_stores: dict = field(default_factory=dict)
     nonlocal_stores: set = field(default_factory=set)
@@ -1154,9 +1165,17 @@ class _Resolver:
     def __init__(self) -> None:
         self.out = ResolvedFn()
         self._seen: set = set()
+        #: hidden-load keys met through a sampled signal value, and through
+        #: anything else
+        self._sampled: set = set()
+        self._structural: set = set()
 
     def run(self, fn: Callable[..., Any], depth: int = 0,
-            bindings: Optional[dict] = None) -> ResolvedFn:
+            bindings: Optional[dict] = None,
+            sampled: frozenset = frozenset()) -> ResolvedFn:
+        """Resolve ``fn`` into ``self.out``; ``bindings`` are caller-resolved
+        arguments, ``sampled`` the names among them bound to a signal's
+        current value."""
         summary = summarize(fn)
         if summary.parse_failed:
             self.out.parse_failed = True
@@ -1165,6 +1184,7 @@ class _Resolver:
             fn.__code__,
             id(getattr(fn, "__self__", None)),
             tuple(sorted((n, id(v)) for n, v in (bindings or {}).items())),
+            sampled,
         )
         if key in self._seen:
             return self.out
@@ -1184,14 +1204,17 @@ class _Resolver:
             out.opaque_writes = True
         out.nonlocal_stores.update(summary.nonlocal_stores)
 
-        for chain in summary.reads:
+        for chain in summary.reads | summary.staged_reads:
             objs = _resolve_chain(chain, env)
             if objs is None:
                 out.opaque_reads = True
                 continue
+            tracked = chain in summary.reads
             for obj in objs:
                 if isinstance(obj, Signal):
                     out.signal_reads.add(obj)
+                    if tracked:
+                        out.tracked_reads.add(obj)
 
         for chain in summary.uses:
             objs = _resolve_chain(chain, env)
@@ -1200,6 +1223,7 @@ class _Resolver:
             for obj in objs:
                 if isinstance(obj, Signal):
                     out.signal_reads.add(obj)
+                    out.tracked_reads.add(obj)
 
         for chain in summary.attr_loads:
             if len(chain) < 2 or chain[-1][0] != "a":
@@ -1208,11 +1232,14 @@ class _Resolver:
             if objs is None:
                 continue
             attr = chain[-1][1]
+            met = (self._sampled if _sampled_chain(chain[:-1], env, sampled)
+                   else self._structural)
             for owner in objs:
                 val = _safe_getattr(owner, attr)
                 if isinstance(val, (Signal, Stream)) or callable(val):
                     continue
                 out.hidden_loads[(id(owner), attr)] = (_chain_text(chain), owner)
+                met.add((id(owner), attr))
 
         for chain in summary.attr_stores:
             if len(chain) < 2:
@@ -1237,7 +1264,8 @@ class _Resolver:
                 out.branches.append((line, rexpr))
 
         for chain, args_taint, arg_aliases in summary.calls:
-            self._resolve_call(chain, args_taint, arg_aliases, env, depth)
+            self._resolve_call(chain, args_taint, arg_aliases, env, depth,
+                               sampled)
         return self.out
 
     # -- pieces ---------------------------------------------------------------
@@ -1279,7 +1307,7 @@ class _Resolver:
 
     def _resolve_call(self, chain: Chain, args_taint: Taint,
                       arg_aliases: tuple, env: dict[str, Any],
-                      depth: int) -> None:
+                      depth: int, sampled: frozenset) -> None:
         out = self.out
         objs = _resolve_chain(chain, env)
         if objs is None:
@@ -1301,12 +1329,13 @@ class _Resolver:
                 owner = obj.__self__
                 if isinstance(owner, Stream) and obj.__name__ == "fires":
                     out.streams_fired.add(owner)
-                    out.signal_reads.add(owner.valid)
-                    out.signal_reads.add(owner.ready)
+                    for sig in (owner.valid, owner.ready):
+                        out.signal_reads.add(sig)
+                        out.tracked_reads.add(sig)
                     continue
-                self._inline(obj, arg_aliases, env, depth)
+                self._inline(obj, arg_aliases, env, depth, sampled)
             elif isinstance(obj, (types.FunctionType,)):
-                self._inline(obj, arg_aliases, env, depth)
+                self._inline(obj, arg_aliases, env, depth, sampled)
             elif isinstance(obj, type) or isinstance(obj, types.BuiltinFunctionType):
                 # constructors (dataclasses, exceptions) and builtin/container
                 # methods neither read nor write simulation signals
@@ -1315,15 +1344,32 @@ class _Resolver:
                 out.unknown_calls = True
 
     def _inline(self, obj: Any, arg_aliases: tuple, env: dict[str, Any],
-                depth: int) -> None:
+                depth: int, sampled: frozenset) -> None:
         if depth >= _MAX_INLINE_DEPTH:
             self.out.unknown_calls = True
             return
+        names = self._param_names(obj)
+        values = frozenset(
+            name for name, alias in zip(names, arg_aliases)
+            if alias is not None and _sampled_chain(alias, env, sampled))
         for bindings in self._param_bindings(obj, arg_aliases, env):
-            self.run(obj, depth + 1, bindings=bindings)
+            self.run(obj, depth + 1, bindings=bindings,
+                     sampled=values.intersection(bindings or ()))
 
     @staticmethod
-    def _param_bindings(obj: Any, arg_aliases: tuple,
+    def _param_names(obj: Any) -> list:
+        """The positional parameters a call's arguments bind, in order."""
+        fn = obj.__func__ if isinstance(obj, types.MethodType) else obj
+        code = getattr(fn, "__code__", None)
+        if code is None:
+            return []
+        params = list(code.co_varnames[: code.co_argcount])
+        if isinstance(obj, types.MethodType) and params:
+            params = params[1:]  # `self` comes from the bound receiver
+        return params
+
+    @classmethod
+    def _param_bindings(cls, obj: Any, arg_aliases: tuple,
                         env: dict[str, Any]) -> list:
         """Caller-side argument bindings for inlining ``obj``.
 
@@ -1334,14 +1380,10 @@ class _Resolver:
         binding set per candidate object, capped small.
         """
         fn = obj.__func__ if isinstance(obj, types.MethodType) else obj
-        code = getattr(fn, "__code__", None)
-        if code is None or not arg_aliases:
+        if getattr(fn, "__code__", None) is None or not arg_aliases:
             return [None]
-        params = list(code.co_varnames[: code.co_argcount])
-        if isinstance(obj, types.MethodType) and params:
-            params = params[1:]  # `self` comes from the bound receiver
         combos: list[dict] = [{}]
-        for name, alias in zip(params, arg_aliases):
+        for name, alias in zip(cls._param_names(obj), arg_aliases):
             if alias is None:
                 continue
             cands = _resolve_chain(alias, env)
@@ -1422,7 +1464,25 @@ def resolve(fn: Callable[..., Any]) -> ResolvedFn:
     from ...hdl import signal as _signal_mod
 
     with _signal_mod.tracking(None, None):
-        return _Resolver().run(fn)
+        resolver = _Resolver()
+        out = resolver.run(fn)
+    out.sampled_loads = resolver._sampled - resolver._structural
+    return out
+
+
+def _sampled_chain(chain: Chain, env: dict[str, Any],
+                   sampled: frozenset) -> bool:
+    """True when ``chain`` addresses a signal's current value: its root is
+    a ``sampled`` name, or it steps through ``.value``/``.nxt`` of a
+    signal."""
+    if chain and chain[0][0] == "r" and chain[0][1] in sampled:
+        return True
+    for k, step in enumerate(chain):
+        if k and step in (("a", "value"), ("a", "nxt")):
+            objs = _resolve_chain(chain[:k], env)
+            if objs and all(isinstance(o, Signal) for o in objs):
+                return True
+    return False
 
 
 def is_reg(sig: Signal) -> bool:

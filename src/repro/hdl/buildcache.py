@@ -42,6 +42,8 @@ the reduction is exact and cycle-safe:
 * any other object is its class plus its slots and its instance
   attributes, sorted by name (read without touching ``__dict__`` where
   that would slow the object down, see :func:`_attributes`);
+* a :class:`~repro.hdl.sim.SimClock` is one atom: it reads a simulator's
+  cycle count, which no set-up analysis depends on;
 * an object met a second time is a back-reference, so sharing and cycles
   are part of the key.
 
@@ -81,10 +83,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from .signal import Reg, Signal
-from .sim import Simulator
+from .sim import SimClock, Simulator
 
 __all__ = ["BOUND", "MAX_ATOMS", "CacheStats", "DesignKey", "cached", "clear",
-           "design_key", "stats"]
+           "design_key", "instance_attribute", "stats"]
 
 T = TypeVar("T")
 
@@ -128,6 +130,7 @@ class _Tag:
         "ident", "array", "dtype", "native", "object"))
 
 _ABSENT = _Tag("absent")
+_CLOCK = _Tag("clock")
 
 #: code object -> every name it (or a code object nested in it) loads
 _NAMES: dict[types.CodeType, tuple[str, ...]] = {}
@@ -141,6 +144,10 @@ _LEARNED: dict[type, tuple[str, ...]] = {}
 
 #: class -> every name its methods mention that none of its classes defines
 _MENTIONED: dict[type, tuple[str, ...]] = {}
+
+#: class -> (name, attribute) of every name its classes define other than
+#: as a data descriptor
+_DEFINED: dict[type, tuple[tuple[str, Any], ...]] = {}
 
 #: class -> the attribute names of its slots, or None when an instance
 #: keeps state the reduction cannot read (a base defined in C)
@@ -211,13 +218,95 @@ def _attributes(obj: Any, cls: type, slot_values: list) -> list[tuple[str, Any]]
         read = (len(refs) == len(slot_values) + 2
                 and any(type(ref) is dict for ref in refs))
         if not read:
-            items = _present(obj, _mentioned(cls))
+            names = _mentioned(cls)
+            items = _present(obj, names)
+            if not _holds(items, slot_values, cls, refs):
+                # an instance attribute may shadow a class attribute
+                items = _present(obj, tuple(sorted(
+                    names + _shadowing(obj, cls, refs))))
             if _holds(items, slot_values, cls, refs):
                 _learn(cls, [name for name, _ in items])
                 return items
     attrs = object.__getattribute__(obj, "__dict__")
     _learn(cls, attrs)
     return sorted(attrs.items(), key=lambda item: item[0])
+
+
+def _shadowing(obj: Any, cls: type, refs: list) -> tuple[str, ...]:
+    """The names ``cls`` defines (see :func:`_class_names`) that ``obj``
+    holds an instance attribute of: reading one by name gives a value the
+    class does not supply, or one the instance holds among its referents
+    ``refs``."""
+    return tuple(name for name, attr in _class_names(cls)
+                 if _own(obj, name, attr, refs) is not _ABSENT)
+
+
+def _class_names(cls: type) -> tuple[tuple[str, Any], ...]:
+    """(name, attribute) of each name the classes of ``cls`` define other
+    than as a data descriptor (a property, a slot), which an instance
+    attribute can never shadow."""
+    names = _DEFINED.get(cls)
+    if names is None:
+        found: dict[str, Any] = {}
+        for c in cls.__mro__:
+            for name, attr in c.__dict__.items():
+                found.setdefault(name, attr)
+        names = _DEFINED[cls] = tuple(
+            (name, attr) for name, attr in found.items()
+            if not _data_descriptor(attr))
+    return names
+
+
+def _data_descriptor(attr: Any) -> bool:
+    kind = type(attr)
+    return hasattr(kind, "__set__") or hasattr(kind, "__delete__")
+
+
+def _own(obj: Any, name: str, attr: Any,
+         refs: Optional[list] = None) -> Any:
+    """``obj``'s instance attribute ``name``, where the class defines it as
+    ``attr`` (no data descriptor), or ``_ABSENT``.  The value read by name
+    counts when it is not the class constant ``attr``, or when the
+    instance holds it itself: it is one of ``obj``'s referents ``refs``,
+    or sits under ``name`` in a ``__dict__`` already among them.  What a
+    method or other descriptor supplies is a fresh bound object, or one
+    the class holds, never the instance."""
+    try:
+        value = object.__getattribute__(obj, name)
+    except AttributeError:
+        return _ABSENT
+    if value is not attr and not hasattr(type(attr), "__get__"):
+        return value
+    if refs is None:
+        refs = gc.get_referents(obj)
+    for ref in refs:
+        if ref is value or (type(ref) is dict
+                            and ref.get(name, _ABSENT) is value):
+            return value
+    return _ABSENT
+
+
+def instance_attribute(obj: Any, name: str) -> Any:
+    """What ``obj.__dict__.get(name, _ABSENT)`` gives, read without
+    touching ``__dict__`` (see :func:`_attributes`).  A name no class in
+    the MRO defines can only come from the instance; a data descriptor
+    never does; any other class attribute (a method, a class constant)
+    counts only when the instance shadows it (see :func:`_own`)."""
+    cls = type(obj)
+    attr = _ABSENT
+    if getattr(cls, name, _ABSENT) is not _ABSENT:  # the type's lookup cache
+        for c in cls.__mro__:  # not a name only the metaclass defines?
+            attr = c.__dict__.get(name, _ABSENT)
+            if attr is not _ABSENT:
+                break
+    if attr is _ABSENT:
+        try:
+            return object.__getattribute__(obj, name)
+        except AttributeError:
+            return _ABSENT
+    if _data_descriptor(attr):
+        return _ABSENT
+    return _own(obj, name, attr)
 
 
 def _learn(cls: type, names: Iterable[str]) -> None:
@@ -411,6 +500,8 @@ def design_key(*roots: Any) -> Optional[DesignKey]:
             emit(obj.strides)
             emit(bool(obj.flags.writeable))
             emit(obj.tobytes())
+        elif t is SimClock:
+            emit(_CLOCK)
         elif isinstance(obj, Simulator):
             raise Uncacheable("a simulator is reachable from the design")
         elif (slots := _slot_names(t)) is None:

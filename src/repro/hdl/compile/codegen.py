@@ -29,7 +29,9 @@ module contains four functions:
   is up, and afterwards keeps the flag up only if the run staged
   something (the event kernel's dormancy rule).  Pure processes with an
   unprovable closure run from read-tracked seq slots (``_tsN``) under the
-  same rule; one that reads an unmanaged signal stays armed.  Impure
+  same rule; one that reads an unmanaged signal stays armed.  The engine
+  may later rebind a tracked slot's runner to its untracked body
+  (:meth:`GeneratedModule.rebind`, a *handoff*).  Impure
   fallbacks run on every edge.  Vectorized executors follow, then an
   inlined atomic commit of the staged registers.  Returns ``(runs,
   vector_applied)``; one comment line per process names its tier.
@@ -71,7 +73,7 @@ class Plan:
     #: Every kind but "tracked" runs ``spec`` when there is one, else ``fn``.
     kind: str
     wheeled: bool
-    #: signals whose changes raise this plan's flag (see frontend.slot_reads)
+    #: signals whose changes raise this plan's flag (see frontend.place)
     wake: list = field(default_factory=list)
     #: the specialized body, run instead of ``fn``
     spec: Optional[Specialized] = None
@@ -95,6 +97,13 @@ class GeneratedModule:
     n_comb: int  # comb slots come first in ``wake``; seq slots follow
     fanout: dict  # signal -> wake slots; read-tracked slots grow it
     every: list  # functions run on every sweep (``_ALW``)
+    namespace: dict  # the module's globals
+    runners: dict  # tracked seq slot -> the name of its runner (``_tsN``)
+
+    def rebind(self, slot: int, run: Callable[[], Any]) -> None:
+        """Make tracked seq slot ``slot`` call ``run`` from now on; like
+        the tracked runner, ``run()`` returns the slot's next flag."""
+        self.namespace[self.runners[slot]] = run
 
 
 def _label(obj: Any) -> str:
@@ -248,6 +257,7 @@ def generate(
     # Event-kernel dormancy: a slot runs when its flag is up, and the flag
     # stays up only when the run staged something (or, for a tracked slot
     # reading an unmanaged signal, always).
+    runners: dict = {}
     emit("def _edge():")
     emit("    _ran = 0")
     for s in seq:
@@ -265,6 +275,7 @@ def generate(
             emit("    _ran += 1")
         elif s.kind == "tracked":
             namespace[f"_ts{s.index}"] = s.run
+            runners[s.slot] = f"_ts{s.index}"
             emit(f"    # {name}: tracked slot {s.slot}")
             emit(f"    if _W[{s.slot}]:")
             emit(f"        _W[{s.slot}] = _ts{s.index}()")
@@ -322,5 +333,7 @@ def generate(
         n_comb=n_slots,
         fanout=fanout,
         every=every,
+        namespace=namespace,
+        runners=runners,
     )
 

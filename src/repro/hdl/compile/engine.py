@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from .. import buildcache
 from .. import signal as _signal_mod
@@ -68,10 +68,11 @@ class _Tracked:
     """
 
     __slots__ = ("fn", "seq", "wheeled", "reads", "slot", "demoted",
-                 "unmanaged", "grew")
+                 "unmanaged", "grew", "proof", "handed_off")
 
     def __init__(self, fn: Callable[[], None], seq: bool, wheeled: bool,
-                 grew: Callable[["_Tracked"], None]) -> None:
+                 grew: Callable[["_Tracked"], None],
+                 proof: Optional[frozenset] = None) -> None:
         self.fn = fn
         self.seq = seq
         self.wheeled = wheeled
@@ -80,6 +81,11 @@ class _Tracked:
         self.demoted = False
         self.unmanaged = False
         self.grew = grew
+        #: every signal a run can read under tracking (see frontend.place),
+        #: or None
+        self.proof = proof
+        #: the slot runs its untracked body now (see ``_track``)
+        self.handed_off = False
 
     def run(self) -> int:
         """One run under read tracking.
@@ -106,12 +112,26 @@ class _Tracked:
         return 1
 
 
+def _wake_rule(body: Callable[[], Any]) -> Callable[[], bool]:
+    """A handed-off tracked seq slot's runner: ``body`` runs untracked, and
+    the flag stays up only when the run staged something (the wake-slot
+    rule, which is the tracked rule once no read is unmanaged)."""
+    tracker = CHANGES
+
+    def run() -> bool:
+        n0 = tracker.stages
+        body()
+        return n0 != tracker.stages
+    return run
+
+
 @dataclass(frozen=True)
 class _Layout:
     """What the build cache keeps of one design for the compiled backend:
     every signal is an index into the design's ``all_signals()``."""
 
-    #: per comb process, then per seq process: (placement kind, wake set)
+    #: per comb process, then per seq process: (placement kind, wake set,
+    #: a tracked slot's proof or None)
     comb: tuple
     seq: tuple
     #: per comb process: its topological depth (see ``_ranks``)
@@ -161,7 +181,8 @@ class CompiledSimulator(Simulator):
         self._resolved: dict[int, ResolvedFn] = {}
         layout = buildcache.cached(
             "compile", key, partial(self._layout, signals, absorbed), self)
-        spec = Specializer(
+        #: also builds a handed-off tracked slot's body (see ``_track``)
+        self._spec = spec = Specializer(
             self._changed, self._staged_regs,
             [p.fn for p in (*self._procs, *self._seqprocs)
              if id(p.fn) not in absorbed])
@@ -230,8 +251,10 @@ class CompiledSimulator(Simulator):
                      absorbed=id(sp.fn) in absorbed, managed=index)
                for sp in self._seqprocs]
 
-        def site(where: Placement) -> tuple[str, tuple[int, ...]]:
-            return where.kind, tuple(index[sig] for sig in where.wake)
+        def site(where: Placement) -> tuple:
+            proof = where.proof
+            return (where.kind, tuple(index[sig] for sig in where.wake),
+                    None if proof is None else tuple(index[s] for s in proof))
 
         return _Layout(comb=tuple(map(site, comb)), seq=tuple(map(site, seq)),
                        ranks=self._ranks(comb), code={})
@@ -241,16 +264,18 @@ class CompiledSimulator(Simulator):
         return res
 
     def _plan(self, plans: list, index: int, proc: Any, seq: bool,
-              spec: Specializer, site: tuple[str, tuple[int, ...]],
+              spec: Specializer, site: tuple,
               signals: list[Signal]) -> None:
         """Append the plan for ``proc``'s placement, its wake set bound to
         this design's ``signals``; an absorbed process gets none.  A
         read-tracked slot also gets its engine helper."""
-        kind, wake = site
+        kind, wake, proof = site
         if kind == "absorbed":
             return
         if kind == "tracked":
-            tc = _Tracked(proc.fn, seq, proc.wheeled, self._track)
+            tc = _Tracked(proc.fn, seq, proc.wheeled, self._track,
+                          None if proof is None
+                          else frozenset(signals[k] for k in proof))
             self._tracked.append(tc)
             plans.append(Plan(fn=proc.fn, index=index, kind="tracked",
                               wheeled=proc.wheeled, run=tc.run))
@@ -297,7 +322,17 @@ class CompiledSimulator(Simulator):
     # -- settle phase ----------------------------------------------------------
 
     def _track(self, tc: _Tracked) -> None:
-        """A read-tracked slot read new signals: wake on them, or demote."""
+        """A read-tracked slot read new signals: wake on them, or demote.
+
+        A slot whose reads now equal its proof hands off: the event kernel
+        has subscribed the process to exactly these signals and never will
+        to another (a read set does not shrink, even across reset), so the
+        slot's wake set is final.  From then on its flag runs the
+        specialized body (the original, when the body bails out of
+        translation) untracked, under the wake-slot rule.  The proof holds
+        only managed signals, so no read is unmanaged.  A read outside the
+        proof shows the proof missed something: that slot stays tracked.
+        """
         changed = self._changed
         reads = tc.reads
         if not tc.seq and (
@@ -313,6 +348,12 @@ class CompiledSimulator(Simulator):
             slots = fanout.setdefault(sig, [])
             if tc.slot not in slots:
                 slots.append(tc.slot)
+        if tc.proof is not None and reads == tc.proof:
+            tc.handed_off = True
+            spec = self._spec.specialize(tc.fn)
+            self._module.rebind(tc.slot, _wake_rule(
+                tc.fn if spec is None else spec.fn))
+            self.kernel_stats.handoffs += 1
 
     def _demote(self, tc: _Tracked) -> None:
         """Pin a read-tracked process to every sweep (``_make_dynamic``)."""

@@ -9,13 +9,16 @@ same :class:`~repro.analysis.lint.astpass.ResolvedFn`.
   publishes ``__compile_vector__`` (:func:`.vector.absorbed_procs`); a
   vector executor replaces it.
 * **static slot** — the read closure is proven: the process runs whenever
-  a signal in its wake set (:func:`slot_reads`) changes, as the event
-  kernel's notification queue would run it.
+  a signal in its wake set (its signal reads plus the reads of the
+  property getters along its paths, :func:`_getter_reads`) changes, as
+  the event kernel's notification queue would run it.
 * **read-tracked** — the closure could not be proven (opaque reads,
   unknown calls, late-bound hidden state, an unmanaged signal; for a pure
   sequential process also hidden stores): the function runs interpreted
   from a wake slot, under read tracking, whenever a signal one of its runs
-  read changes — exactly how the event kernel schedules it.
+  read changes — exactly how the event kernel schedules it.  A pure
+  sequential process with a proven closure also gets a *proof*, and hands
+  off to its specialized body once its tracked reads cover it.
 * **every sweep** — a comb process declared ``always=True``, or a proven
   writer whose inputs are all hidden.
 * **every edge** — an impure sequential process that may not sleep in a
@@ -55,6 +58,7 @@ from typing import Any, Callable, Container, Iterable, Optional
 
 from ...analysis.dataflow import domain as _dom
 from ...analysis.lint.astpass import ResolvedFn, parsed_def, summarize
+from ..buildcache import _ABSENT, instance_attribute
 from ..components import Stream
 from ..signal import _UNSET, CHANGES, Reg, Signal
 from ..signal import tracking as _signal_tracking
@@ -62,7 +66,6 @@ from ..signal import tracking as _signal_tracking
 __all__ = [
     "Placement",
     "place",
-    "slot_reads",
     "hidden_loads_constant",
     "Specialized",
     "Specializer",
@@ -102,44 +105,66 @@ def _constant_load(owner: Any, value: Any) -> bool:
 _MISSING = object()
 
 
-def slot_reads(res: ResolvedFn) -> Optional[list[Signal]]:
-    """The signals whose changes wake this process, or ``None``.
+def _placeholder(res: ResolvedFn, key: tuple, owner: Any) -> bool:
+    """True when a hidden load's owner is no evidence of late-bound state:
+    a probe placeholder (``None`` or a bare ``object``), or a signal's
+    current value sampled at resolution (``ResolvedFn.sampled_loads``).
+    The AST pass resolved a value read onto it, and that signal is already
+    in ``res.signal_reads``."""
+    return owner is None or type(owner) is object or key in res.sampled_loads
 
-    ``None`` means the process has no static wake set: its resolution is
-    not ``read_complete``, or a real owner lacks a hidden attribute the
-    process loads (late-bound state that cannot be sampled yet).
 
-    Otherwise the wake set is ``res.signal_reads`` plus the signals read by
-    property getters along the navigation path.  The AST pass cannot see
-    through a getter, but the event kernel's read tracking is live while
-    the getter runs inside the process, so it subscribes to them too.
-    Each hidden load is sampled once under read tracking; like the body,
-    a getter is assumed to read a fixed signal set.  A load missing on a
-    probe placeholder (``None`` or a bare ``object``) is skipped: the AST
-    pass resolves locals derived from tracked signal reads onto such
-    placeholders, and those signals are already in ``res.signal_reads``.
-    Sorted so generated source is stable.
+def _load(owner: Any, attr: str) -> Any:
+    try:
+        return getattr(owner, attr, _MISSING)
+    except Exception:
+        return _MISSING
+
+
+def _missing_load(res: ResolvedFn) -> Optional[str]:
+    """The first hidden load (``Class.attr``) a real owner lacks, or None."""
+    for key, (_text, owner) in res.hidden_loads.items():
+        if not _placeholder(res, key, owner) \
+                and _load(owner, key[1]) is _MISSING:
+            return f"{type(owner).__name__}.{key[1]}"
+    return None
+
+
+def _getter_reads(res: ResolvedFn) -> Optional[set]:
+    """The signals read by property getters along the navigation path, or
+    ``None`` when the process has no static read closure: its resolution
+    is not ``read_complete``, or a real owner lacks a hidden attribute it
+    loads (late-bound state that cannot be sampled yet, see
+    :func:`_placeholder`).
+
+    The AST pass cannot see through a getter, but the event kernel's read
+    tracking is live while the getter runs inside the process, so it
+    subscribes to them too.  Each hidden load is sampled once under read
+    tracking; like the body, a getter is assumed to read a fixed signal set.
     """
     if not res.read_complete:
         return None
-    wake = set(res.signal_reads)
-    with _signal_tracking(reads=wake):
-        for (_oid, attr), (_text, owner) in res.hidden_loads.items():
-            try:
-                value = getattr(owner, attr, _MISSING)
-            except Exception:
-                value = _MISSING
-            if value is _MISSING and not (owner is None
-                                          or type(owner) is object):
+    reads: set = set()
+    with _signal_tracking(reads=reads):
+        for key, (_text, owner) in res.hidden_loads.items():
+            if _load(owner, key[1]) is _MISSING \
+                    and not _placeholder(res, key, owner):
                 return None
-    return sorted(wake, key=lambda s: (s.name, id(s)))
+    return reads
+
+
+def _stable(signals: set) -> list[Signal]:
+    """Sorted so generated source is stable."""
+    return sorted(signals, key=lambda s: (s.name, id(s)))
 
 
 def hidden_loads_constant(res: ResolvedFn) -> bool:
     """True when every hidden load is a compile-time constant (see
-    :func:`_constant_load`) or misses on a probe placeholder.  The event
-    kernel runs an impure seq process on every edge, so it sees a rebound
-    attribute at once; a wake slot may stand in for one only then."""
+    :func:`_constant_load`) or misses on a probe placeholder (``None`` or
+    a bare ``object``).  The event kernel runs an impure seq process on
+    every edge, so it sees a rebound attribute at once; a wake slot may
+    stand in for one only then.  A field of a sampled signal value is no
+    constant: the object may change in place."""
     for (_oid, attr), (_text, owner) in res.hidden_loads.items():
         try:
             value = getattr(owner, attr, _MISSING)
@@ -162,17 +187,20 @@ class Placement:
     wake: list = field(default_factory=list)
     #: why the process has no static slot ("" for a slot or absorbed)
     reason: str = ""
+    #: a read-tracked seq slot's *proof* (see :func:`place`), or None
+    proof: Optional[list] = None
 
 
 def _unprovable(res: ResolvedFn) -> str:
-    """Why ``res`` has no static wake set (:func:`slot_reads` is None)."""
+    """Why ``res`` has no static read closure (:func:`_getter_reads` is
+    None)."""
     if res.parse_failed:
         return "source unavailable to the AST pass"
     if res.unknown_calls:
         return "calls the front end cannot see through"
     if res.opaque_reads:
         return "reads the front end cannot enumerate"
-    return "hidden inputs are late-bound, unset at elaboration"
+    return f"hidden input {_missing_load(res)} is late-bound, unset at elaboration"
 
 
 def _dormancy_blocker(res: ResolvedFn, pure: bool) -> str:
@@ -212,6 +240,15 @@ def place(resolve: Callable[[], ResolvedFn], *, seq: bool,
     unprovable closure.  ``managed`` holds the signals whose changes reach
     the simulator's pending list; a flag cannot carry a wake set holding
     any other signal.
+
+    A declared-pure seq process with a proven, managed read closure that
+    may still not sleep in a static slot (it stores counters, say) gets a
+    read-tracked slot with a *proof*: every signal its body can read
+    through a tracked accessor (``res.tracked_reads`` and the getter
+    reads; ``.nxt`` loads do not track).  Its writes must be known too.
+    Once the slot's tracked reads cover the proof, they are all the event
+    kernel will ever subscribe it to, and the engine hands the slot off to
+    the untracked body (see :class:`~.engine.CompiledSimulator`).
     """
     if absorbed:
         return Placement("absorbed")
@@ -222,15 +259,19 @@ def place(resolve: Callable[[], ResolvedFn], *, seq: bool,
         res = resolve()
     except Exception:
         return Placement(fallback, reason="closure resolution failed")
-    wake = slot_reads(res)
-    if wake is None:
+    getters = _getter_reads(res)
+    if getters is None:
         return Placement(fallback, reason=_unprovable(res))
+    wake = _stable(res.signal_reads | getters)
     if any(sig not in managed for sig in wake):
         return Placement(fallback,
                          reason="reads signals this simulator does not manage")
     reason = _dormancy_blocker(res, pure) if seq else ""
     if reason:
-        return Placement(fallback, reason=reason)
+        proof = None
+        if pure and res.write_complete:
+            proof = _stable(res.tracked_reads | getters)
+        return Placement(fallback, reason=reason, proof=proof)
     if not seq and not wake and res.set_targets:
         # the event kernel runs a writer with no tracked read every sweep
         return Placement("sweep",
@@ -304,8 +345,10 @@ def _step(obj: Any, step: Any, stored: set) -> tuple[Any, bool]:
 
     Followed: members of enum classes, fields of frozen dataclasses,
     constant indexes on lists and tuples, and instance attributes (the
-    object's own ``__dict__``, never a property) of a name no process
-    stores — how components, streams and port bundles hold their signals."""
+    object's own ``__dict__``, never a property, read without materializing
+    it: see :func:`~repro.hdl.buildcache.instance_attribute`) of a name no
+    process stores — how components, streams and port bundles hold their
+    signals."""
     if type(step) is int:
         if type(obj) in (list, tuple) and -len(obj) <= step < len(obj):
             return obj[step], False
@@ -321,7 +364,8 @@ def _step(obj: Any, step: Any, stored: set) -> tuple[Any, bool]:
         return value, value is not _MISSING and _immutable_value(value)
     if isinstance(obj, _OPAQUE) or step in stored:
         return _MISSING, False
-    return getattr(obj, "__dict__", {}).get(step, _MISSING), False
+    value = instance_attribute(obj, step)
+    return (_MISSING if value is _ABSENT else value), False
 
 
 @dataclass

@@ -215,9 +215,30 @@ class KernelStats:
     masks_elided: int = 0
     #: branches the code generator folded on a proven-constant guard
     branches_folded: int = 0
+    #: read-tracked seq slots handed off to their untracked bodies once
+    #: their tracked reads covered their proof (compiled backend only)
+    handoffs: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+class SimClock:
+    """One simulator's cycle counter, as a callable a design may hold.
+
+    A state domain's latency clock, say: calling it reads ``sim.now`` and
+    nothing else.  The build cache reduces every clock to one atom rather
+    than walking into the simulator (see :mod:`repro.hdl.buildcache`),
+    since no set-up analysis depends on which simulator's time it reads.
+    """
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: "Simulator") -> None:
+        self._sim = sim
+
+    def __call__(self) -> int:
+        return self._sim.now
 
 
 class Simulator:

@@ -19,6 +19,7 @@ from ..config import DEFAULT_CONFIG, FrameworkConfig
 from ..faults import StateFaultSpec
 from ..fu.registry import UnitFactory, UnitRegistry, default_registry, fp_registry
 from ..hdl import Simulator
+from ..hdl.sim import SimClock
 from ..messages.channel import INTEGRATED, ChannelSpec
 from ..messages.faults import FaultSpec
 from .soc import CoprocessorSystem
@@ -117,7 +118,7 @@ class SystemSpec:
         sim = Simulator(soc, wheel=self.wheel, backend=self.backend)
         sim.reset()
         if soc.state_domain is not None:
-            soc.state_domain.bind_clock(lambda: sim.now)
+            soc.state_domain.bind_clock(SimClock(sim))
         built = BuiltSystem(soc=soc, sim=sim, engine_window=self.window)
         if self.lint != "off":
             # Imported lazily: the lint package depends on the HDL layer,

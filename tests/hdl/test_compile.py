@@ -1180,7 +1180,8 @@ class TestResidualTranslation:
     def test_tracked_discovery_on_systems(self, kwargs, fanout, reads):
         # the fanout map and the tracked read sets after a seeded prefix:
         # read-tracked plans run their originals and discover reads one run
-        # at a time, so specializing every other body leaves these alone
+        # at a time until they hand off, so specializing every other body
+        # (and a handed-off one) leaves these alone
         import random
 
         from repro import Session
@@ -1212,3 +1213,306 @@ class TestResidualTranslation:
         assert warm.sim.generated_source == cold.sim.generated_source
         assert warm.sim.kernel_stats.translated_procs \
             == cold.sim.kernel_stats.translated_procs > 0
+
+
+# -- handoff of read-tracked slots --------------------------------------------
+
+class GatedRead(Component):
+    """A declared-pure seq proc that counts its staging runs (a hidden
+    store, so it runs from a read-tracked slot) and reads ``b`` and ``q``
+    only while ``a`` is high: its proof is {a, b, q}."""
+
+    def __init__(self):
+        super().__init__("gate")
+        self.a = self.signal("a", 1, 0)
+        self.b = self.signal("b", 8, 0)
+        self.q = self.reg("q", 8, 0)
+        self.staged = 0
+
+        @self.seq(pure=True)
+        def _follow():
+            if self.a.value:
+                if self.b.value != self.q.value:
+                    self.q.nxt = self.b.value
+                    self.staged += 1
+
+
+class GatedFreeRead(GatedRead):
+    """:class:`GatedRead` plus a second counting proc that reads an
+    unmanaged signal: no proof, so it stays tracked."""
+
+    def __init__(self):
+        super().__init__()
+        self.free = Signal("free", 8, 0)
+        self.r = self.reg("r", 8, 0)
+        self.polled = 0
+
+        @self.seq(pure=True)
+        def _poll():
+            if self.free.value != self.r.value:
+                self.r.nxt = self.free.value
+                self.polled += 1
+
+
+def _gated_poke(top, cyc):
+    """``a`` rises before cycle 4's edge; ``b`` moves before cycles 0 to 3
+    and again before cycles 7 and 10, after the process went dormant: only
+    a slot woken by ``b`` sees those."""
+    if cyc in (0, 1, 2, 3, 7, 10):
+        top.b.set((cyc * 37) & 0xFF)
+    if cyc == 4:
+        top.a.set(1)
+
+
+def _lockstep(make, poke, cycles, reset_at=None):
+    """Run ``make()`` on both backends in lockstep: per cycle, the VCD text
+    so far, ``seq_runs`` and every signal value must match.  Returns the
+    compiled (top, sim) and its handoff count before each cycle's edge."""
+    import io
+
+    from repro.hdl.vcd import VcdWriter
+
+    runs = []
+    for backend in ("event", "compiled"):
+        top = make()
+        sim = Simulator(top, backend=backend)
+        buf = io.StringIO()
+        VcdWriter(sim, buf)
+        sim.reset()
+        trace = []
+        for cyc in range(cycles):
+            if cyc == reset_at:
+                sim.reset()
+            poke(top, cyc)
+            handoffs = sim.kernel_stats.handoffs
+            sim.step()
+            trace.append((buf.getvalue(), sim.kernel_stats.seq_runs,
+                          tuple(s.value for s in top.all_signals()),
+                          handoffs))
+        runs.append((top, sim, trace))
+    (_te, _se, event), (top, sim, compiled) = runs
+    for cyc, (e, c) in enumerate(zip(event, compiled)):
+        assert c[:3] == e[:3], f"cycle {cyc}"
+    return top, sim, [c[3] for c in compiled]
+
+
+class TestHandoff:
+    def test_gated_read_hands_off_after_the_branch_is_taken(self):
+        top, sim, before = _lockstep(GatedRead, _gated_poke, 12)
+        (tc,) = sim._tracked
+        assert {s.name for s in tc.proof} == {"gate.a", "gate.b", "gate.q"}
+        # cycles 0-4 run with a low (a rises before the edge of cycle 4,
+        # whose run reads b and q for the first time)
+        assert before == [0] * 5 + [1] * 7
+        assert tc.handed_off and tc.reads == tc.proof
+        assert sim.kernel_stats.handoffs == 1
+        assert top.staged == 3 and top.q.value == (10 * 37) & 0xFF
+
+    def test_branch_never_taken_never_hands_off(self):
+        top, sim, before = _lockstep(
+            GatedRead, lambda t, c: t.b.set(c * 5), 10)
+        (tc,) = sim._tracked
+        assert {s.name for s in tc.reads} == {"gate.a"}
+        assert not tc.handed_off and set(before) == {0}
+        assert top.staged == 0
+
+    def test_unmanaged_read_never_hands_off(self):
+        def poke(top, cyc):
+            _gated_poke(top, cyc)
+            top.free.force(cyc)
+
+        top, sim, _before = _lockstep(GatedFreeRead, poke, 12)
+        gated, polled = sim._tracked
+        assert gated.handed_off
+        assert polled.proof is None and polled.unmanaged
+        assert not polled.handed_off
+        assert sim.kernel_stats.handoffs == 1
+        assert top.polled == 11
+
+    def test_reset_after_handoff_keeps_the_slot_handed_off(self):
+        def poke(top, cyc):
+            _gated_poke(top, cyc)
+            if cyc == 9:
+                top.a.set(1)  # reset dropped it
+
+        top, sim, before = _lockstep(GatedRead, poke, 14, reset_at=8)
+        (tc,) = sim._tracked
+        assert tc.handed_off and before[-1] == 1
+        assert sim.kernel_stats.handoffs == 1
+        assert sim._module.namespace[sim._module.runners[tc.slot]] \
+            is not tc.run
+
+    def test_scalar_calls_hand_off_four_stages(self):
+        import random
+
+        from repro import Session
+        from repro.analysis import counters_for
+        from repro.isa.opcodes import ArithOp, LogicOp
+        from repro.system import build_system
+
+        system = build_system(backend="compiled", lint="off")
+        session = Session(system)
+        rng = random.Random(1)
+        for _ in range(3):
+            session.compute(rng.choice((ArithOp.ADD, ArithOp.SUB,
+                                        LogicOp.AND, LogicOp.XOR)),
+                            rng.getrandbits(32), rng.getrandbits(32))
+        handed = {tc.fn.__qualname__.split(".")[0]: tc.handed_off
+                  for tc in system.sim._tracked}
+        # the message buffer loads Deframer.expected, which only a reliable
+        # link's deframer has: it has no proof and stays tracked
+        assert handed == {"MessageBuffer": False, "Decoder": True,
+                          "Execution": True, "MessageSerializer": True,
+                          "WriteArbiter": True}
+        assert counters_for(system).kernel["handoffs"] == 4
+
+    def test_serializer_and_msgbuffer_placement_reasons(self):
+        from repro.analysis.lint import astpass
+        from repro.hdl.compile.frontend import place
+        from repro.system import build_system
+
+        system = build_system(backend="compiled", lint="off")
+        managed = set(system.soc.all_signals())
+        rtm = system.soc.rtm
+
+        def placed(fn):
+            return place(lambda: astpass.resolve(fn), seq=True, pure=True,
+                         managed=managed)
+
+        (ser,) = rtm.serializer.seq_procs
+        where = placed(ser)
+        # the msg.* loads in Framer.frame resolve on the int reset value
+        # of the object-typed payload signal: a sampled read, not late-bound
+        assert where.reason == ("stores hidden state "
+                                "MessageSerializer.messages_sent")
+        assert len(where.proof) == 6
+        (buf,) = rtm.msgbuffer.seq_procs
+        assert placed(buf).reason == ("hidden input Deframer.expected is "
+                                      "late-bound, unset at elaboration")
+        assert placed(buf).proof is None
+
+    def test_nxt_only_reads_stay_out_of_the_proof(self):
+        from repro.analysis.lint import astpass
+        from repro.system import build_system
+
+        system = build_system(backend="compiled", lint="off")
+        (commit,) = system.soc.rtm.write_arbiter.seq_procs
+        res = astpass.resolve(commit)
+        staged_only = {s.name for s in res.signal_reads - res.tracked_reads}
+        assert staged_only == {"soc.rtm.regfile.ram.mem",
+                               "soc.rtm.flagfile.ram.mem",
+                               "soc.rtm.lockmgr.data_locks",
+                               "soc.rtm.lockmgr.flag_locks"}
+
+
+class Sampled(Component):
+    """A pure counting seq proc hands an object payload's value to a
+    helper that loads fields off it (the payload resets to the int 0),
+    and loads one field off a real owner that lacks it when ``late``."""
+
+    def __init__(self, late=False):
+        super().__init__("smp")
+        self.inp = self.signal("inp", None, 0)
+        self.q = self.reg("q", 8, 0)
+        self.cfg = Cfg(level=3) if late else None
+        self.seen = 0
+
+        @self.seq(pure=True)
+        def _take():
+            if self.inp.value:
+                self.q.nxt = self._field(self.inp.value)
+                self.seen += 1
+                if self.cfg is not None:
+                    self.q.nxt = self.cfg.missing
+
+    def _field(self, msg):
+        return msg.level
+
+
+class TestSampledLoads:
+    def _placed(self, top):
+        from repro.analysis.lint import astpass
+        from repro.hdl.compile.frontend import place
+
+        (fn,) = top.seq_procs
+        return place(lambda: astpass.resolve(fn), seq=True, pure=True,
+                     managed=set(top.all_signals()))
+
+    def test_load_off_a_sampled_value_is_no_late_binding(self):
+        where = self._placed(Sampled())
+        assert where.kind == "tracked"
+        assert where.reason == "stores hidden state Sampled.seen"
+        # ``q`` is only staged: a store is no read
+        assert [s.name for s in where.proof] == ["smp.inp"]
+
+    def test_missing_field_on_a_real_owner_is_named(self):
+        where = self._placed(Sampled(late=True))
+        assert where.reason == ("hidden input Cfg.missing is late-bound, "
+                                "unset at elaboration")
+        assert where.proof is None
+
+    def test_sampled_payload_hands_off_and_matches_event(self):
+        def poke(top, cyc):
+            top.inp.set(Cfg(level=cyc) if cyc % 3 else 0)
+
+        top, sim, before = _lockstep(Sampled, poke, 9)
+        assert before[-1] == 1 and top.seen == 6
+
+
+class Shadows:
+    """Instance attributes next to class attributes of the same names."""
+
+    label = "class"
+    width = 8
+
+    def __init__(self):
+        self.width = 8  # the instance holds the class constant itself
+        self.own = [1]
+        self.method = self.own  # shadows nothing: no class attribute
+
+    def tick(self):
+        return None
+
+    @property
+    def ready(self):
+        return True
+
+
+class TestInstanceAttributes:
+    def test_reads_what_the_instance_dict_holds(self):
+        from repro.hdl.buildcache import _ABSENT, instance_attribute
+
+        names = ("width", "own", "method", "label", "tick", "ready", "absent")
+        obj = Shadows()
+        obj.tick = obj.own  # an instance attribute shadowing a method
+        inline = [instance_attribute(obj, name) for name in names]
+        # reading __dict__ materializes it; the answers must not change
+        expected = [obj.__dict__.get(name, _ABSENT) for name in names]
+        assert [v is e for v, e in zip(inline, expected)] == [True] * 7
+        assert inline[4] is obj.own and inline[3] is _ABSENT
+        assert [instance_attribute(obj, name) is e
+                for name, e in zip(names, expected)] == [True] * 7
+        assert instance_attribute(Shadows(), "tick") is _ABSENT
+
+    def test_compiled_build_reads_no_component_dict(self):
+        import gc
+
+        from repro.config import FrameworkConfig
+        from repro.system.soc import CoprocessorSystem
+
+        def materialized(obj):
+            return any(type(r) is dict and "children" in r
+                       for r in gc.get_referents(obj))
+
+        for make in (dict, lambda: dict(ooo=True)):
+            soc = CoprocessorSystem(FrameworkConfig().with_(**make()))
+            comps = []
+            stack = [soc]
+            while stack:
+                comps.append(stack.pop())
+                stack.extend(comps[-1].children)
+            before = {c.path for c in comps if materialized(c)}
+            sim = Simulator(soc, backend="compiled")
+            sim.reset()
+            assert sim.kernel_stats.translated_procs > 0
+            assert {c.path for c in comps if materialized(c)} == before

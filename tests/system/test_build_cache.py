@@ -208,6 +208,38 @@ def test_changed_design_misses(change):
     assert built.sim.build_cache == {"compile": "miss", "lint": "miss"}
 
 
+@pytest.mark.parametrize("backend", ["event", "compiled"])
+def test_state_protected_build_hits(backend):
+    """The state domain's clock reads the simulator's cycle count without
+    the design reaching the simulator, so a protected design caches too;
+    its latency accounting runs on the hit's own clock."""
+    from repro.faults import StateFaultSpec
+
+    def build(lint):
+        return build_system(backend=backend, lint=lint,
+                            state_faults=StateFaultSpec(seed=3,
+                                                        flip_rate=0.05))
+
+    def drive(built):
+        session = Session(built)
+        for k in range(20):
+            assert session.compute(ArithOp.ADD, k, 3) == k + 3
+        return (session.driver.cycles,
+                dataclasses.asdict(built.soc.state_domain.stats))
+
+    assert build("warn").sim.build_cache["lint"] == "miss"
+    hit = build("warn")
+    assert hit.sim.build_cache["lint"] == "hit"
+    cached = Linter().lint(hit.soc, sim=hit.sim)
+    fresh = build("off")
+    buildcache.clear()
+    assert Linter().lint(fresh.soc, sim=fresh.sim).as_dict() \
+        == cached.as_dict()
+    end = drive(hit)
+    assert end == drive(fresh)
+    assert end[1]["latency_samples"] > 0
+
+
 def test_fault_seed_misses():
     def lossy(seed):
         return build_system(reliable=True, backend="compiled",
