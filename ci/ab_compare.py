@@ -1,0 +1,140 @@
+"""Compare two ``src/repro`` trees in one process, in interleaved blocks.
+
+Separate benchmark processes of the same code can differ by a third in
+ops/s on a small shared VM, which hides a change of a few percent.  This
+script imports both trees into one process, as two packages (``repro_a``
+and ``repro_b``; ``src/repro`` uses relative imports only, so a tree works
+under any package name), builds one system per side and runs one
+workload's requests (from ``benchmarks/e2e/workloads.py``) against both
+in alternating blocks: each side's block runs right next to the other's,
+so slow stretches of the host hit both alike.  Each side draws the same
+seeded requests and checks every answer against the workload's oracle.
+
+    python ci/ab_compare.py --a ../parent --b . --workload scalar_rt \\
+        --backend compiled --blocks 40 --requests 200
+
+``--a``/``--b`` are repository roots (holding ``src/repro``).  Prints each
+side's median ops/s with its quartiles, the blocks each side won, the
+median gain of B over A, and ``sim.now`` per side, which must agree for a
+cycle-exact change.  Exits 1 on a wrong answer, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import re
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import ModuleType
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "benchmarks" / "e2e" / "workloads.py"
+
+#: an absolute import of the package itself, which would bind to whichever
+#: tree is on ``sys.path`` instead of the one being loaded
+_ABSOLUTE = re.compile(r"^\s*(from|import)\s+repro\b", re.MULTILINE)
+
+
+def load_tree(root: Path, name: str) -> ModuleType:
+    """Import ``root/src/repro`` as the package ``name``."""
+    package = root / "src" / "repro"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads(package: str) -> ModuleType:
+    """``workloads.py`` with its ``repro`` imports bound to ``package``."""
+    source = WORKLOADS.read_text()
+    bound = re.sub(r"^(\s*from\s+)repro\b", rf"\g<1>{package}", source, flags=re.MULTILINE)
+    if _ABSOLUTE.search(bound):
+        raise SystemExit(f"{WORKLOADS}: an import of repro this script cannot rebind")
+    module = ModuleType(f"{package}_workloads")
+    module.__file__ = str(WORKLOADS)
+    sys.modules[module.__name__] = module
+    exec(compile(bound, str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+class Side:
+    """One tree's system, session and request stream."""
+
+    def __init__(self, label: str, root: Path, workload: str,
+                 backend: str, seed: int) -> None:
+        self.label = label
+        package = f"repro_{label.lower()}"
+        pkg = load_tree(root, package)
+        self.workload = load_workloads(package).WORKLOADS[workload]
+        system = self.workload.build(None if backend == "event" else backend)
+        self.session = pkg.Session(system)
+        self.client = self.workload.open(self.session)
+        self.requests = self.workload.requests(seed)
+        self.sim = system.sim
+        self.rates: list[float] = []
+        self.wrong = 0
+
+    def block(self, n: int) -> float:
+        """Run the next ``n`` requests; returns their ops/s."""
+        w = self.workload
+        batch = [next(self.requests) for _ in range(n)]
+        start = time.perf_counter()
+        answers = [w.execute(self.client, self.session, req) for req in batch]
+        elapsed = time.perf_counter() - start
+        self.wrong += sum(a != w.expected(r) for a, r in zip(answers, batch))
+        rate = n * w.ops_per_request / elapsed
+        self.rates.append(rate)
+        return rate
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--a", type=Path, required=True, help="baseline repository root")
+    parser.add_argument("--b", type=Path, required=True, help="changed repository root")
+    parser.add_argument("--workload", default="scalar_rt")
+    parser.add_argument("--backend", default="compiled", choices=("event", "compiled"))
+    parser.add_argument("--blocks", type=int, default=40)
+    parser.add_argument("--requests", type=int, default=200, help="requests per block")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    a = Side("A", args.a.resolve(), args.workload, args.backend, args.seed)
+    b = Side("B", args.b.resolve(), args.workload, args.backend, args.seed)
+    wins = 0
+    for i in range(args.blocks):
+        gc.collect()
+        # alternate which side goes first, so neither always follows a collection
+        first, second = (a, b) if i % 2 == 0 else (b, a)
+        first.block(args.requests)
+        second.block(args.requests)
+        wins += b.rates[-1] > a.rates[-1]
+
+    print(f"workload {args.workload} on {args.backend}: {args.blocks} blocks "
+          f"of {args.requests} requests, seed {args.seed}")
+    for side in (a, b):
+        q1, q2, q3 = quartiles(side.rates)
+        print(f"  {side.label}: median {q2:.1f} ops/s (quartiles {q1:.1f}, {q3:.1f}), "
+              f"sim.now {side.sim.now}, wrong answers {side.wrong}")
+    gains = [rb / ra - 1 for ra, rb in zip(a.rates, b.rates)]
+    print(f"  B won {wins} of {args.blocks} blocks; "
+          f"median gain of B over A {statistics.median(gains):+.1%}")
+    if a.sim.now != b.sim.now:
+        print("  sim.now differs between the sides")
+    return 1 if a.wrong or b.wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

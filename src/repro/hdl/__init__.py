@@ -20,7 +20,13 @@ from .errors import (
 from .fifo import SyncFifo
 from .memory import Protected, Rom, SyncRam
 from .signal import Reg, Signal, mask_for
-from .sim import DYNAMIC_GROWTH_LIMIT, MAX_SETTLE_ITERATIONS, KernelStats, Simulator
+from .sim import (
+    DYNAMIC_GROWTH_LIMIT,
+    MAX_SETTLE_ITERATIONS,
+    ChunkRule,
+    KernelStats,
+    Simulator,
+)
 from .trace import Tracer
 from .vcd import VcdWriter, trace_to_string
 
@@ -45,6 +51,7 @@ __all__ = [
     "mask_for",
     "DYNAMIC_GROWTH_LIMIT",
     "MAX_SETTLE_ITERATIONS",
+    "ChunkRule",
     "KernelStats",
     "Simulator",
     "Tracer",

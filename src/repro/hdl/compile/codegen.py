@@ -7,7 +7,7 @@ changed-signal list (``_CHG``) into raised flags, and only flagged slots
 run: the event kernel's notification queue, dispatched statically.  The
 flag is the only run decision; no slot compares input values.  Comb
 slots come first; sequential slots follow them in the same list.  The
-module contains four functions:
+module contains five functions:
 
 * ``_sweep()`` — one rank-ordered pass over every combinational process
   with a static wake set: a flagged slot runs its specialized body
@@ -37,13 +37,23 @@ module contains four functions:
   vector_applied)``; one comment line per process names its tier.
 * ``_scan_seq()`` — True when any *non-wheeled* sequential slot's flag
   is up; the engine's time-wheel scan vetoes jumps on it.
+* ``_run(n, rule, jumps)`` — one edge chunk (``Simulator.step(n, rule)``)
+  without leaving the module: the engine's settle (entry drain, then
+  sweeps until no comb flag is raised) and edge, inlined, with the jump
+  check between them and the :class:`~repro.hdl.sim.ChunkRule` evaluated
+  after each edge.  The check inlines ``_scan_seq`` and calls the
+  horizons (``_hzN``: wheel hooks, then executors) until one rules the
+  jump out; a chunk that ends there returns the horizon as a certificate.  Kernel counters add up in locals
+  and reach the engine's ``KernelStats`` once, when the chunk ends or
+  raises.  Returns ``(cycles run, horizon or 0)``.
 
 The module is compiled once per design (the build cache keeps its code
 object) and ``exec``'d once per system into a namespace holding the
 specialized bodies (``_pN``, ``_eN`` and the ``_ALW`` entries, built by
 :class:`~.frontend.Specializer`), called functions and a handful of
 kernel internals (``_CH`` the change tracker, ``_U`` the unset sentinel,
-``_SL`` the staged-register list, ``_CHG`` the simulator's pending list).
+``_SL`` the staged-register list, ``_CHG`` the simulator's pending list,
+``_SIM`` the simulator, ``_JOK`` whether a jump is possible at all).
 The specialized bodies are compiled separately, against each process's
 own globals and closure; the module's ``source`` lists each template once
 after the dispatch functions, with the objects every call site binds.
@@ -56,6 +66,7 @@ from typing import Any, Callable, Optional
 
 from ..components import Stream
 from ..signal import Signal
+from ..sim import NO_HORIZON
 from .frontend import Specialized
 
 __all__ = ["Plan", "GeneratedModule", "generate"]
@@ -93,6 +104,7 @@ class GeneratedModule:
     drain: Callable[[], bool]
     edge: Callable[[], tuple]
     scan_seq: Callable[[], bool]
+    run: Callable[[int, Any, bool], tuple]
     wake: list  # per-slot wake flags; set all True to re-run everything
     n_comb: int  # comb slots come first in ``wake``; seq slots follow
     fanout: dict  # signal -> wake slots; read-tracked slots grow it
@@ -137,14 +149,16 @@ def generate(
     comb: list[Plan],
     seq: list[Plan],
     executors: list,
+    horizons: list,
     namespace: dict,
     code: dict,
 ) -> GeneratedModule:
     """Emit, compile and wire the dispatching module.
 
-    ``namespace`` must already contain ``_CH``, ``_U``, ``_SL`` and
-    ``_CHG``; specialized bodies, called functions, executor methods and
-    the tracked plans' slot runners are installed here.  ``code`` maps a
+    ``namespace`` must already contain ``_CH``, ``_U``, ``_SL``, ``_CHG``,
+    ``_SIM`` and ``_JOK``; specialized bodies, called functions, executor
+    methods, the wheel hooks' ``horizons`` and the tracked plans' slot
+    runners are installed here.  ``code`` maps a
     dispatch source to its code object: a source compiled before is
     exec'd again without compiling, and the dict keeps only the last one.
     """
@@ -185,7 +199,7 @@ def generate(
     namespace["_FAN"] = fanout
     namespace["_ALW"] = every
 
-    def emit_drain(passed: int) -> None:
+    def emit_drain(passed: int, pad: str = "    ") -> None:
         # inlined at each slot-group boundary: the truthiness test keeps
         # an empty drain at one bytecode op instead of a function call;
         # ``passed`` is the number of comb slots the sweep has gone by.
@@ -196,15 +210,15 @@ def generate(
             behind = "_more = True"
         else:
             behind = f"if _k < {passed}: _more = True"
-        emit("    if _CHG:")
-        emit("        for _s in _CHG:")
-        emit("            _f = _FAN.get(_s)")
-        emit("            if _f is not None:")
-        emit("                for _k in _f:")
-        emit("                    _W[_k] = True")
+        emit(pad + "if _CHG:")
+        emit(pad + "    for _s in _CHG:")
+        emit(pad + "        _f = _FAN.get(_s)")
+        emit(pad + "        if _f is not None:")
+        emit(pad + "            for _k in _f:")
+        emit(pad + "                _W[_k] = True")
         if behind:
-            emit("                    " + behind)
-        emit("        del _CHG[:]")
+            emit(pad + "                " + behind)
+        emit(pad + "    del _CHG[:]")
 
     # -- settle sweep ---------------------------------------------------------
     # Draining again at each rank boundary lets a whole forward cascade
@@ -314,6 +328,96 @@ def generate(
     emit("    return False")
     emit("")
 
+    # -- edge chunk -----------------------------------------------------------
+    # Simulator.step(n, rule) in one frame: settle, the jump check, the
+    # edge and the rule, exactly as the engine's methods would run them.
+    emit("def _run(_n, _rule, _jumps):")
+    emit("    _sim = _SIM")
+    emit("    _max = _sim.max_settle")
+    emit("    _watch = _rule.watch")
+    emit("    _queue = _rule.queue")
+    emit("    _stage = _rule.stage")
+    emit("    _every = _rule.every")
+    emit("    _queued = _rule.queued")
+    emit("    _retired = _rule.retired")
+    emit("    _at = _rule.changed_at")
+    emit("    _now = _sim.now")
+    emit("    _ran = _hz = 0")
+    emit("    _sc = _qs = _it = _act = _ec = _sr = 0")
+    emit("    try:")
+    emit("        while _ran < _n:")
+    # settle: the entry drain decides quiescence (CompiledSimulator.settle)
+    emit("            _sc += 1")
+    emit("            if _sim._edge_dirty:")
+    emit("                _sim._edge_dirty = False")
+    emit("                _quiet = False")
+    emit("            else:")
+    emit("                _more = False")
+    emit_drain(n_slots, pad="                ")
+    emit("                _quiet = not _more")
+    emit("            if _quiet and not _ALW:")
+    emit("                _qs += 1")
+    emit("            else:")
+    emit("                _i = 0")
+    emit("                while True:")
+    emit("                    _i += 1")
+    emit("                    if _i > _max:")
+    emit("                        _sim._loop_error()")
+    emit("                    _CH.dirty = False")
+    emit("                    _r, _m = _sweep()")
+    emit("                    _act += _r")
+    emit("                    if not _m and not (_ALW and _CH.dirty):")
+    emit("                        break")
+    emit("                _it += _i")
+    # the jump check: the engine's _skip_scan, uncapped; once a horizon
+    # of 1 or less rules the jump out, the rest are not asked
+    veto = f" and not ({' or '.join(flags)})" if flags else ""
+    emit(f"            if _ran and _jumps and _JOK{veto}:")
+    emit(f"                _hz = {NO_HORIZON}")
+    for k, fn in enumerate(horizons):
+        namespace[f"_hz{k}"] = fn
+        pad = "                "
+        if k:
+            emit(pad + "if _hz > 1:")
+            pad += "    "
+        emit(pad + f"_h = _hz{k}()")
+        emit(pad + "if _h is not None and _h < _hz:")
+        emit(pad + "    _hz = _h")
+    emit("                if _hz > 1:")
+    emit("                    break")
+    emit("                _hz = 0")
+    # the edge (CompiledSimulator._edge)
+    emit("            _ec += 1")
+    emit("            _r, _v = _edge()")
+    emit("            if _v:")
+    emit("                _sim._edge_dirty = True")
+    emit("            _sr += _r")
+    emit("            _now += 1")
+    emit("            _sim.now = _now")
+    emit("            _ran += 1")
+    # the rule: date progress, then stop on a word or the predicate
+    emit("            _q = len(_queue._value)")
+    emit("            _t = _stage.retired")
+    emit("            if _q != _queued or _t != _retired:")
+    emit("                _queued = _q")
+    emit("                _retired = _t")
+    emit("                _at = _now")
+    emit("            if _ran < _n and (_watch._value or _every is not None and _every()):")
+    emit("                break")
+    emit("    finally:")
+    emit("        _ks = _sim.kernel_stats")
+    emit("        _ks.settle_calls += _sc")
+    emit("        _ks.quiescent_settles += _qs")
+    emit("        _ks.settle_iterations += _it")
+    emit("        _ks.activations += _act")
+    emit("        _ks.edge_calls += _ec")
+    emit("        _ks.seq_runs += _sr")
+    emit("        _rule.queued = _queued")
+    emit("        _rule.retired = _retired")
+    emit("        _rule.changed_at = _at")
+    emit("    return _ran, _hz")
+    emit("")
+
     for k, ex in enumerate(executors):
         namespace[f"_x{k}_settle"] = ex.settle
         namespace[f"_x{k}_edge"] = ex.edge
@@ -329,6 +433,7 @@ def generate(
         drain=namespace["_drain"],
         edge=namespace["_edge"],
         scan_seq=namespace["_scan_seq"],
+        run=namespace["_run"],
         wake=wake,
         n_comb=n_slots,
         fanout=fanout,

@@ -21,6 +21,9 @@ with calls into the module generated by :mod:`.codegen`:
 * the **time wheel** is inherited; only the jump-precondition scan is
   replaced (the non-wheeled seq wake flags and the vectorized executors'
   horizons).
+* an **edge chunk** (``step`` with a :class:`~repro.hdl.sim.ChunkRule`
+  and no observer) runs in the generated ``_run``: settle, jump check,
+  edge and rule loop without returning to this class.
 
 Wake flags alone decide which process runs, raised through a static
 fanout map; external pokes are observed through the ordinary
@@ -44,7 +47,7 @@ from .. import signal as _signal_mod
 from ..component import Component
 from ..errors import CombinationalLoopError
 from ..signal import CHANGES, Signal
-from ..sim import MAX_SETTLE_ITERATIONS, Simulator
+from ..sim import MAX_SETTLE_ITERATIONS, ChunkRule, Simulator
 from ...analysis.lint import astpass
 from ...analysis.lint.astpass import ResolvedFn
 from .codegen import GeneratedModule, Plan, generate
@@ -196,24 +199,6 @@ class CompiledSimulator(Simulator):
         for j, sp in enumerate(self._seqprocs):
             self._plan(seq_plans, j, sp, True, spec, layout.seq[j], signals)
 
-        namespace: dict = {
-            "_CH": CHANGES,
-            "_U": _signal_mod._UNSET,
-            "_SL": self._staged_regs,
-            "_CHG": self._changed,
-        }
-        module: GeneratedModule = generate(
-            comb_plans, seq_plans, executors, namespace, layout.code)
-        tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
-        for tc, pl in zip(self._tracked, tracked):
-            tc.slot = pl.slot
-        self._module = module
-        self._sweep_fn = module.sweep
-        self._drain_fn = module.drain
-        self._edge_fn = module.edge
-        self._scan_seq_fn = module.scan_seq
-        #: every-sweep comb functions; runtime demotions append here
-        self._every = module.every
         always = [pl for pl in comb_plans if pl.kind == "sweep"]
         #: fast-forward soundness mirrors the event kernel's
         #: ``_always_covered``: every every-sweep process must belong to a
@@ -225,6 +210,29 @@ class CompiledSimulator(Simulator):
         self._seq_always_unwheeled = any(
             pl.kind == "edge" and not pl.wheeled for pl in seq_plans
         )
+        namespace: dict = {
+            "_CH": CHANGES,
+            "_U": _signal_mod._UNSET,
+            "_SL": self._staged_regs,
+            "_CHG": self._changed,
+            "_SIM": self,
+            "_JOK": self._jump_ok(),
+        }
+        horizons = ([horizon for horizon, _ in self._wheel_hooks]
+                    + [ex.horizon for ex in executors])
+        module: GeneratedModule = generate(
+            comb_plans, seq_plans, executors, horizons, namespace, layout.code)
+        tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
+        for tc, pl in zip(self._tracked, tracked):
+            tc.slot = pl.slot
+        self._module = module
+        self._sweep_fn = module.sweep
+        self._drain_fn = module.drain
+        self._edge_fn = module.edge
+        self._scan_seq_fn = module.scan_seq
+        self._run_fn = module.run
+        #: every-sweep comb functions; runtime demotions append here
+        self._every = module.every
 
         stats = self.kernel_stats
         #: every non-absorbed process's plan, comb first
@@ -366,6 +374,7 @@ class CompiledSimulator(Simulator):
         self._every.append(tc.fn)
         if not tc.wheeled:
             self._comb_covered = False
+            self._module.namespace["_JOK"] = False
         stats = self.kernel_stats
         stats.dynamic_fallbacks += 1
         stats.always_procs += 1
@@ -400,12 +409,7 @@ class CompiledSimulator(Simulator):
         while True:
             iterations += 1
             if iterations > self.max_settle:
-                # Leave a recoverable engine behind the diagnostic: wake
-                # every slot and mark state suspect.
-                self._wake_all()
-                self._edge_dirty = True
-                unstable = self._find_unstable()
-                raise CombinationalLoopError(self.now, self.max_settle, unstable)
+                self._loop_error()
             tracker.dirty = False
             ran, more = sweep()
             stats.activations += ran
@@ -421,6 +425,14 @@ class CompiledSimulator(Simulator):
             return 0
         return iterations
 
+    def _loop_error(self) -> None:
+        """Raise the settle's loop diagnostic, leaving a recoverable engine
+        behind it: every slot woken and state marked suspect."""
+        self._wake_all()
+        self._edge_dirty = True
+        unstable = self._find_unstable()
+        raise CombinationalLoopError(self.now, self.max_settle, unstable)
+
     # -- edge phase ------------------------------------------------------------
 
     def _edge(self) -> None:
@@ -433,10 +445,26 @@ class CompiledSimulator(Simulator):
             self._edge_dirty = True
         stats.seq_runs += ran
 
+    # -- edge chunks -------------------------------------------------------------
+
+    def step(self, cycles: int = 1, rule: Optional[ChunkRule] = None) -> int:
+        """:meth:`Simulator.step`; an edge chunk with no observer attached
+        runs in the generated module (``_run``)."""
+        if rule is None or self._observers:
+            return super().step(cycles, rule)
+        ran, horizon = self._run_fn(cycles, rule, self.wheel)
+        if horizon:
+            self._cert = (self.now, self.kernel_stats.settle_calls, horizon)
+        return ran
+
     # -- time-wheel fast-forward -----------------------------------------------
 
+    def _jump_ok(self) -> bool:
+        """No every-sweep or every-edge process vetoes every jump."""
+        return self._comb_covered and not self._seq_always_unwheeled
+
     def _skip_scan(self, limit: int) -> int:
-        if not self._comb_covered or self._seq_always_unwheeled:
+        if not self._jump_ok():
             return 0
         if self._scan_seq_fn():
             return 0
@@ -474,6 +502,7 @@ class CompiledSimulator(Simulator):
             hook()
         for ex in self._executors:
             ex.on_reset()
+        self._cert = None
         self._wake_all()
         self._changed.clear()
         self._edge_dirty = True

@@ -80,8 +80,11 @@ only; the exhaustive kernel keeps the reference run-everything loop):
   process without a wheel hook, or any plain observer vetoes the jump.
   :meth:`Simulator.fast_forward_limit` exposes the same scan to host-side
   pump loops so they can bound their stepping chunks, and
-  ``step(cycles, stop)`` runs real edges until a caller-side event, ending
-  early wherever that scan would pass.
+  ``step(cycles, rule)`` runs real edges until the :class:`ChunkRule` says
+  the caller has something to act on, ending early wherever that scan
+  would pass.  A chunk that ends there leaves the scan's horizon behind as
+  a certificate, which the next :meth:`Simulator.fast_forward_limit`
+  reuses instead of scanning the same settled state again.
 """
 
 from __future__ import annotations
@@ -99,6 +102,9 @@ from .signal import CHANGES, Reg, Signal
 #: chains (ready propagation through the 6-stage pipeline, tree folds) are
 #: far below this bound, so hitting it indicates a genuine loop.
 MAX_SETTLE_ITERATIONS = 256
+
+#: The scan limit of an uncapped horizon: more cycles than any run covers.
+NO_HORIZON = 1 << 60
 
 #: Number of read-set growth events after which a process is reclassified as
 #: dynamic (exhaustive fallback).  Growth is a normal, bounded occurrence for
@@ -223,6 +229,40 @@ class KernelStats:
         return asdict(self)
 
 
+class ChunkRule:
+    """When an edge chunk ends, as data the kernel evaluates.
+
+    :meth:`Simulator.step` with a rule runs real edges and, after each one
+    but the last, ends the chunk
+
+    * once ``watch`` (a register holding a sequence) is non-empty: a word
+      reached the host port;
+    * otherwise, when ``every`` is set and ``every()`` holds: a predicate
+      that may read simulated state, so it is checked after every edge.
+
+    A predicate that reads host state only cannot change inside a chunk;
+    its caller checks it between chunks and leaves it out of the rule.
+
+    After every edge the kernel also dates progress: when the length of
+    ``queue``'s value or ``stage.retired`` differs from ``queued`` /
+    ``retired``, it stores the new values and sets ``changed_at`` to the
+    cycle.  The caller sets the baseline and reads ``changed_at`` back.
+    """
+
+    __slots__ = ("watch", "queue", "stage", "every", "queued", "retired",
+                 "changed_at")
+
+    def __init__(self, watch: Reg, queue: Reg, stage: object,
+                 every: Optional[Callable[[], bool]] = None) -> None:
+        self.watch = watch
+        self.queue = queue
+        self.stage = stage
+        self.every = every
+        self.queued = len(queue._value)
+        self.retired = stage.retired
+        self.changed_at: Optional[int] = None
+
+
 class SimClock:
     """One simulator's cycle counter, as a callable a design may hold.
 
@@ -330,6 +370,9 @@ class Simulator:
         self._changed: list[Signal] = []
         self._staged_regs: list[Reg] = []
         self._needs_discovery = True
+        #: (now, settle_calls, horizon) left by an edge chunk that ended
+        #: where the wheel could jump (see :meth:`fast_forward_limit`)
+        self._cert: Optional[tuple[int, int, int]] = None
         self.kernel_stats = KernelStats()
         #: what the build cache did for this design, by consumer
         #: ("compile", "lint") → "hit" | "miss" | "uncacheable"
@@ -787,7 +830,7 @@ class Simulator:
                 skip(n)
         return n
 
-    def fast_forward_limit(self, max_cycles: int = 1 << 60) -> int:
+    def fast_forward_limit(self, max_cycles: int = NO_HORIZON) -> int:
         """Upper bound on safely skippable cycles from the current state.
 
         Settles the design, then runs the wheel's precondition scan without
@@ -796,19 +839,31 @@ class Simulator:
         real work pending on the next edge).  Host pump loops call this at
         the start of each chunk: above 1 they step a certified jump chunk
         of at most this many cycles, otherwise they run real edges with
-        ``step(cycles, stop)``, which ends as soon as this scan would pass
+        ``step(cycles, rule)``, which ends as soon as this scan would pass
         again.
+
+        An edge chunk that ended there has just scanned this settled
+        state: while ``now`` is unchanged, no settle ran since, nothing is
+        pending and this settle finds nothing to do, its horizon is reused
+        instead of scanning again.  :meth:`reset` drops it.
         """
         if not self.wheel or self._plain_observers:
             return 0
-        self.settle()
+        cert, self._cert = self._cert, None
+        if cert is not None and (cert[0] != self.now or self._changed
+                                 or cert[1] != self.kernel_stats.settle_calls):
+            cert = None
+        if self.settle():
+            cert = None
         if self._needs_discovery:
             return 0
+        if cert is not None:
+            return min(cert[2], max_cycles)
         return self._skip_scan(max_cycles)
 
     # -- public stepping API ---------------------------------------------------
 
-    def step(self, cycles: int = 1, stop: Optional[Callable[[], bool]] = None) -> int:
+    def step(self, cycles: int = 1, rule: Optional[ChunkRule] = None) -> int:
         """Advance the design by up to ``cycles`` clock cycles; returns the
         number of cycles run.
 
@@ -817,31 +872,43 @@ class Simulator:
         O(#hooks) jumps instead of per-cycle edges; the result is
         cycle-exact either way.
 
-        With ``stop``, every cycle is a real edge and the step may end
-        early: ``stop()`` is called after each edge but the last, on the
-        unsettled post-edge state, and a true result ends the step there.
-        The step also ends before an edge whose settled state
+        With a :class:`ChunkRule`, every cycle is a real edge and the step
+        may end early: the rule is evaluated after each edge but the last,
+        on the unsettled post-edge state, and dates progress after every
+        edge.  The step also ends before an edge whose settled state
         :meth:`fast_forward_limit` would certify for a jump, so a caller
         that steps event by event still takes every jump a caller stepping
         cycle by cycle would.
         """
-        if stop is None and cycles > 1 and self.wheel and not self._plain_observers:
+        if rule is None and cycles > 1 and self.wheel and not self._plain_observers:
             self._step_wheel(cycles)
             return cycles
         observers = self._observers
-        jumps = stop is not None and self.wheel and not self._plain_observers
+        jumps = rule is not None and self.wheel and not self._plain_observers
         ran = 0
         while ran < cycles:
             self.settle()
-            if ran and jumps and self._skip_scan(2) > 1:
-                break
+            if ran and jumps:
+                horizon = self._skip_scan(NO_HORIZON)
+                if horizon > 1:
+                    self._cert = (self.now, self.kernel_stats.settle_calls, horizon)
+                    break
             self._edge()
             self.now += 1
             ran += 1
             for obs in observers:
                 obs(self.now)
-            if stop is not None and ran < cycles and stop():
-                break
+            if rule is not None:
+                queued = len(rule.queue._value)
+                retired = rule.stage.retired
+                if queued != rule.queued or retired != rule.retired:
+                    rule.queued = queued
+                    rule.retired = retired
+                    rule.changed_at = self.now
+                if ran < cycles and (
+                    rule.watch._value or rule.every is not None and rule.every()
+                ):
+                    break
         return ran
 
     def _step_wheel(self, cycles: int) -> None:
@@ -912,6 +979,7 @@ class Simulator:
         self._staged_regs.clear()  # reset_state dropped every staged value
         for hook in self._resets:
             hook()
+        self._cert = None
         if self._event:
             self._needs_discovery = True
             self._changed.clear()

@@ -176,7 +176,8 @@ class CoprocessorDriver:
         link fails fast; None → a link-derived default, ≤0 → disabled.
         """
         self.engine.pump_until(lambda: len(self.inbox) >= count, max_cycles,
-                               deadline_cycles, what=f"expected {count} responses")
+                               deadline_cycles, what=f"expected {count} responses",
+                               host_only=True)
         out, self.inbox[:] = self.inbox[:count], self.inbox[count:]
         return out
 

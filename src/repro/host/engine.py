@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..faults.checkpoint import Checkpoint, restore_state, snapshot_state
 from ..hdl.errors import SimulationError
+from ..hdl.sim import ChunkRule
 from ..messages.framing import Deframer, Framer
 from ..messages.reliability import (
     SEQ_MASK,
@@ -320,8 +321,6 @@ class HostEngine:
         self.sim = system.sim
         self.soc = system.soc
         self.host = host_port
-        #: the RTM execution stage, whose retire count is progress
-        self._execution = getattr(getattr(self.soc, "rtm", None), "execution", None)
         self.window = window
         self.raise_on_exception = raise_on_exception
         cfg = system.config
@@ -380,9 +379,9 @@ class HostEngine:
         #: bumped by every rollback so in-progress rx-event loops abandon
         #: events deframed before the coprocessor was reset
         self._rx_epoch = 0
-        #: stop rule of the edge chunks :meth:`pump` runs (a wait installs
+        #: the rule of the edge chunks :meth:`pump` runs (a wait installs
         #: its own for the duration of :meth:`pump_until`)
-        self._edge_stop: Callable[[], bool] = self._host_event
+        self._wait = _Wait(self, None)
         self._maybe_checkpoint()
 
     # -- submission ---------------------------------------------------------------
@@ -711,10 +710,18 @@ class HostEngine:
         snapshot: engine idle, coprocessor drained, no latent taint, no
         pending check — locks free and pipelines empty, so the
         architectural state alone captures the machine."""
+        return self._checkpoint_wanted() and self._coprocessor_quiescent()
+
+    def _checkpoint_wanted(self) -> bool:
+        """The host half of :meth:`_checkpoint_due`, which no edge can
+        change: a protected, idle engine with no checkpoint, or with
+        journaled work since the last one."""
         if not self._protected or self.fatal_error is not None:
             return False
-        if not self.idle or self._ckpt is not None and not self._journal:
-            return False
+        return self.idle and (self._ckpt is None or bool(self._journal))
+
+    def _coprocessor_quiescent(self) -> bool:
+        """The simulated half of :meth:`_checkpoint_due`."""
         soc = self.soc
         # busy first: its lock query repairs (or reports) a latent upset,
         # so the answer does not depend on whether a wait's done() already
@@ -873,19 +880,21 @@ class HostEngine:
         When the simulator certifies (via :meth:`Simulator.fast_forward_limit`)
         that the next ``limit`` edges are pure aging, the whole stretch is
         stepped in one call and the wheel compresses it.  Otherwise the
-        kernel runs real edges back to back (``Simulator.step`` with a stop
-        rule) until the first edge after which the host has something to
-        act on: a word in the host port's rx queue, the wait's ``done()``
-        holding, or a checkpoint coming due on a protected system.  It also
-        stops where the wheel could jump, so the next chunk takes that jump.
-        Both kinds are bounded by ``bound`` and :meth:`_timer_slack`.
+        kernel runs real edges back to back under the wait's
+        :class:`~repro.hdl.sim.ChunkRule` until the first edge after which
+        the host has something to act on: a word in the host port's rx
+        queue, or a predicate that reads simulated state holding (an
+        unclassified ``done()``, a checkpoint coming due on a protected
+        system).  It also stops where the wheel could jump, so the next
+        chunk takes that jump.  Both kinds are bounded by ``bound`` and
+        :meth:`_timer_slack`.
 
         The host-side drain/deadline/checkpoint work runs once, at the end
         of the chunk.  That is exact: before the chunk's last edge no word
         arrives, no timer fires and no completion opens the window, so each
         of those steps would have been a no-op.
         """
-        self.flush()
+        sent = self.flush()
         sim = self.sim
         n = min(bound, self._timer_slack())
         limit = sim.fast_forward_limit(n) if n > 1 else 0
@@ -893,20 +902,11 @@ class HostEngine:
             n = min(n, limit)
             sim.step(n)
         else:
-            n = sim.step(n, self._edge_stop)
+            n = sim.step(n, self._wait.arm(sent))
         self.drain_words()
         self._check_deadlines()
         self._maybe_checkpoint()
         return n
-
-    def _host_event(self, done: Optional[Callable[[], bool]] = None) -> bool:
-        """True once an edge left the host something to act on (the stop
-        rule of an edge chunk; see :meth:`_pump_chunk`)."""
-        return bool(
-            self.host.rx_available
-            or done is not None and done()
-            or self._checkpoint_due()
-        )
 
     def pump(self, cycles: int = 1) -> None:
         """Advance the simulation, draining responses and refilling the window."""
@@ -963,24 +963,14 @@ class HostEngine:
             else:  # "resync"
                 self.stats.rx_resyncs += 1
 
-    def progress_signature(self) -> tuple:
-        """A cheap tuple that changes whenever the system observably moves.
-
-        Used by the no-progress deadline of :meth:`pump_until`: words moving
-        in either direction, completions, failures, retransmissions or
-        retired instructions all count as progress; a dead or wedged system
-        holds the tuple still.
-        """
+    def _host_progress(self) -> tuple:
+        """The host's share of the progress a wait's deadline looks for:
+        words sent and received, completions, failures, retransmissions.
+        The simulated share (``tx_pending``, retired instructions) is dated
+        by the kernel, edge by edge (see :class:`_Wait`)."""
         stats = self.stats
-        return (
-            stats.words_sent,
-            self._words_received,
-            self.host.tx_pending,
-            stats.completed,
-            stats.failed,
-            stats.retransmits,
-            getattr(self._execution, "retired", 0),
-        )
+        return (stats.words_sent, self._words_received, stats.completed,
+                stats.failed, stats.retransmits)
 
     def resolve_deadline(self, deadline_cycles: Optional[int]) -> Optional[int]:
         """Normalise a ``deadline_cycles`` argument (None → default, ≤0 → off)."""
@@ -998,6 +988,7 @@ class HostEngine:
         *,
         what: str = "wait did not finish",
         cap: Optional[Callable[[], Optional[int]]] = None,
+        host_only: bool = False,
     ) -> int:
         """Pump until ``done()`` holds; returns the cycles consumed.
 
@@ -1008,61 +999,49 @@ class HostEngine:
         fast instead of idling out the full budget.  ``deadline_cycles``:
         None → a link-derived default, ≤0 → disabled.
 
+        ``host_only`` says ``done()`` reads host state only (a future, the
+        inbox, the session's free registers).  No edge can change such a
+        predicate, so it is checked between chunks only.  Any other
+        ``done()`` is checked after every edge an edge chunk runs, by the
+        chunk's rule (a jump chunk is pure aging, so nothing it covers can
+        change ``done()`` before its final cycle).
+
         Exit-cycle exactness: every chunk is bounded by the budget and the
-        no-progress trigger point, and ``done()`` is checked after every
-        edge an edge chunk runs (a jump chunk is pure aging, so nothing it
-        covers can change ``done()`` before its final cycle).  Inside an
-        edge chunk the progress signature still moves — ``host.tx_pending``
-        drops as words leave, instructions retire — so the chunk's stop
-        rule compares it after every edge and dates the last change exactly.
-        This loop therefore returns or raises on exactly the cycle a
-        one-cycle-at-a-time pump would.  A condition that can turn true on
-        elapsed cycles alone must also pass ``cap()``, the cycles until it
-        could, so that no jump chunk steps past it.
+        no-progress trigger point.  Inside an edge chunk the simulated
+        share of the progress — ``host.tx_pending`` drops as words leave,
+        instructions retire — still moves, and the kernel dates its last
+        change to the exact edge.  This loop therefore returns or raises on
+        exactly the cycle a one-cycle-at-a-time pump would.  A condition
+        that can turn true on elapsed cycles alone must also pass
+        ``cap()``, the cycles until it could, so that no jump chunk steps
+        past it.
         """
         start = self.sim.now
         deadline = self.resolve_deadline(deadline_cycles)
-        sim = self.sim
-        progress = self.progress_signature
-        signature = progress()
-        last_progress = start
-
-        def note_progress() -> None:
-            nonlocal signature, last_progress
-            current = progress()
-            if current != signature:
-                signature = current
-                last_progress = sim.now
-
-        def stop() -> bool:
-            if self._host_event(done):
-                return True
-            note_progress()
-            return False
-
-        outer_stop, self._edge_stop = self._edge_stop, stop
+        wait = _Wait(self, None if host_only else done)
+        outer, self._wait = self._wait, wait
         try:
             while not done():
                 now = self.sim.now
                 if now - start >= max_cycles:
                     raise SimulationError(
                         f"{what}: budget of {max_cycles} cycles spent ({self._backlog()})")
-                if deadline is not None and now - last_progress >= deadline:
+                if deadline is not None and now - wait.progress_at >= deadline:
                     message = f"{what}: no progress for {deadline} cycles ({self._backlog()})"
                     if self.link_down:
                         raise LinkDownError(f"{message} (link is down)")
                     raise HostTimeoutError(message)
                 bound = start + max_cycles - now
                 if deadline is not None:
-                    bound = min(bound, last_progress + deadline - now)
+                    bound = min(bound, wait.progress_at + deadline - now)
                 limit = cap() if cap is not None else None
                 if limit is not None:
                     bound = min(bound, limit)
                 self._pump_chunk(max(1, bound))
                 self.flush()
-                note_progress()
+                wait.observe()
         finally:
-            self._edge_stop = outer_stop
+            self._wait = outer
         return self.sim.now - start
 
     def wait(self, future: HostFuture, max_cycles: int = 1_000_000,
@@ -1071,7 +1050,7 @@ class HostEngine:
         if not future.done():
             self.flush()
             self.pump_until(future.done, max_cycles, deadline_cycles,
-                            what="request did not complete")
+                            what="request did not complete", host_only=True)
 
     def _backlog(self) -> str:
         return (f"{self._in_flight} in flight, {len(self._queue)} queued, "
@@ -1099,3 +1078,65 @@ class HostEngine:
     def idle(self) -> bool:
         """True when nothing is queued host-side and nothing is in flight."""
         return not self._queue and self._in_flight == 0
+
+
+class _Wait(ChunkRule):
+    """The chunk rule of one wait, and the progress it has seen.
+
+    The rule stops an edge chunk when a word reaches the host port's rx
+    queue, or when ``every()`` holds: the wait's unclassified predicate,
+    or'ed with the checkpoint test while a protected engine is idle
+    (:meth:`arm`).  ``progress_at`` is the cycle the system last
+    observably moved, read by the no-progress deadline of
+    :meth:`HostEngine.pump_until`.  Progress is observed after every edge
+    (by the kernel: the host port's tx queue and the retire count) and
+    after every chunk (:meth:`observe`: the host counters too), each
+    observation compared with the one before it.
+    """
+
+    __slots__ = ("engine", "predicate", "seen", "progress_at")
+
+    def __init__(self, engine: HostEngine,
+                 predicate: Optional[Callable[[], bool]]) -> None:
+        host = engine.host
+        # the retire count of the RTM's execution stage is progress
+        super().__init__(watch=host._rxq, queue=host._txq,
+                         stage=engine.soc.rtm.execution)
+        self.engine = engine
+        #: the wait's predicate when it may read simulated state, else None
+        self.predicate = predicate
+        #: the host counters as last observed (see HostEngine._host_progress)
+        self.seen = engine._host_progress()
+        self.progress_at = engine.sim.now
+
+    def arm(self, sent: int) -> "_Wait":
+        """This rule, set for the edge chunk about to run; ``sent`` is the
+        words the chunk's opening flush sent."""
+        engine = self.engine
+        predicate = self.predicate
+        if engine._checkpoint_wanted():
+            quiescent = engine._coprocessor_quiescent
+            self.every = (quiescent if predicate is None
+                          else lambda: predicate() or quiescent())
+        else:
+            self.every = predicate
+        if sent:
+            # the flush moved the host counters: the first edge observes it
+            self.seen = engine._host_progress()
+            self.queued = -1
+        return self
+
+    def observe(self) -> None:
+        """Observe the progress after a chunk and its host work."""
+        if self.changed_at is not None:
+            self.progress_at = self.changed_at
+            self.changed_at = None
+        engine = self.engine
+        seen = engine._host_progress()
+        queued = len(self.queue._value)
+        retired = self.stage.retired
+        if seen != self.seen or queued != self.queued or retired != self.retired:
+            self.seen = seen
+            self.queued = queued
+            self.retired = retired
+            self.progress_at = engine.sim.now

@@ -168,7 +168,7 @@ class Session:
         """
         engine = self.driver.engine
         engine.pump_until(lambda: bool(self._free) or engine.idle,
-                          what="no register freed")
+                          what="no register freed", host_only=True)
         return self.alloc()
 
     def compute_async(self, op: ArithOp | LogicOp, x: int, y: int = 0) -> HostFuture:

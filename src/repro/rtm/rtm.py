@@ -56,6 +56,19 @@ def _connect(comp: Component, src, dst) -> None:
     comp.comb(_link)
 
 
+class _StateFaults:
+    """A protected RTM's fault plan and machine-check unit, behind one
+    attribute: the RTM keeps its instance attributes within the 29 CPython
+    3.11 stores inline, so its ``__dict__`` is never materialized and every
+    attribute load on it stays on the fast path."""
+
+    __slots__ = ("plan", "mcu")
+
+    def __init__(self, plan: StateFaultPlan, mcu: MachineCheckUnit) -> None:
+        self.plan = plan
+        self.mcu = mcu
+
+
 class RegisterTransferMachine(Component):
     """The generic controller circuit: pipeline + register files + arbiter."""
 
@@ -76,14 +89,12 @@ class RegisterTransferMachine(Component):
 
         # -- state-fault domain (spec → plan + machine-check unit) -------------
         protected = state_protection or state_faults is not None
-        self.state_domain: Optional[StateFaultPlan] = (
-            StateFaultPlan(state_faults) if protected else None
-        )
-        self.mcu: Optional[MachineCheckUnit] = (
-            MachineCheckUnit("mcu", parent=self) if protected else None
-        )
-        if self.mcu is not None:
-            self.mcu.stats = self.state_domain.stats
+        self._state_faults: Optional[_StateFaults] = None
+        if protected:
+            plan = StateFaultPlan(state_faults)
+            mcu = MachineCheckUnit("mcu", parent=self)
+            mcu.stats = plan.stats
+            self._state_faults = _StateFaults(plan, mcu)
 
         # -- state ------------------------------------------------------------
         # In-order: files sized exactly as before (no new components or
@@ -158,9 +169,9 @@ class RegisterTransferMachine(Component):
         _connect(self, self.encoder.out, self.serializer.inp)
 
         # -- state guards (after assembly: every protected element exists) -----
-        self.scrubber: Optional[StateScrubber] = None
-        if protected:
-            plan, mcu = self.state_domain, self.mcu
+        faults = self._state_faults
+        if faults is not None:
+            plan, mcu = faults.plan, faults.mcu
             RamGuard("rtm.regfile", self.regfile.ram, plan, mcu)
             RamGuard("rtm.flagfile", self.flagfile.ram, plan, mcu)
             LockGuard("rtm.lockmgr", self.lockmgr, plan, mcu)
@@ -171,7 +182,7 @@ class RegisterTransferMachine(Component):
                 array = getattr(getattr(unit, "core", None), "array", None)
                 if array is not None:
                     ArrayGuard(f"rtm.{unit.name}.array", array, plan, mcu)
-            self.scrubber = StateScrubber("scrubber", plan, mcu, parent=self)
+            StateScrubber("scrubber", plan, mcu, parent=self)
             self.dispatcher.mcu = mcu
             self.execution.mcu = mcu
             self.write_arbiter.mcu = mcu
@@ -185,6 +196,18 @@ class RegisterTransferMachine(Component):
         self.words_out = self.serializer.out
 
     # -- convenience accessors (testbench/driver use) ------------------------------
+
+    @property
+    def state_domain(self) -> Optional[StateFaultPlan]:
+        """The state-fault plan (None when unprotected)."""
+        faults = self._state_faults
+        return None if faults is None else faults.plan
+
+    @property
+    def mcu(self) -> Optional[MachineCheckUnit]:
+        """The machine-check unit (None when unprotected)."""
+        faults = self._state_faults
+        return None if faults is None else faults.mcu
 
     @property
     def halted(self) -> bool:
