@@ -16,7 +16,8 @@ in two phases so that linting thousands of process instances stays cheap:
    one entry).
 
 2. **Resolution** (per process instance) — evaluate each symbolic chain
-   against the function's actual closure/defaults/globals, turning
+   against the function's live scope (:func:`repro.hdl.live.lookup`: the
+   bound receiver, defaults, closure cells, globals), turning
    ``("self", "out", "valid")`` into the concrete
    :class:`~repro.hdl.signal.Signal` object.  Bound-method calls resolve
    through the *instance* (so subclass overrides like
@@ -31,7 +32,6 @@ positives, because a lint that cries wolf gets turned off.
 from __future__ import annotations
 
 import ast
-import builtins as _builtins
 import inspect
 import textwrap
 import types
@@ -39,7 +39,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from ...hdl.components import Stream
-from ...hdl.signal import Reg, Signal
+from ...hdl.live import MISSING, load, lookup
+from ...hdl.signal import Signal
+from ...hdl.signal import tracking as _tracking
 
 # -- symbolic model -----------------------------------------------------------
 #
@@ -880,8 +882,6 @@ def summarize(fn: Callable[..., Any]) -> FnSummary:
 
 # -- resolution ---------------------------------------------------------------
 
-_MISSING = object()
-
 
 @dataclass(frozen=True)
 class ResolvedWrite:
@@ -891,7 +891,6 @@ class ResolvedWrite:
     targets: tuple  # Signal objects (an ("e",) target fans out)
     deps: frozenset  # Signal objects the written value/control depends on
     line: int
-    deps_unresolved: bool
     #: concrete source signal of a pure ``dst.set(src.value)`` copy
     src: Optional[Signal] = None
     #: resolved symbolic value tree — like :data:`Expr` but with
@@ -918,6 +917,12 @@ class ResolvedFn:
     writes: list = field(default_factory=list)  # [ResolvedWrite]
     #: (id(owner), attr) → (dotted source text, owner): hidden-attribute loads
     hidden_loads: dict = field(default_factory=dict)
+    #: (id(owner), attr) → the value each hidden load gave when sampled at
+    #: resolution (``MISSING`` when the load raised)
+    loaded: dict = field(default_factory=dict)
+    #: signals property getters read while the hidden loads were sampled,
+    #: under read tracking
+    getter_reads: set = field(default_factory=set)
     #: keys of the ``hidden_loads`` whose owner is only ever a signal's
     #: current value, sampled at resolution (a parameter bound to
     #: ``sig.value``): what it holds at run time is a read of that signal
@@ -925,7 +930,6 @@ class ResolvedFn:
     #: (id(owner), attr) → owner: attribute stores / container mutations
     hidden_stores: dict = field(default_factory=dict)
     nonlocal_stores: set = field(default_factory=set)
-    streams_fired: set = field(default_factory=set)  # Stream objects
     #: (line, resolved test tree) for every modelable ``if`` guard
     branches: list = field(default_factory=list)
     unknown_calls: bool = False
@@ -934,10 +938,6 @@ class ResolvedFn:
     #: some writes could not be attributed (write set may be incomplete)
     opaque_writes: bool = False
     parse_failed: bool = False
-
-    @property
-    def unresolved_chains(self) -> bool:
-        return self.opaque_reads or self.opaque_writes
 
     @property
     def read_complete(self) -> bool:
@@ -957,30 +957,16 @@ class ResolvedFn:
                          for t in w.targets)
 
 
-def _root_env(fn: Callable[..., Any]) -> dict[str, Any]:
-    """Name → object environment: closure cells, defaults, then globals."""
-    env: dict[str, Any] = {}
-    code = fn.__code__
-    env.update(getattr(fn, "__globals__", {}))
-    defaults = fn.__defaults__ or ()
-    if defaults:
-        argnames = code.co_varnames[: code.co_argcount]
-        for name, value in zip(argnames[-len(defaults):], defaults):
-            env[name] = value
-    closure = fn.__closure__ or ()
-    for name, cell in zip(code.co_freevars, closure):
-        try:
-            env[name] = cell.cell_contents
-        except ValueError:  # empty cell
-            pass
-    return env
+#: where the chains of one function start: a name → its value, or MISSING
+_Env = Callable[[str], Any]
 
 
-def _safe_getattr(obj: Any, name: str) -> Any:
-    try:
-        return getattr(obj, name, _MISSING)
-    except Exception:
-        return _MISSING
+def _env(fn: Callable[..., Any], bindings: Optional[dict]) -> _Env:
+    """``fn``'s roots: the caller's bindings of its parameters (inlining),
+    else its own scope (:func:`~repro.hdl.live.lookup`)."""
+    bound = bindings or {}
+    return lambda name: (bound[name] if name in bound
+                         else lookup(fn, name)[0])
 
 
 #: placeholder for "some value proven (by annotation) not to be a Signal"
@@ -1019,7 +1005,7 @@ def _return_class(fn: Any) -> Optional[type]:
     return cls
 
 
-def _resolve_chain(chain: Chain, env: dict[str, Any]) -> Optional[list]:
+def _resolve_chain(chain: Chain, env: _Env) -> Optional[list]:
     """Resolve a chain to the list of objects it can address, or None."""
     if not chain:
         return None
@@ -1038,19 +1024,17 @@ def _resolve_chain(chain: Chain, env: dict[str, Any]) -> Optional[list]:
             objs.append(_NONSIG)
     elif first[0] != "r":
         return None
-    elif first[1] in env:
-        objs = [env[first[1]]]
-    elif hasattr(_builtins, first[1]):
-        # `__globals__` doesn't list builtins; ValueError & co live here
-        objs = [getattr(_builtins, first[1])]
     else:
-        return None
+        root = env(first[1])
+        if root is MISSING:
+            return None
+        objs = [root]
     for step in chain[1:]:
         nxt: list[Any] = []
         for obj in objs:
             if step[0] == "a":
-                val = _safe_getattr(obj, step[1])
-                if val is _MISSING:
+                val = load(obj, step[1])
+                if val is MISSING:
                     return None
                 nxt.append(val)
             elif step[0] == "i":
@@ -1072,7 +1056,7 @@ def _resolve_chain(chain: Chain, env: dict[str, Any]) -> Optional[list]:
     return objs
 
 
-def _resolve_expr(expr: Expr, env: dict[str, Any]) -> Optional[tuple]:
+def _resolve_expr(expr: Expr, env: _Env) -> Optional[tuple]:
     """Resolve a symbolic value tree against a concrete environment.
 
     Signal-read leaves must resolve to exactly one numeric :class:`Signal`;
@@ -1124,39 +1108,23 @@ def _resolve_expr(expr: Expr, env: dict[str, Any]) -> Optional[tuple]:
             # module-global / closure constant: provenance by name only
             return ("attr", int(v), 0, last[1])
         return None
-    if tag == "bin":
-        left = _resolve_expr(expr[2], env)
-        right = _resolve_expr(expr[3], env)
-        if left is None or right is None:
-            return None
-        return ("bin", expr[1], left, right)
-    if tag == "un":
-        x = _resolve_expr(expr[2], env)
-        if x is None:
-            return None
-        return ("un", expr[1], x)
-    if tag == "cmp":
-        left = _resolve_expr(expr[2], env)
-        right = _resolve_expr(expr[3], env)
-        if left is None or right is None:
-            return None
-        return ("cmp", expr[1], left, right)
-    if tag == "bool":
-        arms = tuple(_resolve_expr(a, env) for a in expr[2])
-        if any(a is None for a in arms):
-            return None
-        return ("bool", expr[1], arms)
-    if tag == "ifexp":
-        parts = tuple(_resolve_expr(a, env) for a in expr[1:])
-        if any(a is None for a in parts):
-            return None
-        return ("ifexp",) + parts
-    if tag == "call":
-        args = tuple(_resolve_expr(a, env) for a in expr[2])
-        if any(a is None for a in args):
-            return None
-        return ("call", expr[1], args)
-    return None
+    if tag not in ("bin", "un", "cmp", "bool", "ifexp", "call"):
+        return None
+    parts: list = [tag]
+    for part in expr[1:]:
+        if type(part) is str:  # an operator or a callee name
+            parts.append(part)
+        elif type(part[0]) is str:  # one sub-tree
+            sub = _resolve_expr(part, env)
+            if sub is None:
+                return None
+            parts.append(sub)
+        else:  # boolean arms or call arguments
+            subs = tuple(_resolve_expr(a, env) for a in part)
+            if any(a is None for a in subs):
+                return None
+            parts.append(subs)
+    return tuple(parts)
 
 
 class _Resolver:
@@ -1189,19 +1157,11 @@ class _Resolver:
         if key in self._seen:
             return self.out
         self._seen.add(key)
-        env = _root_env(fn)
-        bound_self = getattr(fn, "__self__", None)
-        if bound_self is not None:
-            env["self"] = bound_self  # the receiver always wins over globals
-        if bindings:
-            env.update(bindings)  # caller-resolved arguments (inlining)
+        env = _env(fn, bindings)
         out = self.out
-        if summary.unknown_calls:
-            out.unknown_calls = True
-        if summary.opaque_reads:
-            out.opaque_reads = True
-        if summary.opaque_writes:
-            out.opaque_writes = True
+        out.unknown_calls |= summary.unknown_calls
+        out.opaque_reads |= summary.opaque_reads
+        out.opaque_writes |= summary.opaque_writes
         out.nonlocal_stores.update(summary.nonlocal_stores)
 
         for chain in summary.reads | summary.staged_reads:
@@ -1235,11 +1195,16 @@ class _Resolver:
             met = (self._sampled if _sampled_chain(chain[:-1], env, sampled)
                    else self._structural)
             for owner in objs:
-                val = _safe_getattr(owner, attr)
+                reads: set = set()
+                with _tracking(reads=reads):
+                    val = load(owner, attr)
                 if isinstance(val, (Signal, Stream)) or callable(val):
                     continue
-                out.hidden_loads[(id(owner), attr)] = (_chain_text(chain), owner)
-                met.add((id(owner), attr))
+                key = (id(owner), attr)
+                out.hidden_loads[key] = (_chain_text(chain), owner)
+                out.loaded[key] = val
+                out.getter_reads |= reads
+                met.add(key)
 
         for chain in summary.attr_stores:
             if len(chain) < 2:
@@ -1250,7 +1215,7 @@ class _Resolver:
             if objs is None:
                 continue
             for owner in objs:
-                val = _safe_getattr(owner, attr) if attr != "[]" else _MISSING
+                val = load(owner, attr) if attr != "[]" else MISSING
                 if isinstance(val, (Signal,)):
                     continue  # rebinding a Signal attribute is its own problem
                 out.hidden_stores[(id(owner), attr)] = owner
@@ -1270,14 +1235,14 @@ class _Resolver:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _resolve_write(self, site: WriteSite, env: dict[str, Any],
+    def _resolve_write(self, site: WriteSite, env: _Env,
                        depth: int) -> None:
         out = self.out
         targets = _resolve_chain(site.target, env)
         if targets is None:
             out.opaque_writes = True
             return
-        deps, unresolved = self._taint_signals(site.taint, env, depth)
+        deps = self._taint_signals(site.taint, env, depth)
         if site.kind == "drive":
             sig_targets: list[Signal] = []
             for obj in targets:
@@ -1299,14 +1264,13 @@ class _Resolver:
                 targets=tuple(targets),
                 deps=frozenset(deps),
                 line=site.line,
-                deps_unresolved=unresolved,
                 src=src_sig,
                 expr=_resolve_expr(site.expr, env),
             )
         )
 
     def _resolve_call(self, chain: Chain, args_taint: Taint,
-                      arg_aliases: tuple, env: dict[str, Any],
+                      arg_aliases: tuple, env: _Env,
                       depth: int, sampled: frozenset) -> None:
         out = self.out
         objs = _resolve_chain(chain, env)
@@ -1317,7 +1281,7 @@ class _Resolver:
             if len(chain) >= 2 and chain[-1][0] == "a":
                 owners = _resolve_chain(chain[:-1], env)
                 if owners is not None and all(
-                    _safe_getattr(o, chain[-1][1]) is _MISSING for o in owners
+                    load(o, chain[-1][1]) is MISSING for o in owners
                 ):
                     return
             out.unknown_calls = True
@@ -1328,7 +1292,6 @@ class _Resolver:
             if isinstance(obj, types.MethodType):
                 owner = obj.__self__
                 if isinstance(owner, Stream) and obj.__name__ == "fires":
-                    out.streams_fired.add(owner)
                     for sig in (owner.valid, owner.ready):
                         out.signal_reads.add(sig)
                         out.tracked_reads.add(sig)
@@ -1343,7 +1306,7 @@ class _Resolver:
             else:
                 out.unknown_calls = True
 
-    def _inline(self, obj: Any, arg_aliases: tuple, env: dict[str, Any],
+    def _inline(self, obj: Any, arg_aliases: tuple, env: _Env,
                 depth: int, sampled: frozenset) -> None:
         if depth >= _MAX_INLINE_DEPTH:
             self.out.unknown_calls = True
@@ -1358,19 +1321,15 @@ class _Resolver:
 
     @staticmethod
     def _param_names(obj: Any) -> list:
-        """The positional parameters a call's arguments bind, in order."""
-        fn = obj.__func__ if isinstance(obj, types.MethodType) else obj
-        code = getattr(fn, "__code__", None)
-        if code is None:
-            return []
-        params = list(code.co_varnames[: code.co_argcount])
-        if isinstance(obj, types.MethodType) and params:
-            params = params[1:]  # `self` comes from the bound receiver
-        return params
+        """The positional parameters a call's arguments bind, in order (a
+        bound method's receiver comes from the method)."""
+        code = getattr(obj, "__code__", None)
+        params = code.co_varnames[:code.co_argcount] if code else ()
+        return list(params[1:] if isinstance(obj, types.MethodType) else params)
 
     @classmethod
     def _param_bindings(cls, obj: Any, arg_aliases: tuple,
-                        env: dict[str, Any]) -> list:
+                        env: _Env) -> list:
         """Caller-side argument bindings for inlining ``obj``.
 
         Each positional argument whose *alias chain* resolves in the caller's
@@ -1379,9 +1338,6 @@ class _Resolver:
         argument (e.g. a loop variable over ``self.units``) fans out into one
         binding set per candidate object, capped small.
         """
-        fn = obj.__func__ if isinstance(obj, types.MethodType) else obj
-        if getattr(fn, "__code__", None) is None or not arg_aliases:
-            return [None]
         combos: list[dict] = [{}]
         for name, alias in zip(cls._param_names(obj), arg_aliases):
             if alias is None:
@@ -1395,47 +1351,29 @@ class _Resolver:
             elif len(cands) <= 16 and len(combos) == 1:
                 combos = [dict(combos[0], **{name: cand}) for cand in cands]
             # a second fan-out (or a huge one) stays unbound: the callee
-            # falls back to its own environment, possibly going opaque
-        return combos or [None]
+            # sees the parameter's default, or nothing (opaque)
+        return combos
 
-    def _taint_signals(self, taint: Taint, env: dict[str, Any],
-                       depth: int) -> tuple[set, bool]:
+    def _taint_signals(self, taint: Taint, env: _Env, depth: int) -> set:
         """Expand taint elements to the concrete signals they may read."""
         deps: set = set()
-        unresolved = False
         for elem in taint:
+            objs = _resolve_chain(elem[1], env)
+            if objs is None:
+                continue
             if elem[0] == "sig":
-                objs = _resolve_chain(elem[1], env)
-                if objs is None:
-                    unresolved = True
-                    continue
-                for obj in objs:
-                    if isinstance(obj, Signal):
-                        deps.add(obj)
-            elif elem[0] == "call":
-                _, chain, args = elem
-                objs = _resolve_chain(chain, env)
-                if objs is None:
-                    unresolved = True
-                    continue
-                for obj in objs:
-                    if isinstance(obj, types.MethodType) and \
-                            isinstance(obj.__self__, Stream) and obj.__name__ == "fires":
-                        deps.add(obj.__self__.valid)
-                        deps.add(obj.__self__.ready)
-                    elif isinstance(obj, (types.MethodType, types.FunctionType)) \
-                            and depth < _MAX_INLINE_DEPTH:
-                        sub = _Resolver()
-                        sub_res = sub.run(obj, depth + 1)
-                        deps.update(sub_res.signal_reads)
-                        if sub_res.unresolved_chains or sub_res.unknown_calls:
-                            unresolved = True
-                    else:
-                        unresolved = True
-                arg_deps, arg_unres = self._taint_signals(args, env, depth)
-                deps.update(arg_deps)
-                unresolved = unresolved or arg_unres
-        return deps, unresolved
+                deps.update(obj for obj in objs if isinstance(obj, Signal))
+                continue
+            for obj in objs:  # ("call", chain, args)
+                if isinstance(obj, types.MethodType) and \
+                        isinstance(obj.__self__, Stream) and obj.__name__ == "fires":
+                    deps.add(obj.__self__.valid)
+                    deps.add(obj.__self__.ready)
+                elif isinstance(obj, (types.MethodType, types.FunctionType)) \
+                        and depth < _MAX_INLINE_DEPTH:
+                    deps.update(_Resolver().run(obj, depth + 1).signal_reads)
+            deps.update(self._taint_signals(elem[2], env, depth))
+        return deps
 
 
 def _chain_text(chain: Chain) -> str:
@@ -1461,16 +1399,14 @@ def resolve(fn: Callable[..., Any]) -> ResolvedFn:
     resolves through the *instance*, so subclass overrides are analysed).
     Reads discovered through inlined callees merge into the caller's view.
     """
-    from ...hdl import signal as _signal_mod
-
-    with _signal_mod.tracking(None, None):
+    with _tracking(None, None):
         resolver = _Resolver()
         out = resolver.run(fn)
     out.sampled_loads = resolver._sampled - resolver._structural
     return out
 
 
-def _sampled_chain(chain: Chain, env: dict[str, Any],
+def _sampled_chain(chain: Chain, env: _Env,
                    sampled: frozenset) -> bool:
     """True when ``chain`` addresses a signal's current value: its root is
     a ``sampled`` name, or it steps through ``.value``/``.nxt`` of a
@@ -1483,11 +1419,6 @@ def _sampled_chain(chain: Chain, env: dict[str, Any],
             if objs and all(isinstance(o, Signal) for o in objs):
                 return True
     return False
-
-
-def is_reg(sig: Signal) -> bool:
-    """True for clocked registers (edges through them break comb cycles)."""
-    return isinstance(sig, Reg)
 
 
 __all__ = [

@@ -10,8 +10,8 @@ same :class:`~repro.analysis.lint.astpass.ResolvedFn`.
   vector executor replaces it.
 * **static slot** — the read closure is proven: the process runs whenever
   a signal in its wake set (its signal reads plus the reads of the
-  property getters along its paths, :func:`_getter_reads`) changes, as
-  the event kernel's notification queue would run it.
+  property getters along its paths, ``ResolvedFn.getter_reads``)
+  changes, as the event kernel's notification queue would run it.
 * **read-tracked** — the closure could not be proven (opaque reads,
   unknown calls, late-bound hidden state, an unmanaged signal; for a pure
   sequential process also hidden stores): the function runs interpreted
@@ -48,8 +48,6 @@ from __future__ import annotations
 import __future__
 
 import ast
-import builtins as _builtins
-import enum
 import linecache
 import re
 import types
@@ -58,10 +56,9 @@ from typing import Any, Callable, Container, Iterable, Optional
 
 from ...analysis.dataflow import domain as _dom
 from ...analysis.lint.astpass import ResolvedFn, parsed_def, summarize
-from ..buildcache import _ABSENT, instance_attribute
 from ..components import Stream
+from ..live import MISSING, cell, declared, is_enum_class, lookup, own
 from ..signal import _UNSET, CHANGES, Reg, Signal
-from ..signal import tracking as _signal_tracking
 
 __all__ = [
     "Placement",
@@ -74,35 +71,20 @@ __all__ = [
     "Untranslatable",
 ]
 
-#: value types the translator may load at run time off a hoisted owner:
-#: the loaded object can never mutate in place
+#: value types the translator folds into a literal
 _SCALAR_TYPES = (int, float, str, bool, type(None))
 
 
-def _immutable_value(value: Any) -> bool:
-    if isinstance(value, _SCALAR_TYPES):
-        return True
-    params = getattr(type(value), "__dataclass_params__", None)
-    return params is not None and bool(params.frozen)
-
-
-def _is_enum_class(obj: Any) -> bool:
-    return isinstance(obj, type) and issubclass(obj, enum.Enum)
-
-
-def _constant_load(owner: Any, value: Any) -> bool:
-    """True when the hidden load ``owner.attr`` can never change.
-
-    An immutable *value* still changes if the attribute is rebound to a
-    different one — unless the owner forbids rebinding outright: enum
-    classes reject member reassignment.  A frozen dataclass does too, but
-    a closure records only a load's last hop: in ``self.cfg.level`` the
-    host may rebind ``self.cfg`` itself, so a frozen owner proves nothing.
+def _constant_load(owner: Any, attr: str) -> bool:
+    """True when the hidden load ``owner.attr`` can never change: the
+    owner fixes it (:func:`~repro.hdl.live.declared`) and is itself a fixed
+    root.  A hidden load records only its last hop, so of all owners only
+    an enum class is one (see :meth:`Specializer.walk`): in
+    ``self.cfg.level`` the host may rebind ``self.cfg`` itself, so a
+    frozen owner proves nothing.
     """
-    return _immutable_value(value) and _is_enum_class(owner)
-
-
-_MISSING = object()
+    rule = declared(owner, attr) if is_enum_class(owner) else None
+    return rule is not None and rule[1]
 
 
 def _placeholder(res: ResolvedFn, key: tuple, owner: Any) -> bool:
@@ -114,43 +96,12 @@ def _placeholder(res: ResolvedFn, key: tuple, owner: Any) -> bool:
     return owner is None or type(owner) is object or key in res.sampled_loads
 
 
-def _load(owner: Any, attr: str) -> Any:
-    try:
-        return getattr(owner, attr, _MISSING)
-    except Exception:
-        return _MISSING
-
-
 def _missing_load(res: ResolvedFn) -> Optional[str]:
     """The first hidden load (``Class.attr``) a real owner lacks, or None."""
     for key, (_text, owner) in res.hidden_loads.items():
-        if not _placeholder(res, key, owner) \
-                and _load(owner, key[1]) is _MISSING:
+        if res.loaded[key] is MISSING and not _placeholder(res, key, owner):
             return f"{type(owner).__name__}.{key[1]}"
     return None
-
-
-def _getter_reads(res: ResolvedFn) -> Optional[set]:
-    """The signals read by property getters along the navigation path, or
-    ``None`` when the process has no static read closure: its resolution
-    is not ``read_complete``, or a real owner lacks a hidden attribute it
-    loads (late-bound state that cannot be sampled yet, see
-    :func:`_placeholder`).
-
-    The AST pass cannot see through a getter, but the event kernel's read
-    tracking is live while the getter runs inside the process, so it
-    subscribes to them too.  Each hidden load is sampled once under read
-    tracking; like the body, a getter is assumed to read a fixed signal set.
-    """
-    if not res.read_complete:
-        return None
-    reads: set = set()
-    with _signal_tracking(reads=reads):
-        for key, (_text, owner) in res.hidden_loads.items():
-            if _load(owner, key[1]) is _MISSING \
-                    and not _placeholder(res, key, owner):
-                return None
-    return reads
 
 
 def _stable(signals: set) -> list[Signal]:
@@ -165,14 +116,11 @@ def hidden_loads_constant(res: ResolvedFn) -> bool:
     every edge, so it sees a rebound attribute at once; a wake slot may
     stand in for one only then.  A field of a sampled signal value is no
     constant: the object may change in place."""
-    for (_oid, attr), (_text, owner) in res.hidden_loads.items():
-        try:
-            value = getattr(owner, attr, _MISSING)
-        except Exception:
-            return False
-        if value is _MISSING and (owner is None or type(owner) is object):
+    for key, (_text, owner) in res.hidden_loads.items():
+        if res.loaded[key] is MISSING \
+                and (owner is None or type(owner) is object):
             continue
-        if not _constant_load(owner, value):
+        if not _constant_load(owner, key[1]):
             return False
     return True
 
@@ -192,8 +140,7 @@ class Placement:
 
 
 def _unprovable(res: ResolvedFn) -> str:
-    """Why ``res`` has no static read closure (:func:`_getter_reads` is
-    None)."""
+    """Why ``res`` has no static read closure (see :func:`place`)."""
     if res.parse_failed:
         return "source unavailable to the AST pass"
     if res.unknown_calls:
@@ -259,10 +206,12 @@ def place(resolve: Callable[[], ResolvedFn], *, seq: bool,
         res = resolve()
     except Exception:
         return Placement(fallback, reason="closure resolution failed")
-    getters = _getter_reads(res)
-    if getters is None:
+    if not res.read_complete or _missing_load(res) is not None:
         return Placement(fallback, reason=_unprovable(res))
-    wake = _stable(res.signal_reads | getters)
+    # the event kernel's read tracking is live while a property getter runs
+    # inside the process, so it subscribes to the getter's reads too; like
+    # the body, a getter is assumed to read a fixed signal set
+    wake = _stable(res.signal_reads | res.getter_reads)
     if any(sig not in managed for sig in wake):
         return Placement(fallback,
                          reason="reads signals this simulator does not manage")
@@ -270,7 +219,7 @@ def place(resolve: Callable[[], ResolvedFn], *, seq: bool,
     if reason:
         proof = None
         if pure and res.write_complete:
-            proof = _stable(res.tracked_reads | getters)
+            proof = _stable(res.tracked_reads | res.getter_reads)
         return Placement(fallback, reason=reason, proof=proof)
     if not seq and not wake and res.set_targets:
         # the event kernel runs a writer with no tracked read every sweep
@@ -314,28 +263,6 @@ for _feature in __future__.all_feature_names:
 _SIGNALS = ("sig", "reg")
 
 
-def _builtin_names(fn: Callable[..., Any]) -> dict:
-    b = getattr(fn, "__builtins__", None)
-    if isinstance(b, types.ModuleType):
-        b = vars(b)
-    return b if isinstance(b, dict) else vars(_builtins)
-
-
-def _arg_value(fn: Callable[..., Any], name: str) -> Any:
-    """The value a zero-argument call binds to parameter ``name``: the bound
-    receiver or the default."""
-    code = fn.__code__
-    params = code.co_varnames[:code.co_argcount]
-    bound = getattr(fn, "__self__", None)
-    if bound is not None and params and name == params[0]:
-        return bound
-    if name in params:
-        defaults = fn.__defaults__ or ()
-        k = params.index(name) - (len(params) - len(defaults))
-        return defaults[k] if k >= 0 else _MISSING
-    return (fn.__kwdefaults__ or {}).get(name, _MISSING)
-
-
 #: objects whose attributes are code or namespaces, never structure
 _OPAQUE = (type, types.ModuleType, types.FunctionType, types.MethodType)
 
@@ -343,29 +270,23 @@ _OPAQUE = (type, types.ModuleType, types.FunctionType, types.MethodType)
 def _step(obj: Any, step: Any, stored: set) -> tuple[Any, bool]:
     """One step of a structural path: ``(object, rebind-proof constant)``.
 
-    Followed: members of enum classes, fields of frozen dataclasses,
-    constant indexes on lists and tuples, and instance attributes (the
-    object's own ``__dict__``, never a property, read without materializing
-    it: see :func:`~repro.hdl.buildcache.instance_attribute`) of a name no
-    process stores — how components, streams and port bundles hold their
-    signals."""
+    Followed: members of enum classes and fields of frozen dataclasses
+    (rebind-proof when :func:`~repro.hdl.live.declared` says so), constant
+    indexes on lists and tuples, and what an object holds itself (its
+    ``__dict__`` entries and slots, never a property, read without
+    materializing ``__dict__``: :func:`~repro.hdl.live.own`) under a name
+    no process stores — how components, streams and port bundles hold
+    their signals."""
     if type(step) is int:
         if type(obj) in (list, tuple) and -len(obj) <= step < len(obj):
             return obj[step], False
-        return _MISSING, False
-    if _is_enum_class(obj):
-        member = obj.__members__.get(step, _MISSING)
-        return member, member is not _MISSING
-    params = getattr(type(obj), "__dataclass_params__", None)
-    if params is not None and params.frozen:
-        if step not in type(obj).__dataclass_fields__:
-            return _MISSING, False
-        value = getattr(obj, step, _MISSING)
-        return value, value is not _MISSING and _immutable_value(value)
+        return MISSING, False
+    rule = declared(obj, step)
+    if rule is not None:
+        return rule
     if isinstance(obj, _OPAQUE) or step in stored:
-        return _MISSING, False
-    value = instance_attribute(obj, step)
-    return (_MISSING if value is _ABSENT else value), False
+        return MISSING, False
+    return own(obj, step), False
 
 
 @dataclass
@@ -422,11 +343,9 @@ class Specializer:
             summary = summarize(fn)
             self.stored.update(chain[-1][1] for chain in summary.attr_stores
                                if chain and chain[-1][0] == "a")
-            code = getattr(fn, "__code__", None)
-            for name in summary.nonlocal_stores:
-                if code is not None and name in code.co_freevars:
-                    cell = fn.__closure__[code.co_freevars.index(name)]
-                    self.rebound_cells.add(id(cell))
+            self.rebound_cells.update(
+                id(c) for name in summary.nonlocal_stores
+                if (c := cell(fn, name)) is not None)
         self.kernel = {
             "_CH": types.CellType(CHANGES),
             "_U": types.CellType(_UNSET),
@@ -440,8 +359,10 @@ class Specializer:
     def walk(self, fn: Callable[..., Any], path: tuple) -> tuple[Any, bool]:
         """Resolve ``path`` (root name, then attribute names and constant
         indexes) in ``fn``'s scope: ``(object, rebind-proof constant)``.
-        Only closure cells, parameters and, for enum classes and modeled
-        builtins, globals and builtins start a path.
+        The root resolves by :func:`~repro.hdl.live.lookup`; of what it
+        finds, only parameters, closure cells no process rebinds and, for
+        enum classes and modeled builtins, globals and builtins start a
+        path.
 
         A path is a constant only when no step of it can be rebound: its
         root is an enum class, the bound receiver or a parameter default
@@ -450,41 +371,31 @@ class Specializer:
         mutable step anywhere — ``self.cfg`` in ``self.cfg.level`` — and
         the host can swap what the rest of the path reads."""
         name = path[0]
-        code = fn.__code__
-        if name in code.co_freevars:
-            cell = fn.__closure__[code.co_freevars.index(name)]
-            if id(cell) in self.rebound_cells:
-                return _MISSING, False
-            try:
-                obj = cell.cell_contents
-            except ValueError:  # empty cell
-                return _MISSING, False
+        obj, where = lookup(fn, name)
+        if where == "cell":
+            if self.rebound_cells and id(cell(fn, name)) in self.rebound_cells:
+                return MISSING, False
             const = False
-        elif name in code.co_varnames[:code.co_argcount
-                                      + code.co_kwonlyargcount]:
-            obj = _arg_value(fn, name)
-            const = True
-        else:
-            obj = fn.__globals__.get(name, _MISSING)
-            if obj is _MISSING:
-                obj = _builtin_names(fn).get(name, _MISSING)
-            if not (_is_enum_class(obj)
+        elif where == "global":
+            if not (is_enum_class(obj)
                     or any(obj is b for b in _MODELED_BUILTINS)):
-                return _MISSING, False
-            const = _is_enum_class(obj)
+                return MISSING, False
+            const = is_enum_class(obj)
+        else:  # the receiver or a parameter's default
+            const = True
         for step in path[1:]:
-            if obj is _MISSING:
+            if obj is MISSING:
                 break
             try:
                 obj, fixed = _step(obj, step, self.stored)
             except Exception:
-                return _MISSING, False
+                return MISSING, False
             const = const and fixed
-        return obj, len(path) > 1 and const and obj is not _MISSING
+        return obj, len(path) > 1 and const and obj is not MISSING
 
     def classify(self, obj: Any, const: bool) -> Optional[tuple]:
         """What the translator may assume about a resolved object."""
-        if obj is _MISSING:
+        if obj is MISSING:
             return None
         t = type(obj)
         if t is Signal:
@@ -540,15 +451,15 @@ class Specializer:
     def _instantiate(self, fn: Callable[..., Any], template: Template,
                      objects: tuple) -> Callable[[], Any]:
         code = template.code
-        own = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+        closure = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
         cells = []
         for name in code.co_freevars:
-            cell = own.get(name)
-            if cell is None:
-                cell = self.kernel.get(name)
-            if cell is None:
-                cell = types.CellType(objects[int(name[2:])])
-            cells.append(cell)
+            c = closure.get(name)
+            if c is None:
+                c = self.kernel.get(name)
+            if c is None:
+                c = types.CellType(objects[int(name[2:])])
+            cells.append(c)
         body = types.FunctionType(code, fn.__globals__, code.co_name,
                                   fn.__defaults__, tuple(cells))
         body.__kwdefaults__ = fn.__kwdefaults__
@@ -777,7 +688,7 @@ class Translator:
         when ``node`` is not a resolvable path."""
         path = self._path(node)
         if path is None:
-            return None, _MISSING, None
+            return None, MISSING, None
         return self._resolve(path)
 
     def _resolve(self, path: tuple) -> tuple:

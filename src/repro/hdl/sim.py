@@ -82,9 +82,8 @@ only; the exhaustive kernel keeps the reference run-everything loop):
   pump loops so they can bound their stepping chunks, and
   ``step(cycles, rule)`` runs real edges until the :class:`ChunkRule` says
   the caller has something to act on, ending early wherever that scan
-  would pass.  A chunk that ends there leaves the scan's horizon behind as
-  a certificate, which the next :meth:`Simulator.fast_forward_limit`
-  reuses instead of scanning the same settled state again.
+  would pass.  Each scan of a settled state leaves its horizon behind as
+  a certificate, which the next scan of that same state reuses instead.
 """
 
 from __future__ import annotations
@@ -370,8 +369,8 @@ class Simulator:
         self._changed: list[Signal] = []
         self._staged_regs: list[Reg] = []
         self._needs_discovery = True
-        #: (now, settle_calls, horizon) left by an edge chunk that ended
-        #: where the wheel could jump (see :meth:`fast_forward_limit`)
+        #: (now, settle_calls, horizon) left by the last scan of a settled
+        #: state (see :meth:`_settle_certified`)
         self._cert: Optional[tuple[int, int, int]] = None
         self.kernel_stats = KernelStats()
         #: what the build cache did for this design, by consumer
@@ -818,17 +817,17 @@ class Simulator:
                 n = h
         return n
 
-    def _skip_now(self, limit: int) -> int:
-        """Scan and, when possible, perform a jump of up to ``limit`` cycles.
-
-        The caller advances ``now`` by the returned count; every wheel hook
-        has batch-aged its counters by exactly that many edges.
-        """
-        n = self._skip_scan(limit)
-        if n:
-            for _, skip in self._wheel_hooks:
-                skip(n)
-        return n
+    def _settle_certified(self) -> tuple[int, Optional[int]]:
+        """Settle; returns what :meth:`settle` returned and the horizon of
+        the certificate in ``_cert`` (used up either way), or None unless
+        it holds: ``now`` is unchanged, no settle ran since it was left,
+        nothing is pending and this settle finds nothing to do."""
+        cert, self._cert = self._cert, None
+        if cert is not None and (cert[0] != self.now or self._changed
+                                 or cert[1] != self.kernel_stats.settle_calls):
+            cert = None
+        busy = self.settle()
+        return busy, None if busy or cert is None else cert[2]
 
     def fast_forward_limit(self, max_cycles: int = NO_HORIZON) -> int:
         """Upper bound on safely skippable cycles from the current state.
@@ -843,23 +842,20 @@ class Simulator:
         again.
 
         An edge chunk that ended there has just scanned this settled
-        state: while ``now`` is unchanged, no settle ran since, nothing is
-        pending and this settle finds nothing to do, its horizon is reused
-        instead of scanning again.  :meth:`reset` drops it.
+        state, and left its horizon as a certificate: while it holds (see
+        :meth:`_settle_certified`) the horizon is reused instead of
+        scanning again.  This scan leaves its own certificate for the jump
+        chunk :meth:`step` runs next.  :meth:`reset` drops it.
         """
         if not self.wheel or self._plain_observers:
             return 0
-        cert, self._cert = self._cert, None
-        if cert is not None and (cert[0] != self.now or self._changed
-                                 or cert[1] != self.kernel_stats.settle_calls):
-            cert = None
-        if self.settle():
-            cert = None
+        _, horizon = self._settle_certified()
         if self._needs_discovery:
             return 0
-        if cert is not None:
-            return min(cert[2], max_cycles)
-        return self._skip_scan(max_cycles)
+        if horizon is None:
+            horizon = self._skip_scan(NO_HORIZON)
+        self._cert = (self.now, self.kernel_stats.settle_calls, horizon)
+        return min(horizon, max_cycles)
 
     # -- public stepping API ---------------------------------------------------
 
@@ -917,14 +913,18 @@ class Simulator:
         stats = self.kernel_stats
         remaining = cycles
         while remaining:
-            quiet = self.settle() == 0
+            busy, horizon = self._settle_certified()
             # Jumps are only attempted off a quiescent settle: a busy design
             # fails the scan anyway, and this keeps the scan itself off the
             # saturated-pipeline fast path.  remaining > 1 keeps the final
-            # cycle a real edge, exactly like an unwheeled run.
-            if quiet and remaining > 1:
-                n = self._skip_now(remaining - 1)
+            # cycle a real edge, exactly like an unwheeled run.  The first
+            # scan is usually the certificate fast_forward_limit left.
+            if not busy and remaining > 1:
+                n = (self._skip_scan(remaining - 1) if horizon is None
+                     else min(horizon, remaining - 1))
                 if n:
+                    for _, skip in self._wheel_hooks:
+                        skip(n)
                     self.now += n
                     remaining -= n
                     stats.skipped_cycles += n

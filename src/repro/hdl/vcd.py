@@ -10,12 +10,16 @@ representation for them.
 from __future__ import annotations
 
 import io
+from operator import attrgetter
 from typing import Iterable, Optional, TextIO
 
 from .sim import Simulator
 from .signal import Signal
 
 _ID_ALPHABET = "".join(chr(c) for c in range(33, 127))
+
+#: a signal's current value, read without read tracking
+_VALUE = attrgetter("_value")
 
 
 def _identifier(index: int) -> str:
@@ -62,7 +66,7 @@ class VcdWriter:
         # across hand-built test hierarchies, and identity keys skip string
         # hashing in the per-cycle sampling loop
         self._ids = {id(s): _identifier(i) for i, s in enumerate(self.signals)}
-        self._last: dict[int, int] = {}
+        self._last: list = []  # the values at the last sample
         self._write_header(timescale)
         self._dump_initial()
         if compress_idle:
@@ -82,28 +86,29 @@ class VcdWriter:
             w(f"$var wire {sig.width} {ident} {name} $end\n")
         w("$upscope $end\n$enddefinitions $end\n")
 
-    def _emit(self, sig: Signal) -> None:
+    def _emit(self, sig: Signal, value: int) -> None:
         ident = self._ids[id(sig)]
         if sig.width == 1:
-            self.stream.write(f"{sig.value & 1}{ident}\n")
+            self.stream.write(f"{value & 1}{ident}\n")
         else:
-            self.stream.write(f"b{sig.value:b} {ident}\n")
-        self._last[id(sig)] = sig.value
+            self.stream.write(f"b{value:b} {ident}\n")
 
     def _dump_initial(self) -> None:
         self.stream.write("#0\n$dumpvars\n")
-        for sig in self.signals:
-            self._emit(sig)
+        self._last = list(map(_VALUE, self.signals))
+        for sig, value in zip(self.signals, self._last):
+            self._emit(sig, value)
         self.stream.write("$end\n")
 
     def _sample(self, cycle: int) -> None:
-        last = self._last
-        changed = [s for s in self.signals if s.value != last.get(id(s))]
-        if not changed:
+        now = list(map(_VALUE, self.signals))
+        if now == self._last:
             return
         self.stream.write(f"#{cycle * self.clock_period_ns}\n")
-        for sig in changed:
-            self._emit(sig)
+        for sig, old, value in zip(self.signals, self._last, now):
+            if value != old:
+                self._emit(sig, value)
+        self._last = now
 
     def _on_skip(self, cycle: int, skipped: int) -> None:
         """Compressed idle run: nothing to emit.

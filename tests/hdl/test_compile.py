@@ -1480,7 +1480,8 @@ class Shadows:
 
 class TestInstanceAttributes:
     def test_reads_what_the_instance_dict_holds(self):
-        from repro.hdl.buildcache import _ABSENT, instance_attribute
+        from repro.hdl.live import MISSING as _ABSENT
+        from repro.hdl.live import own as instance_attribute
 
         names = ("width", "own", "method", "label", "tick", "ready", "absent")
         obj = Shadows()

@@ -120,3 +120,37 @@ class TestObserverMonotonicity:
         sim.step(500)
         assert sim.kernel_stats.skipped_cycles == before
         assert seen == list(range(start + 1, start + 501))
+
+
+class TestJumpCertificate:
+    def test_jump_chunk_reuses_the_limit_scan(self):
+        # The host steps a jump chunk right after fast_forward_limit scanned
+        # the same settled state: the chunk's first jump takes that scan's
+        # certificate instead of scanning again.
+        results = {}
+        for backend in ("event", "compiled"):
+            system = build_system(channel=SLOW_PROTOTYPE, backend=backend)
+            sim = system.sim
+            counts = {"chunks": 0, "scans": 0}
+            scan, step_wheel = sim._skip_scan, sim._step_wheel
+
+            def counted_scan(limit, scan=scan, counts=counts):
+                counts["scans"] += 1
+                return scan(limit)
+
+            def counted_chunk(cycles, step_wheel=step_wheel, counts=counts,
+                              sim=sim):
+                counts["chunks"] += 1
+                sim._skip_scan = counted_scan
+                try:
+                    step_wheel(cycles)
+                finally:
+                    del sim._skip_scan
+
+            sim._step_wheel = counted_chunk
+            value, cycles = _transaction_cycles(system)
+            stats = sim.kernel_stats
+            assert counts["chunks"] > 0 and counts["scans"] == 0
+            results[backend] = (value, cycles, stats.wheel_jumps,
+                                stats.skipped_cycles, stats.edge_calls)
+        assert results["event"] == results["compiled"]
