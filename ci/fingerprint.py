@@ -9,10 +9,14 @@ design on ``backend="compiled"`` and prints, as one JSON object:
 * ``placements``: each process's ``[label, kind, reason]`` from
   :func:`repro.hdl.compile.frontend.place`, in declaration order (the
   same call the ``compile.fallback`` lint rule makes);
-* ``counters``: the placement counters of ``sim.kernel_stats``.
+* ``counters``: the placement counters of ``sim.kernel_stats``;
+* ``run`` (e2e systems only): per backend, ``sim.now``, the run counters
+  of ``sim.kernel_stats`` and ``steps`` (the ``sim.step`` calls: the
+  host's pump chunks) after the workload's first ``RUN_REQUESTS`` seeded
+  requests through a ``Session``, each checked against its oracle.
 
 Diffing the output of two checkouts shows whether a change moved any
-placement or any generated line::
+placement, any generated line or any stepping counter::
 
     PYTHONPATH=src python ci/fingerprint.py > after.json
     (cd ../parent && PYTHONPATH=src python ci/fingerprint.py) > before.json
@@ -35,6 +39,7 @@ from repro.analysis.lint.model import build_design
 from repro.hdl import Simulator
 from repro.hdl.compile.frontend import place
 from repro.hdl.compile.vector import absorbed_procs
+from repro.host import Session
 from repro.messages.channel import PRESETS
 from repro.system import build_system
 
@@ -44,6 +49,13 @@ ROOT = Path(__file__).resolve().parents[1]
 COUNTERS = ("compiled_procs", "fallback_procs", "translated_procs",
             "tracked_procs", "always_procs", "vectorized_cells",
             "masks_elided", "branches_folded")
+
+#: the ``KernelStats`` fields a run moves, printed per e2e system
+RUN_COUNTERS = ("edge_calls", "skipped_cycles", "wheel_jumps", "seq_runs",
+                "settle_calls")
+#: requests, and the seed of their stream, each e2e system runs
+RUN_REQUESTS = 8
+RUN_SEED = 1
 
 
 def _module(path: Path) -> Any:
@@ -73,8 +85,35 @@ def _system(make: Callable[[], Any]) -> Callable[[], tuple]:
     return build
 
 
-def targets() -> dict[str, Callable[[], tuple]]:
-    """Target name -> a build returning ``(top, compiled simulator)``."""
+def run_counters(workload: Any, backend: str) -> dict:
+    """``sim.now``, the run counters and the ``sim.step`` calls after the
+    workload's first ``RUN_REQUESTS`` requests on ``backend``."""
+    system = workload.build(backend)
+    sim = system.sim
+    steps = 0
+    step = sim.step
+
+    def counting(*args: Any) -> int:
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    sim.step = counting
+    session = Session(system)
+    client = workload.open(session)
+    requests = workload.requests(RUN_SEED)
+    for _ in range(RUN_REQUESTS):
+        req = next(requests)
+        if workload.execute(client, session, req) != workload.expected(req):
+            raise AssertionError(f"{workload.name} on {backend}: wrong result")
+    stats = sim.kernel_stats
+    return {"now": sim.now, **{name: getattr(stats, name) for name in RUN_COUNTERS},
+            "steps": steps}
+
+
+def targets(workloads: dict) -> dict[str, Callable[[], tuple]]:
+    """Target name -> a build returning ``(top, compiled simulator)``;
+    ``workloads`` are the e2e benchmark's, by name."""
     out: dict[str, Callable[[], tuple]] = {}
     for name in sorted(PRESETS):
         out[name] = _system(lambda name=name: build_system(
@@ -83,8 +122,7 @@ def targets() -> dict[str, Callable[[], tuple]]:
         out[f"examples/{path.name}"] = _example(path)
     out["ooo-fp"] = _system(lambda: build_system(
         ooo=True, fp_units=True, backend="compiled", lint="off"))
-    workloads = _module(ROOT / "benchmarks" / "e2e" / "workloads.py")
-    for name, workload in sorted(workloads.WORKLOADS.items()):
+    for name, workload in sorted(workloads.items()):
         out[f"e2e/{name}"] = _system(
             lambda workload=workload: workload.build("compiled"))
     return out
@@ -113,13 +151,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("names", nargs="*", help="targets to fingerprint "
                         "(default: all)")
     args = parser.parse_args(argv)
-    builds = targets()
+    workloads = _module(ROOT / "benchmarks" / "e2e" / "workloads.py").WORKLOADS
+    builds = targets(workloads)
     unknown = sorted(set(args.names) - set(builds))
     if unknown:
         parser.error(f"unknown targets {', '.join(unknown)}; known: "
                      f"{', '.join(builds)}")
     chosen = args.names or list(builds)
-    report = {name: fingerprint(builds[name]) for name in chosen}
+    report = {}
+    for name in chosen:
+        report[name] = entry = fingerprint(builds[name])
+        if name.startswith("e2e/"):
+            workload = workloads[name.removeprefix("e2e/")]
+            entry["run"] = {backend: run_counters(workload, backend)
+                            for backend in ("event", "compiled")}
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

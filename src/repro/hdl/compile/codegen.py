@@ -37,15 +37,16 @@ module contains five functions:
   vector_applied)``; one comment line per process names its tier.
 * ``_scan_seq()`` — True when any *non-wheeled* sequential slot's flag
   is up; the engine's time-wheel scan vetoes jumps on it.
-* ``_run(n, rule, jumps)`` — one edge chunk (``Simulator.step(n, rule)``)
+* ``_run(n, rule, jumps)`` — one chunk (``Simulator.step(n, rule)``)
   without leaving the module: the engine's settle (entry drain, then
   sweeps until no comb flag is raised) and edge, inlined, with the jump
-  check between them and the :class:`~repro.hdl.sim.ChunkRule` evaluated
-  after each edge.  The check inlines ``_scan_seq`` and calls the
-  horizons (``_hzN``: wheel hooks, then executors) until one rules the
-  jump out; a chunk that ends there returns the horizon as a certificate.  Kernel counters add up in locals
-  and reach the engine's ``KernelStats`` once, when the chunk ends or
-  raises.  Returns ``(cycles run, horizon or 0)``.
+  between them and the :class:`~repro.hdl.sim.ChunkRule` evaluated after
+  each edge and each jump.  The jump inlines ``_scan_seq``, caps itself
+  at the final cycle and ``rule.cap()``, calls the horizons (``_hzN``:
+  wheel hooks, then executors) until one rules it out, and ages every
+  wheel hook (``_skN``).  Kernel counters add up in locals and reach the
+  engine's ``KernelStats`` once, when the chunk ends or raises.  Returns
+  the cycles run.
 
 The module is compiled once per design (the build cache keeps its code
 object) and ``exec``'d once per system into a namespace holding the
@@ -66,7 +67,6 @@ from typing import Any, Callable, Optional
 
 from ..components import Stream
 from ..signal import Signal
-from ..sim import NO_HORIZON
 from .frontend import Specialized
 
 __all__ = ["Plan", "GeneratedModule", "generate"]
@@ -104,7 +104,7 @@ class GeneratedModule:
     drain: Callable[[], bool]
     edge: Callable[[], tuple]
     scan_seq: Callable[[], bool]
-    run: Callable[[int, Any, bool], tuple]
+    run: Callable[[int, Any, bool], int]
     wake: list  # per-slot wake flags; set all True to re-run everything
     n_comb: int  # comb slots come first in ``wake``; seq slots follow
     fanout: dict  # signal -> wake slots; read-tracked slots grow it
@@ -150,6 +150,7 @@ def generate(
     seq: list[Plan],
     executors: list,
     horizons: list,
+    skips: list,
     namespace: dict,
     code: dict,
 ) -> GeneratedModule:
@@ -157,8 +158,8 @@ def generate(
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL``, ``_CHG``,
     ``_SIM`` and ``_JOK``; specialized bodies, called functions, executor
-    methods, the wheel hooks' ``horizons`` and the tracked plans' slot
-    runners are installed here.  ``code`` maps a
+    methods, the jump scan's ``horizons``, the wheel hooks' ``skips`` and
+    the tracked plans' slot runners are installed here.  ``code`` maps a
     dispatch source to its code object: a source compiled before is
     exec'd again without compiling, and the dict keeps only the last one.
     """
@@ -328,9 +329,9 @@ def generate(
     emit("    return False")
     emit("")
 
-    # -- edge chunk -----------------------------------------------------------
-    # Simulator.step(n, rule) in one frame: settle, the jump check, the
-    # edge and the rule, exactly as the engine's methods would run them.
+    # -- chunk ----------------------------------------------------------------
+    # Simulator.step(n, rule) in one frame: settle, the jump, the edge and
+    # the rule, exactly as the engine's methods would run them.
     emit("def _run(_n, _rule, _jumps):")
     emit("    _sim = _SIM")
     emit("    _max = _sim.max_settle")
@@ -338,12 +339,13 @@ def generate(
     emit("    _queue = _rule.queue")
     emit("    _stage = _rule.stage")
     emit("    _every = _rule.every")
+    emit("    _cap = _rule.cap")
     emit("    _queued = _rule.queued")
     emit("    _retired = _rule.retired")
     emit("    _at = _rule.changed_at")
     emit("    _now = _sim.now")
-    emit("    _ran = _hz = 0")
-    emit("    _sc = _qs = _it = _act = _ec = _sr = 0")
+    emit("    _ran = 0")
+    emit("    _sc = _qs = _it = _act = _ec = _sr = _sk = _wj = 0")
     emit("    try:")
     emit("        while _ran < _n:")
     # settle: the entry drain decides quiescence (CompiledSimulator.settle)
@@ -369,39 +371,48 @@ def generate(
     emit("                    if not _m and not (_ALW and _CH.dirty):")
     emit("                        break")
     emit("                _it += _i")
-    # the jump check: the engine's _skip_scan, uncapped; once a horizon
-    # of 1 or less rules the jump out, the rest are not asked
+    # the jump: the engine's _skip_scan (a horizon of 0 or less rules it
+    # out and the rest are not asked), then every wheel hook's skip
     veto = f" and not ({' or '.join(flags)})" if flags else ""
-    emit(f"            if _ran and _jumps and _JOK{veto}:")
-    emit(f"                _hz = {NO_HORIZON}")
+    emit("            _hz = 0")
+    emit(f"            if _jumps and _ran < _n - 1 and _JOK{veto}:")
+    emit("                _hz = _n - _ran - 1")
+    emit("                if _cap is not None:")
+    emit("                    _c = _cap()")
+    emit("                    if _c is not None and _c < _hz:")
+    emit("                        _hz = _c")
     for k, fn in enumerate(horizons):
         namespace[f"_hz{k}"] = fn
-        pad = "                "
-        if k:
-            emit(pad + "if _hz > 1:")
-            pad += "    "
-        emit(pad + f"_h = _hz{k}()")
-        emit(pad + "if _h is not None and _h < _hz:")
-        emit(pad + "    _hz = _h")
-    emit("                if _hz > 1:")
-    emit("                    break")
-    emit("                _hz = 0")
-    # the edge (CompiledSimulator._edge)
-    emit("            _ec += 1")
-    emit("            _r, _v = _edge()")
-    emit("            if _v:")
-    emit("                _sim._edge_dirty = True")
-    emit("            _sr += _r")
-    emit("            _now += 1")
-    emit("            _sim.now = _now")
-    emit("            _ran += 1")
-    # the rule: date progress, then stop on a word or the predicate
-    emit("            _q = len(_queue._value)")
-    emit("            _t = _stage.retired")
-    emit("            if _q != _queued or _t != _retired:")
-    emit("                _queued = _q")
-    emit("                _retired = _t")
-    emit("                _at = _now")
+        emit("                if _hz > 0:")
+        emit(f"                    _h = _hz{k}()")
+        emit("                    if _h is not None and _h < _hz:")
+        emit("                        _hz = _h")
+    emit("            if _hz > 0:")
+    for k, fn in enumerate(skips):
+        namespace[f"_sk{k}"] = fn
+        emit(f"                _sk{k}(_hz)")
+    emit("                _now += _hz")
+    emit("                _sim.now = _now")
+    emit("                _ran += _hz")
+    emit("                _sk += _hz")
+    emit("                _wj += 1")
+    # the edge (CompiledSimulator._edge), then the rule dates progress
+    emit("            else:")
+    emit("                _ec += 1")
+    emit("                _r, _v = _edge()")
+    emit("                if _v:")
+    emit("                    _sim._edge_dirty = True")
+    emit("                _sr += _r")
+    emit("                _now += 1")
+    emit("                _sim.now = _now")
+    emit("                _ran += 1")
+    emit("                _q = len(_queue._value)")
+    emit("                _t = _stage.retired")
+    emit("                if _q != _queued or _t != _retired:")
+    emit("                    _queued = _q")
+    emit("                    _retired = _t")
+    emit("                    _at = _now")
+    # the rule's stop test: a word, or the predicate
     emit("            if _ran < _n and (_watch._value or _every is not None and _every()):")
     emit("                break")
     emit("    finally:")
@@ -412,10 +423,12 @@ def generate(
     emit("        _ks.activations += _act")
     emit("        _ks.edge_calls += _ec")
     emit("        _ks.seq_runs += _sr")
+    emit("        _ks.skipped_cycles += _sk")
+    emit("        _ks.wheel_jumps += _wj")
     emit("        _rule.queued = _queued")
     emit("        _rule.retired = _retired")
     emit("        _rule.changed_at = _at")
-    emit("    return _ran, _hz")
+    emit("    return _ran")
     emit("")
 
     for k, ex in enumerate(executors):

@@ -18,12 +18,12 @@ with calls into the module generated by :mod:`.codegen`:
   processes run from the same wake flags, with the event kernel's
   dormancy rule (a run that staged nothing sleeps until a signal it
   reads changes).
-* the **time wheel** is inherited; only the jump-precondition scan is
-  replaced (the non-wheeled seq wake flags and the vectorized executors'
-  horizons).
-* an **edge chunk** (``step`` with a :class:`~repro.hdl.sim.ChunkRule`
-  and no observer) runs in the generated ``_run``: settle, jump check,
-  edge and rule loop without returning to this class.
+* the **time wheel** is inherited; only the jump veto is replaced (the
+  non-wheeled seq wake flags), and the vectorized executors' horizons
+  join the scan.
+* a **chunk** (``step`` with a :class:`~repro.hdl.sim.ChunkRule` and no
+  observer) runs in the generated ``_run``: settle, jump, edge and rule
+  loop without returning to this class.
 
 Wake flags alone decide which process runs, raised through a static
 fanout map; external pokes are observed through the ordinary
@@ -47,7 +47,7 @@ from .. import signal as _signal_mod
 from ..component import Component
 from ..errors import CombinationalLoopError
 from ..signal import CHANGES, Signal
-from ..sim import MAX_SETTLE_ITERATIONS, ChunkRule, Simulator
+from ..sim import MAX_SETTLE_ITERATIONS, ChunkRule, Simulator, rank_depths
 from ...analysis.lint import astpass
 from ...analysis.lint.astpass import ResolvedFn
 from .codegen import GeneratedModule, Plan, generate
@@ -159,7 +159,6 @@ class CompiledSimulator(Simulator):
         # stays unused because every phase entry point is overridden here.
         super().__init__(top, max_settle=max_settle, wheel=wheel)
         self.backend = "compiled"
-        self._needs_discovery = False  # keeps fast_forward_limit() live
         #: the last edge (or reset) may have changed state outside the
         #: pending list — vectorized executors, power-on values
         self._edge_dirty = True
@@ -218,10 +217,10 @@ class CompiledSimulator(Simulator):
             "_SIM": self,
             "_JOK": self._jump_ok(),
         }
-        horizons = ([horizon for horizon, _ in self._wheel_hooks]
-                    + [ex.horizon for ex in executors])
+        self._horizons.extend(ex.horizon for ex in executors)
         module: GeneratedModule = generate(
-            comb_plans, seq_plans, executors, horizons, namespace, layout.code)
+            comb_plans, seq_plans, executors, self._horizons,
+            [skip for _, skip in self._wheel_hooks], namespace, layout.code)
         tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
         for tc, pl in zip(self._tracked, tracked):
             tc.slot = pl.slot
@@ -294,37 +293,16 @@ class CompiledSimulator(Simulator):
                           spec=spec.specialize(proc.fn)))
 
     def _ranks(self, comb: list[Placement]) -> tuple[int, ...]:
-        """Topological depth of each comb process over the proven
-        writer→reader graph (0 outside a static slot).
-
-        Same saturation scheme as the event kernel's ``_rank_procs``:
-        ranks are a sweep-ordering hint, correctness comes from running to
-        fixpoint, and cycles simply saturate.  Read-tracked and every-sweep
-        plans have no proven closure and run after the ranked section.
-        """
-        ranked = [(i, self._resolved[id(self._procs[i].fn)])
-                  for i, where in enumerate(comb) if where.kind == "slot"]
-        writers: dict = {}
-        for i, res in ranked:
-            for sig in res.set_targets:
-                writers.setdefault(sig, []).append(i)
+        """The :func:`~repro.hdl.sim.rank_depths` of each comb process over
+        the proven writer→reader graph (0 outside a static slot):
+        read-tracked and every-sweep plans have no proven closure and run
+        after the ranked section."""
+        ranked = [i for i, where in enumerate(comb) if where.kind == "slot"]
+        res = [self._resolved[id(self._procs[i].fn)] for i in ranked]
         rank = [0] * len(comb)
-        n = len(ranked)
-        for _ in range(n):
-            moved = False
-            for i, res in ranked:
-                r = 0
-                for sig in res.signal_reads:
-                    for w in writers.get(sig, ()):
-                        if w != i and rank[w] >= r:
-                            r = rank[w] + 1
-                if r > n:
-                    r = n
-                if r != rank[i]:
-                    rank[i] = r
-                    moved = True
-            if not moved:
-                break
+        for i, r in zip(ranked, rank_depths([x.signal_reads for x in res],
+                                            [x.set_targets for x in res])):
+            rank[i] = r
         return tuple(rank)
 
     # -- settle phase ----------------------------------------------------------
@@ -445,68 +423,33 @@ class CompiledSimulator(Simulator):
             self._edge_dirty = True
         stats.seq_runs += ran
 
-    # -- edge chunks -------------------------------------------------------------
+    # -- stepping --------------------------------------------------------------
 
     def step(self, cycles: int = 1, rule: Optional[ChunkRule] = None) -> int:
-        """:meth:`Simulator.step`; an edge chunk with no observer attached
-        runs in the generated module (``_run``)."""
+        """:meth:`Simulator.step`; a chunk under a rule with no observer
+        attached runs in the generated module (``_run``)."""
         if rule is None or self._observers:
             return super().step(cycles, rule)
-        ran, horizon = self._run_fn(cycles, rule, self.wheel)
-        if horizon:
-            self._cert = (self.now, self.kernel_stats.settle_calls, horizon)
-        return ran
+        return self._run_fn(cycles, rule, self.wheel)
 
-    # -- time-wheel fast-forward -----------------------------------------------
+    def _jump_vetoed(self) -> bool:
+        """An every-sweep or every-edge process without wheel coverage, or
+        a raised non-wheeled seq flag."""
+        return not self._jump_ok() or self._scan_seq_fn()
 
     def _jump_ok(self) -> bool:
         """No every-sweep or every-edge process vetoes every jump."""
         return self._comb_covered and not self._seq_always_unwheeled
 
-    def _skip_scan(self, limit: int) -> int:
-        if not self._jump_ok():
-            return 0
-        if self._scan_seq_fn():
-            return 0
-        n = limit
-        for horizon, _ in self._wheel_hooks:
-            h = horizon()
-            if h is not None and h < n:
-                if h <= 0:
-                    return 0
-                n = h
-        for ex in self._executors:
-            h = ex.horizon()
-            if h is not None and h < n:
-                if h <= 0:
-                    return 0
-                n = h
-        return n
-
-    # -- reset -----------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Asynchronous whole-design reset (see :meth:`Simulator.reset`).
-
-        Signal values change wholesale without notifications, so every
-        slot is woken and the vectorized executors restore their power-on
-        state before the full re-settle.
-        """
-        for sig in self.top.all_signals():
-            if isinstance(sig, _signal_mod.Reg):
-                sig.reset_state()
-            else:
-                sig.force(sig.reset)
-        self._staged_regs.clear()
-        for hook in self._resets:
-            hook()
+    def _forget(self) -> None:
+        """After a reset: values changed wholesale without notifications,
+        so the vectorized executors restore their power-on state and every
+        slot wakes for the full re-settle."""
         for ex in self._executors:
             ex.on_reset()
-        self._cert = None
         self._wake_all()
         self._changed.clear()
         self._edge_dirty = True
-        self.settle()
 
     # -- introspection ---------------------------------------------------------
 

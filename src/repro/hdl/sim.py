@@ -69,21 +69,19 @@ only; the exhaustive kernel keeps the reference run-everything loop):
 
 * **Cycle-skipping time wheel** — components whose only pending activity
   is a countdown register a ``(horizon, skip)`` hook pair via
-  :meth:`Component.wheel`.  When a multi-cycle :meth:`Simulator.step` finds
-  a quiescent settle, every armed sequential process belonging to a
-  wheeled component, and no per-cycle observer in the way, it jumps
-  ``now`` forward by ``min(horizons, cycles_remaining)`` and batch-ages
-  every hook in O(#hooks) instead of ticking edge by edge.  The jump lands
-  *on* the earliest horizon; the next edge is stepped normally and does
-  the real work, so cycle counts and traces are exactly those of the
-  unskipped run.  Any horizon of ``0`` (real work next edge), any armed
-  process without a wheel hook, or any plain observer vetoes the jump.
-  :meth:`Simulator.fast_forward_limit` exposes the same scan to host-side
-  pump loops so they can bound their stepping chunks, and
-  ``step(cycles, rule)`` runs real edges until the :class:`ChunkRule` says
-  the caller has something to act on, ending early wherever that scan
-  would pass.  Each scan of a settled state leaves its horizon behind as
-  a certificate, which the next scan of that same state reuses instead.
+  :meth:`Component.wheel`.  After every settle inside a multi-cycle
+  :meth:`Simulator.step`, when every armed sequential process belongs to
+  a wheeled component and no per-cycle observer is in the way, it jumps
+  ``now`` forward by the smallest horizon and batch-ages every hook in
+  O(#hooks) instead of ticking edge by edge.  The jump lands *on* the
+  earliest horizon; the next edge is stepped normally and does the real
+  work, so cycle counts and traces are exactly those of the unskipped
+  run.  Any horizon of ``0`` (real work next edge), any armed process
+  without a wheel hook, or any plain observer vetoes the jump.  A jump
+  never covers the step's final cycle, nor passes the cycle its
+  :class:`ChunkRule` caps it at; the rule's stop test runs after every
+  edge and every jump, so a host pump steps event by event in one loop.
+  :meth:`Simulator.fast_forward_limit` is the same scan as a query.
 """
 
 from __future__ import annotations
@@ -112,6 +110,42 @@ NO_HORIZON = 1 << 60
 #: state the scheduler cannot enumerate, and pinning it to every iteration
 #: is both sound and cheaper than churning its fanout.
 DYNAMIC_GROWTH_LIMIT = 8
+
+
+def rank_depths(reads: list, writes: list) -> list[int]:
+    """Topological depth of each node over the writer→reader graph: node
+    ``i`` reads the signals ``reads[i]`` and writes ``writes[i]``.
+
+    Evaluating queued processes in rank order lets a change propagate down
+    a combinational chain in one sweep (each runs after its upstream
+    writers), instead of one delta iteration per chain link.  Cycles in
+    the graph (mutual ready/valid feedback) saturate at the node count and
+    simply take extra sweeps.  Ranks are a performance hint only —
+    correctness comes from running to fixpoint — so no kernel recomputes
+    them when a read set grows.
+    """
+    writers: dict = {}
+    for i, targets in enumerate(writes):
+        for sig in targets:
+            writers.setdefault(sig, []).append(i)
+    n = len(reads)
+    rank = [0] * n
+    for _ in range(n):
+        moved = False
+        for i, sources in enumerate(reads):
+            r = 0
+            for sig in sources:
+                for w in writers.get(sig, ()):
+                    if w != i and rank[w] >= r:
+                        r = rank[w] + 1
+            if r > n:
+                r = n
+            if r != rank[i]:
+                rank[i] = r
+                moved = True
+        if not moved:
+            break
+    return rank
 
 
 class _Proc:
@@ -229,18 +263,22 @@ class KernelStats:
 
 
 class ChunkRule:
-    """When an edge chunk ends, as data the kernel evaluates.
+    """When a chunk ends, as data the kernel evaluates.
 
-    :meth:`Simulator.step` with a rule runs real edges and, after each one
-    but the last, ends the chunk
+    :meth:`Simulator.step` with a rule runs edges and wheel jumps and,
+    after each one that leaves cycles to run, ends the chunk
 
     * once ``watch`` (a register holding a sequence) is non-empty: a word
       reached the host port;
     * otherwise, when ``every`` is set and ``every()`` holds: a predicate
-      that may read simulated state, so it is checked after every edge.
+      that may read simulated state, so it is checked after every edge
+      and every jump.
 
     A predicate that reads host state only cannot change inside a chunk;
     its caller checks it between chunks and leaves it out of the rule.
+    One that can turn true on elapsed cycles alone also needs ``cap``:
+    ``cap()`` returns the cycles until it could (None: no such bound), and
+    no jump passes that cycle, so ``every()`` is checked on it.
 
     After every edge the kernel also dates progress: when the length of
     ``queue``'s value or ``stage.retired`` differs from ``queued`` /
@@ -248,15 +286,17 @@ class ChunkRule:
     cycle.  The caller sets the baseline and reads ``changed_at`` back.
     """
 
-    __slots__ = ("watch", "queue", "stage", "every", "queued", "retired",
-                 "changed_at")
+    __slots__ = ("watch", "queue", "stage", "every", "cap", "queued",
+                 "retired", "changed_at")
 
     def __init__(self, watch: Reg, queue: Reg, stage: object,
-                 every: Optional[Callable[[], bool]] = None) -> None:
+                 every: Optional[Callable[[], bool]] = None,
+                 cap: Optional[Callable[[], Optional[int]]] = None) -> None:
         self.watch = watch
         self.queue = queue
         self.stage = stage
         self.every = every
+        self.cap = cap
         self.queued = len(queue._value)
         self.retired = stage.retired
         self.changed_at: Optional[int] = None
@@ -369,9 +409,6 @@ class Simulator:
         self._changed: list[Signal] = []
         self._staged_regs: list[Reg] = []
         self._needs_discovery = True
-        #: (now, settle_calls, horizon) left by the last scan of a settled
-        #: state (see :meth:`_settle_certified`)
-        self._cert: Optional[tuple[int, int, int]] = None
         self.kernel_stats = KernelStats()
         #: what the build cache did for this design, by consumer
         #: ("compile", "lint") → "hit" | "miss" | "uncacheable"
@@ -411,6 +448,9 @@ class Simulator:
                 sig._seq_fanout = []
         if not self._comb and not self._seq:
             raise SimulationError(f"design {self.top.path!r} has no processes")
+        #: every horizon the jump scan asks (the compiled backend adds its
+        #: vectorized executors')
+        self._horizons = [horizon for horizon, _ in self._wheel_hooks]
 
     def add_observer(
         self,
@@ -555,40 +595,13 @@ class Simulator:
         self._needs_discovery = False
 
     def _rank_procs(self, tracked: list[_Proc]) -> None:
-        """Assign topological depths over the writer→reader proc graph.
-
-        Evaluating queued procs in rank order lets a change propagate down a
-        combinational chain in one sweep (each proc runs after its upstream
-        writers), instead of one delta iteration per chain link.  Cycles in
-        the graph (mutual ready/valid feedback) saturate at the rank cap and
-        simply take extra sweeps, exactly like the unranked scheduler.
-        Ranks are a performance hint only — correctness comes from running
-        to fixpoint — so they are not recomputed when a read set grows.
-        """
-        writers: dict = {}
-        for p in tracked:
-            for s in p.writes:
-                writers.setdefault(s, []).append(p)
-        n = len(tracked)
-        for p in tracked:
-            p.rank = 0
-        for _ in range(n):
-            moved = False
-            for p in tracked:
-                r = 0
-                for s in p.reads:
-                    for w in writers.get(s, ()):
-                        if w is not p and w.rank >= r:
-                            r = w.rank + 1
-                if r > n:
-                    r = n
-                if r != p.rank:
-                    p.rank = r
-                    moved = True
-            if not moved:
-                break
-        depth = max((p.rank for p in tracked), default=0)
-        self._buckets = [[] for _ in range(depth + 1)]
+        """Assign each tracked proc its :func:`rank_depths` depth and size
+        the rank-indexed run queue to the deepest."""
+        ranks = rank_depths([p.reads for p in tracked],
+                            [p.writes for p in tracked])
+        for p, r in zip(tracked, ranks):
+            p.rank = r
+        self._buckets = [[] for _ in range(max(ranks, default=0) + 1)]
         self._npend = 0
 
     def _register_fanout(self, p: _Proc) -> None:
@@ -795,21 +808,24 @@ class Simulator:
 
     # -- time-wheel fast-forward -------------------------------------------------
 
-    def _skip_scan(self, limit: int) -> int:
-        """How many edges can be skipped, assuming settled quiescent state.
-
-        Returns 0 when any armed sequential process lacks wheel coverage,
-        any always-run combinational process does, or any horizon says the
-        next edge performs real work; otherwise the minimum horizon capped
-        at ``limit``.
-        """
+    def _jump_vetoed(self) -> bool:
+        """An always-run combinational process lacks wheel coverage, or an
+        armed sequential process does: no horizon can cover them."""
         if not self._always_covered:
-            return 0
+            return True
         for sp in self._seqprocs:
             if sp.armed and not sp.wheeled:
-                return 0
+                return True
+        return False
+
+    def _skip_scan(self, limit: int) -> int:
+        """How many edges can be skipped from settled state: 0 when
+        :meth:`_jump_vetoed` or any horizon says the next edge performs
+        real work, otherwise the minimum horizon capped at ``limit``."""
+        if self._jump_vetoed():
+            return 0
         n = limit
-        for horizon, _ in self._wheel_hooks:
+        for horizon in self._horizons:
             h = horizon()
             if h is not None and h < n:
                 if h <= 0:
@@ -817,45 +833,19 @@ class Simulator:
                 n = h
         return n
 
-    def _settle_certified(self) -> tuple[int, Optional[int]]:
-        """Settle; returns what :meth:`settle` returned and the horizon of
-        the certificate in ``_cert`` (used up either way), or None unless
-        it holds: ``now`` is unchanged, no settle ran since it was left,
-        nothing is pending and this settle finds nothing to do."""
-        cert, self._cert = self._cert, None
-        if cert is not None and (cert[0] != self.now or self._changed
-                                 or cert[1] != self.kernel_stats.settle_calls):
-            cert = None
-        busy = self.settle()
-        return busy, None if busy or cert is None else cert[2]
-
     def fast_forward_limit(self, max_cycles: int = NO_HORIZON) -> int:
         """Upper bound on safely skippable cycles from the current state.
 
         Settles the design, then runs the wheel's precondition scan without
         performing a jump.  Returns 0 whenever fast-forward is unavailable
         (wheel disabled, plain observers attached, non-event scheduler, or
-        real work pending on the next edge).  Host pump loops call this at
-        the start of each chunk: above 1 they step a certified jump chunk
-        of at most this many cycles, otherwise they run real edges with
-        ``step(cycles, rule)``, which ends as soon as this scan would pass
-        again.
-
-        An edge chunk that ended there has just scanned this settled
-        state, and left its horizon as a certificate: while it holds (see
-        :meth:`_settle_certified`) the horizon is reused instead of
-        scanning again.  This scan leaves its own certificate for the jump
-        chunk :meth:`step` runs next.  :meth:`reset` drops it.
+        real work pending on the next edge).  :meth:`step` takes the jumps
+        this reports by itself; the query serves tests and tracing.
         """
         if not self.wheel or self._plain_observers:
             return 0
-        _, horizon = self._settle_certified()
-        if self._needs_discovery:
-            return 0
-        if horizon is None:
-            horizon = self._skip_scan(NO_HORIZON)
-        self._cert = (self.now, self.kernel_stats.settle_calls, horizon)
-        return min(horizon, max_cycles)
+        self.settle()
+        return self._skip_scan(max_cycles)
 
     # -- public stepping API ---------------------------------------------------
 
@@ -863,82 +853,60 @@ class Simulator:
         """Advance the design by up to ``cycles`` clock cycles; returns the
         number of cycles run.
 
-        With the time wheel enabled (and no plain observer attached), runs
-        of provably idle cycles inside a multi-cycle step are covered by
-        O(#hooks) jumps instead of per-cycle edges; the result is
-        cycle-exact either way.
+        With the time wheel enabled (and no plain observer attached), each
+        settle is followed by the wheel's scan, and a run of provably idle
+        cycles is covered by one O(#hooks) jump instead of per-cycle edges;
+        the result is cycle-exact either way.  No jump covers the final
+        cycle, which stays a real edge.
 
-        With a :class:`ChunkRule`, every cycle is a real edge and the step
-        may end early: the rule is evaluated after each edge but the last,
-        on the unsettled post-edge state, and dates progress after every
-        edge.  The step also ends before an edge whose settled state
-        :meth:`fast_forward_limit` would certify for a jump, so a caller
-        that steps event by event still takes every jump a caller stepping
-        cycle by cycle would.
+        With a :class:`ChunkRule` the step may end early: the rule's stop
+        test runs after every edge and every jump that leaves cycles to
+        run, no jump passes ``rule.cap()``, and progress is dated after
+        every edge.
         """
-        if rule is None and cycles > 1 and self.wheel and not self._plain_observers:
-            self._step_wheel(cycles)
-            return cycles
         observers = self._observers
-        jumps = rule is not None and self.wheel and not self._plain_observers
+        stats = self.kernel_stats
+        jumps = self.wheel and not self._plain_observers
+        cap = None if rule is None else rule.cap
         ran = 0
         while ran < cycles:
             self.settle()
-            if ran and jumps:
-                horizon = self._skip_scan(NO_HORIZON)
-                if horizon > 1:
-                    self._cert = (self.now, self.kernel_stats.settle_calls, horizon)
-                    break
-            self._edge()
-            self.now += 1
-            ran += 1
-            for obs in observers:
-                obs(self.now)
-            if rule is not None:
-                queued = len(rule.queue._value)
-                retired = rule.stage.retired
-                if queued != rule.queued or retired != rule.retired:
-                    rule.queued = queued
-                    rule.retired = retired
-                    rule.changed_at = self.now
-                if ran < cycles and (
-                    rule.watch._value or rule.every is not None and rule.every()
-                ):
-                    break
-        return ran
-
-    def _step_wheel(self, cycles: int) -> None:
-        """Multi-cycle stepping with time-wheel jumps on quiescent stretches."""
-        observers = self._observers
-        stats = self.kernel_stats
-        remaining = cycles
-        while remaining:
-            busy, horizon = self._settle_certified()
-            # Jumps are only attempted off a quiescent settle: a busy design
-            # fails the scan anyway, and this keeps the scan itself off the
-            # saturated-pipeline fast path.  remaining > 1 keeps the final
-            # cycle a real edge, exactly like an unwheeled run.  The first
-            # scan is usually the certificate fast_forward_limit left.
-            if not busy and remaining > 1:
-                n = (self._skip_scan(remaining - 1) if horizon is None
-                     else min(horizon, remaining - 1))
-                if n:
-                    for _, skip in self._wheel_hooks:
-                        skip(n)
-                    self.now += n
-                    remaining -= n
-                    stats.skipped_cycles += n
-                    stats.wheel_jumps += 1
-                    if observers:
-                        for cb in self._obs_onskip:
-                            cb(self.now, n)
-                    continue
-            self._edge()
-            self.now += 1
-            remaining -= 1
-            if observers:
+            n = 0
+            if jumps and cycles - ran > 1:
+                limit = cycles - ran - 1
+                if cap is not None:
+                    c = cap()
+                    if c is not None and c < limit:
+                        limit = c
+                if limit > 0:
+                    n = self._skip_scan(limit)
+            if n:
+                for _, skip in self._wheel_hooks:
+                    skip(n)
+                self.now += n
+                ran += n
+                stats.skipped_cycles += n
+                stats.wheel_jumps += 1
+                for cb in self._obs_onskip:
+                    cb(self.now, n)
+            else:
+                self._edge()
+                self.now += 1
+                ran += 1
                 for obs in observers:
                     obs(self.now)
+                if rule is not None:
+                    queued = len(rule.queue._value)
+                    retired = rule.stage.retired
+                    if queued != rule.queued or retired != rule.retired:
+                        rule.queued = queued
+                        rule.retired = retired
+                        rule.changed_at = self.now
+            if rule is not None and ran < cycles and (
+                rule.watch._value or rule.every is not None and rule.every()
+            ):
+                break
+        return ran
 
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = 100_000) -> int:
         """Step until ``predicate()`` holds (evaluated on settled state).
@@ -979,11 +947,15 @@ class Simulator:
         self._staged_regs.clear()  # reset_state dropped every staged value
         for hook in self._resets:
             hook()
-        self._cert = None
+        self._forget()
+        self.settle()
+
+    def _forget(self) -> None:
+        """After a reset: drop what the scheduler knew of the old values,
+        so the next settle rediscovers the design."""
         if self._event:
             self._needs_discovery = True
             self._changed.clear()
-        self.settle()
 
     # -- stats -----------------------------------------------------------------
 

@@ -140,10 +140,10 @@ class CoprocessorDriver:
         dead — is raised instead of idling out the full ``max_cycles``
         budget.  None → a link-derived default; ≤0 → disabled.
         """
-        # Quiet = seen idle for `_quiet_streak` consecutive cycles.  A chunk
-        # is pure aging, so idleness seen at both of its ends held all
-        # through it, while idleness first seen at its end dates from its
-        # final cycle only.
+        # Quiet = seen idle for `_quiet_streak` consecutive cycles.  Checks
+        # come one edge or one wheel jump (pure aging) apart, so idleness
+        # seen at both ends held all through, while idleness first seen at
+        # the end dates from the final cycle only.
         streak_start = self.sim.now
         was_busy = False
 

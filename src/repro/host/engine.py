@@ -379,7 +379,7 @@ class HostEngine:
         #: bumped by every rollback so in-progress rx-event loops abandon
         #: events deframed before the coprocessor was reset
         self._rx_epoch = 0
-        #: the rule of the edge chunks :meth:`pump` runs (a wait installs
+        #: the rule of the chunks :meth:`pump` runs (a wait installs
         #: its own for the duration of :meth:`pump_until`)
         self._wait = _Wait(self, None)
         self._maybe_checkpoint()
@@ -877,32 +877,22 @@ class HostEngine:
     def _pump_chunk(self, bound: int) -> int:
         """One pump iteration covering up to ``bound`` cycles; returns cycles run.
 
-        When the simulator certifies (via :meth:`Simulator.fast_forward_limit`)
-        that the next ``limit`` edges are pure aging, the whole stretch is
-        stepped in one call and the wheel compresses it.  Otherwise the
-        kernel runs real edges back to back under the wait's
-        :class:`~repro.hdl.sim.ChunkRule` until the first edge after which
-        the host has something to act on: a word in the host port's rx
-        queue, or a predicate that reads simulated state holding (an
-        unclassified ``done()``, a checkpoint coming due on a protected
-        system).  It also stops where the wheel could jump, so the next
-        chunk takes that jump.  Both kinds are bounded by ``bound`` and
-        :meth:`_timer_slack`.
+        The kernel steps up to ``bound`` cycles, bounded by
+        :meth:`_timer_slack`, under the wait's
+        :class:`~repro.hdl.sim.ChunkRule`: it takes every wheel jump over
+        pure aging and runs real edges otherwise, until the first edge or
+        jump after which the host has something to act on: a word in the
+        host port's rx queue, or a predicate that reads simulated state
+        holding (an unclassified ``done()``, a checkpoint coming due on a
+        protected system).
 
         The host-side drain/deadline/checkpoint work runs once, at the end
-        of the chunk.  That is exact: before the chunk's last edge no word
+        of the chunk.  That is exact: before the chunk's last cycle no word
         arrives, no timer fires and no completion opens the window, so each
         of those steps would have been a no-op.
         """
         sent = self.flush()
-        sim = self.sim
-        n = min(bound, self._timer_slack())
-        limit = sim.fast_forward_limit(n) if n > 1 else 0
-        if limit > 1:
-            n = min(n, limit)
-            sim.step(n)
-        else:
-            n = sim.step(n, self._wait.arm(sent))
+        n = self.sim.step(min(bound, self._timer_slack()), self._wait.arm(sent))
         self.drain_words()
         self._check_deadlines()
         self._maybe_checkpoint()
@@ -1002,23 +992,22 @@ class HostEngine:
         ``host_only`` says ``done()`` reads host state only (a future, the
         inbox, the session's free registers).  No edge can change such a
         predicate, so it is checked between chunks only.  Any other
-        ``done()`` is checked after every edge an edge chunk runs, by the
-        chunk's rule (a jump chunk is pure aging, so nothing it covers can
-        change ``done()`` before its final cycle).
+        ``done()`` is checked after every edge and every wheel jump, by the
+        chunk's rule.
 
         Exit-cycle exactness: every chunk is bounded by the budget and the
-        no-progress trigger point.  Inside an edge chunk the simulated
-        share of the progress — ``host.tx_pending`` drops as words leave,
+        no-progress trigger point.  Inside a chunk the simulated share of
+        the progress — ``host.tx_pending`` drops as words leave,
         instructions retire — still moves, and the kernel dates its last
         change to the exact edge.  This loop therefore returns or raises on
         exactly the cycle a one-cycle-at-a-time pump would.  A condition
         that can turn true on elapsed cycles alone must also pass
-        ``cap()``, the cycles until it could, so that no jump chunk steps
-        past it.
+        ``cap()``, the cycles until it could: the rule carries it, and no
+        wheel jump passes that cycle.
         """
         start = self.sim.now
         deadline = self.resolve_deadline(deadline_cycles)
-        wait = _Wait(self, None if host_only else done)
+        wait = _Wait(self, None if host_only else done, cap)
         outer, self._wait = self._wait, wait
         try:
             while not done():
@@ -1034,9 +1023,6 @@ class HostEngine:
                 bound = start + max_cycles - now
                 if deadline is not None:
                     bound = min(bound, wait.progress_at + deadline - now)
-                limit = cap() if cap is not None else None
-                if limit is not None:
-                    bound = min(bound, limit)
                 self._pump_chunk(max(1, bound))
                 self.flush()
                 wait.observe()
@@ -1083,11 +1069,12 @@ class HostEngine:
 class _Wait(ChunkRule):
     """The chunk rule of one wait, and the progress it has seen.
 
-    The rule stops an edge chunk when a word reaches the host port's rx
-    queue, or when ``every()`` holds: the wait's unclassified predicate,
-    or'ed with the checkpoint test while a protected engine is idle
-    (:meth:`arm`).  ``progress_at`` is the cycle the system last
-    observably moved, read by the no-progress deadline of
+    The rule stops a chunk when a word reaches the host port's rx queue,
+    or when ``every()`` holds: the wait's unclassified predicate, or'ed
+    with the checkpoint test while a protected engine is idle
+    (:meth:`arm`).  ``cap`` is the wait's own (see
+    :meth:`HostEngine.pump_until`).  ``progress_at`` is the cycle the
+    system last observably moved, read by the no-progress deadline of
     :meth:`HostEngine.pump_until`.  Progress is observed after every edge
     (by the kernel: the host port's tx queue and the retire count) and
     after every chunk (:meth:`observe`: the host counters too), each
@@ -1097,11 +1084,12 @@ class _Wait(ChunkRule):
     __slots__ = ("engine", "predicate", "seen", "progress_at")
 
     def __init__(self, engine: HostEngine,
-                 predicate: Optional[Callable[[], bool]]) -> None:
+                 predicate: Optional[Callable[[], bool]],
+                 cap: Optional[Callable[[], Optional[int]]] = None) -> None:
         host = engine.host
         # the retire count of the RTM's execution stage is progress
         super().__init__(watch=host._rxq, queue=host._txq,
-                         stage=engine.soc.rtm.execution)
+                         stage=engine.soc.rtm.execution, cap=cap)
         self.engine = engine
         #: the wait's predicate when it may read simulated state, else None
         self.predicate = predicate
@@ -1110,7 +1098,7 @@ class _Wait(ChunkRule):
         self.progress_at = engine.sim.now
 
     def arm(self, sent: int) -> "_Wait":
-        """This rule, set for the edge chunk about to run; ``sent`` is the
+        """This rule, set for the chunk about to run; ``sent`` is the
         words the chunk's opening flush sent."""
         engine = self.engine
         predicate = self.predicate

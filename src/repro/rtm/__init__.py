@@ -19,7 +19,7 @@ from .futable import (
     default_write_profile,
 )
 from .lockmgr import LockManager
-from .msgbuffer import MessageBuffer
+from .msgbuffer import MessageBuffer, ReliableMessageBuffer
 from .ooo import OoODispatcher, RenamedOp
 from .regfile import FlagRegisterFile, RegisterFile
 from .rename import RenameTable
@@ -40,6 +40,7 @@ __all__ = [
     "default_write_profile",
     "LockManager",
     "MessageBuffer",
+    "ReliableMessageBuffer",
     "OoODispatcher",
     "RenamedOp",
     "RenameTable",

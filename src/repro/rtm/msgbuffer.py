@@ -36,7 +36,7 @@ coprocessor end of the recovery protocol:
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Optional
+from typing import Callable, Optional
 
 from ..config import FrameworkConfig
 from ..hdl import Component, Stream
@@ -57,31 +57,25 @@ def _exec_opcode(msg: Message) -> Optional[int]:
 
 
 class MessageBuffer(Component):
-    """Channel words in, parsed host messages out."""
+    """Channel words in, parsed host messages out (plain framing; see
+    :class:`ReliableMessageBuffer` for the checksummed format)."""
 
     def __init__(self, name: str, config: FrameworkConfig, parent: Optional[Component] = None):
         super().__init__(name, parent)
         self.config = config
-        self.reliable = config.reliable_framing
         #: channel-side input (32-bit words from the receiver)
         self.inp = Stream(self, "in", 32)
         #: decoder-side output (Message payloads)
         self.out = Stream(self, "out", None)
         #: driven by the execution stage's halt latch
         self.halted = self.signal("halted", 1, 0)
-        self._deframer = self._new_deframer()
+        self._new_receiver()
         self._pending = self.reg("pending", None, reset=None)
         #: messages parsed but waiting for the (single) pending slot; the
         #: scanner can complete a deferred frame and a NACK in one cycle
         self._backlog = self.reg("backlog", None, reset=())
         #: cycles since the last word arrived (reliable idle-flush timer)
         self._idle = self.reg("idle", 32, 0)
-        #: expected seq already NACKed (suppression), None = none outstanding
-        self._nacked_for: Optional[int] = None
-        # -- reliability observability counters --
-        self.nacks_sent = 0
-        self.duplicates_discarded = 0
-        self.duplicates_reexecuted = 0
 
         @self.comb
         def _drive() -> None:
@@ -95,9 +89,109 @@ class MessageBuffer(Component):
             self.inp.ready.set(1 if ready else 0)
 
         # Pure for the edge scheduler: the deframer/counter mutations happen
-        # only on runs that stage the idle timer, and nothing is staged on a
-        # fully quiet edge — so an idle buffer goes dormant.
-        @self.seq(pure=True)
+        # only on runs that stage something (a taken word, an aging idle
+        # timer), and nothing is staged on a fully quiet edge — so an idle
+        # buffer goes dormant.
+        self.seq(self._make_tick(), pure=True)
+        self.wheel(self._horizon, self._skip)
+
+        # See the comment above: deframer/counter mutations coincide with
+        # staging, so the pure=True declaration holds on quiet edges.
+        self.lint_suppress(
+            "contract.impure-pure-seq",
+            "deframer and counters mutate only on fires()/mid-frame paths, "
+            "which always stage; quiet edges are mutation-free",
+        )
+
+        @self.on_reset
+        def _clear() -> None:
+            self._new_receiver()
+
+    def _make_tick(self) -> Callable[[], None]:
+        """The edge process: take a word, promote the backlog."""
+        def _tick() -> None:
+            pending = self._pending.value
+            backlog = self._backlog.value
+            if pending is not None and self.out.fires():
+                pending = None
+            taken = self.inp.fires()
+            if taken:
+                backlog = backlog + tuple(self._consume(self.inp.payload.value))
+            if pending is None and backlog:
+                pending = backlog[0]
+                backlog = backlog[1:]
+            if pending is not self._pending.value:
+                self._pending.nxt = pending
+            if taken or backlog is not self._backlog.value:
+                # a word taken mid-frame moves the deframer and no signal:
+                # staging keeps this process armed for the next word
+                self._backlog.nxt = backlog
+        return _tick
+
+    def _new_receiver(self) -> None:
+        """A fresh deframer (construction and reset)."""
+        self._deframer = Deframer(self.config.data_words)
+
+    # -- time-wheel hooks ---------------------------------------------------------
+
+    def _horizon(self) -> Optional[int]:
+        if self.inp.valid.value and self.inp.ready.value:
+            return 0  # a channel word lands next edge
+        pending = self._pending.value
+        if pending is not None and self.out.ready.value:
+            return 0  # decoder takes the pending message next edge
+        if pending is None and self._backlog.value:
+            return 0  # backlog promotes next edge
+        return None
+
+    def _skip(self, n: int) -> None:
+        pass  # nothing ages between words
+
+    # -- word intake --------------------------------------------------------------
+
+    def _consume(self, word: int) -> list[Message]:
+        """Parse one channel word into zero or more admitted messages."""
+        try:
+            msg = self._deframer.push(word)
+        except FramingError:
+            # Malformed frame: report it instead of wedging (§II — the
+            # coprocessor must stay controllable by the host).
+            return [BadFrame(word)]
+        if msg is None:
+            return []
+        admitted = self._admit(msg)
+        return [admitted] if admitted is not None else []
+
+    def _admit(self, msg: Message) -> Optional[Message]:
+        """Apply halt gating to a parsed message: a halted coprocessor
+        stays revivable (RESET)."""
+        if self.halted.value and not isinstance(msg, Reset):
+            return None
+        return msg
+
+    @property
+    def pending_message(self) -> Optional[Message]:
+        return self._pending.value
+
+    @property
+    def backlog(self) -> int:
+        """Parsed messages waiting behind the pending slot."""
+        return len(self._backlog.value)
+
+    @property
+    def reliability_stats(self) -> dict:
+        """Receiver-side recovery counters (empty when not in reliable mode)."""
+        return {}
+
+
+class ReliableMessageBuffer(MessageBuffer):
+    """The buffer on a link with ``config.reliable_framing``: the
+    coprocessor end of the recovery protocol (see the module docstring)."""
+
+    def _make_tick(self) -> Callable[[], None]:
+        """The edge process: take a word, flush a damaged trailing frame
+        after ``config.resync_flush_cycles`` of silence, promote the
+        backlog."""
         def _tick() -> None:
             pending = self._pending.value
             backlog = self._backlog.value
@@ -107,7 +201,7 @@ class MessageBuffer(Component):
                 self._idle.nxt = 0
                 word = self.inp.payload.value
                 backlog = backlog + tuple(self._consume(word))
-            elif self.reliable and self._deframer.mid_frame:
+            elif self._deframer.mid_frame:
                 idle = self._idle.value + 1
                 if idle >= self.config.resync_flush_cycles:
                     self._idle.nxt = 0
@@ -122,69 +216,33 @@ class MessageBuffer(Component):
                 self._pending.nxt = pending
             if backlog is not self._backlog.value:
                 self._backlog.nxt = backlog
+        return _tick
 
-        self.wheel(self._horizon, self._skip)
-
-        # See the comment above _tick: deframer/counter mutations coincide
-        # with staging, so the pure=True declaration holds on quiet edges.
-        self.lint_suppress(
-            "contract.impure-pure-seq",
-            "deframer and counters mutate only on fires()/mid-frame paths, "
-            "which always stage; quiet edges are mutation-free",
-        )
-
-        @self.on_reset
-        def _clear() -> None:
-            self._deframer = self._new_deframer()
-            self._nacked_for = None
-            self.nacks_sent = 0
-            self.duplicates_discarded = 0
-            self.duplicates_reexecuted = 0
-
-    # -- time-wheel hooks ---------------------------------------------------------
+    def _new_receiver(self) -> None:
+        # both ends of the link reset their sequence domain to 0, so the
+        # strict receiver pins its baseline there: losing the very first
+        # frame must NACK, not silently adopt a later one
+        self._deframer = ReliableDeframer(self.config.data_words,
+                                          strict_order=True, start_expected=0)
+        #: expected seq already NACKed (suppression), None = none outstanding
+        self._nacked_for: Optional[int] = None
+        self.nacks_sent = 0
+        self.duplicates_discarded = 0
+        self.duplicates_reexecuted = 0
 
     def _horizon(self) -> Optional[int]:
-        if self.inp.valid.value and self.inp.ready.value:
-            return 0  # a channel word lands next edge
-        pending = self._pending.value
-        if pending is not None and self.out.ready.value:
-            return 0  # decoder takes the pending message next edge
-        if pending is None and self._backlog.value:
-            return 0  # backlog promotes next edge
-        if self.reliable and self._deframer.mid_frame:
+        h = super()._horizon()
+        if h is None and self._deframer.mid_frame:
             # pure aging of the idle timer until the flush threshold edge
             d = self.config.resync_flush_cycles - 1 - self._idle.value
             return d if d > 0 else 0
-        return None
+        return h
 
     def _skip(self, n: int) -> None:
-        if self.reliable and self._deframer.mid_frame:
+        if self._deframer.mid_frame:
             self._idle.warp(self._idle.value + n)
 
-    def _new_deframer(self):
-        if self.reliable:
-            # both ends of the link reset their sequence domain to 0, so the
-            # strict receiver pins its baseline there: losing the very first
-            # frame must NACK, not silently adopt a later one
-            return ReliableDeframer(self.config.data_words, strict_order=True,
-                                    start_expected=0)
-        return Deframer(self.config.data_words)
-
-    # -- word intake --------------------------------------------------------------
-
     def _consume(self, word: int) -> list[Message]:
-        """Parse one channel word into zero or more admitted messages."""
-        if not self.reliable:
-            try:
-                msg = self._deframer.push(word)
-            except FramingError:
-                # Malformed frame: report it instead of wedging (§II — the
-                # coprocessor must stay controllable by the host).
-                return [BadFrame(word)]
-            if msg is None:
-                return []
-            admitted = self._admit(msg, duplicate=False)
-            return [admitted] if admitted is not None else []
         self._deframer.push(word)
         return self._drain_events()
 
@@ -215,7 +273,7 @@ class MessageBuffer(Component):
             out.append(BadFrame(make_nack_info(expected)))
         return out
 
-    def _admit(self, msg: Message, duplicate: bool) -> Optional[Message]:
+    def _admit(self, msg: Message, duplicate: bool = False) -> Optional[Message]:
         """Apply duplicate and halt gating to a parsed message."""
         opcode = _exec_opcode(msg)
         if duplicate:
@@ -225,29 +283,15 @@ class MessageBuffer(Component):
                 self.duplicates_discarded += 1
                 return None
         if self.halted.value:
-            # A halted coprocessor stays revivable (RESET) and, in reliable
-            # mode, re-acknowledges retransmitted HALTs whose ack was lost.
-            if isinstance(msg, Reset):
-                return msg
-            if self.reliable and opcode == int(Opcode.HALT):
+            # A halted coprocessor stays revivable (RESET) and re-acknowledges
+            # retransmitted HALTs whose ack was lost.
+            if isinstance(msg, Reset) or opcode == int(Opcode.HALT):
                 return msg
             return None
         return msg
 
     @property
-    def pending_message(self) -> Optional[Message]:
-        return self._pending.value
-
-    @property
-    def backlog(self) -> int:
-        """Parsed messages waiting behind the pending slot."""
-        return len(self._backlog.value)
-
-    @property
     def reliability_stats(self) -> dict:
-        """Receiver-side recovery counters (empty when not in reliable mode)."""
-        if not self.reliable:
-            return {}
         stats = asdict(self._deframer.stats)
         stats.update(
             nacks_sent=self.nacks_sent,

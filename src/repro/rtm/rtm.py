@@ -38,7 +38,7 @@ from .encoder import MessageEncoder
 from .execution import Execution
 from .futable import FunctionalUnitTable
 from .lockmgr import LockManager
-from .msgbuffer import MessageBuffer
+from .msgbuffer import MessageBuffer, ReliableMessageBuffer
 from .regfile import FlagRegisterFile, RegisterFile
 from .rename import RenameTable
 from .serializer import MessageSerializer
@@ -130,7 +130,8 @@ class RegisterTransferMachine(Component):
             self.units.append(unit)
 
         # -- pipeline stages -----------------------------------------------------
-        self.msgbuffer = MessageBuffer("msgbuffer", config, parent=self)
+        buffer = ReliableMessageBuffer if config.reliable_framing else MessageBuffer
+        self.msgbuffer = buffer("msgbuffer", config, parent=self)
         self.decoder = Decoder("decoder", config, self.futable, parent=self)
         if config.ooo:
             from .ooo import OoODispatcher

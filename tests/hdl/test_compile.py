@@ -1342,7 +1342,7 @@ class TestHandoff:
         assert sim._module.namespace[sim._module.runners[tc.slot]] \
             is not tc.run
 
-    def test_scalar_calls_hand_off_four_stages(self):
+    def test_scalar_calls_hand_off_five_stages(self):
         import random
 
         from repro import Session
@@ -1359,12 +1359,12 @@ class TestHandoff:
                             rng.getrandbits(32), rng.getrandbits(32))
         handed = {tc.fn.__qualname__.split(".")[0]: tc.handed_off
                   for tc in system.sim._tracked}
-        # the message buffer loads Deframer.expected, which only a reliable
-        # link's deframer has: it has no proof and stays tracked
-        assert handed == {"MessageBuffer": False, "Decoder": True,
+        # a plain link builds the plain message buffer, whose edge process
+        # reads no reliable-only state, so it hands off too
+        assert handed == {"MessageBuffer": True, "Decoder": True,
                           "Execution": True, "MessageSerializer": True,
                           "WriteArbiter": True}
-        assert counters_for(system).kernel["handoffs"] == 4
+        assert counters_for(system).kernel["handoffs"] == 5
 
     def test_serializer_and_msgbuffer_placement_reasons(self):
         from repro.analysis.lint import astpass
@@ -1387,9 +1387,10 @@ class TestHandoff:
                                 "MessageSerializer.messages_sent")
         assert len(where.proof) == 6
         (buf,) = rtm.msgbuffer.seq_procs
-        assert placed(buf).reason == ("hidden input Deframer.expected is "
-                                      "late-bound, unset at elaboration")
-        assert placed(buf).proof is None
+        where = placed(buf)
+        assert where.reason == ("stores hidden state Deframer._header, "
+                                "Deframer._payload")
+        assert len(where.proof) == 8
 
     def test_nxt_only_reads_stay_out_of_the_proof(self):
         from repro.analysis.lint import astpass

@@ -3,7 +3,7 @@
 A fast-forward jump leaves the kernel in an unusual pose: sequential
 processes are dormant, wheel hooks have batch-aged their counters, and
 ``now`` has moved without per-cycle observer traffic.  These tests pin the
-three interactions most likely to rot:
+interactions most likely to rot:
 
 * :meth:`Simulator.reset` right after a jump must schedule rediscovery —
   re-arming every dormant process and flushing staged registers — so the
@@ -11,11 +11,17 @@ three interactions most likely to rot:
 * :meth:`Simulator.run_until` must keep stepping cycle-exactly after a
   jump;
 * observers must see a strictly monotonic ``now`` with every cycle
-  accounted for, whether delivered per-cycle or as compressed idle runs.
+  accounted for, whether delivered per-cycle or as compressed idle runs;
+* ``step(n, rule)`` keeps its final cycle a real edge, lands a jump on
+  ``rule.cap()`` and checks ``every()`` there, and ends on the edge a word
+  reaches ``rule.watch`` — on the event kernel, wheel off, and compiled.
 """
 
 from __future__ import annotations
 
+import pytest
+
+from repro.hdl import ChunkRule
 from repro.host import CoprocessorDriver
 from repro.messages.channel import SLOW_PROTOTYPE
 from repro.system import build_system
@@ -122,35 +128,87 @@ class TestObserverMonotonicity:
         assert seen == list(range(start + 1, start + 501))
 
 
-class TestJumpCertificate:
-    def test_jump_chunk_reuses_the_limit_scan(self):
-        # The host steps a jump chunk right after fast_forward_limit scanned
-        # the same settled state: the chunk's first jump takes that scan's
-        # certificate instead of scanning again.
+BACKENDS = {
+    "event": dict(),
+    "wheel-off": dict(wheel=False),
+    "compiled": dict(backend="compiled"),
+}
+
+
+def _chunk_system(backend):
+    """A serial-link system settled into idle, and a rule on its host port."""
+    system = build_system(channel=SLOW_PROTOTYPE, **BACKENDS[backend])
+    system.sim.step(8)  # past the re-armed edge that follows reset
+    host = system.soc.host
+    rule = ChunkRule(watch=host._rxq, queue=host._txq,
+                     stage=system.soc.rtm.execution)
+    return system, rule
+
+
+def _counts(sim):
+    k = sim.kernel_stats
+    return k.edge_calls, k.skipped_cycles, k.wheel_jumps
+
+
+class TestStepUnderRule:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_jump_never_covers_the_last_cycle(self, backend):
+        system, rule = _chunk_system(backend)
+        sim = system.sim
+        before = _counts(sim)
+        assert sim.step(500, rule) == 500
+        moved = tuple(b - a for a, b in zip(before, _counts(sim)))
+        wheel = backend != "wheel-off"
+        # (edges, skipped cycles, jumps): one jump to the final cycle,
+        # which runs as a real edge
+        assert moved == ((1, 499, 1) if wheel else (500, 0, 0))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_jump_lands_on_the_cap_and_is_checked_there(self, backend):
+        system, rule = _chunk_system(backend)
+        sim = system.sim
+        start = sim.now
+        checked = []
+
+        def every():
+            checked.append(sim.now - start)
+            return sim.now - start >= 37
+
+        rule.every = every
+        rule.cap = lambda: start + 37 - sim.now
+        assert sim.step(500, rule) == 37
+        assert sim.now == start + 37
+        if backend == "wheel-off":
+            assert checked == list(range(1, 38))
+        else:
+            assert checked == [37]
+            assert sim.kernel_stats.skipped_cycles >= 37
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_word_on_watch_ends_the_chunk_on_its_edge(self, backend):
+        def arrival(chunked):
+            system, rule = _chunk_system(backend)
+            sim = system.sim
+            driver = CoprocessorDriver(system)
+            driver.read_reg_async(1)  # sends the GET: a reply comes back
+            start = sim.now
+            if chunked:
+                ran = sim.step(100_000, rule)
+                assert ran == sim.now - start < 100_000
+            else:
+                while not rule.watch._value:
+                    sim.step()
+            assert rule.watch._value
+            return sim.now, system.sim.kernel_stats.wheel_jumps > 0
+
+        (at, jumped), (reference, _) = arrival(True), arrival(False)
+        assert at == reference
+        assert jumped == (backend != "wheel-off")
+
+    def test_event_and_compiled_count_the_same(self):
         results = {}
         for backend in ("event", "compiled"):
             system = build_system(channel=SLOW_PROTOTYPE, backend=backend)
-            sim = system.sim
-            counts = {"chunks": 0, "scans": 0}
-            scan, step_wheel = sim._skip_scan, sim._step_wheel
-
-            def counted_scan(limit, scan=scan, counts=counts):
-                counts["scans"] += 1
-                return scan(limit)
-
-            def counted_chunk(cycles, step_wheel=step_wheel, counts=counts,
-                              sim=sim):
-                counts["chunks"] += 1
-                sim._skip_scan = counted_scan
-                try:
-                    step_wheel(cycles)
-                finally:
-                    del sim._skip_scan
-
-            sim._step_wheel = counted_chunk
             value, cycles = _transaction_cycles(system)
-            stats = sim.kernel_stats
-            assert counts["chunks"] > 0 and counts["scans"] == 0
-            results[backend] = (value, cycles, stats.wheel_jumps,
-                                stats.skipped_cycles, stats.edge_calls)
+            results[backend] = (value, cycles) + _counts(system.sim)
         assert results["event"] == results["compiled"]

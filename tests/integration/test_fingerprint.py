@@ -1,7 +1,8 @@
 """``ci/fingerprint.py`` prints what the compiled backend decided per design.
 
-Smoke test on one preset: the report names every target, and for the one
-it runs, its hash, placements and counters agree with a fresh build.
+Smoke tests on one preset and one e2e system: the report names every
+target, and for the one it runs, its hash, placements and counters agree
+with a fresh build; an e2e system also reports its run counters.
 """
 
 import hashlib
@@ -17,14 +18,18 @@ from repro.system import build_system
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_fingerprint_of_one_preset():
+def _fingerprint(target):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, str(ROOT / "ci" / "fingerprint.py"), "integrated"],
+        [sys.executable, str(ROOT / "ci" / "fingerprint.py"), target],
         capture_output=True, text=True, timeout=300, cwd=ROOT, env=env,
     )
     assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_fingerprint_of_one_preset():
+    report = _fingerprint("integrated")
     assert list(report) == ["integrated"]
     entry = report["integrated"]
 
@@ -43,3 +48,20 @@ def test_fingerprint_of_one_preset():
     assert all(reason for _label, kind, reason in entry["placements"]
                if kind not in ("slot", "absorbed"))
 
+    assert "run" not in entry
+
+
+def test_run_counters_of_one_e2e_system():
+    # the slow link's wheel jumps: every cycle is an edge or a skipped one,
+    # and both backends step, jump and chunk alike
+    (entry,) = _fingerprint("e2e/slow_link_window").values()
+    runs = entry["run"]
+    assert list(runs) == ["event", "compiled"]
+    for run in runs.values():
+        assert set(run) == {"now", "edge_calls", "skipped_cycles",
+                            "wheel_jumps", "seq_runs", "settle_calls", "steps"}
+        assert run["now"] == run["edge_calls"] + run["skipped_cycles"]
+        assert run["wheel_jumps"] > 0 and run["steps"] > 0
+    shared = ("now", "edge_calls", "skipped_cycles", "wheel_jumps", "steps")
+    assert [runs["event"][k] for k in shared] \
+        == [runs["compiled"][k] for k in shared]

@@ -135,7 +135,7 @@ def test_k_wheel_skips_serial_idle():
     for mode in WHEELED:
         cycles, sim = _serial_idle(MODES[mode])
         k = sim.kernel_stats
-        pin(f"K serial idle on {mode}", (31739, 32515, 127, 27),
+        pin(f"K serial idle on {mode}", (31739, 32540, 102, 27),
             (cycles, k.skipped_cycles, k.edge_calls, k.wheel_jumps))
         assert k.skipped_cycles > k.edge_calls
 
