@@ -17,6 +17,16 @@ seeded requests and checks every answer against the workload's oracle.
 side's median ops/s with its quartiles, the blocks each side won, the
 median gain of B over A, and ``sim.now`` per side, which must agree for a
 cycle-exact change.  Exits 1 on a wrong answer, 0 otherwise.
+
+``--setup`` compares warm set-ups instead, timed as the benchmark's worker
+times them (``Setup`` in ``benchmarks/e2e/worker.py``): after one untimed
+cold build per side, each block times one set-up per side, covering the
+workload's build, the ``Session``, its client and request 0.  It prints
+each side's median milliseconds with quartiles, the blocks each side won
+and the median gain of B over A (A's time over B's, minus one)::
+
+    python ci/ab_compare.py --a ../parent --b . --workload scalar_rt \\
+        --backend compiled --setup --blocks 60
 """
 
 from __future__ import annotations
@@ -93,6 +103,65 @@ class Side:
         return rate
 
 
+class SetupSide:
+    """One tree's warm set-ups of one workload."""
+
+    def __init__(self, label: str, root: Path, workload: str,
+                 backend: str, seed: int) -> None:
+        self.label = label
+        package = f"repro_{label.lower()}"
+        self.session_cls = load_tree(root, package).Session
+        self.workload = load_workloads(package).WORKLOADS[workload]
+        self.backend = None if backend == "event" else backend
+        self.seed = seed
+        self.times: list[float] = []
+        self.wrong = 0
+        self.setup()  # the untimed cold build: imports, first-use caches
+        self.times.clear()
+
+    def setup(self) -> float:
+        """One timed set-up: build, session, client and request 0."""
+        w = self.workload
+        self.sim = None  # the previous system is collected before timing
+        gc.collect()
+        requests = w.requests(self.seed)
+        start = time.perf_counter()
+        system = w.build(self.backend)
+        session = self.session_cls(system)
+        client = w.open(session)
+        req = next(requests)
+        answer = w.execute(client, session, req)
+        elapsed = time.perf_counter() - start
+        self.wrong += answer != w.expected(req)
+        self.sim = system.sim
+        self.times.append(elapsed)
+        return elapsed
+
+
+def compare_setups(args: argparse.Namespace) -> int:
+    a = SetupSide("A", args.a.resolve(), args.workload, args.backend, args.seed)
+    b = SetupSide("B", args.b.resolve(), args.workload, args.backend, args.seed)
+    wins = 0
+    for i in range(args.blocks):
+        first, second = (a, b) if i % 2 == 0 else (b, a)
+        first.setup()
+        second.setup()
+        wins += b.times[-1] < a.times[-1]
+
+    print(f"workload {args.workload} on {args.backend}: {args.blocks} warm "
+          f"set-ups per side, seed {args.seed}")
+    for side in (a, b):
+        q1, q2, q3 = quartiles([t * 1e3 for t in side.times])
+        print(f"  {side.label}: median {q2:.2f} ms (quartiles {q1:.2f}, {q3:.2f}), "
+              f"sim.now {side.sim.now}, wrong answers {side.wrong}")
+    gains = [ta / tb - 1 for ta, tb in zip(a.times, b.times)]
+    print(f"  B won {wins} of {args.blocks} blocks; "
+          f"median gain of B over A {statistics.median(gains):+.1%}")
+    if a.sim.now != b.sim.now:
+        print("  sim.now differs between the sides")
+    return 1 if a.wrong or b.wrong else 0
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -109,7 +178,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--blocks", type=int, default=40)
     parser.add_argument("--requests", type=int, default=200, help="requests per block")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--setup", action="store_true",
+                        help="compare warm set-ups instead of requests")
     args = parser.parse_args(argv)
+    if args.setup:
+        return compare_setups(args)
 
     a = Side("A", args.a.resolve(), args.workload, args.backend, args.seed)
     b = Side("B", args.b.resolve(), args.workload, args.backend, args.seed)

@@ -163,7 +163,8 @@ class Linter:
         self.rules = selected
         self.probe = probe
 
-    def lint(self, target: Any, sim: Optional[Any] = None) -> LintReport:
+    def lint(self, target: Any, sim: Optional[Any] = None, *,
+             as_built: bool = False) -> LintReport:
         """Lint ``target`` and return the full report.
 
         ``target`` may be a :class:`~repro.hdl.component.Component` tree, a
@@ -175,9 +176,21 @@ class Linter:
         build cache (:mod:`repro.hdl.buildcache`), keyed on the design, the
         simulator's view of it, the rule selection and ``probe``.  Each
         call returns its own copy.
+
+        ``as_built`` says nothing but a reset and the state domain's clock
+        binding touched the design since ``sim`` was constructed, as in
+        :meth:`~repro.system.SystemSpec.build`.  A compiled simulator then
+        already keyed the design, and the report is keyed on that key plus
+        the rule selection and ``probe``: the design is not digested again.
         """
         top, sim = _resolve_target(target, sim)
-        key = buildcache.design_key(top, _kernel_view(sim), self.rules, self.probe)
+        if as_built and sim is not None and sim.backend == "compiled":
+            if sim.top is not top:
+                raise ValueError("as_built lints the simulator's own design")
+            key = buildcache.extend(sim.design_key, self.rules, self.probe)
+        else:
+            key = buildcache.design_key(top, _kernel_view(sim), self.rules,
+                                        self.probe)
         report = buildcache.cached(
             "lint", key,
             lambda: self.lint_design(build_design(top, sim=sim, probe=self.probe)),

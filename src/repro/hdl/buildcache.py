@@ -11,11 +11,16 @@ elaborated design, so each is kept here once per design:
 * ``"compile"`` — the compiled backend's layout
   (:class:`~repro.hdl.compile.engine.CompiledSimulator`): each process's
   placement with its wake set as signal indices, the ranks of the comb
-  slots, and the generated module's code object by its source text.
+  slots, each specialized body's template with its hoisted objects as
+  signal indices (or, for another object, the template's path to it),
+  and the dispatch module's source and code.
 
 A miss computes exactly what an uncached build computes and stores it; a
 hit returns the stored object, and the consumer binds it to the fresh
-instances on the same path a miss takes.
+instances on the same path a miss takes.  A layout holds no object of
+the design it was computed on: a build binds the fresh signals by index,
+walks the few other paths, instantiates each body over the fresh
+process's closure and loads the stored code into a fresh namespace.
 
 The key
 -------
@@ -49,6 +54,21 @@ the reduction is exact and cycle-safe:
 * an object met a second time is a back-reference, so sharing and cycles
   are part of the key.
 
+The shared key
+--------------
+:meth:`SystemSpec.build <repro.system.SystemSpec.build>` runs a fixed
+sequence: construct the simulator, ``reset()``, bind the state domain's
+clock, lint.  A compiled simulator takes its key at construction
+(``sim.design_key``), and what follows is a function of what that key
+pins: reset runs the design's own processes and reset hooks, and the
+clock is one atom.  The compiled kernel's view of the design
+(``discovered_dependencies``) is ``(type, wheel, False, [], [])``, and the
+key pins type and wheel.  So the builder's lint (``as_built=True``) keys
+its report on :func:`extend` of that key with the rule selection and
+``probe``, and a warm compiled build digests the design once.  Every
+other lint, and every event build, digests the design as it is then; an
+uncacheable construction key stays uncacheable for its lint too.
+
 A design is *uncacheable* when the reduction meets something it cannot
 represent exactly: a non-callable object whose class keeps state in C (a
 lock, an iterator, a generator, a ``bytes`` value), a reachable simulator,
@@ -56,7 +76,10 @@ a set of objects not seen elsewhere, an object array or an array view, or
 a reduction longer than :data:`MAX_ATOMS`.  It is then built fresh and
 counted, never guessed.  A class helper is pinned by identity only: its
 own globals are not followed (a process body's are), and a container
-held as a class attribute is not followed either.
+held as a class attribute is not followed either.  Under the shared key
+this hole reaches the builder's lint report too: a reset hook or a
+process that computes its reset value through such a helper from a
+module global is keyed by the helper alone.
 
 Counters
 --------
@@ -87,7 +110,7 @@ from .signal import Reg, Signal
 from .sim import SimClock, Simulator
 
 __all__ = ["BOUND", "MAX_ATOMS", "CacheStats", "DesignKey", "cached", "clear",
-           "design_key", "stats"]
+           "design_key", "extend", "stats"]
 
 T = TypeVar("T")
 
@@ -130,21 +153,50 @@ class _Tag:
         "ident", "array", "dtype", "native", "object"))
 
 _CLOCK = _Tag("clock")
+_EXTENDED = _Tag("extended")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignKey:
-    """The exact reduction of a design (see the module docstring)."""
+    """The exact reduction of a design (see the module docstring); its
+    hash is taken once."""
 
     flat: tuple
     #: objects whose ``id()`` the key holds, kept alive while it is stored
     #: so that no other object can take their ids
-    pins: list = field(compare=False, hash=False, repr=False)
+    pins: list = field(repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.flat))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is DesignKey and self._hash == other._hash
+                and self.flat == other.flat)
 
 
 def design_key(*roots: Any) -> Optional[DesignKey]:
     """The key of everything reachable from ``roots``, or None when the
     design is uncacheable."""
+    return _reduce(roots)
+
+
+def extend(key: Optional[DesignKey], *roots: Any) -> Optional[DesignKey]:
+    """``key`` followed by the reduction of ``roots`` (a consumer's own
+    options), without digesting the design again; None stays None, and
+    so does an irreducible option (see "The shared key")."""
+    if key is None:
+        return None
+    more = _reduce(roots)
+    if more is None:
+        return None
+    return DesignKey((_EXTENDED, key, more.flat), more.pins)
+
+
+def _reduce(roots: tuple) -> Optional[DesignKey]:
     out: list = []
     emit = out.append
     memo: dict[int, int] = {}
@@ -353,7 +405,8 @@ class CacheStats:
 #: the process-wide lookup counts
 stats = CacheStats()
 
-_store: collections.OrderedDict = collections.OrderedDict()
+#: (consumer, key) -> stored result, least recently used first
+_store: dict = {}
 
 
 def cached(consumer: str, key: Optional[DesignKey], build: Callable[[], T],
@@ -370,17 +423,18 @@ def cached(consumer: str, key: Optional[DesignKey], build: Callable[[], T],
         value = build()
     else:
         slot = (consumer, key)
-        value = _store.get(slot, MISSING)
+        # taken out and put back at the end: the store stays in LRU order
+        value = _store.pop(slot, MISSING)
         if value is MISSING:
             outcome = "miss"
             stats.misses += 1
-            value = _store[slot] = build()
-            if len(_store) > BOUND:
-                _store.popitem(last=False)
+            value = build()
         else:
             outcome = "hit"
             stats.hits += 1
-            _store.move_to_end(slot)
+        _store[slot] = value
+        if len(_store) > BOUND:
+            del _store[next(iter(_store))]
     if sim is not None:
         sim.build_cache[consumer] = outcome
     return value

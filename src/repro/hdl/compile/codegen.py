@@ -44,14 +44,17 @@ module contains five functions:
   each edge and each jump.  The jump inlines ``_scan_seq``, caps itself
   at the final cycle and ``rule.cap()``, calls the horizons (``_hzN``:
   wheel hooks, then executors) until one rules it out, and ages every
-  wheel hook (``_skN``).  Kernel counters add up in locals and reach the
+  wheel hook (``_skN``).  A jump shorter than its cap landed on the
+  smallest horizon, so the next pass goes straight to that horizon's edge
+  without a scan.  Kernel counters add up in locals and reach the
   engine's ``KernelStats`` once, when the chunk ends or raises.  Returns
   the cycles run.
 
-The module is compiled once per design (the build cache keeps its code
-object) and ``exec``'d once per system into a namespace holding the
-specialized bodies (``_pN``, ``_eN`` and the ``_ALW`` entries, built by
-:class:`~.frontend.Specializer`), called functions and a handful of
+The module is emitted and compiled once per design (the build cache's
+layout keeps it as a :class:`Dispatch`: source and code) and ``exec``'d
+once per system into a namespace holding the specialized bodies
+(``_pN``, ``_eN`` and the ``_ALW`` entries, from the
+:class:`~.frontend.Template` of each), called functions and a handful of
 kernel internals (``_CH`` the change tracker, ``_U`` the unset sentinel,
 ``_SL`` the staged-register list, ``_CHG`` the simulator's pending list,
 ``_SIM`` the simulator, ``_JOK`` whether a jump is possible at all).
@@ -63,13 +66,14 @@ after the dispatch functions, with the objects every call site binds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Any, Callable, Optional
 
 from ..components import Stream
 from ..signal import Signal
 from .frontend import Specialized
 
-__all__ = ["Plan", "GeneratedModule", "generate"]
+__all__ = ["Dispatch", "Plan", "GeneratedModule", "generate"]
 
 
 @dataclass
@@ -95,6 +99,17 @@ class Plan:
     slot: int = -1
 
 
+@dataclass(frozen=True)
+class Dispatch:
+    """The dispatching module of one design: emitted and compiled by its
+    first build, loaded into a fresh namespace by every build."""
+
+    #: the dispatch functions, then each specialized body's listing
+    source: str
+    #: the dispatch functions compiled, without the listing
+    code: CodeType
+
+
 @dataclass
 class GeneratedModule:
     """The exec-compiled module plus the state the engine must manage."""
@@ -111,6 +126,7 @@ class GeneratedModule:
     every: list  # functions run on every sweep (``_ALW``)
     namespace: dict  # the module's globals
     runners: dict  # tracked seq slot -> the name of its runner (``_tsN``)
+    dispatch: Dispatch  # what a later build of the same design loads
 
     def rebind(self, slot: int, run: Callable[[], Any]) -> None:
         """Make tracked seq slot ``slot`` call ``run`` from now on; like
@@ -145,6 +161,18 @@ def _listing(calls: list) -> list:
     return out
 
 
+def _comb_call(p: Plan) -> str:
+    return f"_p{p.index}" if p.spec is not None else f"_f{p.index}"
+
+
+def _seq_call(s: Plan) -> str:
+    return f"_e{s.index}" if s.spec is not None else f"_q{s.index}"
+
+
+def _body(p: Plan) -> Callable[[], Any]:
+    return p.spec.fn if p.spec is not None else p.fn
+
+
 def generate(
     comb: list[Plan],
     seq: list[Plan],
@@ -152,22 +180,19 @@ def generate(
     horizons: list,
     skips: list,
     namespace: dict,
-    code: dict,
+    dispatch: Optional[Dispatch],
 ) -> GeneratedModule:
-    """Emit, compile and wire the dispatching module.
+    """Wire one system's plans into a namespace and load the dispatching
+    module there.
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL``, ``_CHG``,
     ``_SIM`` and ``_JOK``; specialized bodies, called functions, executor
     methods, the jump scan's ``horizons``, the wheel hooks' ``skips`` and
-    the tracked plans' slot runners are installed here.  ``code`` maps a
-    dispatch source to its code object: a source compiled before is
-    exec'd again without compiling, and the dict keeps only the last one.
+    the tracked plans' slot runners are installed here.  ``dispatch`` is
+    the module an earlier build of the same design emitted; with None it
+    is emitted and compiled now (and returned in the result's
+    ``dispatch``).
     """
-    out: list[str] = []
-    emit = out.append
-    #: (module name, plan) of every plan running a specialized body
-    calls: list = []
-
     # -- wake slots -----------------------------------------------------------
     # The module is wake-driven, mirroring the event kernel's notification
     # queue with static dispatch: every signal in a slot's wake set maps
@@ -180,7 +205,6 @@ def generate(
         key=lambda p: (p.rank, p.index),
     )
     tracked = [p for p in comb if p.kind == "tracked"]
-    n_slots = len(ordered) + len(tracked)
     seq_slots = [s for s in seq if s.kind != "edge"]
     slotted = ordered + tracked + seq_slots
     for pos, p in enumerate(slotted):
@@ -190,15 +214,64 @@ def generate(
     for p in slotted:  # tracked plans start empty and grow _FAN as they run
         for sig in p.wake:
             fanout.setdefault(sig, []).append(p.slot)
-    every: list = []
-    for p in comb:
-        if p.kind == "sweep":
-            every.append(p.spec.fn if p.spec is not None else p.fn)
-            if p.spec is not None:
-                calls.append((f"_ALW[{len(every) - 1}]", p))
+    every = [_body(p) for p in comb if p.kind == "sweep"]
     namespace["_W"] = wake
     namespace["_FAN"] = fanout
     namespace["_ALW"] = every
+    for p in ordered:
+        namespace[_comb_call(p)] = _body(p)
+    for p in tracked:
+        namespace[f"_tk{p.index}"] = p.run
+    runners: dict = {}
+    for s in seq:
+        namespace[_seq_call(s)] = _body(s)
+        if s.kind == "tracked":
+            runners[s.slot] = f"_ts{s.index}"
+            namespace[runners[s.slot]] = s.run
+    for k, fn in enumerate(horizons):
+        namespace[f"_hz{k}"] = fn
+    for k, fn in enumerate(skips):
+        namespace[f"_sk{k}"] = fn
+    for k, ex in enumerate(executors):
+        namespace[f"_x{k}_settle"] = ex.settle
+        namespace[f"_x{k}_edge"] = ex.edge
+    if dispatch is None:
+        dispatch = _emit(comb, ordered, tracked, seq, seq_slots, len(wake),
+                         len(executors), len(horizons), len(skips))
+    exec(dispatch.code, namespace)
+    return GeneratedModule(
+        source=dispatch.source,
+        sweep=namespace["_sweep"],
+        drain=namespace["_drain"],
+        edge=namespace["_edge"],
+        scan_seq=namespace["_scan_seq"],
+        run=namespace["_run"],
+        wake=wake,
+        n_comb=len(ordered) + len(tracked),
+        fanout=fanout,
+        every=every,
+        namespace=namespace,
+        runners=runners,
+        dispatch=dispatch,
+    )
+
+
+def _emit(comb: list[Plan], ordered: list[Plan], tracked: list[Plan],
+          seq: list[Plan], seq_slots: list[Plan], n_wake: int,
+          n_executors: int, n_horizons: int, n_skips: int) -> Dispatch:
+    """The dispatching module's source and code, for plans whose slots
+    :func:`generate` has assigned."""
+    out: list[str] = []
+    emit = out.append
+    n_slots = len(ordered) + len(tracked)
+    #: (module name, plan) of every plan running a specialized body
+    calls: list = []
+    alw = 0
+    for p in comb:
+        if p.kind == "sweep":
+            if p.spec is not None:
+                calls.append((f"_ALW[{alw}]", p))
+            alw += 1
 
     def emit_drain(passed: int, pad: str = "    ") -> None:
         # inlined at each slot-group boundary: the truthiness test keeps
@@ -207,7 +280,7 @@ def generate(
         # A raised seq slot is edge work, never settle work.
         if not passed:
             behind = ""
-        elif passed >= len(wake):
+        elif passed >= n_wake:
             behind = "_more = True"
         else:
             behind = f"if _k < {passed}: _more = True"
@@ -229,18 +302,14 @@ def generate(
     emit("def _sweep():")
     emit("    _ran = 0")
     emit("    _more = False")
-    for k, _ex in enumerate(executors):
+    for k in range(n_executors):
         emit(f"    if _x{k}_settle():")
         emit("        _ran += 1")
     last_rank: Optional[int] = None
     for pos, p in enumerate(ordered):
+        call = _comb_call(p)
         if p.spec is not None:
-            call = f"_p{p.index}"
-            namespace[call] = p.spec.fn
             calls.append((call, p))
-        else:
-            call = f"_f{p.index}"
-            namespace[call] = p.fn
         if p.rank != last_rank:
             emit_drain(pos)
             last_rank = p.rank
@@ -249,7 +318,6 @@ def generate(
         emit(f"        {call}()")
         emit("        _ran += 1")
     for p in tracked:
-        namespace[f"_tk{p.index}"] = p.run
         emit_drain(p.slot)
         emit(f"    if _W[{p.slot}]:")
         emit(f"        _W[{p.slot}] = False")
@@ -272,25 +340,18 @@ def generate(
     # Event-kernel dormancy: a slot runs when its flag is up, and the flag
     # stays up only when the run staged something (or, for a tracked slot
     # reading an unmanaged signal, always).
-    runners: dict = {}
     emit("def _edge():")
     emit("    _ran = 0")
     for s in seq:
         name = getattr(s.fn, "__qualname__", s.fn)
+        call = _seq_call(s)
         if s.spec is not None:
-            call = f"_e{s.index}"
-            namespace[call] = s.spec.fn
             calls.append((call, s))
-        else:
-            call = f"_q{s.index}"
-            namespace[call] = s.fn
         if s.kind == "edge":
             emit(f"    # {name}: every edge")
             emit(f"    {call}()")
             emit("    _ran += 1")
         elif s.kind == "tracked":
-            namespace[f"_ts{s.index}"] = s.run
-            runners[s.slot] = f"_ts{s.index}"
             emit(f"    # {name}: tracked slot {s.slot}")
             emit(f"    if _W[{s.slot}]:")
             emit(f"        _W[{s.slot}] = _ts{s.index}()")
@@ -303,7 +364,7 @@ def generate(
             emit(f"        _W[{s.slot}] = _n0 != _CH.stages")
             emit("        _ran += 1")
     emit("    _vec = False")
-    for k, _ex in enumerate(executors):
+    for k in range(n_executors):
         emit(f"    if _x{k}_edge():")
         emit("        _vec = True")
     # fused atomic register commit (inlined Reg.commit)
@@ -346,6 +407,7 @@ def generate(
     emit("    _now = _sim.now")
     emit("    _ran = 0")
     emit("    _sc = _qs = _it = _act = _ec = _sr = _sk = _wj = 0")
+    emit("    _land = False")
     emit("    try:")
     emit("        while _ran < _n:")
     # settle: the entry drain decides quiescence (CompiledSimulator.settle)
@@ -372,24 +434,26 @@ def generate(
     emit("                        break")
     emit("                _it += _i")
     # the jump: the engine's _skip_scan (a horizon of 0 or less rules it
-    # out and the rest are not asked), then every wheel hook's skip
+    # out and the rest are not asked), then every wheel hook's skip.  A
+    # jump shorter than its limit landed on the smallest horizon (_land):
+    # the next edge does real work, so no scan runs before it.
     veto = f" and not ({' or '.join(flags)})" if flags else ""
     emit("            _hz = 0")
-    emit(f"            if _jumps and _ran < _n - 1 and _JOK{veto}:")
+    emit(f"            if _jumps and not _land and _ran < _n - 1 and _JOK{veto}:")
     emit("                _hz = _n - _ran - 1")
     emit("                if _cap is not None:")
     emit("                    _c = _cap()")
     emit("                    if _c is not None and _c < _hz:")
     emit("                        _hz = _c")
-    for k, fn in enumerate(horizons):
-        namespace[f"_hz{k}"] = fn
+    emit("                _lim = _hz")
+    for k in range(n_horizons):
         emit("                if _hz > 0:")
         emit(f"                    _h = _hz{k}()")
         emit("                    if _h is not None and _h < _hz:")
         emit("                        _hz = _h")
     emit("            if _hz > 0:")
-    for k, fn in enumerate(skips):
-        namespace[f"_sk{k}"] = fn
+    emit("                _land = _hz < _lim")
+    for k in range(n_skips):
         emit(f"                _sk{k}(_hz)")
     emit("                _now += _hz")
     emit("                _sim.now = _now")
@@ -398,6 +462,7 @@ def generate(
     emit("                _wj += 1")
     # the edge (CompiledSimulator._edge), then the rule dates progress
     emit("            else:")
+    emit("                _land = False")
     emit("                _ec += 1")
     emit("                _r, _v = _edge()")
     emit("                if _v:")
@@ -431,27 +496,7 @@ def generate(
     emit("    return _ran")
     emit("")
 
-    for k, ex in enumerate(executors):
-        namespace[f"_x{k}_settle"] = ex.settle
-        namespace[f"_x{k}_edge"] = ex.edge
-
     source = "\n".join(out)
-    if source not in code:
-        code.clear()
-        code[source] = compile(source, "<repro.hdl.compile>", "exec")
-    exec(code[source], namespace)
-    return GeneratedModule(
-        source="\n".join(out + _listing(calls)),
-        sweep=namespace["_sweep"],
-        drain=namespace["_drain"],
-        edge=namespace["_edge"],
-        scan_seq=namespace["_scan_seq"],
-        run=namespace["_run"],
-        wake=wake,
-        n_comb=n_slots,
-        fanout=fanout,
-        every=every,
-        namespace=namespace,
-        runners=runners,
-    )
+    return Dispatch(source="\n".join(out + _listing(calls)),
+                    code=compile(source, "<repro.hdl.compile>", "exec"))
 

@@ -25,6 +25,17 @@ with calls into the module generated by :mod:`.codegen`:
   observer) runs in the generated ``_run``: settle, jump, edge and rule
   loop without returning to this class.
 
+What a design compiles to is computed once per process and kept in the
+build cache (:mod:`repro.hdl.buildcache`) as a :class:`_Layout`: the
+placements, the comb ranks, a body table (each specialized body's
+template and how to find its hoisted objects) and the dispatch module.
+Every build, hit or miss, binds that layout to its own instances on one
+path: wake sets and proofs by signal index, bodies by
+:func:`~.frontend.instantiate` over the fresh process's closure, and the
+stored code ``exec``'d into a fresh namespace.  A hit runs no placement,
+translation, emission or ``compile()``.  The key the construction took
+(``design_key``) also keys the builder's lint report.
+
 Wake flags alone decide which process runs, raised through a static
 fanout map; external pokes are observed through the ordinary
 pending-list notification that :meth:`Signal.set` and
@@ -46,12 +57,13 @@ from .. import buildcache
 from .. import signal as _signal_mod
 from ..component import Component
 from ..errors import CombinationalLoopError
-from ..signal import CHANGES, Signal
+from ..signal import CHANGES, Reg, Signal
 from ..sim import MAX_SETTLE_ITERATIONS, ChunkRule, Simulator, rank_depths
 from ...analysis.lint import astpass
 from ...analysis.lint.astpass import ResolvedFn
-from .codegen import GeneratedModule, Plan, generate
-from .frontend import Placement, Specializer, place
+from .codegen import Dispatch, GeneratedModule, Plan, generate
+from .frontend import (Placement, Specialized, Specializer, follow,
+                       instantiate, kernel_cells, place)
 from .vector import absorbed_procs, collect_executors
 
 __all__ = ["CompiledSimulator"]
@@ -71,11 +83,12 @@ class _Tracked:
     """
 
     __slots__ = ("fn", "seq", "wheeled", "reads", "slot", "demoted",
-                 "unmanaged", "grew", "proof", "handed_off")
+                 "unmanaged", "grew", "proof", "spec", "handed_off")
 
     def __init__(self, fn: Callable[[], None], seq: bool, wheeled: bool,
                  grew: Callable[["_Tracked"], None],
-                 proof: Optional[frozenset] = None) -> None:
+                 proof: Optional[frozenset] = None,
+                 spec: Optional[Specialized] = None) -> None:
         self.fn = fn
         self.seq = seq
         self.wheeled = wheeled
@@ -87,6 +100,8 @@ class _Tracked:
         #: every signal a run can read under tracking (see frontend.place),
         #: or None
         self.proof = proof
+        #: the specialized body a handoff runs (None: run ``fn`` untracked)
+        self.spec = spec
         #: the slot runs its untracked body now (see ``_track``)
         self.handed_off = False
 
@@ -115,6 +130,18 @@ class _Tracked:
         return 1
 
 
+def _bind(fn: Callable[[], Any], body: tuple, signals: list[Signal],
+          kernel: dict) -> Specialized:
+    """A :class:`_Layout` body table entry bound to one process: each
+    hoisted object is this design's signal at its index or, for any other
+    object, what the template's path reaches from ``fn``."""
+    template, refs = body
+    paths, hoisted = template.paths, template.hoisted
+    objects = tuple(follow(fn, paths[hoisted[k]]) if ref is None
+                    else signals[ref] for k, ref in enumerate(refs))
+    return instantiate(fn, template, objects, kernel)
+
+
 def _wake_rule(body: Callable[[], Any]) -> Callable[[], bool]:
     """A handed-off tracked seq slot's runner: ``body`` runs untracked, and
     the flag stays up only when the run staged something (the wake-slot
@@ -128,7 +155,7 @@ def _wake_rule(body: Callable[[], Any]) -> Callable[[], bool]:
     return run
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Layout:
     """What the build cache keeps of one design for the compiled backend:
     every signal is an index into the design's ``all_signals()``."""
@@ -139,8 +166,14 @@ class _Layout:
     seq: tuple
     #: per comb process: its topological depth (see ``_ranks``)
     ranks: tuple
-    #: dispatch source → its code object (see :func:`.codegen.generate`)
-    code: dict
+    #: per comb process, then per seq process: ``(template, refs)`` for a
+    #: process that runs a specialized body (a tracked one once it hands
+    #: off), else None.  ``refs`` names each hoisted object: a signal's
+    #: index, or None for any other object, which the template's path
+    #: reaches (see ``_bind``)
+    bodies: tuple
+    #: the dispatching module, emitted by the design's first build
+    dispatch: Optional[Dispatch] = None
 
 
 class CompiledSimulator(Simulator):
@@ -171,9 +204,11 @@ class CompiledSimulator(Simulator):
 
     def _compile(self) -> None:
         top = self.top
-        # the key reduces the design as elaborated, before an executor
-        # hook may redirect live state
-        key = buildcache.design_key(top, type(self), self.wheel)
+        #: the build-cache key of the design as elaborated, before an
+        #: executor hook may redirect live state (None: uncacheable);
+        #: ``SystemSpec.build`` keys its lint report on it too
+        self.design_key = key = buildcache.design_key(top, type(self),
+                                                      self.wheel)
         self._executors = executors = collect_executors(top)
         absorbed = absorbed_procs(top)
         signals = list(dict.fromkeys(top.all_signals()))
@@ -183,20 +218,18 @@ class CompiledSimulator(Simulator):
         self._resolved: dict[int, ResolvedFn] = {}
         layout = buildcache.cached(
             "compile", key, partial(self._layout, signals, absorbed), self)
-        #: also builds a handed-off tracked slot's body (see ``_track``)
-        self._spec = spec = Specializer(
-            self._changed, self._staged_regs,
-            [p.fn for p in (*self._procs, *self._seqprocs)
-             if id(p.fn) not in absorbed])
-
+        kernel = kernel_cells(self._changed, self._staged_regs)
+        n_comb = len(self._procs)
         comb_plans: list[Plan] = []
         for i, p in enumerate(self._procs):
-            self._plan(comb_plans, i, p, False, spec, layout.comb[i], signals)
+            self._plan(comb_plans, i, p, False, layout.comb[i],
+                       layout.bodies[i], signals, kernel)
         for pl in comb_plans:
             pl.rank = layout.ranks[pl.index]
         seq_plans: list[Plan] = []
         for j, sp in enumerate(self._seqprocs):
-            self._plan(seq_plans, j, sp, True, spec, layout.seq[j], signals)
+            self._plan(seq_plans, j, sp, True, layout.seq[j],
+                       layout.bodies[n_comb + j], signals, kernel)
 
         always = [pl for pl in comb_plans if pl.kind == "sweep"]
         #: fast-forward soundness mirrors the event kernel's
@@ -220,7 +253,9 @@ class CompiledSimulator(Simulator):
         self._horizons.extend(ex.horizon for ex in executors)
         module: GeneratedModule = generate(
             comb_plans, seq_plans, executors, self._horizons,
-            [skip for _, skip in self._wheel_hooks], namespace, layout.code)
+            [skip for _, skip in self._wheel_hooks], namespace,
+            layout.dispatch)
+        layout.dispatch = module.dispatch
         tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
         for tc, pl in zip(self._tracked, tracked):
             tc.slot = pl.slot
@@ -240,23 +275,41 @@ class CompiledSimulator(Simulator):
         stats.compiled_procs = (len(self._procs) + len(self._seqprocs)
                                 - n_fallback)
         stats.fallback_procs = n_fallback
-        stats.translated_procs = sum(1 for pl in plans if pl.spec is not None)
+        bodies = [pl.spec.template for pl in plans if pl.spec is not None]
+        stats.translated_procs = len(bodies)
         stats.vectorized_cells = sum(ex.n_cells for ex in executors)
         stats.tracked_procs = len(comb_plans) - len(always)
         stats.always_procs = len(always)
-        stats.masks_elided = spec.stats["masks_elided"]
-        stats.branches_folded = spec.stats["branches_folded"]
+        stats.masks_elided = sum(t.masks_elided for t in bodies)
+        stats.branches_folded = sum(t.branches_folded for t in bodies)
 
     def _layout(self, signals: list[Signal], absorbed: set[int]) -> _Layout:
-        """Place every process and rank the comb slots: what a build-cache
-        miss computes (see :mod:`repro.hdl.buildcache`)."""
+        """Place every process, rank the comb slots and build the body
+        table: what a build-cache miss computes (see
+        :mod:`repro.hdl.buildcache`)."""
         index = {sig: k for k, sig in enumerate(signals)}
+        procs = (*self._procs, *self._seqprocs)
         comb = [place(partial(self._resolve, p.fn), seq=False, always=p.always,
                       absorbed=id(p.fn) in absorbed, managed=index)
                 for p in self._procs]
         seq = [place(partial(self._resolve, sp.fn), seq=True, pure=sp.pure,
                      absorbed=id(sp.fn) in absorbed, managed=index)
                for sp in self._seqprocs]
+        spec = Specializer(self._changed, self._staged_regs,
+                           [p.fn for p in procs if id(p.fn) not in absorbed])
+
+        def body(proc: Any, where: Placement) -> Optional[tuple]:
+            # a tracked slot runs a specialized body only after a handoff,
+            # which needs a proof
+            if where.kind == "absorbed" or (where.kind == "tracked"
+                                            and where.proof is None):
+                return None
+            made = spec.specialize(proc.fn)
+            if made is None:
+                return None
+            template, objects = made
+            return template, tuple(index.get(o) if type(o) in (Signal, Reg)
+                                   else None for o in objects)
 
         def site(where: Placement) -> tuple:
             proof = where.proof
@@ -264,33 +317,35 @@ class CompiledSimulator(Simulator):
                     None if proof is None else tuple(index[s] for s in proof))
 
         return _Layout(comb=tuple(map(site, comb)), seq=tuple(map(site, seq)),
-                       ranks=self._ranks(comb), code={})
+                       ranks=self._ranks(comb),
+                       bodies=tuple(map(body, procs, comb + seq)))
 
     def _resolve(self, fn: Callable[[], None]) -> ResolvedFn:
         res = self._resolved[id(fn)] = astpass.resolve(fn)
         return res
 
     def _plan(self, plans: list, index: int, proc: Any, seq: bool,
-              spec: Specializer, site: tuple,
-              signals: list[Signal]) -> None:
-        """Append the plan for ``proc``'s placement, its wake set bound to
-        this design's ``signals``; an absorbed process gets none.  A
-        read-tracked slot also gets its engine helper."""
+              site: tuple, body: Optional[tuple], signals: list[Signal],
+              kernel: dict) -> None:
+        """Append the plan for ``proc``'s placement, its wake set and body
+        bound to this design's ``signals``; an absorbed process gets none.
+        A read-tracked slot also gets its engine helper, holding the body
+        it hands off to."""
         kind, wake, proof = site
         if kind == "absorbed":
             return
+        spec = None if body is None else _bind(proc.fn, body, signals, kernel)
         if kind == "tracked":
             tc = _Tracked(proc.fn, seq, proc.wheeled, self._track,
                           None if proof is None
-                          else frozenset(signals[k] for k in proof))
+                          else frozenset(signals[k] for k in proof), spec)
             self._tracked.append(tc)
             plans.append(Plan(fn=proc.fn, index=index, kind="tracked",
                               wheeled=proc.wheeled, run=tc.run))
             return
         plans.append(Plan(fn=proc.fn, index=index, kind=kind,
                           wheeled=proc.wheeled,
-                          wake=[signals[k] for k in wake],
-                          spec=spec.specialize(proc.fn)))
+                          wake=[signals[k] for k in wake], spec=spec))
 
     def _ranks(self, comb: list[Placement]) -> tuple[int, ...]:
         """The :func:`~repro.hdl.sim.rank_depths` of each comb process over
@@ -336,7 +391,7 @@ class CompiledSimulator(Simulator):
                 slots.append(tc.slot)
         if tc.proof is not None and reads == tc.proof:
             tc.handed_off = True
-            spec = self._spec.specialize(tc.fn)
+            spec = tc.spec
             self._module.rebind(tc.slot, _wake_rule(
                 tc.fn if spec is None else spec.fn))
             self.kernel_stats.handoffs += 1

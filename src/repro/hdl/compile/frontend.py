@@ -36,7 +36,8 @@ accesses it can resolve to a structural signal into inline code on
 hoisted objects (``_h3._value``, inline set/stage stores) and keeps every
 other statement verbatim.  The result is a function over the original's
 globals and closure cells, so names behave as in the original.  Bodies
-are built once per code object and classification (:class:`Template`);
+are built once per code object and classification (:class:`Template`),
+and bound to a process by :func:`instantiate`;
 a body that rebinds names through ``nonlocal``/``global``, yields, or
 defines a nested function bails out whole and runs as written.  Each
 body's source comes from the AST pass's per-code-object cache
@@ -69,6 +70,9 @@ __all__ = [
     "Template",
     "Translator",
     "Untranslatable",
+    "follow",
+    "instantiate",
+    "kernel_cells",
 ]
 
 #: value types the translator folds into a literal
@@ -324,13 +328,11 @@ class Specializer:
     """Specialized bodies for the processes of one simulator.
 
     A body is built once per code object and classification (see
-    :class:`Template`), then instantiated with
-    :class:`types.FunctionType` over the original's globals and closure
-    cells, plus fresh cells for its hoisted objects and this simulator's
-    kernel internals.  ``procs`` are the design's process functions: a
-    path through an attribute of a name some process body stores (a signal
-    swapped at run time, say), or through a closure cell some process
-    rebinds, is not structural and stays verbatim.
+    :class:`Template`); :func:`instantiate` binds it to one process.
+    ``procs`` are the design's process functions: a path through an
+    attribute of a name some process body stores (a signal swapped at run
+    time, say), or through a closure cell some process rebinds, is not
+    structural and stays verbatim.
     """
 
     def __init__(self, changed: list, staged: list,
@@ -346,15 +348,6 @@ class Specializer:
             self.rebound_cells.update(
                 id(c) for name in summary.nonlocal_stores
                 if (c := cell(fn, name)) is not None)
-        self.kernel = {
-            "_CH": types.CellType(CHANGES),
-            "_U": types.CellType(_UNSET),
-            "_SL": types.CellType(staged),
-            "_CHG": types.CellType(changed),
-            "_INT": types.CellType(int),
-        }
-        #: range-informed codegen counters, summed over every body
-        self.stats = {"masks_elided": 0, "branches_folded": 0}
 
     def walk(self, fn: Callable[..., Any], path: tuple) -> tuple[Any, bool]:
         """Resolve ``path`` (root name, then attribute names and constant
@@ -412,8 +405,9 @@ class Specializer:
                 return ("builtin", b.__name__)
         return ("obj",)
 
-    def specialize(self, fn: Callable[..., Any]) -> Optional[Specialized]:
-        """``fn``'s specialized body, or None when it bails out whole."""
+    def specialize(self, fn: Callable[..., Any]) -> Optional[tuple]:
+        """``fn``'s template and the objects its hoisted names bind, or
+        None when the body bails out whole."""
         code = getattr(fn, "__code__", None)
         if code is None:
             return None
@@ -423,20 +417,15 @@ class Specializer:
         for template in templates:
             objects = self._match(fn, template)
             if objects is not None:
-                break
-        else:
-            try:
-                template = Translator(fn, self).translate()
-            except Untranslatable:
-                _TEMPLATES[code] = None
-                return None
-            templates.append(template)
-            objects = tuple(self.walk(fn, template.paths[k])[0]
-                            for k in template.hoisted)
-        self.stats["masks_elided"] += template.masks_elided
-        self.stats["branches_folded"] += template.branches_folded
-        return Specialized(self._instantiate(fn, template, objects),
-                           template, objects)
+                return template, objects
+        try:
+            template = Translator(fn, self).translate()
+        except Untranslatable:
+            _TEMPLATES[code] = None
+            return None
+        templates.append(template)
+        return template, tuple(self.walk(fn, template.paths[k])[0]
+                               for k in template.hoisted)
 
     def _match(self, fn: Callable[..., Any],
                template: Template) -> Optional[tuple]:
@@ -448,25 +437,52 @@ class Specializer:
             resolved.append(obj)
         return tuple(resolved[k] for k in template.hoisted)
 
-    def _instantiate(self, fn: Callable[..., Any], template: Template,
-                     objects: tuple) -> Callable[[], Any]:
-        code = template.code
-        closure = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
-        cells = []
-        for name in code.co_freevars:
-            c = closure.get(name)
-            if c is None:
-                c = self.kernel.get(name)
-            if c is None:
-                c = types.CellType(objects[int(name[2:])])
-            cells.append(c)
-        body = types.FunctionType(code, fn.__globals__, code.co_name,
-                                  fn.__defaults__, tuple(cells))
-        body.__kwdefaults__ = fn.__kwdefaults__
-        body.__qualname__ = fn.__qualname__
-        body.__module__ = fn.__module__
-        bound = getattr(fn, "__self__", None)
-        return body if bound is None else types.MethodType(body, bound)
+
+def follow(fn: Callable[..., Any], path: tuple) -> Any:
+    """What ``path`` reaches in ``fn``'s scope, for a path
+    :meth:`Specializer.walk` resolved in an equal design: the same steps,
+    without the checks that design already passed."""
+    obj = lookup(fn, path[0])[0]
+    for step in path[1:]:
+        obj = _step(obj, step, ())[0]
+    return obj
+
+
+def kernel_cells(changed: list, staged: list) -> dict:
+    """One simulator's :data:`KERNEL_NAMES` cells, which every body it
+    runs closes over."""
+    return {
+        "_CH": types.CellType(CHANGES),
+        "_U": types.CellType(_UNSET),
+        "_SL": types.CellType(staged),
+        "_CHG": types.CellType(changed),
+        "_INT": types.CellType(int),
+    }
+
+
+def instantiate(fn: Callable[..., Any], template: Template, objects: tuple,
+                kernel: dict) -> Specialized:
+    """``template`` bound to one process: a function over ``fn``'s
+    globals and closure cells, plus a fresh cell per hoisted object and
+    the simulator's ``kernel`` cells (:func:`kernel_cells`)."""
+    code = template.code
+    closure = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+    cells = []
+    for name in code.co_freevars:
+        c = closure.get(name)
+        if c is None:
+            c = kernel.get(name)
+        if c is None:
+            c = types.CellType(objects[int(name[2:])])
+        cells.append(c)
+    body = types.FunctionType(code, fn.__globals__, code.co_name,
+                              fn.__defaults__, tuple(cells))
+    body.__kwdefaults__ = fn.__kwdefaults__
+    body.__qualname__ = fn.__qualname__
+    body.__module__ = fn.__module__
+    bound = getattr(fn, "__self__", None)
+    return Specialized(body if bound is None else types.MethodType(body, bound),
+                       template, objects)
 
 
 def _bound_names(node: ast.AST, by_stmt: Optional[dict] = None) -> set:

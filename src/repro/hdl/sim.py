@@ -857,7 +857,8 @@ class Simulator:
         settle is followed by the wheel's scan, and a run of provably idle
         cycles is covered by one O(#hooks) jump instead of per-cycle edges;
         the result is cycle-exact either way.  No jump covers the final
-        cycle, which stays a real edge.
+        cycle, which stays a real edge.  A jump that landed on the smallest
+        horizon is followed by that horizon's edge without a scan.
 
         With a :class:`ChunkRule` the step may end early: the rule's stop
         test runs after every edge and every jump that leaves cycles to
@@ -869,10 +870,13 @@ class Simulator:
         jumps = self.wheel and not self._plain_observers
         cap = None if rule is None else rule.cap
         ran = 0
+        # the last jump landed on the smallest horizon: its next edge does
+        # real work, so no scan can find another jump before it
+        landed = False
         while ran < cycles:
             self.settle()
-            n = 0
-            if jumps and cycles - ran > 1:
+            n = limit = 0
+            if jumps and not landed and cycles - ran > 1:
                 limit = cycles - ran - 1
                 if cap is not None:
                     c = cap()
@@ -881,6 +885,9 @@ class Simulator:
                 if limit > 0:
                     n = self._skip_scan(limit)
             if n:
+                # a jump cut short by ``limit`` (the step's end or the
+                # rule's cap) may still be followed by another
+                landed = n < limit
                 for _, skip in self._wheel_hooks:
                     skip(n)
                 self.now += n
@@ -890,6 +897,7 @@ class Simulator:
                 for cb in self._obs_onskip:
                     cb(self.now, n)
             else:
+                landed = False
                 self._edge()
                 self.now += 1
                 ran += 1

@@ -128,7 +128,7 @@ class SystemSpec:
 
             from ..analysis.lint import Linter, LintFailure, Severity
 
-            report = Linter().lint(soc, sim=sim)
+            report = Linter().lint(soc, sim=sim, as_built=True)
             if self.lint == "error" and report.errors:
                 raise LintFailure(report)
             if report.at_least(Severity.WARNING):

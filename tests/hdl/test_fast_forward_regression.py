@@ -13,8 +13,10 @@ interactions most likely to rot:
 * observers must see a strictly monotonic ``now`` with every cycle
   accounted for, whether delivered per-cycle or as compressed idle runs;
 * ``step(n, rule)`` keeps its final cycle a real edge, lands a jump on
-  ``rule.cap()`` and checks ``every()`` there, and ends on the edge a word
-  reaches ``rule.watch`` — on the event kernel, wheel off, and compiled.
+  ``rule.cap()`` and checks ``every()`` there, ends on the edge a word
+  reaches ``rule.watch``, and steps straight from a jump that landed on
+  the smallest horizon to that horizon's edge — on the event kernel,
+  wheel off, and compiled.
 """
 
 from __future__ import annotations
@@ -135,6 +137,41 @@ BACKENDS = {
 }
 
 
+def _log_scans_jumps_edges(sim) -> list:
+    """Log, in order, each wheel scan that asks the first horizon
+    ("scan"), each jump ("jump") and each edge ("edge") of ``sim``'s
+    chunks, on the kernel's loop and the compiled ``_run`` alike."""
+    log: list = []
+
+    def logged(name, fn):
+        def run(*args):
+            log.append(name)
+            return fn(*args)
+        return run
+
+    horizon, skip = sim._wheel_hooks[0]
+    sim._wheel_hooks[0] = (horizon, logged("jump", skip))
+    sim._horizons[0] = logged("scan", sim._horizons[0])
+    if sim.backend == "compiled":
+        ns = sim._module.namespace
+        ns["_hz0"] = sim._horizons[0]
+        ns["_sk0"] = sim._wheel_hooks[0][1]
+        ns["_edge"] = logged("edge", ns["_edge"])
+    else:
+        sim._edge = logged("edge", sim._edge)
+    return log
+
+
+#: (now, wheel_jumps, skipped_cycles, edge_calls, seq_runs) after the read
+#: round trip of ``test_no_scan_follows_a_jump_that_landed_on_a_horizon``,
+#: as the kernel ran it when it still scanned after every jump
+LANDED_RUN = {
+    "event": (657, 7, 626, 31, 205),
+    "wheel-off": (657, 0, 0, 657, 3335),
+    "compiled": (657, 7, 626, 31, 205),
+}
+
+
 def _chunk_system(backend):
     """A serial-link system settled into idle, and a rule on its host port."""
     system = build_system(channel=SLOW_PROTOTYPE, **BACKENDS[backend])
@@ -204,6 +241,24 @@ class TestStepUnderRule:
         (at, jumped), (reference, _) = arrival(True), arrival(False)
         assert at == reference
         assert jumped == (backend != "wheel-off")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_scan_follows_a_jump_that_landed_on_a_horizon(self, backend):
+        """With no cap and room to spare, every jump lands on the smallest
+        horizon, whose edge does real work: the edge follows the jump with
+        no scan in between, and the run is the one a scan would give."""
+        system, rule = _chunk_system(backend)
+        sim = system.sim
+        log = _log_scans_jumps_edges(sim)
+        CoprocessorDriver(system).read_reg_async(1)
+        sim.step(100_000, rule)
+        assert rule.watch._value
+        assert ("jump", "scan") not in zip(log, log[1:])
+        if backend != "wheel-off":
+            assert log.count("jump") > 3
+        k = sim.kernel_stats
+        assert (sim.now, k.wheel_jumps, k.skipped_cycles, k.edge_calls,
+                k.seq_runs) == LANDED_RUN[backend]
 
     def test_event_and_compiled_count_the_same(self):
         results = {}

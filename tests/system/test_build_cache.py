@@ -6,8 +6,12 @@ layout on an exact reduction of the elaborated design.  These tests pin:
 * linting stays invisible to the simulation: a build that skipped lint, a
   build that ran it (miss) and one that took it from the cache (hit) run
   the five benchmark systems alike, down to every counter and VCD byte;
-* a cache hit gives what a fresh build gives, on every preset, the
-  out-of-order FP system and every ``--all`` lint target;
+* a cache hit gives what a fresh build gives, on every target of
+  ``ci/fingerprint.py``; a lint hit through the key the compiled build
+  already took (``as_built``) gives the report a fresh analysis gives;
+* a warm build takes one digest, or none on the event kernel without lint;
+* a compile hit binds only the fresh design's objects, without
+  translating or emitting any code;
 * every change to the design misses, an irreducible design is counted
   uncacheable, and a returned report is the caller's own;
 * ``lint="error"`` and ``lint="warn"`` behave the same on a hit.
@@ -15,12 +19,15 @@ layout on an exact reduction of the elaborated design.  These tests pin:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import enum
 import functools
 import importlib.util
 import io
 import json
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -28,9 +35,15 @@ import pytest
 from repro import FrameworkConfig, Session
 from repro.analysis import counters_for
 from repro.analysis.lint import Linter, LintFailure
+from repro.analysis.lint.model import build_design
 from repro.fu import AreaOptimizedFU, FuComputation, LogicUnit
+from repro.fu.base import FuState
 from repro.fu.registry import UnitRegistry
-from repro.hdl import Component, Simulator, VcdWriter, buildcache
+from repro.hdl import Component, Signal, Simulator, VcdWriter, buildcache, live
+from repro.hdl.compile import codegen
+from repro.hdl.compile import engine as compile_engine
+from repro.hdl.compile.frontend import KERNEL_NAMES, Specializer, Translator
+from repro.hdl.sim import SimClock
 from repro.isa import ArithOp, Opcode
 from repro.messages import FaultSpec
 from repro.messages.channel import PRESETS
@@ -111,6 +124,15 @@ def test_lint_is_invisible_to_the_simulation(name, backend, monkeypatch):
 
 # -- a cached build equals a fresh one ----------------------------------------
 
+def _e2e(name):
+    def build(backend):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(E2E, "build_system",
+                      functools.partial(build_system, lint="off"))
+            return E2E.WORKLOADS[name].build(backend)
+    return build
+
+
 def _preset(name):
     return lambda backend: build_system(channel=PRESETS[name], backend=backend,
                                         lint="off")
@@ -134,41 +156,208 @@ TARGETS = (
        for path in sorted((ROOT / "examples").glob("*.py"))]
 )
 
+#: every ``ci/fingerprint.py`` target: the lint targets, ooo+fp and the
+#: e2e systems
+FINGERPRINTED = TARGETS + [pytest.param(_e2e(name), id=f"e2e-{name}")
+                           for name in sorted(E2E.WORKLOADS)]
+
 
 def _observed(build, backend) -> tuple:
+    """A build linted as ``SystemSpec.build`` lints it: on compiled,
+    through the key its construction took."""
     made = build(backend)
     top, sim = made if isinstance(made, tuple) else (made.soc, made.sim)
-    report = Linter().lint(top, sim=sim)
+    report = Linter().lint(top, sim=sim, as_built=True)
     source = sim.generated_source if backend == "compiled" else None
     return (json.dumps(report.as_dict(), indent=1), source,
-            _kernel_counts(sim)), sim.build_cache
+            _kernel_counts(sim)), (top, sim)
 
 
 @pytest.mark.parametrize("backend", ["event", "compiled"])
-@pytest.mark.parametrize("build", TARGETS)
+@pytest.mark.parametrize("build", FINGERPRINTED)
 def test_hit_equals_fresh_build(build, backend):
-    fresh, outcome = _observed(build, backend)
-    assert "hit" not in outcome.values()
-    cached, outcome = _observed(build, backend)
+    fresh, (_, sim) = _observed(build, backend)
+    assert "hit" not in sim.build_cache.values()
+    cached, (top, sim) = _observed(build, backend)
     assert cached == fresh
+    outcome = sim.build_cache
     if outcome["lint"] != "uncacheable":
         assert outcome["lint"] == "hit"
     if backend == "compiled":
         assert outcome["compile"] == "hit"
+        # a lint hit through the construction key is the report a fresh
+        # analysis of this very build gives
+        design = build_design(top, sim=sim, probe=True)
+        assert cached[0] == json.dumps(
+            Linter().lint_design(design).as_dict(), indent=1)
 
 
 @pytest.mark.parametrize("build", TARGETS)
 def test_lint_after_a_compile_hit_resolves_on_its_own(build):
     """A compile hit leaves no resolutions for lint to borrow; the report
     lint then builds on its own is the one a cold build gives."""
-    borrowed, outcome = _observed(build, "compiled")
-    assert outcome["compile"] == "miss"
+    borrowed, (_, sim) = _observed(build, "compiled")
+    assert sim.build_cache["compile"] == "miss"
     buildcache.clear()
     build("compiled")  # stores the layout only
-    own, outcome = _observed(build, "compiled")
-    assert outcome["compile"] == "hit"
-    assert outcome["lint"] in ("miss", "uncacheable")
+    own, (_, sim) = _observed(build, "compiled")
+    assert sim.build_cache["compile"] == "hit"
+    assert sim.build_cache["lint"] in ("miss", "uncacheable")
     assert own == borrowed
+
+
+# -- one digest per build -----------------------------------------------------
+
+@pytest.fixture
+def digests(monkeypatch):
+    """Every ``buildcache.design_key`` call from here on, by its roots."""
+    calls = []
+    real = buildcache.design_key
+
+    def counted(*roots):
+        calls.append(roots)
+        return real(*roots)
+
+    monkeypatch.setattr(buildcache, "design_key", counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend, lint, taken, hits", [
+    ("compiled", "warn", 1, ["compile", "lint"]),
+    ("compiled", "off", 1, ["compile"]),
+    ("event", "warn", 1, ["lint"]),
+    ("event", "off", 0, [])])
+def test_a_warm_build_takes_one_digest(backend, lint, taken, hits, request):
+    build_system(backend=backend, lint=lint)
+    calls = request.getfixturevalue("digests")
+    built = build_system(backend=backend, lint=lint)
+    assert len(calls) == taken
+    assert built.sim.build_cache == dict.fromkeys(hits, "hit")
+
+
+@pytest.mark.parametrize("change", ["step", "poke"])
+def test_a_later_lint_digests_on_its_own(change, digests):
+    """Only the build's own lint may take the construction key: a later
+    one digests the design as it is, and a moved design misses."""
+    built = build_system(backend="compiled")
+    assert len(digests) == 1
+    Linter().lint(built)
+    assert len(digests) == 2
+    Linter().lint(built)
+    assert built.sim.build_cache["lint"] == "hit"
+    if change == "step":
+        _stepped(built)
+    else:
+        built.soc.rtm.decoder.inp.ready.force(0)
+    Linter().lint(built)
+    assert len(digests) == 4
+    assert built.sim.build_cache["lint"] == "miss"
+
+
+# -- a compile hit binds the fresh design -------------------------------------
+
+_ATOMS = (type(None), bool, int, float, str, bytes, type, types.ModuleType,
+          types.FunctionType, types.MethodType, types.BuiltinFunctionType,
+          types.CodeType, enum.Enum, Simulator, SimClock)
+
+
+def _reachable(root) -> set:
+    """The ids of the objects ``root`` holds, transitively, through
+    containers and instance attributes (not through code or a simulator)."""
+    seen: set = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _ATOMS):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, collections.deque)):
+            stack.extend(obj)
+        else:
+            stack.extend(v for _, v in live.attributes(obj) or ())
+    return seen
+
+
+def _bound_objects(fn, out: list) -> None:
+    """The receivers, signals and other objects a generated-module entry
+    closes over, through methods, closure cells and lists."""
+    if isinstance(fn, list):
+        for x in fn:
+            _bound_objects(x, out)
+    elif isinstance(fn, dict):  # the fanout map
+        for sig in fn:
+            _bound_objects(sig, out)
+    elif isinstance(fn, types.MethodType):
+        out.append(fn.__self__)
+        _bound_objects(fn.__func__, out)
+    elif isinstance(fn, types.FunctionType):
+        kernel = set(KERNEL_NAMES)
+        for name, c in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+            if name not in kernel:
+                _bound_objects(c.cell_contents, out)
+    elif not isinstance(fn, (type, types.ModuleType)):
+        out.append(fn)
+
+
+TWICE = ([pytest.param(dict(channel=PRESETS[name]), id=name)
+          for name in sorted(PRESETS)]
+         + [pytest.param(dict(ooo=True, fp_units=True), id="ooo-fp")])
+
+
+@pytest.mark.parametrize("kwargs", TWICE)
+def test_a_hit_binds_only_the_fresh_design(kwargs, monkeypatch):
+    first = build_system(backend="compiled", lint="off", **kwargs)
+    calls = collections.Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(Translator, "translate")
+    spy(Specializer, "walk")
+    spy(codegen, "_emit")
+    spy(compile_engine, "follow")
+    second = build_system(backend="compiled", lint="off", **kwargs)
+    sim = second.sim
+    assert sim.build_cache == {"compile": "hit"}
+    session = Session(second)
+    for k in range(3):
+        assert session.compute(ArithOp.ADD, k, 5) == k + 5
+    assert sim.kernel_stats.handoffs > 0
+    managed = set(sim.top.all_signals())
+    specs = [pl.spec for pl in sim._plans if pl.spec is not None]
+    specs += [tc.spec for tc in sim._tracked if tc.spec is not None]
+    hoisted = sum(1 for spec in specs for obj in spec.objects
+                  if obj not in managed)
+    assert calls["translate"] == calls["walk"] == calls["_emit"] == 0
+    assert calls["follow"] == hoisted
+
+    bound: list = []
+    namespace = sim._module.namespace
+    for name, value in namespace.items():
+        if not name.startswith("__") and value is not sim:
+            _bound_objects(value, bound)
+    for spec in specs:
+        _bound_objects(spec.fn, bound)
+    for tc in sim._tracked:
+        if tc.handed_off:
+            _bound_objects(namespace[sim._module.runners[tc.slot]], bound)
+    ours, theirs = _reachable(second.soc), _reachable(first.soc)
+    checked = 0
+    for obj in bound:
+        if isinstance(obj, (Signal, Component)):
+            assert id(obj) in ours and id(obj) not in theirs, obj
+            checked += 1
+        elif isinstance(obj, FuState):
+            assert obj is FuState[obj.name]  # a constant, not design state
+    assert checked > len(specs)
 
 
 class _OtherArith(AreaOptimizedFU):
