@@ -5,7 +5,10 @@ For each target — the lint targets (every channel preset and every
 and the five systems of ``benchmarks/e2e/workloads.py`` — this builds the
 design on ``backend="compiled"`` and prints, as one JSON object:
 
-* ``source``: the sha256 of ``sim.generated_source``;
+* ``source``: the sha256 of ``sim.generated_source`` with the line
+  number of each template's provenance comment (``# template k: ...
+  (module:line)``) left out, so a change that only shifts a model file's
+  lines keeps every hash (:func:`source_hash`);
 * ``placements``: each process's ``[label, kind, reason]`` from
   :func:`repro.hdl.compile.frontend.place`, in declaration order (the
   same call the ``compile.fallback`` lint rule makes);
@@ -31,6 +34,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -56,6 +60,9 @@ RUN_COUNTERS = ("edge_calls", "skipped_cycles", "wheel_jumps", "seq_runs",
 #: requests, and the seed of their stream, each e2e system runs
 RUN_REQUESTS = 8
 RUN_SEED = 1
+
+#: the ``:line`` of a template's ``(module:line)`` provenance comment
+_PROVENANCE_LINE = re.compile(r"^(# template \d+: .* \([\w.]+):\d+\)$", re.M)
 
 
 def _module(path: Path) -> Any:
@@ -128,6 +135,13 @@ def targets(workloads: dict) -> dict[str, Callable[[], tuple]]:
     return out
 
 
+def source_hash(source: str) -> str:
+    """The sha256 of generated ``source`` with provenance line numbers
+    normalized: only the generated statements and what binds them count."""
+    normalized = _PROVENANCE_LINE.sub(r"\1:_)", source)
+    return hashlib.sha256(normalized.encode()).hexdigest()
+
+
 def fingerprint(build: Callable[[], tuple]) -> dict:
     """The source hash, placements and placement counters of one build."""
     top, sim = build()
@@ -140,7 +154,7 @@ def fingerprint(build: Callable[[], tuple]) -> dict:
                       always=rec.always, pure=rec.pure,
                       absorbed=id(rec.fn) in absorbed, managed=managed)
         placements.append([rec.label, where.kind, where.reason])
-    source = hashlib.sha256(sim.generated_source.encode()).hexdigest()
+    source = source_hash(sim.generated_source)
     stats = sim.kernel_stats
     return {"source": source, "placements": placements,
             "counters": {name: getattr(stats, name) for name in COUNTERS}}

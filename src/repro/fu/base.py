@@ -25,15 +25,15 @@ Concrete units override :meth:`FunctionalUnit.compute`, mapping a latched
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
 from ..hdl import Component
+from ..record import record
 from .protocol import DispatchPort, DispatchSample, ResultPort, Transfer
 
 
-@dataclass(frozen=True)
+@record
 class FuComputation:
     """The outputs of one functional-unit operation.
 

@@ -23,11 +23,11 @@ payload stability while ``ready`` awaits ``ack``, no spurious acks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
 from ..hdl import Component, Signal
+from ..record import record
 
 
 class WriteSpace(IntEnum):
@@ -105,7 +105,7 @@ class TernaryDispatchPort(DispatchPort):
         )
 
 
-@dataclass(frozen=True)
+@record
 class DispatchSample:
     """Latched copy of a dispatch transaction."""
 
@@ -120,7 +120,7 @@ class DispatchSample:
     op_c: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Transfer:
     """One write-arbiter grant's worth of register writes.
 

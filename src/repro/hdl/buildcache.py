@@ -40,8 +40,10 @@ the reduction is exact and cycle-safe:
   (:func:`~repro.hdl.live.globals_loaded`), a module global with the
   names the code loads from it; a bound method is its function
   and receiver, a ``functools.partial`` its function and arguments;
-* a class is its identity plus the identity of every value in the
-  ``__dict__`` of each class in its MRO, so a monkeypatched helper misses;
+* a class is its identity, the identity of every value in its own
+  ``__dict__`` and the reduction of each of its bases, so a monkeypatched
+  helper misses wherever in the MRO it sits (a base shared by many
+  classes is reduced once, then back-referenced);
 * a callable defined in C (a builtin, a numpy dispatcher, a
   cached-function wrapper) is pinned by identity: what it computes is
   taken to depend on its arguments only;
@@ -261,14 +263,16 @@ def _reduce(roots: tuple) -> Optional[DesignKey]:
         elif isinstance(obj, type):
             emit(_TYPE)
             emit(obj)
-            for c in obj.__mro__:
-                if c.__flags__ & _HEAPTYPE:
-                    d = c.__dict__
-                    values = tuple(d.values())
-                    pins.append(values)
-                    emit(c)
-                    emit(tuple(d))
-                    emit(tuple(map(id, values)))
+            if obj.__flags__ & _HEAPTYPE:
+                d = obj.__dict__
+                values = tuple(d.values())
+                pins.append(values)
+                emit(tuple(d))
+                emit(tuple(map(id, values)))
+                # a base shared by many classes is reduced once; a repeat
+                # is a back-reference through the memo
+                for base in obj.__bases__:
+                    red(base)
             emit(_END)
         elif isinstance(obj, enum.Enum):
             emit(_ENUM)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from ..isa import instructions as ins
 from ..isa.encoding import Instruction, encode
 from ..messages.types import (
     DataRecord,
@@ -203,8 +204,6 @@ class CoprocessorDriver:
 
     def read_reg_async(self, reg: int, tag: Optional[int] = None) -> HostFuture:
         """GET a register; the future resolves to its integer value."""
-        from ..isa import instructions as ins
-
         return self.engine.submit_tracked(
             lambda t: (Exec(encode(ins.get(reg, t))),),
             DataRecord,
@@ -214,8 +213,6 @@ class CoprocessorDriver:
 
     def read_flags_async(self, flag_reg: int, tag: Optional[int] = None) -> HostFuture:
         """GETF a flag register; the future resolves to the flag vector."""
-        from ..isa import instructions as ins
-
         return self.engine.submit_tracked(
             lambda t: (Exec(encode(ins.getf(flag_reg, t))),),
             FlagVector,
@@ -225,8 +222,6 @@ class CoprocessorDriver:
 
     def halt_async(self) -> HostFuture:
         """Send HALT; the future resolves on the acknowledgement."""
-        from ..isa import instructions as ins
-
         halt = Exec(encode(ins.halt()))
         return self.engine.submit_tracked(
             lambda _t: (halt,), Halted, needs_tag=False

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
+from ..record import record
 from . import fields
 from .fields import (
     DST1,
@@ -23,7 +24,7 @@ class EncodingError(ValueError):
     """An instruction could not be encoded or decoded."""
 
 
-@dataclass(frozen=True)
+@record
 class Instruction:
     """A decoded RTM instruction.
 

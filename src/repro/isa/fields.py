@@ -27,11 +27,15 @@ bits         field      meaning
 
 Immediate-format instructions (``LOADI``/``LOADIS``) reuse ``[31:0]`` as a
 32-bit immediate, overlapping dst2/src1/src2/src_flag.
+
+A :class:`Field` computes its ``width`` and ``mask`` once, at construction,
+since every encode and decode of an op reads them; they take no part in
+its equality, hash or repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 WORD_BITS = 64
 
@@ -51,14 +55,13 @@ class Field:
     name: str
     hi: int
     lo: int
+    width: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
+    def __post_init__(self) -> None:
+        width = self.hi - self.lo + 1
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "mask", (1 << width) - 1)
 
     def extract(self, word: int) -> int:
         return (word >> self.lo) & self.mask

@@ -31,6 +31,9 @@ from .types import (
 
 WORD_MASK = 0xFFFF_FFFF
 
+#: every valid type byte, for one membership test per header word
+_MSG_TYPES = frozenset(int(t) for t in MsgType)
+
 
 class FramingError(ValueError):
     """A message or word stream violated the framing rules."""
@@ -69,7 +72,7 @@ def validate_header(word: int, data_words: int) -> tuple[int, int, int]:
     are rejected here, before any payload word is consumed).
     """
     mtype, arg, length = split_header(int(word) & WORD_MASK)
-    if not any(mtype == t for t in MsgType):
+    if mtype not in _MSG_TYPES:
         raise FramingError(f"unknown message type {mtype:#x}")
     expected = expected_length(mtype, data_words)
     if length != expected:

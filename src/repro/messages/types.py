@@ -5,12 +5,18 @@ the FPGA" and receives "several types of message ... including data records
 and flag vectors" (§II/§III).  This module defines those message types for
 both directions; :mod:`repro.messages.framing` maps them onto the 32-bit
 word streams the transceivers carry.
+
+Every message is a :func:`~repro.record.record`: frozen, slotted and cheap
+to build, as one is framed or deframed per op.  Two messages of different
+types never compare equal, even with the same fields (``WriteReg(3, 5) !=
+DataRecord(3, 5)``), so a payload signal sees a change of type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+
+from ..record import record
 
 
 class MsgType(IntEnum):
@@ -40,21 +46,21 @@ class ExceptionCode(IntEnum):
     MACHINE_CHECK = 0x05    # uncorrectable error in a protected state element
 
 
-@dataclass(frozen=True)
+@record
 class Message:
     """Base class for all protocol messages."""
 
 
 # -- host → coprocessor ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Exec(Message):
     """Execute one RTM instruction (64-bit word)."""
 
     word: int
 
 
-@dataclass(frozen=True)
+@record
 class WriteReg(Message):
     """Write ``value`` into main register ``reg``."""
 
@@ -62,7 +68,7 @@ class WriteReg(Message):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class WriteFlags(Message):
     """Write ``value`` into flag register ``flag_reg``."""
 
@@ -70,12 +76,12 @@ class WriteFlags(Message):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Reset(Message):
     """Soft-reset request."""
 
 
-@dataclass(frozen=True)
+@record
 class BadFrame(Message):
     """Synthesised by the message buffer for a malformed/unknown frame.
 
@@ -89,7 +95,7 @@ class BadFrame(Message):
 
 # -- coprocessor → host ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DataRecord(Message):
     """Contents of a main register, labelled with the GET instruction's tag."""
 
@@ -97,7 +103,7 @@ class DataRecord(Message):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class FlagVector(Message):
     """Contents of a flag register, labelled with the GETF instruction's tag."""
 
@@ -105,7 +111,7 @@ class FlagVector(Message):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class ExceptionReport(Message):
     """An error detected inside the coprocessor."""
 
@@ -113,12 +119,12 @@ class ExceptionReport(Message):
     info: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Halted(Message):
     """Acknowledgement that the RTM reached HALT."""
 
 
-@dataclass(frozen=True)
+@record
 class MachineCheck(Message):
     """An uncorrectable error in a protected state element.
 

@@ -12,7 +12,6 @@ the RTM never wedges on bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..config import FrameworkConfig
@@ -31,12 +30,13 @@ from ..messages.types import (
     WriteFlags,
     WriteReg,
 )
+from ..record import record
 from .futable import FunctionalUnitTable, UnitEntry
 
 RegSet = tuple[tuple[WriteSpace, int], ...]
 
 
-@dataclass(frozen=True)
+@record
 class ExecOp:
     """Fully resolved work for the execution stage."""
 
@@ -55,7 +55,7 @@ class ExecOp:
         )
 
 
-@dataclass(frozen=True)
+@record
 class DecodedOp:
     """Decoder → dispatcher bundle: classification plus hazard information."""
 
@@ -67,7 +67,7 @@ class DecodedOp:
     require_all_free: bool = False
     #: pre-resolved execution work for ops needing no register-file reads
     exec_op: Optional[ExecOp] = None
-    _reads_rf: bool = field(default=False)  # dispatcher must resolve via RF reads
+    _reads_rf: bool = False  # dispatcher must resolve via RF reads
 
     @property
     def needs_resolution(self) -> bool:

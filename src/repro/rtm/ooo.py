@@ -35,7 +35,6 @@ in-order machine's byte for byte.
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from dataclasses import dataclass
 from typing import Optional
 
 from ..config import FrameworkConfig
@@ -43,6 +42,7 @@ from ..fu.protocol import Transfer, WriteSpace
 from ..hdl import Component, Stream
 from ..isa.opcodes import Opcode
 from ..messages.types import DataRecord, FlagVector
+from ..record import record
 from .decoder import DecodedOp, ExecOp, RegSet
 from .dispatcher import IssueStats
 from .futable import FunctionalUnitTable
@@ -51,7 +51,7 @@ from .regfile import FlagRegisterFile, RegisterFile
 from .rename import RenameTable
 
 
-@dataclass(frozen=True)
+@record
 class RenamedOp:
     """A decoded op with every register field mapped to physical indices."""
 

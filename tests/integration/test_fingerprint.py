@@ -2,10 +2,11 @@
 
 Smoke tests on one preset and one e2e system: the report names every
 target, and for the one it runs, its hash, placements and counters agree
-with a fresh build; an e2e system also reports its run counters.
+with a fresh build; an e2e system also reports its run counters.  The
+source hash leaves out the line numbers of template provenance comments.
 """
 
-import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +17,14 @@ from repro.messages.channel import PRESETS
 from repro.system import build_system
 
 ROOT = Path(__file__).resolve().parents[2]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location(
+        "_fingerprint_script", ROOT / "ci" / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _fingerprint(target):
@@ -36,8 +45,7 @@ def test_fingerprint_of_one_preset():
     system = build_system(channel=PRESETS["integrated"], backend="compiled",
                           lint="off")
     sim = system.sim
-    source = hashlib.sha256(sim.generated_source.encode()).hexdigest()
-    assert entry["source"] == source
+    assert entry["source"] == _script().source_hash(sim.generated_source)
     stats = sim.kernel_stats
     assert entry["counters"]["fallback_procs"] == stats.fallback_procs
     assert entry["counters"]["translated_procs"] == stats.translated_procs
@@ -65,3 +73,20 @@ def test_run_counters_of_one_e2e_system():
     shared = ("now", "edge_calls", "skipped_cycles", "wheel_jumps", "steps")
     assert [runs["event"][k] for k in shared] \
         == [runs["compiled"][k] for k in shared]
+
+
+def test_source_hash_ignores_provenance_lines_only():
+    source = build_system(backend="compiled", lint="off").sim.generated_source
+    lines = source.splitlines()
+    (i, comment), *_ = ((i, line) for i, line in enumerate(lines)
+                        if line.startswith("# template 0: "))
+    where, number = comment[:-1].rsplit(":", 1)
+    moved = lines.copy()
+    moved[i] = f"{where}:{int(number) + 1})"
+    renamed = lines.copy()
+    renamed[i] = comment.replace("# template 0: ", "# template 0: X", 1)
+    source_hash = _script().source_hash
+    original = source_hash("\n".join(lines))
+    assert source_hash("\n".join(moved)) == original
+    assert source_hash("\n".join(renamed)) != original
+    assert source_hash("\n".join(lines + ["x = 1"])) != original

@@ -506,6 +506,26 @@ def test_monkeypatched_class_helper_misses(monkeypatch):
     assert _stepped(built)  # and the patched helper runs
 
 
+def test_monkeypatched_base_class_helper_misses(monkeypatch):
+    """The arithmetic and logic units share ``AreaOptimizedFU``, whose
+    ``_tick`` calls ``self._finish``: the key reduces that base once and
+    back-references it, yet a helper patched on it still misses."""
+    build_system(backend="compiled")
+    real = AreaOptimizedFU._finish
+    finished = []
+
+    def _finish(self, sample):
+        finished.append(sample)
+        return real(self, sample)
+
+    monkeypatch.setattr(AreaOptimizedFU, "_finish", _finish)
+    assert build_system(backend="compiled").sim.build_cache == {
+        "compile": "miss", "lint": "miss"}
+    built = build_system(backend="compiled")
+    assert built.sim.build_cache == {"compile": "hit", "lint": "hit"}
+    assert _stepped(built) and finished  # and the patched helper runs
+
+
 class _Locked(Component):
     def __init__(self):
         super().__init__("locked")
