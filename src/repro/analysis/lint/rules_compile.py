@@ -6,16 +6,15 @@ calls the same function on the same
 :class:`~repro.analysis.lint.astpass.ResolvedFn` the backend placed the
 process on.  A process outside a static wake slot falls back: it runs from
 a read-tracked slot (its closure is unproven, or a pure sequential process
-stores hidden state), on every settle sweep (``always=True``, or a writer
-whose inputs are all hidden) or on every edge (an impure sequential process
-that may not sleep).  Each fallback is always correct, but it erodes the
-backend's speedup one process at a time — a read-tracked slot also runs the
-original function, not the specialized body every other process gets,
-until its tracked reads cover its proof (see
-:func:`~repro.hdl.compile.frontend.place`).  So
-the rule reports one finding per fallback, with the placement's reason,
-and the finding count equals ``KernelStats.fallback_procs``.  Processes a
-vector executor absorbs are not fallbacks.
+has writes the front end cannot enumerate), on every settle sweep
+(``always=True``, or a writer whose inputs are all hidden) or on every edge
+(an impure sequential process that may not sleep).  Each fallback is
+always correct, but it erodes the backend's speedup one process at a time
+— a read-tracked slot also runs the original function, not the
+specialized body every other process gets.  So the rule reports one
+finding per fallback, with the placement's reason, and the finding count
+equals ``KernelStats.fallback_procs``.  Processes a vector executor
+absorbs are not fallbacks.
 
 Informational severity: a fallback is a performance observation, not a
 design error.
@@ -71,11 +70,6 @@ class CompiledFallbackRule(Rule):
             if where.kind not in _PLANS:
                 continue
             plan, hint = _PLANS[where.kind]
-            if where.proof is not None:
-                plan = (f"the compiled backend runs it under read tracking "
-                        f"until its tracked reads cover the "
-                        f"{len(where.proof)} signals it can read, then as "
-                        f"specialized code")
             yield self.diag(rec.comp.path,
                             f"{rec.label} has no static wake slot "
                             f"({where.reason}) — {plan}", hint=hint)

@@ -76,6 +76,12 @@ class ImpurePureSeqRule(Rule):
     means dormant edges skip real work; reading mutated state means the
     process can be left asleep while its real inputs change.  Either way
     the fast kernel and the exhaustive kernel diverge.
+
+    A suppression states the contract instead: a run that stages nothing
+    mutates nothing.  The compiled backend schedules on that contract from
+    the first edge — a proven pure process sleeps in a static wake slot
+    even when it stores hidden state, and may run on a change the event
+    kernel has not subscribed it to yet.
     """
 
     id = "contract.impure-pure-seq"

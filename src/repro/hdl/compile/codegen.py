@@ -29,9 +29,7 @@ module contains five functions:
   is up, and afterwards keeps the flag up only if the run staged
   something (the event kernel's dormancy rule).  Pure processes with an
   unprovable closure run from read-tracked seq slots (``_tsN``) under the
-  same rule; one that reads an unmanaged signal stays armed.  The engine
-  may later rebind a tracked slot's runner to its untracked body
-  (:meth:`GeneratedModule.rebind`, a *handoff*).  Impure
+  same rule; one that reads an unmanaged signal stays armed.  Impure
   fallbacks run on every edge.  Vectorized executors follow, then an
   inlined atomic commit of the staged registers.  Returns ``(runs,
   vector_applied)``; one comment line per process names its tier.
@@ -125,13 +123,7 @@ class GeneratedModule:
     fanout: dict  # signal -> wake slots; read-tracked slots grow it
     every: list  # functions run on every sweep (``_ALW``)
     namespace: dict  # the module's globals
-    runners: dict  # tracked seq slot -> the name of its runner (``_tsN``)
     dispatch: Dispatch  # what a later build of the same design loads
-
-    def rebind(self, slot: int, run: Callable[[], Any]) -> None:
-        """Make tracked seq slot ``slot`` call ``run`` from now on; like
-        the tracked runner, ``run()`` returns the slot's next flag."""
-        self.namespace[self.runners[slot]] = run
 
 
 def _label(obj: Any) -> str:
@@ -222,12 +214,11 @@ def generate(
         namespace[_comb_call(p)] = _body(p)
     for p in tracked:
         namespace[f"_tk{p.index}"] = p.run
-    runners: dict = {}
     for s in seq:
-        namespace[_seq_call(s)] = _body(s)
         if s.kind == "tracked":
-            runners[s.slot] = f"_ts{s.index}"
-            namespace[runners[s.slot]] = s.run
+            namespace[f"_ts{s.index}"] = s.run
+        else:
+            namespace[_seq_call(s)] = _body(s)
     for k, fn in enumerate(horizons):
         namespace[f"_hz{k}"] = fn
     for k, fn in enumerate(skips):
@@ -251,7 +242,6 @@ def generate(
         fanout=fanout,
         every=every,
         namespace=namespace,
-        runners=runners,
         dispatch=dispatch,
     )
 

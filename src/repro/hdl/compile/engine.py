@@ -30,7 +30,7 @@ build cache (:mod:`repro.hdl.buildcache`) as a :class:`_Layout`: the
 placements, the comb ranks, a body table (each specialized body's
 template and how to find its hoisted objects) and the dispatch module.
 Every build, hit or miss, binds that layout to its own instances on one
-path: wake sets and proofs by signal index, bodies by
+path: wake sets by signal index, bodies by
 :func:`~.frontend.instantiate` over the fresh process's closure, and the
 stored code ``exec``'d into a fresh namespace.  A hit runs no placement,
 translation, emission or ``compile()``.  The key the construction took
@@ -83,12 +83,10 @@ class _Tracked:
     """
 
     __slots__ = ("fn", "seq", "wheeled", "reads", "slot", "demoted",
-                 "unmanaged", "grew", "proof", "spec", "handed_off")
+                 "unmanaged", "grew")
 
     def __init__(self, fn: Callable[[], None], seq: bool, wheeled: bool,
-                 grew: Callable[["_Tracked"], None],
-                 proof: Optional[frozenset] = None,
-                 spec: Optional[Specialized] = None) -> None:
+                 grew: Callable[["_Tracked"], None]) -> None:
         self.fn = fn
         self.seq = seq
         self.wheeled = wheeled
@@ -97,13 +95,6 @@ class _Tracked:
         self.demoted = False
         self.unmanaged = False
         self.grew = grew
-        #: every signal a run can read under tracking (see frontend.place),
-        #: or None
-        self.proof = proof
-        #: the specialized body a handoff runs (None: run ``fn`` untracked)
-        self.spec = spec
-        #: the slot runs its untracked body now (see ``_track``)
-        self.handed_off = False
 
     def run(self) -> int:
         """One run under read tracking.
@@ -142,35 +133,20 @@ def _bind(fn: Callable[[], Any], body: tuple, signals: list[Signal],
     return instantiate(fn, template, objects, kernel)
 
 
-def _wake_rule(body: Callable[[], Any]) -> Callable[[], bool]:
-    """A handed-off tracked seq slot's runner: ``body`` runs untracked, and
-    the flag stays up only when the run staged something (the wake-slot
-    rule, which is the tracked rule once no read is unmanaged)."""
-    tracker = CHANGES
-
-    def run() -> bool:
-        n0 = tracker.stages
-        body()
-        return n0 != tracker.stages
-    return run
-
-
 @dataclass
 class _Layout:
     """What the build cache keeps of one design for the compiled backend:
     every signal is an index into the design's ``all_signals()``."""
 
-    #: per comb process, then per seq process: (placement kind, wake set,
-    #: a tracked slot's proof or None)
+    #: per comb process, then per seq process: (placement kind, wake set)
     comb: tuple
     seq: tuple
     #: per comb process: its topological depth (see ``_ranks``)
     ranks: tuple
     #: per comb process, then per seq process: ``(template, refs)`` for a
-    #: process that runs a specialized body (a tracked one once it hands
-    #: off), else None.  ``refs`` names each hoisted object: a signal's
-    #: index, or None for any other object, which the template's path
-    #: reaches (see ``_bind``)
+    #: process that runs a specialized body, else None.  ``refs`` names
+    #: each hoisted object: a signal's index, or None for any other
+    #: object, which the template's path reaches (see ``_bind``)
     bodies: tuple
     #: the dispatching module, emitted by the design's first build
     dispatch: Optional[Dispatch] = None
@@ -299,10 +275,8 @@ class CompiledSimulator(Simulator):
                            [p.fn for p in procs if id(p.fn) not in absorbed])
 
         def body(proc: Any, where: Placement) -> Optional[tuple]:
-            # a tracked slot runs a specialized body only after a handoff,
-            # which needs a proof
-            if where.kind == "absorbed" or (where.kind == "tracked"
-                                            and where.proof is None):
+            # a read-tracked slot always runs the original function
+            if where.kind in ("absorbed", "tracked"):
                 return None
             made = spec.specialize(proc.fn)
             if made is None:
@@ -312,9 +286,7 @@ class CompiledSimulator(Simulator):
                                    else None for o in objects)
 
         def site(where: Placement) -> tuple:
-            proof = where.proof
-            return (where.kind, tuple(index[sig] for sig in where.wake),
-                    None if proof is None else tuple(index[s] for s in proof))
+            return where.kind, tuple(index[sig] for sig in where.wake)
 
         return _Layout(comb=tuple(map(site, comb)), seq=tuple(map(site, seq)),
                        ranks=self._ranks(comb),
@@ -329,20 +301,17 @@ class CompiledSimulator(Simulator):
               kernel: dict) -> None:
         """Append the plan for ``proc``'s placement, its wake set and body
         bound to this design's ``signals``; an absorbed process gets none.
-        A read-tracked slot also gets its engine helper, holding the body
-        it hands off to."""
-        kind, wake, proof = site
+        A read-tracked slot gets its engine helper instead."""
+        kind, wake = site
         if kind == "absorbed":
             return
-        spec = None if body is None else _bind(proc.fn, body, signals, kernel)
         if kind == "tracked":
-            tc = _Tracked(proc.fn, seq, proc.wheeled, self._track,
-                          None if proof is None
-                          else frozenset(signals[k] for k in proof), spec)
+            tc = _Tracked(proc.fn, seq, proc.wheeled, self._track)
             self._tracked.append(tc)
             plans.append(Plan(fn=proc.fn, index=index, kind="tracked",
                               wheeled=proc.wheeled, run=tc.run))
             return
+        spec = None if body is None else _bind(proc.fn, body, signals, kernel)
         plans.append(Plan(fn=proc.fn, index=index, kind=kind,
                           wheeled=proc.wheeled,
                           wake=[signals[k] for k in wake], spec=spec))
@@ -363,17 +332,7 @@ class CompiledSimulator(Simulator):
     # -- settle phase ----------------------------------------------------------
 
     def _track(self, tc: _Tracked) -> None:
-        """A read-tracked slot read new signals: wake on them, or demote.
-
-        A slot whose reads now equal its proof hands off: the event kernel
-        has subscribed the process to exactly these signals and never will
-        to another (a read set does not shrink, even across reset), so the
-        slot's wake set is final.  From then on its flag runs the
-        specialized body (the original, when the body bails out of
-        translation) untracked, under the wake-slot rule.  The proof holds
-        only managed signals, so no read is unmanaged.  A read outside the
-        proof shows the proof missed something: that slot stays tracked.
-        """
+        """A read-tracked slot read new signals: wake on them, or demote."""
         changed = self._changed
         reads = tc.reads
         if not tc.seq and (
@@ -389,12 +348,6 @@ class CompiledSimulator(Simulator):
             slots = fanout.setdefault(sig, [])
             if tc.slot not in slots:
                 slots.append(tc.slot)
-        if tc.proof is not None and reads == tc.proof:
-            tc.handed_off = True
-            spec = tc.spec
-            self._module.rebind(tc.slot, _wake_rule(
-                tc.fn if spec is None else spec.fn))
-            self.kernel_stats.handoffs += 1
 
     def _demote(self, tc: _Tracked) -> None:
         """Pin a read-tracked process to every sweep (``_make_dynamic``)."""

@@ -10,15 +10,15 @@ same :class:`~repro.analysis.lint.astpass.ResolvedFn`.
   vector executor replaces it.
 * **static slot** — the read closure is proven: the process runs whenever
   a signal in its wake set (its signal reads plus the reads of the
-  property getters along its paths, ``ResolvedFn.getter_reads``)
-  changes, as the event kernel's notification queue would run it.
+  property getters along its paths, ``ResolvedFn.getter_reads``; for a
+  pure sequential process, without the reads made only through
+  ``Reg.nxt``) changes, as the event kernel's notification queue would
+  run it.
 * **read-tracked** — the closure could not be proven (opaque reads,
   unknown calls, late-bound hidden state, an unmanaged signal; for a pure
-  sequential process also hidden stores): the function runs interpreted
+  sequential process also unknown writes): the function runs interpreted
   from a wake slot, under read tracking, whenever a signal one of its runs
-  read changes — exactly how the event kernel schedules it.  A pure
-  sequential process with a proven closure also gets a *proof*, and hands
-  off to its specialized body once its tracked reads cover it.
+  read changes — exactly how the event kernel schedules it.
 * **every sweep** — a comb process declared ``always=True``, or a proven
   writer whose inputs are all hidden.
 * **every edge** — an impure sequential process that may not sleep in a
@@ -139,8 +139,6 @@ class Placement:
     wake: list = field(default_factory=list)
     #: why the process has no static slot ("" for a slot or absorbed)
     reason: str = ""
-    #: a read-tracked seq slot's *proof* (see :func:`place`), or None
-    proof: Optional[list] = None
 
 
 def _unprovable(res: ResolvedFn) -> str:
@@ -158,21 +156,23 @@ def _dormancy_blocker(res: ResolvedFn, pure: bool) -> str:
     """Why a proven seq process may not sleep in a wake slot, or "".
 
     Dormancy is sound when re-running the process on unchanged signals
-    restages the same values: every write is known and no hidden state is
-    stored.  An impure process must also write no signal with ``set()``
-    and load only hidden state that cannot change; a declared-pure one
-    keeps the event kernel's wider dormancy contract.
+    restages the same values: every write is known.  A declared-pure
+    process keeps the event kernel's dormancy contract, under which a run
+    that stages nothing mutates nothing, so the hidden state it stores
+    (counters, deframer state) does not count against it.  An impure one
+    must also store no hidden state, write no signal with ``set()`` and
+    load only hidden state that cannot change.
     """
     if not res.write_complete:
         return "writes the front end cannot enumerate"
+    if pure:
+        return ""
     if res.hidden_stores:
         stored = sorted({f"{type(owner).__name__}.{attr}"
                          for (_oid, attr), owner in res.hidden_stores.items()})
         return f"stores hidden state {', '.join(stored)}"
     if res.nonlocal_stores:
         return f"rebinds {', '.join(sorted(res.nonlocal_stores))}"
-    if pure:
-        return ""
     if res.set_targets:
         return "writes signals with set()"
     if not hidden_loads_constant(res):
@@ -192,14 +192,15 @@ def place(resolve: Callable[[], ResolvedFn], *, seq: bool,
     the simulator's pending list; a flag cannot carry a wake set holding
     any other signal.
 
-    A declared-pure seq process with a proven, managed read closure that
-    may still not sleep in a static slot (it stores counters, say) gets a
-    read-tracked slot with a *proof*: every signal its body can read
-    through a tracked accessor (``res.tracked_reads`` and the getter
-    reads; ``.nxt`` loads do not track).  Its writes must be known too.
-    Once the slot's tracked reads cover the proof, they are all the event
-    kernel will ever subscribe it to, and the engine hands the slot off to
-    the untracked body (see :class:`~.engine.CompiledSimulator`).
+    A declared-pure seq process's wake set leaves out the signals it reads
+    only through ``Reg.nxt``: the event kernel's read tracking never
+    records those, so a change to one never re-arms the process there.
+    With its closure proven and its writes known, such a process sleeps in
+    a static slot from its first edge.  Until the event kernel has
+    discovered the whole wake set, the slot may run the process on a
+    change the event kernel does not see; that run re-reads the values
+    its last run read, takes the same path and, under the pure contract,
+    stages and mutates nothing.
     """
     if absorbed:
         return Placement("absorbed")
@@ -215,16 +216,14 @@ def place(resolve: Callable[[], ResolvedFn], *, seq: bool,
     # the event kernel's read tracking is live while a property getter runs
     # inside the process, so it subscribes to the getter's reads too; like
     # the body, a getter is assumed to read a fixed signal set
-    wake = _stable(res.signal_reads | res.getter_reads)
+    reads = res.tracked_reads if seq and pure else res.signal_reads
+    wake = _stable(reads | res.getter_reads)
     if any(sig not in managed for sig in wake):
         return Placement(fallback,
                          reason="reads signals this simulator does not manage")
     reason = _dormancy_blocker(res, pure) if seq else ""
     if reason:
-        proof = None
-        if pure and res.write_complete:
-            proof = _stable(res.tracked_reads | res.getter_reads)
-        return Placement(fallback, reason=reason, proof=proof)
+        return Placement(fallback, reason=reason)
     if not seq and not wake and res.set_targets:
         # the event kernel runs a writer with no tracked read every sweep
         return Placement("sweep",

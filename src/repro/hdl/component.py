@@ -120,7 +120,12 @@ class Component:
         scheduler may then put it to sleep after an edge on which it staged
         nothing: its read set is tracked exactly like a combinational
         process's, and any change to a signal it reads re-arms it before
-        the next edge.  A process with side effects (cycle counters,
+        the next edge.  The contract is that a run which stages nothing
+        mutates nothing.  The compiled backend schedules on it from the
+        first edge: a proven process sleeps in a static wake slot over
+        every signal it can read, so it may also run on a change the event
+        kernel has not yet subscribed it to, and that run must stage and
+        mutate nothing.  A process with side effects (cycle counters,
         ``port.take()``-style consumption, monitors) must stay at the
         default ``pure=False``, which runs it on every edge — the reference
         semantics.

@@ -254,9 +254,6 @@ class KernelStats:
     masks_elided: int = 0
     #: branches the code generator folded on a proven-constant guard
     branches_folded: int = 0
-    #: read-tracked seq slots handed off to their untracked bodies once
-    #: their tracked reads covered their proof (compiled backend only)
-    handoffs: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)

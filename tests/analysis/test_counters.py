@@ -119,7 +119,7 @@ class TestKernelCounters:
             "skipped_cycles", "wheel_jumps", "compiled_procs",
             "fallback_procs", "translated_procs", "vectorized_cells",
             "compile_ms",
-            "masks_elided", "branches_folded", "handoffs")
+            "masks_elided", "branches_folded")
         for key in ("settle_calls", "activations", "tracked_procs"):
             assert report.kernel[key] > 0, key
         assert report.settle_activations_per_cycle > 0

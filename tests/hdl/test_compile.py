@@ -1044,8 +1044,8 @@ class TestResidualTranslation:
         assert second.generated_source == first.generated_source
 
     @pytest.mark.parametrize("kwargs, translated", [
-        ({}, 38),
-        (dict(ooo=True, fp_units=True), 44),
+        ({}, 43),
+        (dict(ooo=True, fp_units=True), 49),
     ], ids=["default", "ooo-fp"])
     def test_translated_procs_pinned(self, kwargs, translated):
         from repro.analysis import counters_for
@@ -1174,14 +1174,14 @@ class TestResidualTranslation:
                          "emux.a": [1]}
 
     @pytest.mark.parametrize("kwargs, fanout, reads", [
-        ({}, 114, [8, 6, 9, 6, 18]),
-        (dict(ooo=True, fp_units=True), 124, [10, 8, 6, 9, 6, 18]),
+        ({}, 114, []),
+        (dict(ooo=True, fp_units=True), 145, [10]),
     ], ids=["default", "ooo-fp"])
     def test_tracked_discovery_on_systems(self, kwargs, fanout, reads):
         # the fanout map and the tracked read sets after a seeded prefix:
-        # read-tracked plans run their originals and discover reads one run
-        # at a time until they hand off, so specializing every other body
-        # (and a handed-off one) leaves these alone
+        # the one read-tracked plan (the out-of-order dispatcher's _drive)
+        # runs its original and discovers reads one run at a time, so
+        # specializing every other body leaves these alone
         import random
 
         from repro import Session
@@ -1215,12 +1215,13 @@ class TestResidualTranslation:
             == cold.sim.kernel_stats.translated_procs > 0
 
 
-# -- handoff of read-tracked slots --------------------------------------------
+# -- declared-pure seq procs in static slots ----------------------------------
 
 class GatedRead(Component):
     """A declared-pure seq proc that counts its staging runs (a hidden
-    store, so it runs from a read-tracked slot) and reads ``b`` and ``q``
-    only while ``a`` is high: its proof is {a, b, q}."""
+    store the pure contract covers) and reads ``b`` and ``q`` only while
+    ``a`` is high: its static wake set is {a, b, q} from the first edge,
+    while the event kernel discovers ``b`` and ``q`` once ``a`` rises."""
 
     def __init__(self):
         super().__init__("gate")
@@ -1239,7 +1240,7 @@ class GatedRead(Component):
 
 class GatedFreeRead(GatedRead):
     """:class:`GatedRead` plus a second counting proc that reads an
-    unmanaged signal: no proof, so it stays tracked."""
+    unmanaged signal: it has no static slot and stays read-tracked."""
 
     def __init__(self):
         super().__init__()
@@ -1254,6 +1255,26 @@ class GatedFreeRead(GatedRead):
                 self.polled += 1
 
 
+class NxtGated(Component):
+    """One pure proc stages ``r`` every edge; a second reads ``r`` only
+    through ``.nxt``, and only while the constant-0 ``en`` is high."""
+
+    def __init__(self):
+        super().__init__("nxg")
+        self.en = self.signal("en", 1, 0)
+        self.r = self.reg("r", 8, 0)
+        self.q = self.reg("q", 8, 0)
+
+        @self.seq(pure=True)
+        def _count():
+            self.r.nxt = (self.r.value + 1) & 0xFF
+
+        @self.seq(pure=True)
+        def _peek():
+            if self.en.value:
+                self.q.nxt = self.r.nxt
+
+
 def _gated_poke(top, cyc):
     """``a`` rises before cycle 4's edge; ``b`` moves before cycles 0 to 3
     and again before cycles 7 and 10, after the process went dormant: only
@@ -1265,17 +1286,26 @@ def _gated_poke(top, cyc):
 
 
 def _lockstep(make, poke, cycles, reset_at=None):
-    """Run ``make()`` on both backends in lockstep: per cycle, the VCD text
-    so far, ``seq_runs`` and every signal value must match.  Returns the
-    compiled (top, sim) and its handoff count before each cycle's edge."""
+    """Run ``make()`` on both backends in lockstep, applying ``poke(top,
+    cycle)`` before each step.  Every cycle, the VCD text so far and every
+    signal value must match.  Each cycle's ``seq_runs`` increment must
+    match too from the first cycle whose edge starts with the event
+    kernel's read set of every statically slotted seq proc equal to that
+    slot's wake set.  Returns the compiled (top, sim), that cycle (None:
+    never) and the per-cycle increments (event, compiled)."""
     import io
 
     from repro.hdl.vcd import VcdWriter
 
     runs = []
-    for backend in ("event", "compiled"):
+    converged = None
+    for backend in ("compiled", "event"):
         top = make()
         sim = Simulator(top, backend=backend)
+        if backend == "compiled":
+            slots = [(pl.index, {sig.name for sig in pl.wake})
+                     for pl in sim._plans[len(sim._procs):]
+                     if pl.kind == "slot"]
         buf = io.StringIO()
         VcdWriter(sim, buf)
         sim.reset()
@@ -1284,115 +1314,137 @@ def _lockstep(make, poke, cycles, reset_at=None):
             if cyc == reset_at:
                 sim.reset()
             poke(top, cyc)
-            handoffs = sim.kernel_stats.handoffs
+            if backend == "event" and converged is None and all(
+                    {sig.name for sig in sim._seqprocs[i].reads} == wake
+                    for i, wake in slots):
+                converged = cyc
+            runs0 = sim.kernel_stats.seq_runs
             sim.step()
-            trace.append((buf.getvalue(), sim.kernel_stats.seq_runs,
+            trace.append((buf.getvalue(),
                           tuple(s.value for s in top.all_signals()),
-                          handoffs))
+                          sim.kernel_stats.seq_runs - runs0))
         runs.append((top, sim, trace))
-    (_te, _se, event), (top, sim, compiled) = runs
+    (top, sim, compiled), (_te, _se, event) = runs
     for cyc, (e, c) in enumerate(zip(event, compiled)):
-        assert c[:3] == e[:3], f"cycle {cyc}"
-    return top, sim, [c[3] for c in compiled]
+        assert c[:2] == e[:2], f"cycle {cyc}"
+        if converged is not None and cyc >= converged:
+            assert c[2] == e[2], f"seq_runs at cycle {cyc}"
+    return top, sim, converged, ([e[2] for e in event],
+                                 [c[2] for c in compiled])
 
 
-class TestHandoff:
-    def test_gated_read_hands_off_after_the_branch_is_taken(self):
-        top, sim, before = _lockstep(GatedRead, _gated_poke, 12)
-        (tc,) = sim._tracked
-        assert {s.name for s in tc.proof} == {"gate.a", "gate.b", "gate.q"}
-        # cycles 0-4 run with a low (a rises before the edge of cycle 4,
-        # whose run reads b and q for the first time)
-        assert before == [0] * 5 + [1] * 7
-        assert tc.handed_off and tc.reads == tc.proof
-        assert sim.kernel_stats.handoffs == 1
+class TestPureSeqSlots:
+    def test_gated_read_lockstep(self):
+        top, sim, converged, (event, compiled) = _lockstep(
+            GatedRead, _gated_poke, 12)
+        (slot,) = [pl for pl in sim._plans if pl.kind == "slot"]
+        assert {s.name for s in slot.wake} == {"gate.a", "gate.b", "gate.q"}
+        assert sim._tracked == []
+        # a rises before the edge of cycle 4, whose run reads b and q for
+        # the first time; before that b's moves wake only the static slot
+        assert converged == 5
+        assert event[:5] == [1, 0, 0, 0, 1] and compiled[:5] == [1] * 5
         assert top.staged == 3 and top.q.value == (10 * 37) & 0xFF
 
-    def test_branch_never_taken_never_hands_off(self):
-        top, sim, before = _lockstep(
+    def test_gated_branch_never_taken_lockstep(self):
+        top, sim, converged, (event, compiled) = _lockstep(
             GatedRead, lambda t, c: t.b.set(c * 5), 10)
-        (tc,) = sim._tracked
-        assert {s.name for s in tc.reads} == {"gate.a"}
-        assert not tc.handed_off and set(before) == {0}
+        # the event kernel never discovers b or q; the slot re-runs on each
+        # of b's moves, stages nothing and mutates nothing
+        assert converged is None
+        assert sum(event) == 1 and sum(compiled) == 10
         assert top.staged == 0
 
-    def test_unmanaged_read_never_hands_off(self):
+    def test_gated_free_read_lockstep(self):
         def poke(top, cyc):
             _gated_poke(top, cyc)
             top.free.force(cyc)
 
-        top, sim, _before = _lockstep(GatedFreeRead, poke, 12)
-        gated, polled = sim._tracked
-        assert gated.handed_off
-        assert polled.proof is None and polled.unmanaged
-        assert not polled.handed_off
-        assert sim.kernel_stats.handoffs == 1
-        assert top.polled == 11
+        top, sim, converged, _runs = _lockstep(GatedFreeRead, poke, 12)
+        (tc,) = sim._tracked
+        assert tc.fn.__name__ == "_poll" and tc.unmanaged
+        assert [pl.kind for pl in sim._plans] == ["slot", "tracked"]
+        assert converged == 5
+        assert top.polled == 11 and top.staged == 3
 
-    def test_reset_after_handoff_keeps_the_slot_handed_off(self):
+    def test_reset_mid_run_lockstep(self):
         def poke(top, cyc):
             _gated_poke(top, cyc)
             if cyc == 9:
                 top.a.set(1)  # reset dropped it
 
-        top, sim, before = _lockstep(GatedRead, poke, 14, reset_at=8)
-        (tc,) = sim._tracked
-        assert tc.handed_off and before[-1] == 1
-        assert sim.kernel_stats.handoffs == 1
-        assert sim._module.namespace[sim._module.runners[tc.slot]] \
-            is not tc.run
+        top, sim, converged, _runs = _lockstep(GatedRead, poke, 14,
+                                               reset_at=8)
+        assert converged == 5
+        assert top.q.value == (10 * 37) & 0xFF
 
-    def test_scalar_calls_hand_off_five_stages(self):
-        import random
+    def test_nxt_only_read_wakes_nothing(self):
+        import io
 
-        from repro import Session
-        from repro.analysis import counters_for
-        from repro.isa.opcodes import ArithOp, LogicOp
+        from repro.hdl.vcd import VcdWriter
+
+        out = []
+        for backend in ("event", "compiled"):
+            top = NxtGated()
+            sim = Simulator(top, backend=backend)
+            buf = io.StringIO()
+            VcdWriter(sim, buf)
+            sim.reset()
+            sim.step(10)
+            out.append((sim.kernel_stats.seq_runs, buf.getvalue(),
+                        tuple(s.value for s in top.all_signals())))
+        # _count runs on all 10 edges, _peek once: r changes on every
+        # edge, but _peek reads it only through .nxt
+        assert out[0][0] == out[1][0] == 11
+        assert out[1][1:] == out[0][1:]
+        peek = sim._plans[-1]
+        assert peek.kind == "slot" and [s.name for s in peek.wake] == ["nxg.en"]
+
+    @pytest.mark.parametrize("target", [
+        "fast-bus", "integrated", "slow-prototype", "ooo-fp", "lossy_link",
+        "serial_prototype"])
+    def test_rtm_stages_sleep_in_static_slots(self, target):
+        import importlib.util
+        from pathlib import Path
+
+        from repro.messages import FAST_BUS, FaultSpec
+        from repro.messages.channel import PRESETS
+        from repro.messages.uart import UartRx
         from repro.system import build_system
 
-        system = build_system(backend="compiled", lint="off")
-        session = Session(system)
-        rng = random.Random(1)
-        for _ in range(3):
-            session.compute(rng.choice((ArithOp.ADD, ArithOp.SUB,
-                                        LogicOp.AND, LogicOp.XOR)),
-                            rng.getrandbits(32), rng.getrandbits(32))
-        handed = {tc.fn.__qualname__.split(".")[0]: tc.handed_off
-                  for tc in system.sim._tracked}
-        # a plain link builds the plain message buffer, whose edge process
-        # reads no reliable-only state, so it hands off too
-        assert handed == {"MessageBuffer": True, "Decoder": True,
-                          "Execution": True, "MessageSerializer": True,
-                          "WriteArbiter": True}
-        assert counters_for(system).kernel["handoffs"] == 5
+        if target == "serial_prototype":
+            path = (Path(__file__).resolve().parents[2] / "examples"
+                    / "serial_prototype.py")
+            spec = importlib.util.spec_from_file_location("_serial", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            top = module.build_for_lint()
+            sim = Simulator(top, backend="compiled")
+        else:
+            kwargs = {
+                "ooo-fp": dict(ooo=True, fp_units=True),
+                "lossy_link": dict(
+                    channel=FAST_BUS, reliable=True,
+                    faults=FaultSpec(seed=31, drop_rate=0.01, flip_rate=0.01),
+                    upstream_faults=FaultSpec(seed=32, drop_rate=0.01,
+                                              flip_rate=0.01)),
+            }.get(target, dict(channel=PRESETS.get(target)))
+            system = build_system(backend="compiled", lint="off", **kwargs)
+            top, sim = system.soc, system.sim
+        kind = {id(pl.fn): pl.kind for pl in sim._plans}
+        stages = {"msgbuffer", "decoder", "execution", "write_arbiter",
+                  "serializer"}
+        placed = {}
+        for comp in top.walk():
+            name = "uart_rx" if isinstance(comp, UartRx) else comp.name
+            if name in stages | {"uart_rx"}:
+                for fn in comp.pure_seq_procs:
+                    placed.setdefault(name, set()).add(kind[id(fn)])
+        want = stages | ({"uart_rx"} if target == "serial_prototype"
+                         else set())
+        assert placed == {name: {"slot"} for name in want}
 
-    def test_serializer_and_msgbuffer_placement_reasons(self):
-        from repro.analysis.lint import astpass
-        from repro.hdl.compile.frontend import place
-        from repro.system import build_system
-
-        system = build_system(backend="compiled", lint="off")
-        managed = set(system.soc.all_signals())
-        rtm = system.soc.rtm
-
-        def placed(fn):
-            return place(lambda: astpass.resolve(fn), seq=True, pure=True,
-                         managed=managed)
-
-        (ser,) = rtm.serializer.seq_procs
-        where = placed(ser)
-        # the msg.* loads in Framer.frame resolve on the int reset value
-        # of the object-typed payload signal: a sampled read, not late-bound
-        assert where.reason == ("stores hidden state "
-                                "MessageSerializer.messages_sent")
-        assert len(where.proof) == 6
-        (buf,) = rtm.msgbuffer.seq_procs
-        where = placed(buf)
-        assert where.reason == ("stores hidden state Deframer._header, "
-                                "Deframer._payload")
-        assert len(where.proof) == 8
-
-    def test_nxt_only_reads_stay_out_of_the_proof(self):
+    def test_nxt_only_reads_stay_out_of_the_wake_set(self):
         from repro.analysis.lint import astpass
         from repro.system import build_system
 
@@ -1404,6 +1456,9 @@ class TestHandoff:
                                "soc.rtm.flagfile.ram.mem",
                                "soc.rtm.lockmgr.data_locks",
                                "soc.rtm.lockmgr.flag_locks"}
+        (plan,) = [pl for pl in system.sim._plans if pl.fn is commit]
+        assert plan.kind == "slot"
+        assert not staged_only & {s.name for s in plan.wake}
 
 
 class Sampled(Component):
@@ -1441,23 +1496,22 @@ class TestSampledLoads:
 
     def test_load_off_a_sampled_value_is_no_late_binding(self):
         where = self._placed(Sampled())
-        assert where.kind == "tracked"
-        assert where.reason == "stores hidden state Sampled.seen"
+        assert where.kind == "slot"
         # ``q`` is only staged: a store is no read
-        assert [s.name for s in where.proof] == ["smp.inp"]
+        assert [s.name for s in where.wake] == ["smp.inp"]
 
     def test_missing_field_on_a_real_owner_is_named(self):
         where = self._placed(Sampled(late=True))
+        assert where.kind == "tracked"
         assert where.reason == ("hidden input Cfg.missing is late-bound, "
                                 "unset at elaboration")
-        assert where.proof is None
 
-    def test_sampled_payload_hands_off_and_matches_event(self):
+    def test_sampled_payload_matches_event(self):
         def poke(top, cyc):
             top.inp.set(Cfg(level=cyc) if cyc % 3 else 0)
 
-        top, sim, before = _lockstep(Sampled, poke, 9)
-        assert before[-1] == 1 and top.seen == 6
+        top, sim, converged, _runs = _lockstep(Sampled, poke, 9)
+        assert converged == 1 and top.seen == 6
 
 
 class Shadows:
