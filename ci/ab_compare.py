@@ -16,7 +16,11 @@ seeded requests and checks every answer against the workload's oracle.
 ``--a``/``--b`` are repository roots (holding ``src/repro``).  Prints each
 side's median ops/s with its quartiles, the blocks each side won, the
 median gain of B over A, and ``sim.now`` per side, which must agree for a
-cycle-exact change.  Exits 1 on a wrong answer, 0 otherwise.
+cycle-exact change.  It then prints each side's link and engine counters
+from ``counters_for`` (host retransmits and NACKs; per faulty line and for
+the RTM's receiver, CRC failures, dropped words, flipped bits and words
+stalled after death), which must agree too.  Exits 1 on a wrong answer, 0
+otherwise.
 
 ``--setup`` compares warm set-ups instead, timed as the benchmark's worker
 times them (``Setup`` in ``benchmarks/e2e/worker.py``): after one untimed
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import importlib.util
 import re
 import statistics
@@ -43,6 +48,12 @@ from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "benchmarks" / "e2e" / "workloads.py"
+
+#: ``counters_for`` engine counters, then link counters in every link section
+#: (fault-injecting lines, the RTM's reliable receiver) that has them
+ENGINE_COUNTERS = ("retransmits", "nacks")
+LINK_COUNTERS = ("crc_failures", "words_dropped", "bits_flipped",
+                 "stalled_after_death")
 
 #: an absolute import of the package itself, which would bind to whichever
 #: tree is on ``sys.path`` instead of the one being loaded
@@ -83,6 +94,8 @@ class Side:
         pkg = load_tree(root, package)
         self.workload = load_workloads(package).WORKLOADS[workload]
         system = self.workload.build(None if backend == "event" else backend)
+        self.system = system
+        self.counters_for = importlib.import_module(f"{package}.analysis").counters_for
         self.session = pkg.Session(system)
         self.client = self.workload.open(self.session)
         self.requests = self.workload.requests(seed)
@@ -101,6 +114,15 @@ class Side:
         rate = n * w.ops_per_request / elapsed
         self.rates.append(rate)
         return rate
+
+    def counters(self) -> dict:
+        """The link and engine counters, flattened to ``section.name``."""
+        report = self.counters_for(self.system, self.session.driver)
+        out = {name: report.engine[name] for name in ENGINE_COUNTERS}
+        for section, stats in sorted(report.link.items()):
+            out.update((f"{section}.{name}", stats[name])
+                       for name in LINK_COUNTERS if name in stats)
+        return out
 
 
 class SetupSide:
@@ -206,6 +228,12 @@ def main(argv: list[str] | None = None) -> int:
           f"median gain of B over A {statistics.median(gains):+.1%}")
     if a.sim.now != b.sim.now:
         print("  sim.now differs between the sides")
+    counters = [side.counters() for side in (a, b)]
+    for side, values in zip((a, b), counters):
+        print(f"  {side.label} counters: "
+              + ", ".join(f"{name} {v}" for name, v in values.items()))
+    if counters[0] != counters[1]:
+        print("  counters differ between the sides")
     return 1 if a.wrong or b.wrong else 0
 
 

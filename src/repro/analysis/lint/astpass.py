@@ -136,8 +136,9 @@ class FnSummary:
     attr_loads: set = field(default_factory=set)  # attribute chains loaded
     attr_stores: set = field(default_factory=set)  # attribute chains stored/mutated
     nonlocal_stores: set = field(default_factory=set)  # names rebound via closure
-    #: calls whose target could not be modelled (dynamic dispatch, etc.)
-    unknown_calls: bool = False
+    #: calls whose target could not be modelled (dynamic dispatch, etc.),
+    #: as source text
+    unknown_calls: set = field(default_factory=set)
     #: a signal read (.value/.nxt/.bit/.bits/.fires) through an expression
     #: the chain model cannot address — the read set may be incomplete
     opaque_reads: bool = False
@@ -593,7 +594,7 @@ class _Analyzer:
                 elif func.attr in ("bit", "bits", "fires"):
                     self.s.opaque_reads = True
                 return args_taint | self.taint_of(func.value)
-            self.s.unknown_calls = True
+            self.s.unknown_calls.add(f"{ast.unparse(func)}()")
             return args_taint
         if len(chain) == 1 and chain[0][0] == "r" and chain[0][1] in _PURE_CALLS:
             return args_taint
@@ -932,7 +933,9 @@ class ResolvedFn:
     nonlocal_stores: set = field(default_factory=set)
     #: (line, resolved test tree) for every modelable ``if`` guard
     branches: list = field(default_factory=list)
-    unknown_calls: bool = False
+    #: each call the resolution could not see through, named with the
+    #: function it sits in (``fmt.inf() in softfloat.pack``)
+    unknown_calls: set = field(default_factory=set)
     #: some reads could not be attributed (read set may be incomplete)
     opaque_reads: bool = False
     #: some writes could not be attributed (write set may be incomplete)
@@ -1159,7 +1162,8 @@ class _Resolver:
         self._seen.add(key)
         env = _env(fn, bindings)
         out = self.out
-        out.unknown_calls |= summary.unknown_calls
+        where = _where(fn)
+        out.unknown_calls.update(f"{c} in {where}" for c in summary.unknown_calls)
         out.opaque_reads |= summary.opaque_reads
         out.opaque_writes |= summary.opaque_writes
         out.nonlocal_stores.update(summary.nonlocal_stores)
@@ -1228,9 +1232,11 @@ class _Resolver:
             if rexpr is not None:
                 out.branches.append((line, rexpr))
 
-        for chain, args_taint, arg_aliases in summary.calls:
+        # in a fixed order: a callee first reached at a smaller depth keeps
+        # its callees inside the inline cap, so the order decides the result
+        for chain, args_taint, arg_aliases in sorted(summary.calls, key=_call_order):
             self._resolve_call(chain, args_taint, arg_aliases, env, depth,
-                               sampled)
+                               sampled, where)
         return self.out
 
     # -- pieces ---------------------------------------------------------------
@@ -1271,8 +1277,9 @@ class _Resolver:
 
     def _resolve_call(self, chain: Chain, args_taint: Taint,
                       arg_aliases: tuple, env: _Env,
-                      depth: int, sampled: frozenset) -> None:
+                      depth: int, sampled: frozenset, where: str) -> None:
         out = self.out
+        call = f"{_chain_text(chain)}() in {where}"
         objs = _resolve_chain(chain, env)
         if objs is None:
             # A method missing on a *resolved* receiver marks a dead branch
@@ -1284,7 +1291,7 @@ class _Resolver:
                     load(o, chain[-1][1]) is MISSING for o in owners
                 ):
                     return
-            out.unknown_calls = True
+            out.unknown_calls.add(call)
             return
         for obj in objs:
             if obj is None:
@@ -1296,20 +1303,21 @@ class _Resolver:
                         out.signal_reads.add(sig)
                         out.tracked_reads.add(sig)
                     continue
-                self._inline(obj, arg_aliases, env, depth, sampled)
+                self._inline(obj, arg_aliases, env, depth, sampled, call)
             elif isinstance(obj, (types.FunctionType,)):
-                self._inline(obj, arg_aliases, env, depth, sampled)
+                self._inline(obj, arg_aliases, env, depth, sampled, call)
             elif isinstance(obj, type) or isinstance(obj, types.BuiltinFunctionType):
                 # constructors (dataclasses, exceptions) and builtin/container
                 # methods neither read nor write simulation signals
                 continue
             else:
-                out.unknown_calls = True
+                out.unknown_calls.add(f"{call} (a {type(obj).__name__})")
 
     def _inline(self, obj: Any, arg_aliases: tuple, env: _Env,
-                depth: int, sampled: frozenset) -> None:
+                depth: int, sampled: frozenset, call: str) -> None:
         if depth >= _MAX_INLINE_DEPTH:
-            self.out.unknown_calls = True
+            self.out.unknown_calls.add(
+                f"{call} (inline depth {_MAX_INLINE_DEPTH} reached)")
             return
         names = self._param_names(obj)
         values = frozenset(
@@ -1374,6 +1382,18 @@ class _Resolver:
                     deps.update(_Resolver().run(obj, depth + 1).signal_reads)
             deps.update(self._taint_signals(elem[2], env, depth))
         return deps
+
+
+def _call_order(call: tuple) -> tuple:
+    """A set-order-free sort key for a :attr:`FnSummary.calls` entry."""
+    chain, _taint, arg_aliases = call
+    return _chain_text(chain), repr(arg_aliases)
+
+
+def _where(fn: Callable[..., Any]) -> str:
+    """``module.qualname`` of a function, module without its package."""
+    fn = getattr(fn, "__func__", fn)
+    return f"{(fn.__module__ or '?').rpartition('.')[2]}.{fn.__qualname__}"
 
 
 def _chain_text(chain: Chain) -> str:

@@ -146,7 +146,8 @@ def _unprovable(res: ResolvedFn) -> str:
     if res.parse_failed:
         return "source unavailable to the AST pass"
     if res.unknown_calls:
-        return "calls the front end cannot see through"
+        calls = ", ".join(sorted(res.unknown_calls))
+        return f"calls the front end cannot see through: {calls}"
     if res.opaque_reads:
         return "reads the front end cannot enumerate"
     return f"hidden input {_missing_load(res)} is late-bound, unset at elaboration"

@@ -30,6 +30,10 @@ from .channel import ChannelSpec, DelayLine
 #: Multiplier decorrelating per-word fate streams drawn from one seed.
 _SEED_STRIDE = 1_000_003
 
+#: ``random.Random``'s C-level ``seed``: the Python wrapper adds only type
+#: checks and a ``gauss`` reset, and a fate draws no ``gauss`` value
+_reseed = random.Random.__base__.seed
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -96,15 +100,20 @@ class FaultSpec:
             or any(entry[1] != "ok" for entry in self.schedule)
         )
 
-    def fate(self, index: int) -> tuple[str, int]:
+    def fate(self, index: int, rng: Optional[random.Random] = None) -> tuple[str, int]:
         """The fate of the ``index``-th word: ("ok"|"drop"|"flip"|"dup", xor).
 
         Pure function of (seed, index) — the schedule is a property of the
-        spec, not of simulation timing.
+        spec, not of simulation timing.  ``rng``, if given, is reseeded and
+        drawn from instead of constructing a generator for this one word.
         """
         if self.dead_after_words is not None and index >= self.dead_after_words:
             return "dead", 0
-        rng = random.Random(self.seed * _SEED_STRIDE + index)
+        key = self.seed * _SEED_STRIDE + index
+        if rng is None:
+            rng = random.Random(key)
+        else:
+            _reseed(rng, key)
         for entry in self.schedule:
             if entry[0] == index:
                 fate = entry[1]
@@ -169,6 +178,10 @@ class FaultyLine(DelayLine):
     ):
         self.faults = faults
         self.fault_stats = FaultStats()
+        # reseeded for every word's fate; one per line, never shared.  Made
+        # at the first word: a generator keeps its state in C, which the
+        # build cache cannot digest
+        self._rng: Optional[random.Random] = None
         super().__init__(name, spec, parent=parent)
         # Dead-link latch: a register, so the combinational ready/valid
         # gates are properly tracked by the event-driven settle scheduler.
@@ -179,21 +192,27 @@ class FaultyLine(DelayLine):
         # counter is per-word, not per-cycle — and therefore invariant
         # under time-wheel fast-forward, which can only skip cycles on
         # which the latch state would not change.
-        self._stall_counted = False
+        self._stalled = self.reg("stalled", 1, 0)
 
-        @self.seq
+        @self.seq(pure=True)
         def _count_stalled() -> None:
-            if self._dead.value and self.inp.valid.value:
-                if not self._stall_counted:
-                    self._stall_counted = True
+            # both reads are unconditional, so the event kernel discovers
+            # the same wake set the compiled slot is given
+            presented = self._dead.value & self.inp.valid.value
+            if presented != self._stalled.value:
+                self._stalled.nxt = presented
+                if presented:
                     self.fault_stats.stalled_after_death += 1
-            else:
-                self._stall_counted = False
+
+        self.lint_suppress(
+            "contract.impure-pure-seq",
+            "stalled_after_death moves only when the stall latch flips, "
+            "which always stages it; quiet edges are mutation-free",
+        )
 
         @self.on_reset
         def _clear() -> None:
             self.fault_stats = FaultStats()
-            self._stall_counted = False
 
     # -- DelayLine injection hooks -------------------------------------------------
 
@@ -207,7 +226,10 @@ class FaultyLine(DelayLine):
         stats = self.fault_stats
         index = stats.words_offered
         stats.words_offered = index + 1
-        fate, xor = self.faults.fate(index)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(0)
+        fate, xor = self.faults.fate(index, rng)
         if fate == "dead":
             # the word that crossed the death threshold is lost with the line
             self._dead.nxt = 1

@@ -41,6 +41,8 @@ The receiver runs in one of two orderings:
 
 from __future__ import annotations
 
+import struct
+from binascii import crc_hqx
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -70,15 +72,13 @@ SEQ_MASK = 0xFF
 
 
 def crc16(words: Iterable[int]) -> int:
-    """CRC-16/CCITT-FALSE over the 32-bit words, least-significant byte first."""
-    crc = 0xFFFF
-    for word in words:
-        w = int(word) & WORD_MASK
-        for shift in (0, 8, 16, 24):
-            crc ^= ((w >> shift) & 0xFF) << 8
-            for _ in range(8):
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/CCITT-FALSE over the 32-bit words, least-significant byte first.
+
+    ``binascii.crc_hqx`` started from 0xFFFF is exactly that CRC (poly
+    0x1021, no reflection, no final xor).
+    """
+    data = [w & WORD_MASK for w in map(int, words)]
+    return crc_hqx(struct.pack(f"<{len(data)}I", *data), 0xFFFF)
 
 
 def trailer_crc(seq: int, frame_words: Iterable[int]) -> int:
@@ -91,8 +91,9 @@ def trailer_crc(seq: int, frame_words: Iterable[int]) -> int:
     a duplicate (a silently lost write, found by the faulty-link property
     suite).
     """
-    head = (TRAILER_MAGIC << 24) | ((seq & SEQ_MASK) << 16)
-    return crc16(list(frame_words) + [head])
+    # the trailer's magic/seq half-word, LSByte first, continues the frame's CRC
+    head = bytes((0, 0, seq & SEQ_MASK, TRAILER_MAGIC))
+    return crc_hqx(head, crc16(frame_words))
 
 
 def make_trailer(seq: int, frame_words: Iterable[int]) -> int:

@@ -131,3 +131,23 @@ def test_compiled_build_lints_like_the_event_build(build):
         reports.append(json.dumps(Linter().lint(top, sim=sim).as_dict(),
                                   indent=1))
     assert reports[0] == reports[1]
+
+
+def test_unseen_calls_are_named():
+    # the FP units' finding names every call its resolution could not see
+    # through, after the reason's fixed prefix, in sorted order
+    built = build_system(ooo=True, fp_units=True, lint="off")
+    report = Linter(["compile.fallback"]).lint(built.soc, sim=built.sim)
+    reasons = {d.component: d.message.split(" has no static wake slot (")[1]
+               for d in report.diagnostics if ":_tick " in d.message}
+    prefix = "calls the front end cannot see through: "
+    fu_add = reasons["soc.rtm.fu_16"]
+    assert fu_add.startswith(prefix)
+    calls = fu_add[len(prefix):].rsplit(")", 1)[0].split(", ")
+    assert calls == sorted(calls)
+    assert {"fmt.inf() in softfloat.fp_add", "fmt.zero() in softfloat.pack",
+            "sig.bit_length() in softfloat.pack",
+            "_round_to_nearest_even() in softfloat.pack "
+            "(inline depth 5 reached)"} <= set(calls)
+    assert reasons["soc.rtm.dispatcher"].startswith(
+        prefix + "obj.__class__() in dataclasses.replace")

@@ -45,3 +45,8 @@ def test_head_against_head_smoke():
     assert now_a == now_b == "104"
     assert "wrong answers 0" in lines[1] and "wrong answers 0" in lines[2]
     assert "B won" in lines[3]
+    # link and engine counters per side, equal on the same tree; no link
+    # section on the fault-free integrated link
+    assert lines[4] == "  A counters: retransmits 0, nacks 0"
+    assert lines[5] == "  B counters: retransmits 0, nacks 0"
+    assert len(lines) == 6  # no "differ" line

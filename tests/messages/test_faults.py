@@ -1,9 +1,12 @@
 """Unit tests for deterministic link-fault injection (FaultSpec / FaultyLine)."""
 
+import random
+
 import pytest
 
 from repro.hdl import Component, Simulator
 from repro.messages import FAST_BUS, INTEGRATED, ChannelSpec, FaultSpec, FaultyLine
+from repro.messages.faults import _SEED_STRIDE
 
 
 class FaultyHarness(Component):
@@ -26,6 +29,28 @@ class FaultyHarness(Component):
                 self.to_send.pop(0)
             if self.line.out.fires():
                 self.received.append(self.line.out.payload.value)
+
+
+def _reference_fate(spec, index):
+    """A word's fate drawn from its own ``random.Random(seed * _SEED_STRIDE
+    + index)``: the definition ``FaultSpec.fate`` must keep."""
+    if spec.dead_after_words is not None and index >= spec.dead_after_words:
+        return "dead", 0
+    rng = random.Random(spec.seed * _SEED_STRIDE + index)
+    for entry in spec.schedule:
+        if entry[0] == index:
+            if entry[1] != "flip":
+                return entry[1], 0
+            xor = entry[2] if len(entry) == 3 else 1 << rng.randrange(32)
+            return "flip", xor & 0xFFFF_FFFF
+    u = rng.random()
+    if u < spec.drop_rate:
+        return "drop", 0
+    if u < spec.drop_rate + spec.flip_rate:
+        return "flip", 1 << rng.randrange(32)
+    if u < spec.drop_rate + spec.flip_rate + spec.dup_rate:
+        return "dup", 0
+    return "ok", 0
 
 
 def _run(spec, words, max_cycles=10_000, **fault_kwargs):
@@ -61,6 +86,28 @@ class TestFaultSpec:
         spec.fate(4)
         spec.fate(99)
         assert spec.fate(123) == baseline
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 12, 99])
+    def test_fate_matches_a_fresh_generator_per_word(self, seed):
+        spec = FaultSpec(seed=seed, drop_rate=0.1, flip_rate=0.2, dup_rate=0.05,
+                         dead_after_words=590, schedule=(
+                             (3, "flip"), (5, "flip", 0x1_0000_0040), (8, "drop"),
+                             (13, "dup"), (21, "ok"), (34, "flip", 0x8000_0000),
+                             (55, "flip")))
+        rng = random.Random(123)  # a reused generator: its state never leaks in
+        for i in range(600):
+            expected = _reference_fate(spec, i)
+            assert spec.fate(i) == expected
+            assert spec.fate(i, rng) == expected
+
+    def test_faulty_line_fates_match_the_spec(self):
+        h, _ = _run(INTEGRATED, list(range(200)), seed=11, drop_rate=0.1,
+                    flip_rate=0.1, dup_rate=0.1, schedule=((4, "flip"),))
+        expected = []
+        for i in range(200):
+            fate, xor = _reference_fate(h.line.faults, i)
+            expected += {"ok": [i], "drop": [], "flip": [i ^ xor], "dup": [i, i]}[fate]
+        assert h.received == expected
 
     def test_rates_approximated(self):
         spec = FaultSpec(seed=1, drop_rate=0.25)
@@ -165,6 +212,30 @@ class TestFaultyLine:
         # per-cycle — the count must not inflate
         sim.step(20)
         assert h.line.fault_stats.stalled_after_death == stalled
+
+    @pytest.mark.parametrize("backend", ["event", "compiled"])
+    def test_stall_counter_counts_each_presentation_once(self, backend):
+        # the counter re-arms when the sender drops valid, and sleeps in a
+        # static slot on compiled, woken by the dead latch, valid and itself
+        h = FaultyHarness(INTEGRATED, FaultSpec(dead_after_words=2))
+        sim = Simulator(h, backend=backend)
+        sim.reset()
+        h.to_send = [1, 2, 3, 4]
+        sim.run_until(lambda: h.line.dead, max_cycles=300)
+        sim.step(20)
+        assert h.line.fault_stats.stalled_after_death == 1
+        for presentations in (2, 3):
+            held, h.to_send = h.to_send, []  # the sender drops valid ...
+            sim.step(3)
+            h.to_send = held                 # ... and presents again
+            sim.step(10)
+            assert h.line.fault_stats.stalled_after_death == presentations
+        if backend == "compiled":
+            (count,) = h.line.pure_seq_procs
+            (plan,) = [pl for pl in sim._plans if pl.fn is count]
+            assert plan.kind == "slot"
+            assert sorted(s.name for s in plan.wake) == [
+                "fh.line.dead", "fh.line.in_valid", "fh.line.stalled"]
 
     def test_reset_clears_stats(self):
         h, sim = _run(INTEGRATED, [1, 2], drop_rate=1.0)

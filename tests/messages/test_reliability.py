@@ -1,5 +1,7 @@
 """Unit tests for the sequence-numbered, checksummed frame trailer layer."""
 
+import random
+
 import pytest
 
 from repro.messages import (
@@ -27,6 +29,56 @@ MESSAGES = [Exec(0x0102_0304_0506_0708), WriteReg(3, 0xABCD), Reset(), Halted()]
 
 def _deliveries(events):
     return [e[1] for e in events if e[0] == "deliver"]
+
+
+def _crc16_bytes(data):
+    """Bit-serial CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection,
+    no final xor -- the definition ``crc16`` must reproduce."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
+    return crc
+
+
+def _crc16_words(words):
+    """The oracle over 32-bit words, masked and least-significant byte first."""
+    return _crc16_bytes(
+        b for w in words for b in (int(w) & 0xFFFF_FFFF).to_bytes(4, "little"))
+
+
+def _trailer_crc(seq, words):
+    return _crc16_words(list(words) + [(TRAILER_MAGIC << 24) | ((seq & 0xFF) << 16)])
+
+
+class TestCrcDefinition:
+    def test_oracle_check_value(self):
+        # the catalogued check value of CRC-16/CCITT-FALSE
+        assert _crc16_bytes(b"123456789") == 0x29B1
+
+    def test_empty(self):
+        assert crc16([]) == _crc16_words([]) == 0xFFFF
+        assert trailer_crc(9, []) == _trailer_crc(9, [])
+
+    def test_seeded_word_lists(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            words = [rng.getrandbits(32) for _ in range(rng.randrange(12))]
+            seq = rng.randrange(256)
+            assert crc16(words) == _crc16_words(words)
+            assert trailer_crc(seq, words) == _trailer_crc(seq, words)
+
+    def test_out_of_range_words_are_masked(self):
+        words = [1 << 32, (1 << 40) | 0xBEEF, -1, -0x1234, 0x1_0000_0001]
+        assert crc16(words) == _crc16_words(words)
+        assert crc16(words) == crc16([w & 0xFFFF_FFFF for w in words])
+        assert trailer_crc(300, words) == _trailer_crc(300, words)
+
+    def test_generator_argument(self):
+        words = [0x01020003, 0xDEAD, 0xBEEF]
+        assert crc16(w for w in words) == _crc16_words(words)
+        assert trailer_crc(7, (w for w in words)) == _trailer_crc(7, words)
 
 
 class TestCrcAndTrailer:
