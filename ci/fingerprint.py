@@ -9,6 +9,9 @@ design on ``backend="compiled"`` and prints, as one JSON object:
   number of each template's provenance comment (``# template k: ...
   (module:line)``) left out, so a change that only shifts a model file's
   lines keeps every hash (:func:`source_hash`);
+* ``signals``: the sha256 of the ordered ``(name, width)`` pairs of
+  ``top.all_signals()`` (:func:`signals_hash`): a reordered declaration
+  changes the VCD header and the compiled signal indices;
 * ``placements``: each process's ``[label, kind, reason]`` from
   :func:`repro.hdl.compile.frontend.place`, in declaration order (the
   same call the ``compile.fallback`` lint rule makes);
@@ -142,8 +145,16 @@ def source_hash(source: str) -> str:
     return hashlib.sha256(normalized.encode()).hexdigest()
 
 
+def signals_hash(top: Any) -> str:
+    """The sha256 of the ordered ``(name, width)`` pairs of every signal
+    under ``top``, in declaration order."""
+    pairs = [(sig.name, sig.width) for sig in top.all_signals()]
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
 def fingerprint(build: Callable[[], tuple]) -> dict:
-    """The source hash, placements and placement counters of one build."""
+    """The source and signal hashes, placements and placement counters of
+    one build."""
     top, sim = build()
     design = build_design(top, sim=sim, probe=False)
     managed = set(design.signals)
@@ -156,7 +167,8 @@ def fingerprint(build: Callable[[], tuple]) -> dict:
         placements.append([rec.label, where.kind, where.reason])
     source = source_hash(sim.generated_source)
     stats = sim.kernel_stats
-    return {"source": source, "placements": placements,
+    return {"source": source, "signals": signals_hash(top),
+            "placements": placements,
             "counters": {name: getattr(stats, name) for name in COUNTERS}}
 
 

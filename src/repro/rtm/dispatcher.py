@@ -4,22 +4,16 @@
 instructions that initiate a functional unit operation transmit data to the
 functional unit through a register in this stage."
 
-Responsibilities implemented here:
+:class:`IssueStage` is that stage: operand fetch into a unit's dispatch
+port, primitive resolution (framework primitives read their registers here
+and travel on as a fully resolved :class:`ExecOp`), issue accounting and the
+machine-check freeze.  Two hazard policies extend it: the in-order
+:class:`Dispatcher` here and :class:`~repro.rtm.ooo.OoODispatcher`.
 
-* **Hazard checking** against the lock manager: an instruction may not
-  proceed while any of its source or destination registers is locked by an
-  older in-flight instruction (RAW and WAW; in-order GETs then give the
-  host a result stream "consistent with the stream of instructions that
-  were issued" despite out-of-order unit completion).
-* **Operand fetch**: up to two data operands plus one flag vector read
-  combinationally from the register files.
-* **Unit dispatch**: when the target unit's ``idle`` is high, drive its
-  dispatch port (operands, variety, destination side-band) and strobe
-  ``dispatch``; the instruction's write set is locked at the same edge.
-* **Primitive resolution**: framework primitives have their register reads
-  performed here and travel on to the execution stage as a fully resolved
-  :class:`ExecOp`.
-* **FENCE**: stalls until the lock manager reports every register free.
+In order, an op waits while any of its source or destination registers is
+locked by an older in-flight op (RAW and WAW, so GETs return a result stream
+"consistent with the stream of instructions that were issued"), locks its
+write set at the dispatch edge, and a FENCE waits until every register is free.
 """
 
 from __future__ import annotations
@@ -62,8 +56,143 @@ class IssueStats:
     stall_rename: int = 0
 
 
-class Dispatcher(Component):
-    """Registered dispatch stage with local (handshake) stall control."""
+class IssueStage(Component):
+    """What both dispatch engines do the same way: operand fetch into a
+    unit's dispatch port, primitive resolution, issue accounting, the
+    machine-check freeze and the wheel veto.  An engine adds its hazard
+    policy: its registers (:meth:`_declare`), its ``_drive``/``_tick``
+    processes and :meth:`_has_work`."""
+
+    def __init__(
+        self,
+        name: str,
+        config: FrameworkConfig,
+        regfile: RegisterFile,
+        flagfile: FlagRegisterFile,
+        lockmgr: LockManager,
+        futable: FunctionalUnitTable,
+        stats: IssueStats,
+        parent: Optional[Component] = None,
+    ):
+        super().__init__(name, parent)
+        self.config = config
+        self.regfile = regfile
+        self.flagfile = flagfile
+        self.lockmgr = lockmgr
+        self.futable = futable
+        #: machine-check unit (set by the RTM when state protection is on);
+        #: see :meth:`_frozen`
+        self.mcu = None
+        #: from the decoder (DecodedOp payloads)
+        self.inp = Stream(self, "in", None)
+        #: to the execution stage (ExecOp payloads)
+        self.out = Stream(self, "out", None)
+        self._declare()
+        #: high while work is held but nothing issues (observability/benches)
+        self.stalled = self.signal("stalled", 1, 0)
+        self.stats = stats
+
+        # The tick is impure (stall tallies count real cycles): veto skipping
+        # while the engine has work; skipping an idle engine ages nothing.
+        self.wheel(self._wheel_horizon, lambda n: None)
+
+        # State-guard checks run inside the hazard reads: the scoreboard /
+        # ECC shadows repair single-bit upsets with force() (inline ECC is a
+        # settle-time correction, not a scheduled write) and their hidden
+        # shadow state moves only alongside tracked lock-mask, rename-map or
+        # machine-check register edges, which re-run the engine's processes.
+        self.lint_suppress(
+            "contract.force-in-proc",
+            "inline ECC repair in the guards: guard-coupled to tracked "
+            "lock-mask/rename-map/machine-check reads; a force here restores "
+            "the value a tracked register already notified readers about",
+        )
+        self.lint_suppress(
+            "contract.hidden-comb-read",
+            "guard shadows and fault counters change only alongside tracked "
+            "lock-mask / rename-map / machine-check register edges",
+        )
+
+    def _declare(self) -> None:
+        """Declare the engine's own registers and nets (before ``stalled``)."""
+        raise NotImplementedError
+
+    def _has_work(self) -> bool:
+        """Work held, arriving or pending: the next edge is not pure aging."""
+        raise NotImplementedError
+
+    def _wheel_horizon(self) -> Optional[int]:
+        return 0 if self._has_work() else None
+
+    def _frozen(self, op: DecodedOp) -> bool:
+        """A pending machine check holds every op except a host Reset: no op
+        may read or commit state an uncorrectable upset may have touched,
+        but the Reset's soft-clear is what resolves the check."""
+        mcu, exec_op = self.mcu, op.exec_op
+        return (mcu is not None and mcu.pending
+                and not (exec_op is not None and exec_op.clear_halt))
+
+    def _count_issue(self, op: DecodedOp) -> None:
+        """Issue accounting at the edge ``op`` leaves the stage."""
+        stats = self.stats
+        stats.issued_total += 1
+        if op.kind == "unit":
+            stats.unit_dispatches += 1
+            guard = self.futable._guard
+            if guard is not None:
+                guard.on_dispatch()
+        else:
+            stats.exec_ops += 1
+
+    # -- unit dispatch ------------------------------------------------------------
+
+    def _drive_units(self, target, instr, regs: tuple) -> None:
+        """Drive ``target``'s dispatch port with ``instr``'s variety, the operands
+        read from ``regs = (src1, src2, src_flag, src_c, dst1, dst2, dst_flag)``
+        and its destinations; every other unit's ``dispatch`` is held low."""
+        for unit in self.futable.units:
+            if unit is not target:
+                unit.dp.dispatch.set(0)
+                continue
+            src1, src2, src_flag, src_c, dst1, dst2, dst_flag = regs
+            dp = unit.dp
+            dp.variety.set(instr.variety)
+            dp.op_a.set(self.regfile.read(src1))
+            dp.op_b.set(self.regfile.read(src2))
+            dp.flag_in.set(self.flagfile.read(src_flag))
+            dp.dst1.set(dst1)
+            dp.dst2.set(dst2)
+            dp.dst_flag.set(dst_flag)
+            # Ternary units (FMA) read their accumulator from ``src_c``;
+            # ports without the third bus make this a no-op (and read nothing).
+            dp.drive_op_c(self.regfile, src_c)
+            dp.dispatch.set(1)
+
+    # -- primitive resolution (register reads happen here, per §III) ---------------
+
+    def _resolve(self, instr, src: int, dst1: int, dst_flag: int) -> ExecOp:
+        """The execution-stage work of a primitive that reads register
+        ``src`` (the one register its decoder hazard set names) and writes
+        ``dst1`` or ``dst_flag``."""
+        opcode = instr.opcode
+        if opcode == Opcode.COPY:
+            return ExecOp(transfer=Transfer(data_reg=dst1, data_value=self.regfile.read(src)))
+        if opcode == Opcode.CPFLAG:
+            value = self.flagfile.read(src)
+            return ExecOp(transfer=Transfer(flag_reg=dst_flag, flag_value=value))
+        if opcode == Opcode.GET:
+            return ExecOp(message=DataRecord(instr.variety, self.regfile.read(src)))
+        if opcode == Opcode.GETF:
+            return ExecOp(message=FlagVector(instr.variety, self.flagfile.read(src)))
+        if opcode == Opcode.LOADIS:
+            merged = ((self.regfile.read(src) << 32) | instr.imm) & self.config.word_mask
+            return ExecOp(transfer=Transfer(data_reg=dst1, data_value=merged))
+        raise AssertionError(f"unresolvable primitive opcode {opcode:#x}")
+
+
+class Dispatcher(IssueStage):
+    """In-order policy: hold one op, issue it once none of its registers is
+    locked, and lock its write set at the issue edge."""
 
     def __init__(
         self,
@@ -75,29 +204,8 @@ class Dispatcher(Component):
         futable: FunctionalUnitTable,
         parent: Optional[Component] = None,
     ):
-        super().__init__(name, parent)
-        self.config = config
-        self.regfile = regfile
-        self.flagfile = flagfile
-        self.lockmgr = lockmgr
-        self.futable = futable
-        #: machine-check unit (set by the RTM when state protection is on).
-        #: While a check is pending, dispatch freezes — no op may read or
-        #: commit architectural state that an uncorrectable upset may have
-        #: touched — except a host Reset, which must stay dispatchable so
-        #: its soft-clear can resolve the check.
-        self.mcu = None
-        #: from the decoder (DecodedOp payloads)
-        self.inp = Stream(self, "in", None)
-        #: to the execution stage (ExecOp payloads)
-        self.out = Stream(self, "out", None)
-        self._full = self.reg("full", 1, 0)
-        self._op = self.reg("op", None, reset=None)
-        #: settles high when the held op completes this cycle (consumed by seq)
-        self._advancing = self.signal("advancing", 1, 0)
-        #: high while the held op is stalled on a lock (observability/benches)
-        self.stalled = self.signal("stalled", 1, 0)
-        self.stats = IssueStats()
+        super().__init__(name, config, regfile, flagfile, lockmgr, futable,
+                         IssueStats(), parent)
 
         @self.comb
         def _drive() -> None:
@@ -116,11 +224,7 @@ class Dispatcher(Component):
                 )
                 if op.require_all_free and not self.lockmgr.all_free:
                     blocked = True
-                if (
-                    self.mcu is not None
-                    and self.mcu.pending
-                    and not (op.exec_op is not None and op.exec_op.clear_halt)
-                ):
+                if self._frozen(op):
                     blocked = True
                 if blocked:
                     stalled = 1
@@ -137,13 +241,21 @@ class Dispatcher(Component):
                         stalled = 1
                 else:  # execution-stage op
                     out_valid = 1
-                    out_payload = self._resolve(op)
+                    out_payload = op.exec_op
+                    if out_payload is None:
+                        instr = op.instr
+                        out_payload = self._resolve(
+                            instr, op.sources[0][1], instr.dst1, instr.dst_flag
+                        )
                     advancing = 1 if self.out.ready.value else 0
-            for unit in self.futable.units:
-                if unit is dispatch_target:
-                    self._drive_unit_port(unit, op)
-                else:
-                    unit.dp.dispatch.set(0)
+            if dispatch_target is None:
+                self._drive_units(None, None, ())
+            else:
+                # Ternary units read their accumulator from dst1.
+                instr = op.instr
+                self._drive_units(dispatch_target, instr, (
+                    instr.src1, instr.src2, instr.src_flag, instr.dst1,
+                    instr.dst1, instr.dst2, instr.dst_flag))
             self.out.valid.set(out_valid)
             if out_payload is not None:
                 self.out.payload.set(out_payload)
@@ -153,20 +265,12 @@ class Dispatcher(Component):
 
         @self.seq
         def _tick() -> None:
-            stats = self.stats
             if self._advancing.value:
                 op: DecodedOp = self._op.value
-                stats.issued_total += 1
-                if op.kind == "unit":
-                    stats.unit_dispatches += 1
-                    guard = self.futable._guard
-                    if guard is not None:
-                        guard.on_dispatch()
-                else:
-                    stats.exec_ops += 1
+                self._count_issue(op)
                 self.lockmgr.lock_set(op.write_set)
             elif self.stalled.value:
-                stats.stall_cycles += 1
+                self.stats.stall_cycles += 1
                 self._classify_stall(self._op.value)
             if self.inp.fires():
                 self._op.nxt = self.inp.payload.value
@@ -174,35 +278,14 @@ class Dispatcher(Component):
             elif self._advancing.value:
                 self._full.nxt = 0
 
-        # The tick is impure (stall tallies must count real cycles), so the
-        # hook simply vetoes skipping whenever the stage holds or receives an
-        # op — an empty, starved dispatcher is the only skippable state, and
-        # skipping it ages nothing.
-        self.wheel(self._wheel_horizon, lambda n: None)
+    def _declare(self) -> None:
+        self._full = self.reg("full", 1, 0)
+        self._op = self.reg("op", None, reset=None)
+        #: settles high when the held op completes this cycle (consumed by seq)
+        self._advancing = self.signal("advancing", 1, 0)
 
-        # State-guard checks run inside the hazard reads: the scoreboard /
-        # ECC shadows repair single-bit upsets with force() (inline ECC is a
-        # settle-time correction, not a scheduled write) and their hidden
-        # shadow state moves only alongside tracked lock-mask or machine-
-        # check register edges, which re-run this process.
-        self.lint_suppress(
-            "contract.force-in-proc",
-            "inline ECC repair in the guards: guard-coupled to tracked "
-            "lock-mask/machine-check reads; a force here restores the "
-            "value a tracked register already notified readers about",
-        )
-        self.lint_suppress(
-            "contract.hidden-comb-read",
-            "guard shadows and fault counters change only alongside "
-            "tracked lock-mask / machine-check register edges",
-        )
-
-    def _wheel_horizon(self) -> Optional[int]:
-        if self._full.value:
-            return 0
-        if self.inp.valid.value and self.inp.ready.value:
-            return 0
-        return None
+    def _has_work(self) -> bool:
+        return bool(self._full.value or (self.inp.valid.value and self.inp.ready.value))
 
     # -- observability -------------------------------------------------------------
 
@@ -225,50 +308,3 @@ class Dispatcher(Component):
             stats.stall_machine_check += 1
         else:
             stats.stall_structural += 1
-
-    # -- unit dispatch ------------------------------------------------------------
-
-    def _drive_unit_port(self, unit: "FunctionalUnit", op: DecodedOp) -> None:
-        # `unit` is always `op.entry.unit`; it is passed explicitly so the
-        # port being driven is named at the call site, not re-derived from
-        # the op's payload.
-        instr = op.instr
-        dp = unit.dp
-        dp.variety.set(instr.variety)
-        dp.op_a.set(self.regfile.read(instr.src1))
-        dp.op_b.set(self.regfile.read(instr.src2))
-        dp.flag_in.set(self.flagfile.read(instr.src_flag))
-        dp.dst1.set(instr.dst1)
-        dp.dst2.set(instr.dst2)
-        dp.dst_flag.set(instr.dst_flag)
-        # Ternary units (FMA) read their accumulator from dst1; ports
-        # without the third bus make this a no-op (and read nothing).
-        dp.drive_op_c(self.regfile, instr.dst1)
-        dp.dispatch.set(1)
-
-    # -- primitive resolution (register reads happen here, per §III) ---------------
-
-    def _resolve(self, op: DecodedOp) -> ExecOp:
-        if op.exec_op is not None:
-            return op.exec_op
-        instr = op.instr
-        cfg = self.config
-        opcode = instr.opcode
-        if opcode == Opcode.COPY:
-            return ExecOp(
-                transfer=Transfer(data_reg=instr.dst1, data_value=self.regfile.read(instr.src1))
-            )
-        if opcode == Opcode.CPFLAG:
-            return ExecOp(
-                transfer=Transfer(
-                    flag_reg=instr.dst_flag, flag_value=self.flagfile.read(instr.src_flag)
-                )
-            )
-        if opcode == Opcode.GET:
-            return ExecOp(message=DataRecord(instr.variety, self.regfile.read(instr.src1)))
-        if opcode == Opcode.GETF:
-            return ExecOp(message=FlagVector(instr.variety, self.flagfile.read(instr.src_flag)))
-        if opcode == Opcode.LOADIS:
-            merged = ((self.regfile.read(instr.dst1) << 32) | instr.imm) & cfg.word_mask
-            return ExecOp(transfer=Transfer(data_reg=instr.dst1, data_value=merged))
-        raise AssertionError(f"unresolvable primitive opcode {opcode:#x}")

@@ -1,8 +1,9 @@
 """Out-of-order issue engine — rename + issue-queue dispatcher stage.
 
-Drop-in replacement for the in-order :class:`~repro.rtm.dispatcher.Dispatcher`
-(same decoder/execution stream interface, same futable dispatch ports) that
-lets independent younger instructions bypass a stalled older one:
+The second hazard policy of :class:`~repro.rtm.dispatcher.IssueStage`, a
+drop-in replacement for the in-order ``Dispatcher`` (same streams, dispatch
+ports, operand fetch, primitive resolution and accounting) that lets
+independent younger instructions bypass a stalled older one:
 
 * **Rename at accept.** When an op enters the issue queue its source
   operands are mapped through the :class:`~repro.rtm.rename.RenameTable`
@@ -34,17 +35,14 @@ in-order machine's byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import Optional
 
 from ..config import FrameworkConfig
 from ..fu.protocol import Transfer, WriteSpace
-from ..hdl import Component, Stream
-from ..isa.opcodes import Opcode
-from ..messages.types import DataRecord, FlagVector
+from ..hdl import Component
 from ..record import record
 from .decoder import DecodedOp, ExecOp, RegSet
-from .dispatcher import IssueStats
+from .dispatcher import IssueStage, IssueStats
 from .futable import FunctionalUnitTable
 from .lockmgr import LockManager
 from .regfile import FlagRegisterFile, RegisterFile
@@ -84,8 +82,8 @@ class RenamedOp:
         )
 
 
-class OoODispatcher(Component):
-    """Issue-queue dispatch stage with register renaming."""
+class OoODispatcher(IssueStage):
+    """Issue-queue policy: rename at accept, issue oldest-ready first."""
 
     def __init__(
         self,
@@ -98,30 +96,12 @@ class OoODispatcher(Component):
         rename: RenameTable,
         parent: Optional[Component] = None,
     ):
-        super().__init__(name, parent)
-        self.config = config
-        self.regfile = regfile
-        self.flagfile = flagfile
-        self.lockmgr = lockmgr
-        self.futable = futable
+        stats = IssueStats(mode="ooo", window_depth=config.ooo_window,
+                           window_occupancy_max=0)
+        super().__init__(name, config, regfile, flagfile, lockmgr, futable,
+                         stats, parent)
         self.rename = rename
         self.window = config.ooo_window
-        #: machine-check unit (set by the RTM when state protection is on);
-        #: a pending check freezes issue except for a host Reset at the head
-        self.mcu = None
-        #: from the decoder (DecodedOp payloads)
-        self.inp = Stream(self, "in", None)
-        #: to the execution stage (ExecOp payloads)
-        self.out = Stream(self, "out", None)
-        #: the issue queue, oldest first (tuple of RenamedOp)
-        self._queue = self.reg("queue", None, ())
-        #: queue index selected for issue this cycle (-1: none)
-        self._issue_sel = self.signal("issue_sel", None, -1)
-        #: high while the queue holds work but nothing can issue
-        self.stalled = self.signal("stalled", 1, 0)
-        self.stats = IssueStats(
-            mode="ooo", window_depth=self.window, window_occupancy_max=0
-        )
 
         @self.comb
         def _drive() -> None:
@@ -130,18 +110,18 @@ class OoODispatcher(Component):
             rop = queue[sel] if sel >= 0 else None
             out_valid = 0
             out_payload: Optional[ExecOp] = None
-            dispatch_target = None
-            if rop is not None:
-                if rop.op.kind == "unit":
-                    dispatch_target = rop.op.entry.unit
-                else:
+            if rop is not None and rop.op.kind == "unit":
+                self._drive_units(rop.op.entry.unit, rop.op.instr, (
+                    rop.psrc1, rop.psrc2, rop.psrc_flag, rop.psrc_c, rop.pdst1,
+                    rop.pdst2, rop.pdst_flag))
+            else:
+                self._drive_units(None, None, ())
+                if rop is not None:
                     out_valid = 1
-                    out_payload = self._resolve(rop)
-            for unit in self.futable.units:
-                if unit is dispatch_target:
-                    self._drive_unit_port(unit, rop)
-                else:
-                    unit.dp.dispatch.set(0)
+                    out_payload = rop.exec_op
+                    if out_payload is None:
+                        out_payload = self._resolve(rop.op.instr, rop.psrc,
+                                                    rop.pdst1, rop.pdst_flag)
             self.out.valid.set(out_valid)
             if out_payload is not None:
                 self.out.payload.set(out_payload)
@@ -161,14 +141,7 @@ class OoODispatcher(Component):
             new_queue = queue
             if sel >= 0:
                 rop = queue[sel]
-                stats.issued_total += 1
-                if rop.op.kind == "unit":
-                    stats.unit_dispatches += 1
-                    guard = self.futable._guard
-                    if guard is not None:
-                        guard.on_dispatch()
-                else:
-                    stats.exec_ops += 1
+                self._count_issue(rop.op)
                 self.rename.drop_readers(rop.sources)
                 new_queue = queue[:sel] + queue[sel + 1 :]
             elif queue:
@@ -188,57 +161,28 @@ class OoODispatcher(Component):
                     stats.window_occupancy_max = len(new_queue)
             self.rename.recycle(self.lockmgr)
 
-        # Veto wheel skips while any work is queued, arriving, or awaiting
-        # recycle; an empty engine with a drained rename table ages nothing.
-        self.wheel(self._wheel_horizon, lambda n: None)
-
-        # Same guard coupling as the in-order dispatcher: scoreboard/ECC
-        # shadows repair inline during hazard reads, and their hidden state
-        # moves only alongside tracked register edges.
-        self.lint_suppress(
-            "contract.force-in-proc",
-            "inline ECC repair in the guards: guard-coupled to tracked "
-            "lock-mask/rename-map/machine-check reads; a force here restores "
-            "the value a tracked register already notified readers about",
-        )
-        self.lint_suppress(
-            "contract.hidden-comb-read",
-            "guard shadows and fault counters change only alongside tracked "
-            "lock-mask / rename-map / machine-check register edges",
-        )
-
-    # -- properties ----------------------------------------------------------------
+    def _declare(self) -> None:
+        #: the issue queue, oldest first (tuple of RenamedOp)
+        self._queue = self.reg("queue", None, ())
+        #: queue index selected for issue this cycle (-1: none)
+        self._issue_sel = self.signal("issue_sel", None, -1)
 
     @property
     def busy(self) -> bool:
         """Work in flight in this stage (quiescence probe)."""
         return bool(self._queue.value)
 
-    def _wheel_horizon(self) -> Optional[int]:
-        if self._queue.value:
-            return 0
-        if self.inp.valid.value:
-            return 0
-        if self.rename.has_pending:
-            return 0
-        return None
+    def _has_work(self) -> bool:
+        # Work queued, arriving, or awaiting recycle; an empty engine with a
+        # drained rename table ages nothing.
+        return bool(self._queue.value or self.inp.valid.value or self.rename.has_pending)
 
     # -- issue selection -------------------------------------------------------------
 
     def _select(self, queue: tuple[RenamedOp, ...]) -> int:
         """Oldest-first scan for the single op issuing this cycle."""
-        if not queue:
-            return -1
-        if self.mcu is not None and self.mcu.pending:
-            # Freeze: only a host Reset at the head may issue, so its
-            # soft-clear can resolve the check.
-            head = queue[0].op
-            if (
-                head.exec_op is not None
-                and head.exec_op.clear_halt
-                and self.out.ready.value
-            ):
-                return 0
+        # Frozen by a machine check: only a Reset at the head (a barrier) issues.
+        if not queue or self._frozen(queue[0].op):
             return -1
         exec_blocked = False
         busy_units: set = set()
@@ -290,28 +234,29 @@ class OoODispatcher(Component):
 
     def _rename(self, op: DecodedOp) -> RenamedOp:
         rt = self.rename
-        sources: list[tuple[WriteSpace, int]] = []
-        fields = {}
-
-        def src(space: WriteSpace, arch: int) -> int:
-            phys = rt.read_source(space, arch)
-            sources.append((space, phys))
-            return phys
-
+        data, flag = WriteSpace.DATA, WriteSpace.FLAG
+        psrc1 = psrc2 = psrc_flag = psrc_c = psrc = 0
+        pdst1 = pdst2 = pdst_flag = 0
+        sources = []
         # Sources map through the *current* table, before this op's own
         # destinations shadow them (LOADIS and FMA read their old dst1).
         if op.kind == "unit":
             instr = op.instr
-            fields["psrc1"] = src(WriteSpace.DATA, instr.src1)
-            fields["psrc2"] = src(WriteSpace.DATA, instr.src2)
-            if getattr(op.entry.unit, "reads_flag", True):
-                fields["psrc_flag"] = src(WriteSpace.FLAG, instr.src_flag)
-            if getattr(op.entry.unit, "reads_dst1", False):
-                fields["psrc_c"] = src(WriteSpace.DATA, instr.dst1)
+            unit = op.entry.unit
+            psrc1 = rt.read_source(data, instr.src1)
+            psrc2 = rt.read_source(data, instr.src2)
+            sources += ((data, psrc1), (data, psrc2))
+            if getattr(unit, "reads_flag", True):
+                psrc_flag = rt.read_source(flag, instr.src_flag)
+                sources.append((flag, psrc_flag))
+            if getattr(unit, "reads_dst1", False):
+                psrc_c = rt.read_source(data, instr.dst1)
+                sources.append((data, psrc_c))
         elif op.sources:
             # Primitives read at most one register (see decoder hazard sets).
             space, arch = op.sources[0]
-            fields["psrc"] = src(space, arch)
+            psrc = rt.read_source(space, arch)
+            sources.append((space, psrc))
         write_set = []
         pdst = {}
         for space, arch in op.write_set:
@@ -320,83 +265,30 @@ class OoODispatcher(Component):
             write_set.append((space, phys))
             pdst[(space, arch)] = phys
         if op.kind == "unit":
-            instr = op.instr
-            fields["pdst1"] = pdst.get((WriteSpace.DATA, instr.dst1), 0)
-            fields["pdst2"] = pdst.get((WriteSpace.DATA, instr.dst2), 0)
-            fields["pdst_flag"] = pdst.get((WriteSpace.FLAG, instr.dst_flag), 0)
+            pdst1 = pdst.get((data, instr.dst1), 0)
+            pdst2 = pdst.get((data, instr.dst2), 0)
+            pdst_flag = pdst.get((flag, instr.dst_flag), 0)
         elif write_set:
             space, phys = write_set[0]
-            if space is WriteSpace.DATA:
-                fields["pdst1"] = phys
+            if space is data:
+                pdst1 = phys
             else:
-                fields["pdst_flag"] = phys
+                pdst_flag = phys
         exec_op = op.exec_op
         if exec_op is not None and exec_op.transfer is not None:
             # Pre-resolved transfer (host write, LOADI, SETF): retarget the
             # destination register to its fresh physical slot.
             t = exec_op.transfer
-            if t.data_reg is not None:
-                t = dc_replace(t, data_reg=pdst[(WriteSpace.DATA, t.data_reg)])
-            if t.flag_reg is not None:
-                t = dc_replace(t, flag_reg=pdst[(WriteSpace.FLAG, t.flag_reg)])
-            exec_op = dc_replace(exec_op, transfer=t)
+            data_reg = None if t.data_reg is None else pdst[(data, t.data_reg)]
+            flag_reg = None if t.flag_reg is None else pdst[(flag, t.flag_reg)]
+            exec_op = ExecOp(
+                Transfer(data_reg, t.data_value, flag_reg, t.flag_value, t.last),
+                exec_op.message, exec_op.set_halt, exec_op.clear_halt,
+            )
         return RenamedOp(
-            op=op,
-            sources=tuple(sources),
-            write_set=tuple(write_set),
-            exec_op=exec_op,
-            **fields,
+            op, tuple(sources), tuple(write_set), psrc1, psrc2, psrc_flag,
+            psrc_c, psrc, pdst1, pdst2, pdst_flag, exec_op,
         )
-
-    # -- unit dispatch ----------------------------------------------------------------
-
-    def _drive_unit_port(self, unit, rop: RenamedOp) -> None:
-        instr = rop.op.instr
-        dp = unit.dp
-        dp.variety.set(instr.variety)
-        dp.op_a.set(self.regfile.read(rop.psrc1))
-        dp.op_b.set(self.regfile.read(rop.psrc2))
-        dp.flag_in.set(self.flagfile.read(rop.psrc_flag))
-        dp.dst1.set(rop.pdst1)
-        dp.dst2.set(rop.pdst2)
-        dp.dst_flag.set(rop.pdst_flag)
-        dp.drive_op_c(self.regfile, rop.psrc_c)
-        dp.dispatch.set(1)
-
-    # -- primitive resolution (physical-register reads at issue) ------------------------
-
-    def _resolve(self, rop: RenamedOp) -> ExecOp:
-        if rop.exec_op is not None:
-            return rop.exec_op
-        op = rop.op
-        instr = op.instr
-        cfg = self.config
-        opcode = instr.opcode
-        if opcode == Opcode.COPY:
-            return ExecOp(
-                transfer=Transfer(
-                    data_reg=rop.pdst1, data_value=self.regfile.read(rop.psrc)
-                )
-            )
-        if opcode == Opcode.CPFLAG:
-            return ExecOp(
-                transfer=Transfer(
-                    flag_reg=rop.pdst_flag,
-                    flag_value=self.flagfile.read(rop.psrc),
-                )
-            )
-        if opcode == Opcode.GET:
-            return ExecOp(
-                message=DataRecord(instr.variety, self.regfile.read(rop.psrc))
-            )
-        if opcode == Opcode.GETF:
-            return ExecOp(
-                message=FlagVector(instr.variety, self.flagfile.read(rop.psrc))
-            )
-        if opcode == Opcode.LOADIS:
-            merged = ((self.regfile.read(rop.psrc) << 32) | instr.imm) & cfg.word_mask
-            return ExecOp(transfer=Transfer(data_reg=rop.pdst1, data_value=merged))
-        raise AssertionError(f"unresolvable primitive opcode {opcode:#x}")
 
     # -- stall-cause classification (observability only; guard-free peeks) ---------------
 

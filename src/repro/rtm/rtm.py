@@ -214,6 +214,23 @@ class RegisterTransferMachine(Component):
     def halted(self) -> bool:
         return bool(self.execution.halted.value)
 
+    @property
+    def busy(self) -> bool:
+        """True while any message, instruction or register lock is still in
+        flight inside the RTM (the systems' quiescence probe adds the link)."""
+        msgbuffer = self.msgbuffer
+        return bool(
+            msgbuffer.pending_message is not None
+            or msgbuffer.backlog
+            or msgbuffer._deframer.mid_frame
+            or self.decoder._full.value
+            or self.dispatcher.busy
+            or self.execution._full.value
+            or self.encoder.queued
+            or self.serializer.words_pending
+            or self.lockmgr.locked_count
+        )
+
     def register_value(self, reg: int) -> int:
         """Backdoor read of a main register (architectural view)."""
         if self.rename is not None:

@@ -89,20 +89,11 @@ class CoprocessorSystem(Component):
     @property
     def busy(self) -> bool:
         """True while any word, message or instruction is still in flight."""
-        rtm = self.rtm
         return bool(
             self.host.tx_pending
             or self.link.downstream.in_flight
             or self.link.upstream.in_flight
             or self.receiver.buffered
             or self.transmitter.buffered
-            or rtm.msgbuffer.pending_message is not None
-            or rtm.msgbuffer.backlog
-            or rtm.msgbuffer._deframer.mid_frame
-            or rtm.decoder._full.value
-            or rtm.dispatcher.busy
-            or rtm.execution._full.value
-            or rtm.encoder.queued
-            or rtm.serializer.words_pending
-            or rtm.lockmgr.locked_count
+            or self.rtm.busy
         )

@@ -1,7 +1,7 @@
 """``ci/fingerprint.py`` prints what the compiled backend decided per design.
 
 Smoke tests on one preset and one e2e system: the report names every
-target, and for the one it runs, its hash, placements and counters agree
+target, and for the one it runs, its hashes, placements and counters agree
 with a fresh build; an e2e system also reports its run counters.  The
 source hash leaves out the line numbers of template provenance comments.
 """
@@ -46,6 +46,7 @@ def test_fingerprint_of_one_preset():
                           lint="off")
     sim = system.sim
     assert entry["source"] == _script().source_hash(sim.generated_source)
+    assert entry["signals"] == _script().signals_hash(system.soc)
     stats = sim.kernel_stats
     assert entry["counters"]["fallback_procs"] == stats.fallback_procs
     assert entry["counters"]["translated_procs"] == stats.translated_procs

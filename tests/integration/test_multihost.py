@@ -91,6 +91,19 @@ class TestTwoCpus:
         assert any(getattr(m, "code", None) == msg0.code for m in cpu1.inbox)
 
 
+class TestOutOfOrder:
+    def test_run_until_quiet_on_ooo_system(self):
+        # the quiescence probe is the RTM's own, whichever issue engine it has
+        system = build_multihost_system(FrameworkConfig(ooo=True), n_hosts=2)
+        cpu0, cpu1 = drivers_for(system)
+        cpu0.write_reg(1, 111)
+        cpu1.write_reg(9, 999)
+        cpu0.run_until_quiet()
+        assert not system.soc.busy
+        assert cpu0.read_reg(1) == 111
+        assert cpu1.read_reg(9) == 999
+
+
 class TestScaling:
     def test_four_cpus(self):
         system = build_multihost_system(

@@ -4,7 +4,8 @@ The paper's §II contract — "the stream of results returned to the
 processor will be consistent with the stream of instructions that were
 issued" — sharpened into the OoO acceptance criterion: for any program,
 the GET/GETF result stream of the renaming machine is byte-identical to
-the in-order machine's, on every simulation backend.
+the in-order machine's, on every simulation backend.  Both engines also
+issue every decoded op exactly once, so their issue counts agree.
 """
 
 from hypothesis import given, settings
@@ -22,10 +23,14 @@ FLAG = st.integers(0, N_FLAGS - 1)
 VAL = st.integers(0, 0xFFFF_FFFF)
 
 # A mix that exercises every hazard the engine reorders around: long-latency
-# FP ops sharing the default dst_flag, integer ops, explicit fences, and
-# mid-program GET/GETF probes whose stream position is the contract.
+# FP ops sharing the default dst_flag, integer ops, explicit fences, the
+# register-reading primitives (COPY, CPFLAG, LOADIS) and mid-program GET/GETF
+# probes whose stream position is the contract.
 OPS = st.one_of(
     st.tuples(st.just("loadi"), REG, VAL),
+    st.tuples(st.just("loadis"), REG, VAL),
+    st.tuples(st.just("copy"), REG, REG),
+    st.tuples(st.just("cpflag"), FLAG, FLAG),
     st.tuples(st.just("fadd"), REG, REG, REG),
     st.tuples(st.just("fmul"), REG, REG, REG),
     st.tuples(st.just("fmadd"), REG, REG, REG),
@@ -41,6 +46,12 @@ def _instruction(op):
     kind = op[0]
     if kind == "loadi":
         return ins.loadi(op[1], op[2]), 0
+    if kind == "loadis":
+        return ins.loadis(op[1], op[2]), 0
+    if kind == "copy":
+        return ins.copy(op[1], op[2]), 0
+    if kind == "cpflag":
+        return ins.cpflag(op[1], op[2]), 0
     if kind == "fadd":
         return ins.fadd(op[1], op[2], op[3]), 0
     if kind == "fmul":
@@ -59,9 +70,10 @@ def _instruction(op):
 
 
 def _result_stream(program, **build_kwargs):
-    drv = CoprocessorDriver(
-        build_system(lint="off", fp_units=True, **build_kwargs)
-    )
+    """The tagged result stream and the issue counts ``(issued_total,
+    unit_dispatches, exec_ops)`` of one run."""
+    system = build_system(lint="off", fp_units=True, **build_kwargs)
+    drv = CoprocessorDriver(system)
     expected = 0
     for op in program:
         instr, yields = _instruction(op)
@@ -74,7 +86,9 @@ def _result_stream(program, **build_kwargs):
         drv.execute(ins.getf(flag, tag=flag))
     expected += N_REGS + N_FLAGS
     msgs = drv.wait_for(expected)
-    return [(type(m).__name__, m.tag, m.value) for m in msgs]
+    stats = system.soc.rtm.dispatcher.stats
+    issued = (stats.issued_total, stats.unit_dispatches, stats.exec_ops)
+    return [(type(m).__name__, m.tag, m.value) for m in msgs], issued
 
 
 class TestRenamingInvisible:
@@ -89,6 +103,8 @@ class TestRenamingInvisible:
             kwargs["wheel"] = False
         elif backend == "compiled":
             kwargs["backend"] = "compiled"
-        baseline = _result_stream(program, **kwargs)
-        renamed = _result_stream(program, ooo=True, **kwargs)
+        baseline, in_order_issued = _result_stream(program, **kwargs)
+        renamed, ooo_issued = _result_stream(program, ooo=True, **kwargs)
         assert renamed == baseline
+        # each decoded op issues exactly once on either engine
+        assert ooo_issued == in_order_issued
