@@ -59,7 +59,7 @@ COUNTERS = ("compiled_procs", "fallback_procs", "translated_procs",
 
 #: the ``KernelStats`` fields a run moves, printed per e2e system
 RUN_COUNTERS = ("edge_calls", "skipped_cycles", "wheel_jumps", "seq_runs",
-                "settle_calls")
+                "settle_calls", "activations")
 #: requests, and the seed of their stream, each e2e system runs
 RUN_REQUESTS = 8
 RUN_SEED = 1

@@ -36,7 +36,7 @@ import inspect
 import textwrap
 import types
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Union
 
 from ...hdl.components import Stream
 from ...hdl.live import MISSING, load, lookup
@@ -63,6 +63,10 @@ _MAX_ELEMENTS = 256
 #: maximum depth of bound-method inlining during resolution (process →
 #: helper → datapath function chains in the FU library reach depth 4)
 _MAX_INLINE_DEPTH = 5
+
+
+#: a call argument spread from ``*args`` / ``**mapping`` (see FnSummary.calls)
+_SPREAD = "*"
 
 
 def _is_chain_step_pure(node: ast.AST) -> bool:
@@ -131,7 +135,9 @@ class FnSummary:
     #: chains read through ``Reg.nxt``, which read tracking never sees
     staged_reads: set = field(default_factory=set)
     uses: set = field(default_factory=set)  # bare chains (signal iff resolves to one)
-    calls: set = field(default_factory=set)  # (chain, args_taint, arg_aliases)
+    #: (chain, args_taint, arg_aliases, kw_aliases); kw_aliases holds
+    #: (name, alias) pairs, name ``_SPREAD`` for ``**mapping``
+    calls: set = field(default_factory=set)
     writes: list = field(default_factory=list)  # [WriteSite]
     attr_loads: set = field(default_factory=set)  # attribute chains loaded
     attr_stores: set = field(default_factory=set)  # attribute chains stored/mutated
@@ -574,6 +580,12 @@ class _Analyzer:
                     return
         self._bind_target(target, self._elements_alias(iter_node), it_taint)
 
+    def _arg_alias(self, node: ast.AST) -> Union[Chain, str, None]:
+        """An argument's alias chain, ``_SPREAD`` for ``*args``, else None."""
+        if isinstance(node, ast.Starred):
+            return _SPREAD
+        return self._chain_of(node) if _is_chain_step_pure(node) else None
+
     def _call_taint(self, node: ast.Call) -> Taint:
         args_taint: Taint = frozenset()
         for a in node.args:
@@ -622,13 +634,12 @@ class _Analyzer:
                 self.s.attr_stores.add(prefix)
                 self.s.attr_loads.add(prefix)
                 return args_taint
-        # Positional-argument alias chains let resolution bind callee
-        # parameters to concrete objects ("pass the unit, not just its op").
-        arg_aliases = tuple(
-            self._chain_of(a) if _is_chain_step_pure(a) else None
-            for a in node.args
-        )
-        self.s.calls.add((chain, args_taint, arg_aliases))
+        # Argument alias chains let resolution bind callee parameters to
+        # concrete objects ("pass the unit, not just its op").
+        arg_aliases = tuple(self._arg_alias(a) for a in node.args)
+        kw_aliases = tuple((kw.arg or _SPREAD, self._arg_alias(kw.value))
+                           for kw in node.keywords)
+        self.s.calls.add((chain, args_taint, arg_aliases, kw_aliases))
         return frozenset({("call", chain, args_taint)}) | args_taint
 
     # -- statements ----------------------------------------------------------
@@ -972,7 +983,8 @@ def _env(fn: Callable[..., Any], bindings: Optional[dict]) -> _Env:
                          else lookup(fn, name)[0])
 
 
-#: placeholder for "some value proven (by annotation) not to be a Signal"
+#: placeholder for "some value proven not to be a Signal": a call result by
+#: its annotation, or a number passed to a helper (a run-time value)
 _NONSIG = object()
 
 _RETURN_CLASS_CACHE: dict[Any, Optional[type]] = {}
@@ -1234,9 +1246,10 @@ class _Resolver:
 
         # in a fixed order: a callee first reached at a smaller depth keeps
         # its callees inside the inline cap, so the order decides the result
-        for chain, args_taint, arg_aliases in sorted(summary.calls, key=_call_order):
-            self._resolve_call(chain, args_taint, arg_aliases, env, depth,
-                               sampled, where)
+        for chain, args_taint, arg_aliases, kw_aliases in sorted(
+                summary.calls, key=_call_order):
+            self._resolve_call(chain, args_taint, (arg_aliases, kw_aliases),
+                               env, depth, sampled, where)
         return self.out
 
     # -- pieces ---------------------------------------------------------------
@@ -1276,7 +1289,7 @@ class _Resolver:
         )
 
     def _resolve_call(self, chain: Chain, args_taint: Taint,
-                      arg_aliases: tuple, env: _Env,
+                      args: tuple, env: _Env,
                       depth: int, sampled: frozenset, where: str) -> None:
         out = self.out
         call = f"{_chain_text(chain)}() in {where}"
@@ -1303,9 +1316,9 @@ class _Resolver:
                         out.signal_reads.add(sig)
                         out.tracked_reads.add(sig)
                     continue
-                self._inline(obj, arg_aliases, env, depth, sampled, call)
+                self._inline(obj, args, env, depth, sampled, call)
             elif isinstance(obj, (types.FunctionType,)):
-                self._inline(obj, arg_aliases, env, depth, sampled, call)
+                self._inline(obj, args, env, depth, sampled, call)
             elif isinstance(obj, type) or isinstance(obj, types.BuiltinFunctionType):
                 # constructors (dataclasses, exceptions) and builtin/container
                 # methods neither read nor write simulation signals
@@ -1313,53 +1326,77 @@ class _Resolver:
             else:
                 out.unknown_calls.add(f"{call} (a {type(obj).__name__})")
 
-    def _inline(self, obj: Any, arg_aliases: tuple, env: _Env,
+    def _inline(self, obj: Any, args: tuple, env: _Env,
                 depth: int, sampled: frozenset, call: str) -> None:
         if depth >= _MAX_INLINE_DEPTH:
             self.out.unknown_calls.add(
                 f"{call} (inline depth {_MAX_INLINE_DEPTH} reached)")
             return
-        names = self._param_names(obj)
+        passed = self._passed(obj, *args)
         values = frozenset(
-            name for name, alias in zip(names, arg_aliases)
+            name for name, alias in passed.items()
             if alias is not None and _sampled_chain(alias, env, sampled))
-        for bindings in self._param_bindings(obj, arg_aliases, env):
+        for bindings in self._param_bindings(passed, env):
             self.run(obj, depth + 1, bindings=bindings,
-                     sampled=values.intersection(bindings or ()))
+                     sampled=values.intersection(bindings))
 
     @staticmethod
-    def _param_names(obj: Any) -> list:
-        """The positional parameters a call's arguments bind, in order (a
-        bound method's receiver comes from the method)."""
+    def _passed(obj: Any, arg_aliases: tuple, kw_aliases: tuple) -> dict:
+        """Each parameter of ``obj`` a call passes → the argument's alias
+        chain, or None where the call passes a value the chain cannot name
+        (``*args`` and ``**mapping`` may pass every later parameter).  A
+        bound method's receiver comes from the method."""
         code = getattr(obj, "__code__", None)
-        params = code.co_varnames[:code.co_argcount] if code else ()
-        return list(params[1:] if isinstance(obj, types.MethodType) else params)
+        if code is None:
+            return {}
+        first = 1 if isinstance(obj, types.MethodType) else 0
+        positional = code.co_varnames[first:code.co_argcount]
+        named = code.co_varnames[first:code.co_argcount + code.co_kwonlyargcount]
+        passed: dict = {}
+        for k, alias in enumerate(arg_aliases):
+            if alias == _SPREAD:
+                for name in positional[k:]:
+                    passed[name] = None
+                break
+            if k < len(positional):
+                passed[positional[k]] = alias
+        for name, alias in kw_aliases:
+            if name == _SPREAD:
+                for other in named:
+                    passed.setdefault(other, None)
+            elif name in named:
+                passed[name] = alias
+        return passed
 
-    @classmethod
-    def _param_bindings(cls, obj: Any, arg_aliases: tuple,
-                        env: _Env) -> list:
-        """Caller-side argument bindings for inlining ``obj``.
+    @staticmethod
+    def _param_bindings(passed: dict, env: _Env) -> list:
+        """Caller-side argument bindings for inlining a callee.
 
-        Each positional argument whose *alias chain* resolves in the caller's
-        environment is bound to the callee's parameter name, so chains rooted
-        at that parameter resolve inside the callee.  A single multi-valued
-        argument (e.g. a loop variable over ``self.units``) fans out into one
-        binding set per candidate object, capped small.
+        A passed argument whose *alias chain* resolves in the caller's
+        environment to objects is bound to the callee's parameter name, so
+        chains rooted at that parameter resolve inside the callee.  A single
+        multi-valued argument (e.g. a loop variable over ``self.units``) fans
+        out into one binding set per candidate object, capped small.  No
+        passed parameter sees its default: a number (a signal's current
+        value, a counter) is a run-time value and binds ``_NONSIG``, any
+        other argument binds ``MISSING`` (unknown).
         """
         combos: list[dict] = [{}]
-        for name, alias in zip(cls._param_names(obj), arg_aliases):
-            if alias is None:
-                continue
-            cands = _resolve_chain(alias, env)
+        for name, alias in passed.items():
+            cands = _resolve_chain(alias, env) if alias is not None else None
             if not cands:
-                continue
-            if len(cands) == 1:
-                for c in combos:
-                    c[name] = cands[0]
+                value = MISSING
+            elif any(isinstance(c, (int, float)) for c in cands):
+                value = _NONSIG
+            elif len(cands) == 1:
+                value = cands[0]
             elif len(cands) <= 16 and len(combos) == 1:
                 combos = [dict(combos[0], **{name: cand}) for cand in cands]
-            # a second fan-out (or a huge one) stays unbound: the callee
-            # sees the parameter's default, or nothing (opaque)
+                continue
+            else:
+                value = MISSING
+            for c in combos:
+                c[name] = value
         return combos
 
     def _taint_signals(self, taint: Taint, env: _Env, depth: int) -> set:
@@ -1386,8 +1423,8 @@ class _Resolver:
 
 def _call_order(call: tuple) -> tuple:
     """A set-order-free sort key for a :attr:`FnSummary.calls` entry."""
-    chain, _taint, arg_aliases = call
-    return _chain_text(chain), repr(arg_aliases)
+    chain, _taint, arg_aliases, kw_aliases = call
+    return _chain_text(chain), repr(arg_aliases), repr(kw_aliases)
 
 
 def _where(fn: Callable[..., Any]) -> str:

@@ -184,6 +184,12 @@ class OoODispatcher(IssueStage):
         # Frozen by a machine check: only a Reset at the head (a barrier) issues.
         if not queue or self._frozen(queue[0].op):
             return -1
+        # Read idleness off the static unit table, not through the ops'
+        # payloads: the candidate set is fixed hardware.
+        idle_units: set = set()
+        for unit in self.futable.units:
+            if unit.dp.idle.value:
+                idle_units.add(unit)
         exec_blocked = False
         busy_units: set = set()
         for i, rop in enumerate(queue):
@@ -215,7 +221,7 @@ class OoODispatcher(IssueStage):
             else:
                 unit = op.entry.unit
                 if unit not in busy_units:
-                    if ready and unit.dp.idle.value:
+                    if ready and unit in idle_units:
                         return i
                     # Per-unit program order: a younger op may not overtake
                     # an older one bound for the same (possibly stateful) unit.

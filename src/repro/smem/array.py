@@ -196,8 +196,8 @@ class SmartArrayExecutor:
 
     Implements the :class:`repro.hdl.compile.vector.VectorExecutor`
     contract on top of the owner array's vectorised state.  The settle
-    side is dirty-guarded: the fold reruns only after an edge applied a
-    real command (or after reset), so the repeated sweeps of one settle
+    side folds only while the owner's column is marked changed
+    (:meth:`SmartArray._refold`), so the repeated sweeps of one settle
     and the long NOP stretches between operations cost nothing.
 
     For a structural array the owner seeds fresh vectors from the live
@@ -210,18 +210,15 @@ class SmartArrayExecutor:
         self.owner = owner
         self.vec = owner.vec
         self.n_cells = owner.n_cells
-        self._dirty = True
-        owner._vec_executor = self
+        owner._fold_dirty = True  # a fresh executor folds at its first settle
 
     def settle(self) -> bool:
-        if not self._dirty:
-            return False
-        self._dirty = False
         o = self.owner
+        if not o._fold_dirty:
+            return False
         if o._guard is not None:
             o._guard.pre_fold()
-        o.spec.fold(o, self.vec)
-        return True
+        return o._refold()
 
     def edge(self) -> bool:
         o = self.owner
@@ -229,15 +226,13 @@ class SmartArrayExecutor:
         if cmd == o.NOP_CMD:
             return False
         o._apply_command(cmd, _RAW)
-        self._dirty = True
         return True
 
     def horizon(self):
         return 0 if self.owner.cmd._value != self.owner.NOP_CMD else None
 
     def on_reset(self) -> None:
-        self.vec.clear()
-        self._dirty = True
+        self.owner._clear()
 
 
 def _suppress_guard_lint(array: Component) -> None:
@@ -294,10 +289,11 @@ class SmartArray(Component):
         self.mask = (1 << word_bits) - 1
         #: optional repro.faults.ArrayGuard (see attach_guard)
         self._guard = None
-        #: set by SmartArrayExecutor when the compiled backend owns the column
-        self._vec_executor: Optional[SmartArrayExecutor] = None
         #: the NumPy column (a structural array gets one once vectorized)
         self.vec: Optional[StateVectors] = None
+        #: ``vec`` moved since the last fold: set by every change to it (an
+        #: applied command, a reset, a state load), cleared by the fold
+        self._fold_dirty = True
         self.tree = TreeNetwork(n_cells)
         # command side (driven by the controller), then the fold outputs
         self.cmd = self.signal("cmd", 8, self.spec.cmd(self.NOP_CMD))
@@ -312,8 +308,23 @@ class SmartArray(Component):
     def _apply_command(self, cmd: int, read: Callable[[Signal], Any]) -> None:
         """Apply one real command to ``vec``, reading the buses via ``read``."""
         self.spec.step(self.vec, cmd, *map(read, self._buses))
+        self._fold_dirty = True
         if self._guard is not None:
             self._guard.after_apply()
+
+    def _clear(self) -> None:
+        """Every cell of ``vec`` back to its reset state."""
+        self.vec.clear()
+        self._fold_dirty = True
+
+    def _refold(self) -> bool:
+        """Drive the fold outputs from ``vec`` if it moved since the last
+        fold; a NOP edge leaves it bit-identical, so the outputs stand."""
+        if not self._fold_dirty:
+            return False
+        self._fold_dirty = False
+        self.spec.fold(self, self.vec)
+        return True
 
     # -- state-fault guard hookup ---------------------------------------------------
 
@@ -360,8 +371,7 @@ class SmartArray(Component):
                 cell._state.force(s)
             return
         self.vec.load(states)
-        if self._vec_executor is not None:
-            self._vec_executor._dirty = True
+        self._fold_dirty = True
 
     def poke_state(self, i: int, state: object) -> None:
         """Replace one cell's state in place (uncorrectable-upset payload)."""
@@ -382,11 +392,12 @@ class VectorSmartArray(SmartArray):
         self.vec = self._make_vectors()
 
         # always=True: this process reads the NumPy cell-state arrays, which
-        # the scheduler's Signal read-tracking cannot see; it must re-run on
-        # every settle iteration (the arrays change at each applied command).
+        # the scheduler's Signal read-tracking cannot see, so the kernel
+        # calls it on every settle iteration; it folds only after the arrays
+        # changed (an applied command, a reset or a state load).
         @self.comb(always=True)
         def _tree_outputs() -> None:
-            self.spec.fold(self, self.vec)
+            self._refold()
 
         @self.seq
         def _apply() -> None:
@@ -405,7 +416,7 @@ class VectorSmartArray(SmartArray):
 
         @self.on_reset
         def _reset() -> None:
-            self.vec.clear()
+            self._clear()
 
     def __compile_vector__(self) -> SmartArrayExecutor:
         return SmartArrayExecutor(self)

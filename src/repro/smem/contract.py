@@ -35,7 +35,9 @@ The obligations
 4. **Wheel hook.**  A NOP edge must leave cell state bit-identical; the
    base classes then certify idle cycles as skippable (horizon ``None``)
    and veto fast-forward (horizon 0) whenever a real command is on the
-   bus.  A unit whose NOP has side effects cannot ride the kit.
+   bus.  A unit whose NOP has side effects cannot ride the kit.  On both
+   backends a fold is recomputed only after an applied command, a reset
+   or a state load (:meth:`~repro.smem.array.SmartArray._refold`).
 
 5. **``__compile_vector__``.**  Both array shapes publish a
    :class:`~repro.smem.array.SmartArrayExecutor` satisfying

@@ -108,7 +108,7 @@ class TreeNetwork:
         return int(idx) if idx >= 0 else None
 
     def selected_value(self, selected: np.ndarray, data: np.ndarray) -> int:
-        """Single-cell retrieval: OR over selected data (unique ⇒ exact)."""
-        if not selected.any():
-            return 0
-        return int(np.bitwise_or.reduce(data[selected].astype(object)))
+        """Single-cell retrieval: OR over selected data (unique ⇒ exact).
+
+        Reduced in the data's own unsigned lane, exact up to uint64."""
+        return int(np.bitwise_or.reduce(data, where=selected, initial=0))

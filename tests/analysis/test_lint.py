@@ -21,6 +21,7 @@ from repro.analysis.lint.testing import (
     lint_report,
 )
 from repro.fu import AreaOptimizedFU, FuComputation
+from repro.hdl import Component, Simulator
 from repro.messages.channel import PRESETS
 from repro.system import SystemSpec, build_system
 
@@ -156,6 +157,65 @@ def test_default_pool_sizing_is_dataflow_clean():
     built = build_system(ooo=True, lint="off")
     report = Linter(["dataflow.*"]).lint(built.soc, sim=built.sim)
     assert not report.diagnostics
+
+
+class _PassedCounter(Component):
+    """A 0..15 counter handed to a helper whose parameter defaults to 0;
+    ``form`` names the comb process that passes it."""
+
+    FORMS = ("expression", "keyword", "value", "counter", "starred", "mapping")
+
+    def __init__(self, form: str):
+        super().__init__("top")
+        self.cnt = self.reg("cnt", 4, 0)
+        self.out = self.signal("out", 4, 0)
+        self._hidden = 0
+
+        @self.seq
+        def _count() -> None:
+            self._hidden = (self._hidden + 1) & 0xF
+            self.cnt.nxt = (self.cnt.value + 1) & 0xF
+
+        self.comb(getattr(self, f"_{form}"))
+
+    def _put(self, v=0):
+        self.out.set(v)
+
+    def _expression(self):
+        self._put(self.cnt.value + 0)
+
+    def _keyword(self):
+        self._put(v=self.cnt.value)
+
+    def _value(self):
+        self._put(self.cnt.value)
+
+    def _counter(self):
+        _ = self.cnt.value
+        self._put(self._hidden)
+
+    def _starred(self):
+        self._put(*[self.cnt.value])
+
+    def _mapping(self):
+        self._put(**{"v": self.cnt.value})
+
+
+@pytest.mark.parametrize("form", _PassedCounter.FORMS)
+def test_passed_argument_is_not_the_parameter_default(form):
+    """A helper parameter the call passes is a run-time value, however it
+    is passed: never its default, which would make ``out`` provably 0."""
+    top = _PassedCounter(form)
+    report = Linter(["dataflow.*"]).lint(top)
+    assert not report.diagnostics, [d.message for d in report.diagnostics]
+    sim = Simulator(top)
+    sim.reset()
+    seen = set()
+    for _ in range(4):
+        sim.step()
+        sim.settle()
+        seen.add(top.out.value)
+    assert len(seen) > 1
 
 
 def test_rule_glob_selects_family():

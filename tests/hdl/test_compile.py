@@ -1045,7 +1045,7 @@ class TestResidualTranslation:
 
     @pytest.mark.parametrize("kwargs, translated", [
         ({}, 43),
-        (dict(ooo=True, fp_units=True), 49),
+        (dict(ooo=True, fp_units=True), 50),
     ], ids=["default", "ooo-fp"])
     def test_translated_procs_pinned(self, kwargs, translated):
         from repro.analysis import counters_for
@@ -1175,13 +1175,15 @@ class TestResidualTranslation:
 
     @pytest.mark.parametrize("kwargs, fanout, reads", [
         ({}, 114, []),
-        (dict(ooo=True, fp_units=True), 145, [10]),
+        (dict(ooo=True, fp_units=True), 148, []),
     ], ids=["default", "ooo-fp"])
     def test_tracked_discovery_on_systems(self, kwargs, fanout, reads):
         # the fanout map and the tracked read sets after a seeded prefix:
-        # the one read-tracked plan (the out-of-order dispatcher's _drive)
-        # runs its original and discovers reads one run at a time, so
-        # specializing every other body leaves these alone
+        # no shipped system keeps a read-tracked plan (the out-of-order
+        # dispatcher's _drive reads unit idleness off the static unit
+        # table, so its slot wakes on every unit's idle signal), and
+        # specializing the bodies leaves these alone; the EvalMux fixtures
+        # cover the read-tracked path
         import random
 
         from repro import Session

@@ -68,7 +68,8 @@ def test_run_counters_of_one_e2e_system():
     assert list(runs) == ["event", "compiled"]
     for run in runs.values():
         assert set(run) == {"now", "edge_calls", "skipped_cycles",
-                            "wheel_jumps", "seq_runs", "settle_calls", "steps"}
+                            "wheel_jumps", "seq_runs", "settle_calls",
+                            "activations", "steps"}
         assert run["now"] == run["edge_calls"] + run["skipped_cycles"]
         assert run["wheel_jumps"] > 0 and run["steps"] > 0
     shared = ("now", "edge_calls", "skipped_cycles", "wheel_jumps", "steps")

@@ -57,6 +57,21 @@ class TestTreeNetwork:
         tree = TreeNetwork(4)
         assert tree.selected_value(np.zeros(4, bool), np.zeros(4, np.uint64)) == 0
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_selected_value_matches_fold_in_every_lane(self, dtype):
+        top = int(np.iinfo(dtype).max)  # all-ones word: 2**64 - 1 on uint64
+        rng = np.random.default_rng(5)
+        n = 256
+        data = rng.integers(0, top, n, dtype=dtype, endpoint=True)
+        data[[0, 100, n - 1]] = top
+        tree = TreeNetwork(n)
+        one = np.zeros(n, bool)
+        one[100] = True
+        for sel in (np.zeros(n, bool), one, np.ones(n, bool), rng.random(n) < 0.3):
+            expected = fold_reduce(list(sel), [int(d) for d in data]).any_value
+            assert tree.selected_value(sel, data) == expected
+        assert tree.selected_value(one, data) == top
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TreeNetwork(0)
