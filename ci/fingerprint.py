@@ -16,13 +16,17 @@ design on ``backend="compiled"`` and prints, as one JSON object:
   :func:`repro.hdl.compile.frontend.place`, in declaration order (the
   same call the ``compile.fallback`` lint rule makes);
 * ``counters``: the placement counters of ``sim.kernel_stats``;
+* ``hooks``: each wheel hook function's ``[label, placement, reason]``,
+  horizons then skips (``sim.hook_plans``): "specialized", or "as
+  written" with why the translator left it so;
 * ``run`` (e2e systems only): per backend, ``sim.now``, the run counters
   of ``sim.kernel_stats`` and ``steps`` (the ``sim.step`` calls: the
   host's pump chunks) after the workload's first ``RUN_REQUESTS`` seeded
   requests through a ``Session``, each checked against its oracle.
 
 Diffing the output of two checkouts shows whether a change moved any
-placement, any generated line or any stepping counter::
+placement, any hook's placement, any generated line or any stepping
+counter::
 
     PYTHONPATH=src python ci/fingerprint.py > after.json
     (cd ../parent && PYTHONPATH=src python ci/fingerprint.py) > before.json
@@ -169,7 +173,15 @@ def fingerprint(build: Callable[[], tuple]) -> dict:
     stats = sim.kernel_stats
     return {"source": source, "signals": signals_hash(top),
             "placements": placements,
-            "counters": {name: getattr(stats, name) for name in COUNTERS}}
+            "counters": {name: getattr(stats, name) for name in COUNTERS},
+            "hooks": hook_placements(sim)}
+
+
+def hook_placements(sim: Any) -> list:
+    """``[label, placement, reason]`` of each wheel hook function of a
+    compiled simulator, as its jump scan and jumps run them."""
+    return [[h.label, "as written" if h.spec is None else "specialized",
+             h.reason] for h in sim.hook_plans]
 
 
 def main(argv: list[str] | None = None) -> int:

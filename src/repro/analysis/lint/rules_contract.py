@@ -285,7 +285,7 @@ class WheelMissingRule(Rule):
     every edge), so a single such component without a ``wheel`` hook pins
     the whole design to cycle-by-cycle stepping: the time wheel's skip scan
     finds it armed and vetoes every jump.  Components doing per-edge hidden
-    work should either register ``wheel(horizon, skip)`` hooks describing
+    work should either register ``wheel(horizon[, skip])`` hooks describing
     their pure-aging windows, or become pure.
     """
 
@@ -305,7 +305,8 @@ class WheelMissingRule(Rule):
                 f"impure seq process(es) {', '.join(labels)} stay armed on "
                 "every edge and the component registers no wheel hooks — "
                 "time-wheel fast-forward is vetoed design-wide while it runs",
-                hint="add component.wheel(horizon, skip) describing the "
-                     "pure-aging window, declare the process pure=True if it "
+                hint="add component.wheel(horizon) describing the "
+                     "pure-aging window (with skip= when skipped edges age "
+                     "state), declare the process pure=True if it "
                      "qualifies, or suppress if fast-forward is irrelevant",
             )

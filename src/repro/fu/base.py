@@ -171,8 +171,7 @@ class MinimalFunctionalUnit(FunctionalUnit):
         # Interacting with dispatch or the arbiter is always a real edge; a
         # minimal unit with nothing pending has no horizon at all.
         self.wheel(
-            lambda: 0 if (self.dp.dispatch.value or self._data_ready.value) else None,
-            lambda n: None,
+            lambda: 0 if (self.dp.dispatch.value or self._data_ready.value) else None
         )
 
 

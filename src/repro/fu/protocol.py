@@ -263,6 +263,5 @@ class ProtocolMonitor(Component):
         self.wheel(
             lambda: 0 if (dispatch_port.dispatch.value
                           or result_port.ready.value
-                          or result_port.ack.value) else None,
-            lambda n: None,
+                          or result_port.ack.value) else None
         )

@@ -15,8 +15,9 @@ Modules
 
 * :mod:`.frontend` — placement (absorbed, static slot, read-tracked slot,
   every sweep, every edge), shared with the ``compile.fallback`` lint
-  rule, and residual translation: each process body specialized with its
-  signal accesses inlined, built once per code object;
+  rule, and residual translation: each process body and time-wheel hook
+  specialized with its signal accesses inlined, built once per code
+  object;
 * :mod:`.codegen` — emits the dispatching module source (settle sweep,
   edge phase, wheel scan) around the specialized bodies;
 * :mod:`.vector` — vectorized executors for components publishing the

@@ -42,20 +42,23 @@ module contains five functions:
   each edge and each jump.  The jump inlines ``_scan_seq``, caps itself
   at the final cycle and ``rule.cap()``, calls the horizons (``_hzN``:
   wheel hooks, then executors) until one rules it out, and ages every
-  wheel hook (``_skN``).  A jump shorter than its cap landed on the
-  smallest horizon, so the next pass goes straight to that horizon's edge
-  without a scan.  Kernel counters add up in locals and reach the
+  wheel hook that has a skip (``_skN``); a hook registered without one
+  gets no call.  A jump shorter than its cap landed on the smallest
+  horizon, so the next pass goes straight to that horizon's edge without
+  a scan.  Kernel counters add up in locals and reach the
   engine's ``KernelStats`` once, when the chunk ends or raises.  Returns
   the cycles run.
 
 The module is emitted and compiled once per design (the build cache's
 layout keeps it as a :class:`Dispatch`: source and code) and ``exec``'d
 once per system into a namespace holding the specialized bodies
-(``_pN``, ``_eN`` and the ``_ALW`` entries, from the
-:class:`~.frontend.Template` of each), called functions and a handful of
-kernel internals (``_CH`` the change tracker, ``_U`` the unset sentinel,
-``_SL`` the staged-register list, ``_CHG`` the simulator's pending list,
-``_SIM`` the simulator, ``_JOK`` whether a jump is possible at all).
+(``_pN``, ``_eN``, the ``_ALW`` entries and the wheel hooks' ``_hzN``
+and ``_skN``, from the :class:`~.frontend.Template` of each; a hook the
+translator cannot handle runs as written), called functions and a
+handful of kernel internals (``_CH`` the change tracker, ``_U`` the unset
+sentinel, ``_SL`` the staged-register list, ``_CHG`` the simulator's
+pending list, ``_SIM`` the simulator, ``_JOK`` whether a jump is possible
+at all).
 The specialized bodies are compiled separately, against each process's
 own globals and closure; the module's ``source`` lists each template once
 after the dispatch functions, with the objects every call site binds.
@@ -71,7 +74,7 @@ from ..components import Stream
 from ..signal import Signal
 from .frontend import Specialized
 
-__all__ = ["Dispatch", "Plan", "GeneratedModule", "generate"]
+__all__ = ["Dispatch", "Hook", "Plan", "GeneratedModule", "generate"]
 
 
 @dataclass
@@ -95,6 +98,23 @@ class Plan:
     rank: int = 0  # comb only: topological depth
     #: position in the wake-flag list (assigned by :func:`generate`)
     slot: int = -1
+
+
+@dataclass
+class Hook:
+    """One wheel hook function, a horizon or a skip, as the jump runs it."""
+
+    #: ``<component path>:<qualified name>``
+    label: str
+    fn: Callable[..., Any]
+    #: the specialized body, run instead of ``fn``
+    spec: Optional[Specialized] = None
+    #: why ``fn`` runs as written ("" when specialized)
+    reason: str = ""
+
+    @property
+    def run(self) -> Callable[..., Any]:
+        return self.spec.fn if self.spec is not None else self.fn
 
 
 @dataclass(frozen=True)
@@ -136,7 +156,8 @@ def _label(obj: Any) -> str:
 
 
 def _listing(calls: list) -> list:
-    """Each specialized body once, then which call runs it with what."""
+    """Each specialized body once, then which call runs it with what;
+    ``calls`` holds each call's name and its plan or hook."""
     out = ["", "# -- specialized bodies " + "-" * 55]
     numbers: dict = {}
     for call, p in calls:
@@ -169,8 +190,8 @@ def generate(
     comb: list[Plan],
     seq: list[Plan],
     executors: list,
-    horizons: list,
-    skips: list,
+    horizons: list[Hook],
+    skips: list[Hook],
     namespace: dict,
     dispatch: Optional[Dispatch],
 ) -> GeneratedModule:
@@ -179,11 +200,11 @@ def generate(
 
     ``namespace`` must already contain ``_CH``, ``_U``, ``_SL``, ``_CHG``,
     ``_SIM`` and ``_JOK``; specialized bodies, called functions, executor
-    methods, the jump scan's ``horizons``, the wheel hooks' ``skips`` and
-    the tracked plans' slot runners are installed here.  ``dispatch`` is
-    the module an earlier build of the same design emitted; with None it
-    is emitted and compiled now (and returned in the result's
-    ``dispatch``).
+    methods, the wheel hooks' ``horizons`` and ``skips`` (the hooks that
+    have one) and the tracked plans' slot runners are installed here.
+    ``dispatch`` is the module an earlier build of the same design
+    emitted; with None it is emitted and compiled now (and returned in the
+    result's ``dispatch``).
     """
     # -- wake slots -----------------------------------------------------------
     # The module is wake-driven, mirroring the event kernel's notification
@@ -219,16 +240,20 @@ def generate(
             namespace[f"_ts{s.index}"] = s.run
         else:
             namespace[_seq_call(s)] = _body(s)
-    for k, fn in enumerate(horizons):
+    scan = [h.run for h in horizons] + [ex.horizon for ex in executors]
+    for k, fn in enumerate(scan):
         namespace[f"_hz{k}"] = fn
-    for k, fn in enumerate(skips):
-        namespace[f"_sk{k}"] = fn
+    for k, hook in enumerate(skips):
+        namespace[f"_sk{k}"] = hook.run
     for k, ex in enumerate(executors):
         namespace[f"_x{k}_settle"] = ex.settle
         namespace[f"_x{k}_edge"] = ex.edge
     if dispatch is None:
+        hooks = [(f"_hz{k}", h) for k, h in enumerate(horizons)]
+        hooks += [(f"_sk{k}", h) for k, h in enumerate(skips)]
         dispatch = _emit(comb, ordered, tracked, seq, seq_slots, len(wake),
-                         len(executors), len(horizons), len(skips))
+                         len(executors), len(scan), len(skips),
+                         [(call, h) for call, h in hooks if h.spec is not None])
     exec(dispatch.code, namespace)
     return GeneratedModule(
         source=dispatch.source,
@@ -248,9 +273,11 @@ def generate(
 
 def _emit(comb: list[Plan], ordered: list[Plan], tracked: list[Plan],
           seq: list[Plan], seq_slots: list[Plan], n_wake: int,
-          n_executors: int, n_horizons: int, n_skips: int) -> Dispatch:
+          n_executors: int, n_horizons: int, n_skips: int,
+          hook_calls: list) -> Dispatch:
     """The dispatching module's source and code, for plans whose slots
-    :func:`generate` has assigned."""
+    :func:`generate` has assigned; ``hook_calls`` are the specialized
+    wheel hooks, by call name, for the listing."""
     out: list[str] = []
     emit = out.append
     n_slots = len(ordered) + len(tracked)
@@ -408,6 +435,13 @@ def _emit(comb: list[Plan], ordered: list[Plan], tracked: list[Plan],
     emit("            else:")
     emit("                _more = False")
     emit_drain(n_slots, pad="                ")
+    if n_executors:
+        # a column loaded between chunks folds now (CompiledSimulator.settle)
+        emit("                if not _more:")
+        for k in range(n_executors):
+            emit(f"                    if _x{k}_settle():")
+            emit("                        _act += 1")
+            emit("                        _more = True")
     emit("                _quiet = not _more")
     emit("            if _quiet and not _ALW:")
     emit("                _qs += 1")
@@ -487,6 +521,6 @@ def _emit(comb: list[Plan], ordered: list[Plan], tracked: list[Plan],
     emit("")
 
     source = "\n".join(out)
-    return Dispatch(source="\n".join(out + _listing(calls)),
+    return Dispatch(source="\n".join(out + _listing(calls + hook_calls)),
                     code=compile(source, "<repro.hdl.compile>", "exec"))
 

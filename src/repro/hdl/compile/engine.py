@@ -13,14 +13,16 @@ with calls into the module generated by :mod:`.codegen`:
   force another, as the event kernel does for its ``_always`` list.  The
   quiescent fast path skips the sweep entirely when the pending changes
   wake no comb slot, no edge work moved state behind the pending list,
-  and no every-sweep process exists.
+  no every-sweep process exists and no vectorized executor has a fold
+  pending (a column loaded between steps folds there and then).
 * **edge** is the generated fused sequential/commit phase: sequential
   processes run from the same wake flags, with the event kernel's
   dormancy rule (a run that staged nothing sleeps until a signal it
   reads changes).
 * the **time wheel** is inherited; only the jump veto is replaced (the
-  non-wheeled seq wake flags), and the vectorized executors' horizons
-  join the scan.
+  non-wheeled seq wake flags), the vectorized executors' horizons join
+  the scan, and every wheel hook runs its specialized body
+  (:class:`~.codegen.Hook`, ``hook_plans``).
 * a **chunk** (``step`` with a :class:`~repro.hdl.sim.ChunkRule` and no
   observer) runs in the generated ``_run``: settle, jump, edge and rule
   loop without returning to this class.
@@ -28,7 +30,8 @@ with calls into the module generated by :mod:`.codegen`:
 What a design compiles to is computed once per process and kept in the
 build cache (:mod:`repro.hdl.buildcache`) as a :class:`_Layout`: the
 placements, the comb ranks, a body table (each specialized body's
-template and how to find its hoisted objects) and the dispatch module.
+template and how to find its hoisted objects, for processes and wheel
+hooks alike) and the dispatch module.
 Every build, hit or miss, binds that layout to its own instances on one
 path: wake sets by signal index, bodies by
 :func:`~.frontend.instantiate` over the fresh process's closure, and the
@@ -61,7 +64,7 @@ from ..signal import CHANGES, Reg, Signal
 from ..sim import MAX_SETTLE_ITERATIONS, ChunkRule, Simulator, rank_depths
 from ...analysis.lint import astpass
 from ...analysis.lint.astpass import ResolvedFn
-from .codegen import Dispatch, GeneratedModule, Plan, generate
+from .codegen import Dispatch, GeneratedModule, Hook, Plan, generate
 from .frontend import (Placement, Specialized, Specializer, follow,
                        instantiate, kernel_cells, place)
 from .vector import absorbed_procs, collect_executors
@@ -148,6 +151,9 @@ class _Layout:
     #: each hoisted object: a signal's index, or None for any other
     #: object, which the template's path reaches (see ``_bind``)
     bodies: tuple
+    #: per wheel hook: ``(horizon, skip)``, each ``(template, refs)``, or
+    #: why the function runs as written; a hook without a skip has None
+    hooks: tuple
     #: the dispatching module, emitted by the design's first build
     dispatch: Optional[Dispatch] = None
 
@@ -226,10 +232,14 @@ class CompiledSimulator(Simulator):
             "_SIM": self,
             "_JOK": self._jump_ok(),
         }
+        horizons, skips = self._hooks(layout.hooks, signals, kernel)
+        #: every wheel hook function as the jump runs it, horizons first
+        self.hook_plans = horizons + skips
+        self._horizons = [h.run for h in horizons]
         self._horizons.extend(ex.horizon for ex in executors)
+        self._skips = [h.run for h in skips]
         module: GeneratedModule = generate(
-            comb_plans, seq_plans, executors, self._horizons,
-            [skip for _, skip in self._wheel_hooks], namespace,
+            comb_plans, seq_plans, executors, horizons, skips, namespace,
             layout.dispatch)
         layout.dispatch = module.dispatch
         tracked = [pl for pl in comb_plans + seq_plans if pl.kind == "tracked"]
@@ -271,26 +281,59 @@ class CompiledSimulator(Simulator):
         seq = [place(partial(self._resolve, sp.fn), seq=True, pure=sp.pure,
                      absorbed=id(sp.fn) in absorbed, managed=index)
                for sp in self._seqprocs]
+        hooks = [fn for pair in self._wheel_hooks for fn in pair
+                 if fn is not None]
         spec = Specializer(self._changed, self._staged_regs,
-                           [p.fn for p in procs if id(p.fn) not in absorbed])
+                           [p.fn for p in procs if id(p.fn) not in absorbed]
+                           + hooks)
+
+        def entry(fn: Callable[..., Any], value: bool) -> "tuple | str":
+            made = spec.specialize(fn, value)
+            if isinstance(made, str):
+                return made
+            template, objects = made
+            return template, tuple(index.get(o) if type(o) in (Signal, Reg)
+                                   else None for o in objects)
 
         def body(proc: Any, where: Placement) -> Optional[tuple]:
             # a read-tracked slot always runs the original function
             if where.kind in ("absorbed", "tracked"):
                 return None
-            made = spec.specialize(proc.fn)
-            if made is None:
-                return None
-            template, objects = made
-            return template, tuple(index.get(o) if type(o) in (Signal, Reg)
-                                   else None for o in objects)
+            made = entry(proc.fn, False)
+            return None if isinstance(made, str) else made
+
+        def hook(fn: Optional[Callable[..., Any]]) -> "tuple | str | None":
+            return None if fn is None else entry(fn, True)
 
         def site(where: Placement) -> tuple:
             return where.kind, tuple(index[sig] for sig in where.wake)
 
         return _Layout(comb=tuple(map(site, comb)), seq=tuple(map(site, seq)),
                        ranks=self._ranks(comb),
-                       bodies=tuple(map(body, procs, comb + seq)))
+                       bodies=tuple(map(body, procs, comb + seq)),
+                       hooks=tuple((hook(h), hook(s))
+                                   for h, s in self._wheel_hooks))
+
+    def _hooks(self, layout: tuple, signals: list[Signal],
+               kernel: dict) -> tuple[list[Hook], list[Hook]]:
+        """Every wheel hook's horizon and skip (for a hook that has one),
+        each bound to its specialized body from the layout or kept as
+        written with the reason."""
+        owned = [(comp.path, pair) for comp in self.top.walk()
+                 for pair in comp.wheel_hooks]
+        horizons: list[Hook] = []
+        skips: list[Hook] = []
+        for (path, pair), bodies in zip(owned, layout):
+            for fn, made, out in zip(pair, bodies, (horizons, skips)):
+                if fn is None:
+                    continue
+                label = f"{path}:{getattr(fn, '__qualname__', fn)}"
+                if isinstance(made, str):
+                    out.append(Hook(label, fn, reason=made))
+                else:
+                    out.append(Hook(label, fn,
+                                    _bind(fn, made, signals, kernel)))
+        return horizons, skips
 
     def _resolve(self, fn: Callable[[], None]) -> ResolvedFn:
         res = self._resolved[id(fn)] = astpass.resolve(fn)
@@ -386,6 +429,12 @@ class CompiledSimulator(Simulator):
             # the event kernel's entry drain: changes nobody reads wake
             # nothing, and leave the fixpoint in place
             quiet_in = not (self._changed and self._drain_fn())
+            if quiet_in:
+                # a column loaded between steps (``SmartArray.load_states``)
+                # folds now, and its outputs wake their readers
+                folded = sum(1 for ex in self._executors if ex.settle())
+                stats.activations += folded
+                quiet_in = not folded
         if quiet_in and not every:
             stats.quiescent_settles += 1
             return 0

@@ -30,17 +30,18 @@ Only the wake flag decides whether a process runs.  Hidden attribute
 loads wake nothing, because the event kernel's dynamic sensitivity
 watches only signals.
 
-Every process outside a read-tracked slot runs its *specialized body*
-(:class:`Specializer`): the :class:`Translator` rewrites the signal
-accesses it can resolve to a structural signal into inline code on
-hoisted objects (``_h3._value``, inline set/stage stores) and keeps every
-other statement verbatim.  The result is a function over the original's
-globals and closure cells, so names behave as in the original.  Bodies
-are built once per code object and classification (:class:`Template`),
-and bound to a process by :func:`instantiate`;
-a body that rebinds names through ``nonlocal``/``global``, yields, or
-defines a nested function bails out whole and runs as written.  Each
-body's source comes from the AST pass's per-code-object cache
+Every process outside a read-tracked slot, and every time-wheel hook
+(``Component.wheel``), runs its *specialized body* (:class:`Specializer`):
+the :class:`Translator` rewrites the signal accesses it can resolve to a
+structural signal into inline code on hoisted objects (``_h3._value``,
+inline set/stage stores) and keeps every other statement verbatim.  The
+result is a function over the original's globals and closure cells, so
+names behave as in the original.  Bodies are built once per code object
+and classification (:class:`Template`), and bound to a process by
+:func:`instantiate`; a body that rebinds names through
+``nonlocal``/``global``, yields, or defines a nested function bails out
+whole and runs as written, and :meth:`Specializer.specialize` says why.
+Each body's source comes from the AST pass's per-code-object cache
 (:func:`~repro.analysis.lint.astpass.parsed_def`).
 """
 
@@ -320,8 +321,9 @@ class Specialized:
     objects: tuple
 
 
-#: code object -> its templates, or None when the body bails out whole
-_TEMPLATES: dict[types.CodeType, Optional[list[Template]]] = {}
+#: (code object, value mode) -> its templates, or why the body bails out
+#: whole and runs as written
+_TEMPLATES: dict[tuple, "list[Template] | str"] = {}
 
 
 class Specializer:
@@ -405,24 +407,26 @@ class Specializer:
                 return ("builtin", b.__name__)
         return ("obj",)
 
-    def specialize(self, fn: Callable[..., Any]) -> Optional[tuple]:
-        """``fn``'s template and the objects its hoisted names bind, or
-        None when the body bails out whole."""
+    def specialize(self, fn: Callable[..., Any],
+                   value: bool = False) -> "tuple | str":
+        """``fn``'s template and the objects its hoisted names bind, or why
+        the body bails out whole.  ``value``: the caller uses what ``fn``
+        returns (a wheel hook), so a lambda body returns its expression."""
         code = getattr(fn, "__code__", None)
         if code is None:
-            return None
-        templates = _TEMPLATES.setdefault(code, [])
-        if templates is None:
-            return None
+            return f"{type(fn).__name__} is not a Python function"
+        templates = _TEMPLATES.setdefault((code, value), [])
+        if isinstance(templates, str):
+            return templates
         for template in templates:
             objects = self._match(fn, template)
             if objects is not None:
                 return template, objects
         try:
-            template = Translator(fn, self).translate()
-        except Untranslatable:
-            _TEMPLATES[code] = None
-            return None
+            template = Translator(fn, self, value).translate()
+        except Untranslatable as exc:
+            _TEMPLATES[(code, value)] = reason = str(exc)
+            return reason
         templates.append(template)
         return template, tuple(self.walk(fn, template.paths[k])[0]
                                for k in template.hoisted)
@@ -594,9 +598,12 @@ class Translator:
     verbatim, so names resolve exactly as in the original function.
     """
 
-    def __init__(self, fn: Callable[..., Any], spec: Specializer):
+    def __init__(self, fn: Callable[..., Any], spec: Specializer,
+                 value: bool = False):
         self.fn = fn
         self.spec = spec
+        #: a lambda returns its expression (see :meth:`Specializer.specialize`)
+        self.value = value
         #: path -> classification, in resolution order (the template key)
         self.paths: dict[tuple, Optional[tuple]] = {}
         self._objects: dict[tuple, Any] = {}
@@ -622,10 +629,11 @@ class Translator:
         node, first = parsed
         line = linecache.getline(code.co_filename, first)
         _relocate(node, first - 1, len(line) - len(line.lstrip()))
-        body = ([ast.Expr(node.body)] if isinstance(node, ast.Lambda)
-                else node.body)
         if isinstance(node, ast.Lambda):
-            ast.copy_location(body[0], node.body)
+            kind = ast.Return if self.value else ast.Expr
+            body = [ast.copy_location(kind(node.body), node.body)]
+        else:
+            body = node.body
         if isinstance(node, ast.Lambda):
             probe: ast.stmt = ast.Return(node)
         else:
@@ -643,11 +651,11 @@ class Translator:
         for stmt in body:
             for n in ast.walk(stmt):
                 if isinstance(n, _BAIL_NODES):
-                    raise Untranslatable(type(n).__name__)
+                    raise Untranslatable(f"holds a {type(n).__name__} node")
                 if isinstance(n, ast.Name):
                     names.add(n.id)
         if any(_RESERVED.fullmatch(n) for n in names):
-            raise Untranslatable("reserved name")
+            raise Untranslatable("uses a name reserved for hoisted objects")
         stored = set().union(*(_bound_names(s, self._binds) for s in body))
         self.locals = set(code.co_varnames) | set(code.co_cellvars)
         self.locals -= {a.arg for a in params_all} - stored

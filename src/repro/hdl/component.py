@@ -140,7 +140,7 @@ class Component:
         return fn
 
     def wheel(self, horizon: Callable[[], Optional[int]],
-              skip: Callable[[int], None]) -> None:
+              skip: Optional[Callable[[int], None]] = None) -> None:
         """Register a time-wheel hook pair for cycle-skipping fast-forward.
 
         ``horizon()`` is consulted on settled, quiescent state and returns
@@ -148,17 +148,23 @@ class Component:
         this component — edges on which its processes would change no
         signal and perform no hidden work beyond counting — or ``None``
         when the component is fully idle (no horizon at all).  Returning
-        ``0`` vetoes skipping (the next edge does real work).
+        ``0`` vetoes skipping (the next edge does real work).  It is a pure
+        query: it reads state and changes none.
 
         ``skip(n)`` (``1 ≤ n ≤`` the returned horizon) performs the batch
         aging those ``n`` edges would have done: advancing epochs, aging
         countdowns, accumulating stall tallies.  It must never stage a
         register or change an observable signal — the edge *after* the
-        skipped run is stepped normally and does the real work.
+        skipped run is stepped normally and does the real work.  A
+        component whose skipped edges age nothing passes no ``skip``, and
+        no jump calls anything for it.
 
         A component with a wheel hook keeps the simulator's fast-forward
         path available even while its seq processes stay armed; components
-        without one simply block skipping whenever they are armed.
+        without one simply block skipping whenever they are armed.  The
+        event kernel calls the hooks as written; the compiled backend calls
+        their specialized bodies (``_hzN``/``_skN`` in its generated
+        module), translated like process bodies.
         """
         self.wheel_hooks.append((horizon, skip))
 

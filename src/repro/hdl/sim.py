@@ -68,12 +68,13 @@ only; the exhaustive kernel keeps the reference run-everything loop):
   forever — the reference semantics.
 
 * **Cycle-skipping time wheel** — components whose only pending activity
-  is a countdown register a ``(horizon, skip)`` hook pair via
-  :meth:`Component.wheel`.  After every settle inside a multi-cycle
-  :meth:`Simulator.step`, when every armed sequential process belongs to
-  a wheeled component and no per-cycle observer is in the way, it jumps
-  ``now`` forward by the smallest horizon and batch-ages every hook in
-  O(#hooks) instead of ticking edge by edge.  The jump lands *on* the
+  is a countdown register a ``horizon`` hook, and a ``skip`` hook when
+  skipped edges age something, via :meth:`Component.wheel`.  After every
+  settle inside a multi-cycle :meth:`Simulator.step`, when every armed
+  sequential process belongs to a wheeled component and no per-cycle
+  observer is in the way, it jumps
+  ``now`` forward by the smallest horizon and batch-ages every skip hook
+  in O(#hooks) instead of ticking edge by edge.  The jump lands *on* the
   earliest horizon; the next edge is stepped normally and does the real
   work, so cycle counts and traces are exactly those of the unskipped
   run.  Any horizon of ``0`` (real work next edge), any armed process
@@ -446,8 +447,11 @@ class Simulator:
         if not self._comb and not self._seq:
             raise SimulationError(f"design {self.top.path!r} has no processes")
         #: every horizon the jump scan asks (the compiled backend adds its
-        #: vectorized executors')
+        #: vectorized executors'), and every skip a jump calls: a hook
+        #: registered without one ages nothing
         self._horizons = [horizon for horizon, _ in self._wheel_hooks]
+        self._skips = [skip for _, skip in self._wheel_hooks
+                       if skip is not None]
 
     def add_observer(
         self,
@@ -885,7 +889,7 @@ class Simulator:
                 # a jump cut short by ``limit`` (the step's end or the
                 # rule's cap) may still be followed by another
                 landed = n < limit
-                for _, skip in self._wheel_hooks:
+                for skip in self._skips:
                     skip(n)
                 self.now += n
                 ran += n

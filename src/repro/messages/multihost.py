@@ -131,7 +131,7 @@ class SharedHostBus(Component):
                 host = self.hosts[host_idx]
                 host._rxq.nxt = host._rxq.nxt + (word,)
 
-        self.wheel(self._wheel_horizon, lambda n: None)
+        self.wheel(self._wheel_horizon)
 
         @self.on_reset
         def _clear() -> None:

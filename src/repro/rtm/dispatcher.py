@@ -61,7 +61,7 @@ class IssueStage(Component):
     unit's dispatch port, primitive resolution, issue accounting, the
     machine-check freeze and the wheel veto.  An engine adds its hazard
     policy: its registers (:meth:`_declare`), its ``_drive``/``_tick``
-    processes and :meth:`_has_work`."""
+    processes and :meth:`_wheel_horizon`."""
 
     def __init__(
         self,
@@ -94,7 +94,7 @@ class IssueStage(Component):
 
         # The tick is impure (stall tallies count real cycles): veto skipping
         # while the engine has work; skipping an idle engine ages nothing.
-        self.wheel(self._wheel_horizon, lambda n: None)
+        self.wheel(self._wheel_horizon)
 
         # State-guard checks run inside the hazard reads: the scoreboard /
         # ECC shadows repair single-bit upsets with force() (inline ECC is a
@@ -117,12 +117,10 @@ class IssueStage(Component):
         """Declare the engine's own registers and nets (before ``stalled``)."""
         raise NotImplementedError
 
-    def _has_work(self) -> bool:
-        """Work held, arriving or pending: the next edge is not pure aging."""
-        raise NotImplementedError
-
     def _wheel_horizon(self) -> Optional[int]:
-        return 0 if self._has_work() else None
+        """0 while work is held, arriving or pending (the next edge is not
+        pure aging), else None."""
+        raise NotImplementedError
 
     def _frozen(self, op: DecodedOp) -> bool:
         """A pending machine check holds every op except a host Reset: no op
@@ -284,8 +282,10 @@ class Dispatcher(IssueStage):
         #: settles high when the held op completes this cycle (consumed by seq)
         self._advancing = self.signal("advancing", 1, 0)
 
-    def _has_work(self) -> bool:
-        return bool(self._full.value or (self.inp.valid.value and self.inp.ready.value))
+    def _wheel_horizon(self) -> Optional[int]:
+        if self._full.value or (self.inp.valid.value and self.inp.ready.value):
+            return 0
+        return None
 
     # -- observability -------------------------------------------------------------
 

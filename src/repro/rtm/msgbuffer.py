@@ -134,6 +134,9 @@ class MessageBuffer(Component):
 
     # -- time-wheel hooks ---------------------------------------------------------
 
+    #: nothing ages between words (the reliable buffer ages its idle timer)
+    _skip: Optional[Callable[[int], None]] = None
+
     def _horizon(self) -> Optional[int]:
         if self.inp.valid.value and self.inp.ready.value:
             return 0  # a channel word lands next edge
@@ -143,9 +146,6 @@ class MessageBuffer(Component):
         if pending is None and self._backlog.value:
             return 0  # backlog promotes next edge
         return None
-
-    def _skip(self, n: int) -> None:
-        pass  # nothing ages between words
 
     # -- word intake --------------------------------------------------------------
 

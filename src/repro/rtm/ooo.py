@@ -172,10 +172,12 @@ class OoODispatcher(IssueStage):
         """Work in flight in this stage (quiescence probe)."""
         return bool(self._queue.value)
 
-    def _has_work(self) -> bool:
+    def _wheel_horizon(self) -> Optional[int]:
         # Work queued, arriving, or awaiting recycle; an empty engine with a
         # drained rename table ages nothing.
-        return bool(self._queue.value or self.inp.valid.value or self.rename.has_pending)
+        if self._queue.value or self.inp.valid.value or self.rename.has_pending:
+            return 0
+        return None
 
     # -- issue selection -------------------------------------------------------------
 

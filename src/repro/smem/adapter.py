@@ -110,8 +110,7 @@ class SmartMemoryUnit(FunctionalUnit):
         # horizon.
         self.wheel(
             lambda: None if (self._state.value == AdapterState.IDLE
-                             and not self.dp.dispatch.value) else 0,
-            lambda n: None,
+                             and not self.dp.dispatch.value) else 0
         )
 
     def _make_core(self):

@@ -409,10 +409,7 @@ class VectorSmartArray(SmartArray):
         # freely skippable; any real command vetoes.  This hook also keeps
         # the always=True tree fold covered on the fast-forward path: the
         # arrays cannot change while every skipped edge is a NOP.
-        self.wheel(
-            lambda: 0 if self.cmd.value != self.NOP_CMD else None,
-            lambda n: None,
-        )
+        self.wheel(lambda: 0 if self.cmd.value != self.NOP_CMD else None)
 
         @self.on_reset
         def _reset() -> None:
@@ -478,7 +475,4 @@ class StructuralSmartArray(SmartArray):
             if self.cmd.value != self.NOP_CMD:
                 guard.after_apply()
 
-        self.wheel(
-            lambda: 0 if self.cmd.value != self.NOP_CMD else None,
-            lambda n: None,
-        )
+        self.wheel(lambda: 0 if self.cmd.value != self.NOP_CMD else None)

@@ -223,7 +223,7 @@ class FreeSeqRead(Component):
             " and s.out.stage(s.ext.value)"
         )(self), pure=True)
         if wheeled:
-            self.wheel(lambda: None, lambda n: None)
+            self.wheel(lambda: None)
 
 
 class SeqFeed(Component):

@@ -149,13 +149,12 @@ def _log_scans_jumps_edges(sim) -> list:
             return fn(*args)
         return run
 
-    horizon, skip = sim._wheel_hooks[0]
-    sim._wheel_hooks[0] = (horizon, logged("jump", skip))
+    sim._skips[0] = logged("jump", sim._skips[0])
     sim._horizons[0] = logged("scan", sim._horizons[0])
     if sim.backend == "compiled":
         ns = sim._module.namespace
         ns["_hz0"] = sim._horizons[0]
-        ns["_sk0"] = sim._wheel_hooks[0][1]
+        ns["_sk0"] = sim._skips[0]
         ns["_edge"] = logged("edge", ns["_edge"])
     else:
         sim._edge = logged("edge", sim._edge)

@@ -1,9 +1,10 @@
 """``ci/fingerprint.py`` prints what the compiled backend decided per design.
 
 Smoke tests on one preset and one e2e system: the report names every
-target, and for the one it runs, its hashes, placements and counters agree
-with a fresh build; an e2e system also reports its run counters.  The
-source hash leaves out the line numbers of template provenance comments.
+target, and for the one it runs, its hashes, placements, counters and
+wheel hook placements agree with a fresh build; an e2e system also
+reports its run counters.  The source hash leaves out the line numbers of
+template provenance comments.
 """
 
 import importlib.util
@@ -56,6 +57,8 @@ def test_fingerprint_of_one_preset():
         == stats.fallback_procs
     assert all(reason for _label, kind, reason in entry["placements"]
                if kind not in ("slot", "absorbed"))
+    assert entry["hooks"] == _script().hook_placements(sim)
+    assert len(entry["hooks"]) == len(sim._wheel_hooks) + len(sim._skips)
 
     assert "run" not in entry
 

@@ -225,14 +225,15 @@ def _example_system(path, backend):
 
 def _assert_scheduled_alike(runs, monkeypatch):
     """``runs(backend)`` twice on event and compiled, once more on compiled
-    with every body run as its original function: results, cycles and VCD
-    bytes must agree with the event kernel, and the scheduling counters
-    must not depend on specialization.  Vectorized executors count their
-    absorbed cells' work differently, so only a design without them must
-    also match the event kernel's counters."""
+    with every body and wheel hook run as its original function: results,
+    cycles and VCD bytes must agree with the event kernel, and the
+    scheduling counters must not depend on specialization.  Vectorized
+    executors count their absorbed cells' work differently, so only a
+    design without them must also match the event kernel's counters."""
     event, compiled = runs("event"), runs("compiled")
     with monkeypatch.context() as m:
-        m.setattr(Specializer, "specialize", lambda self, fn: None)
+        m.setattr(Specializer, "specialize",
+                  lambda self, fn, value=False: "patched out")
         # a stored layout binds the bodies it was built with: the
         # interpreted layouts go to a store of their own, dropped with
         # the patch

@@ -10,13 +10,14 @@ and hold the fold outputs against a structural twin driven alike.
 
 from __future__ import annotations
 
+import types
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.faults import ArrayGuard, MachineCheckUnit, StateFaultPlan, StateFaultSpec
-from repro.hdl import Component, Simulator
+from repro.hdl import ChunkRule, Component, Reg, Simulator
 
 from tests.properties.smem_conformance import TALLY, TallyCmd, TallyState
 
@@ -92,6 +93,14 @@ class Bench:
         self.sim.step(edges)
         self.sim.settle()
 
+    def chunk(self, edges: int) -> None:
+        """``edges`` cycles as a host pump's chunk: under a rule that never
+        stops it (on compiled, in the generated ``_run``)."""
+        rule = ChunkRule(watch=Reg("watch", None, ()),
+                         queue=Reg("queue", None, ()),
+                         stage=types.SimpleNamespace(retired=0))
+        assert self.sim.step(edges, rule) == edges
+
     def nudge(self) -> None:
         """Move a bus under NOP: a settle that sweeps, with no command."""
         self.top.arg_in.force(self.top.arg_in.value + 1)
@@ -157,6 +166,26 @@ class TestRefold:
         bench.nudge()
         assert bench.folds() == 1
         assert bench.top.column.total.value == 40
+        bench.assert_twins_agree()
+
+    @pytest.mark.parametrize("then", ["settle", "chunk"])
+    def test_load_between_steps_folds_with_no_signal_moved(self, backend,
+                                                          then):
+        # nothing but the column moved: the next settle folds on its own,
+        # whether called directly or as the first settle of a chunk
+        bench = Bench(backend)
+        bench.command(TallyCmd.BUMP, 2)
+        bench.folds()
+        for arr in (bench.top.column, bench.top.oracle):
+            arr.poke_state(0, TallyState(100))
+        if then == "settle":
+            bench.sim.settle()
+        else:
+            bench.chunk(1)
+        assert bench.folds() == 1
+        bench.idle(3)
+        assert bench.folds() == 0
+        assert bench.top.column.total.value == 100 + 2 * (N_CELLS - 1)
         bench.assert_twins_agree()
 
     def test_guard_double_upset_refolds(self, backend):

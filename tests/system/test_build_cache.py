@@ -331,7 +331,11 @@ def test_a_hit_binds_only_the_fresh_design(kwargs, monkeypatch):
     for k in range(3):
         assert session.compute(ArithOp.ADD, k, 5) == k + 5
     managed = set(sim.top.all_signals())
-    specs = [pl.spec for pl in sim._plans if pl.spec is not None]
+    # process bodies and wheel hooks alike: a hit binds every hook's body
+    # from the layout, without specializing it again
+    assert all(h.spec is not None for h in sim.hook_plans)
+    specs = [p.spec for p in sim._plans + sim.hook_plans
+             if p.spec is not None]
     hoisted = sum(1 for spec in specs for obj in spec.objects
                   if obj not in managed)
     assert calls["translate"] == calls["walk"] == calls["_emit"] == 0
